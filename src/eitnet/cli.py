@@ -112,17 +112,15 @@ def cmd_run_pipeline(args) -> int:
     features_dir = out / "features"
     features_dir.mkdir(exist_ok=True)
     for i, sample in enumerate(samples):
-        for t in range(sample.clip.shape[1]):
-            frame = sample.clip[:, t]
-            box = (
-                model.detector.best_box(frame)
-                if config.toggles.detection
-                else model.detector.full_frame_box()
-            )
-            detection_rows.append(
-                detection_csv_row(i * sample.clip.shape[1] + t, sample.view_id, box)
-            )
-            h, w = frame.shape[1:]
+        frames = sample.clip.shape[1]
+        boxes = (
+            model.detector.best_box(sample.clip)
+            if config.toggles.detection
+            else [model.detector.full_frame_box()] * frames
+        )
+        h, w = sample.clip.shape[2:]
+        for t, box in enumerate(boxes):
+            detection_rows.append(detection_csv_row(i * frames + t, sample.view_id, box))
             cx, cy, bw, bh = pose_bounding_box(sample.poses[t], h, w)
             pred_boxes.append(box)
             true_boxes.append(BoundingBox(cx, cy, bw, bh))

@@ -95,15 +95,15 @@ class DetectionLossParts:
 
 
 def resample_nearest(feature: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor resample of [C,H,W] to [C,out_h,out_w] (center rule)."""
+    """Nearest-neighbor resample of [..., H, W] to [..., out_h, out_w] (center rule)."""
     feature = as_tensor(feature)
-    c, in_h, in_w = feature.shape
+    in_h, in_w = feature.shape[-2:]
     out_h, out_w = out_hw
     if out_h < 1 or out_w < 1:
         raise ValueError("output extents must be positive")
     rows = np.minimum(((np.arange(out_h) + 0.5) * in_h / out_h).astype(int), in_h - 1)
     cols = np.minimum(((np.arange(out_w) + 0.5) * in_w / out_w).astype(int), in_w - 1)
-    return np.ascontiguousarray(feature[:, rows[:, None], cols[None, :]])
+    return np.ascontiguousarray(feature[..., rows[:, None], cols[None, :]])
 
 
 def bifpn_fuse(pyramid: FeaturePyramid, weights: FusionWeights) -> np.ndarray:
@@ -136,29 +136,29 @@ def predict_boxes(
     reg_weight: np.ndarray,
     reg_bias: np.ndarray,
     anchors: list[BoundingBox],
-) -> list[BoundingBox]:
-    """Sigmoid-gated regression rescaling each anchor coordinatewise."""
-    flat = as_tensor(fused).reshape(1, -1)
-    logits = linear(flat, reg_weight, reg_bias)[0]
-    if logits.size != 4 * len(anchors):
+    scores: np.ndarray,
+) -> list[list[BoundingBox]]:
+    """Sigmoid-gated regression rescaling each anchor coordinatewise, per frame.
+
+    ``fused`` is [T, ...] with one frame per row, ``scores`` the [T, A] box
+    scores.  Each row is its own [1, feat] product, so it rounds exactly as a
+    one-frame call would (a [T, feat] matrix product does not).
+    """
+    fused = as_tensor(fused)
+    logits = linear(fused.reshape(fused.shape[0], 1, -1), reg_weight, reg_bias)[:, 0]
+    if logits.shape[1] != 4 * len(anchors):
         raise ValueError(
-            f"regression head emits {logits.size} values, need 4 per anchor "
+            f"regression head emits {logits.shape[1]} values, need 4 per anchor "
             f"for {len(anchors)} anchors"
         )
-    gates = np.clip(sigmoid(logits.reshape(len(anchors), 4)), 1e-12, 1.0)
-    out = []
-    for gate, anchor in zip(gates, anchors):
-        out.append(
-            BoundingBox(
-                cx=gate[0] * anchor.cx,
-                cy=gate[1] * anchor.cy,
-                w=gate[2] * anchor.w,
-                h=gate[3] * anchor.h,
-                score=anchor.score,
-                class_id=anchor.class_id,
-            )
-        )
-    return out
+    gates = np.clip(sigmoid(logits.reshape(-1, len(anchors), 4)), 1e-12, 1.0)
+    return [
+        [
+            BoundingBox(g[0] * a.cx, g[1] * a.cy, g[2] * a.w, g[3] * a.h, s, a.class_id)
+            for g, a, s in zip(frame_gates, anchors, frame_scores)
+        ]
+        for frame_gates, frame_scores in zip(gates, scores)
+    ]
 
 
 def detection_loss(
@@ -253,7 +253,8 @@ class Detector:
     """Toy three-level backbone with fusion, score and box heads.
 
     Weights are drawn from the seeded stream at construction; nothing here is
-    trained. Frames enter as [C,H,W]; detect() returns NMS survivors.
+    trained. Clips enter as [C,T,H,W] and every stage runs on all T frames at
+    once; detect() returns each frame's NMS survivors.
     """
 
     frame_hw: tuple[int, int]
@@ -302,34 +303,33 @@ class Detector:
         boxes = [BoundingBox(cx, cy, bw, bh) for cx, cy, bw, bh in base]
         return boxes[: self.num_anchors]
 
-    def pyramid(self, frame: np.ndarray) -> FeaturePyramid:
-        x = as_tensor(frame)[:, None, :, :]
+    def pyramid(self, clip: np.ndarray) -> FeaturePyramid:
+        """[C,T,H,W] clip to [C,T,h,w] levels; the kt=1 convs keep frames apart."""
+        x = as_tensor(clip)
         w = self._weights
         same = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1), bias_enabled=False)
         down = ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1), bias_enabled=False)
         f1 = relu(conv3d(x, w["conv1"], same))
         f2 = relu(conv3d(f1, w["conv2"], down))
         f3 = relu(conv3d(f2, w["conv3"], down))
-        return FeaturePyramid(levels=[f[:, 0] for f in (f3, f2, f1)])
+        return FeaturePyramid(levels=[f3, f2, f1])
 
     def fuse(self, pyramid: FeaturePyramid) -> np.ndarray:
         common = [resample_nearest(lv, self.fused_hw) for lv in pyramid.levels]
         return bifpn_fuse(FeaturePyramid(levels=common), self._weights["fusion"])
 
-    def detect(self, frame: np.ndarray) -> list[BoundingBox]:
-        fused = self.fuse(self.pyramid(frame))
+    def detect(self, clip: np.ndarray) -> list[list[BoundingBox]]:
+        """NMS survivors of each frame of a [C,T,H,W] clip."""
+        fused = self.fuse(self.pyramid(clip))  # [C, T, h, w]
+        rows = fused.transpose(1, 0, 2, 3).reshape(fused.shape[1], 1, -1)  # [T, 1, feat]
         w = self._weights
-        scores = sigmoid(linear(fused.reshape(1, -1), w["score_w"], w["score_b"])[0])
-        anchors = [
-            BoundingBox(a.cx, a.cy, a.w, a.h, score=float(s), class_id=a.class_id)
-            for a, s in zip(self.anchors, scores)
-        ]
-        boxes = predict_boxes(fused, w["reg_w"], w["reg_b"], anchors)
-        return nms(boxes, self.iou_threshold)
+        scores = sigmoid(linear(rows, w["score_w"], w["score_b"])[:, 0])
+        boxes = predict_boxes(rows, w["reg_w"], w["reg_b"], self.anchors, scores)
+        return [nms(frame_boxes, self.iou_threshold) for frame_boxes in boxes]
 
-    def best_box(self, frame: np.ndarray) -> BoundingBox:
-        kept = self.detect(frame)
-        return kept[0] if kept else self.full_frame_box()
+    def best_box(self, clip: np.ndarray) -> list[BoundingBox]:
+        """Top surviving box of each frame, or the full frame where none survives."""
+        return [kept[0] if kept else self.full_frame_box() for kept in self.detect(clip)]
 
     def full_frame_box(self) -> BoundingBox:
         h, w = self.frame_hw

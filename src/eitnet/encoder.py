@@ -15,7 +15,8 @@ Attention modes:
 A group with a single member passes through attention unchanged.  This makes
 the degenerate geometries exact: with one frame the divided block equals the
 spatial block bitwise, and with a 1x1 grid it equals the temporal block.
-The summary token always forms its own singleton group in divided modes.
+The summary token always forms its own singleton group in divided modes;
+the other groups are regrouped by a reshape and attended in one batched call.
 """
 
 from __future__ import annotations
@@ -122,53 +123,42 @@ def patch_embed(
         raise ValueError(
             f"positional table must be [{count}, {proj_weight.shape[1]}], got {pos_enc.shape}"
         )
-    patches = np.empty((count, c * p * p))
-    i = 0
-    for ft in range(t):
-        for r in range(gh):
-            for cc in range(gw):
-                patches[i] = clip[:, ft, r * p : (r + 1) * p, cc * p : (cc + 1) * p].ravel()
-                i += 1
+    # [C,T,gh,P,gw,P] -> [T,gh,gw,C,P,P]: frame-major tokens, each patch flattened C,row,col
+    patches = clip.reshape(c, t, gh, p, gw, p).transpose(1, 2, 4, 0, 3, 5).reshape(count, -1)
     tokens = linear(patches, proj_weight, proj_bias) + pos_enc
     return TokenSequence(tokens=tokens, frames=t, grid_h=gh, grid_w=gw, patch=p)
 
 
 def self_attention(tokens: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Scaled dot-product attention with single-head QKV projections."""
+    """Scaled dot-product attention with single-head QKV projections.
+
+    Takes one [S, d] sequence or a [G, S, d] stack of G groups attended
+    independently.
+    """
     tokens = as_tensor(tokens)
-    if tokens.ndim != 2:
-        raise ValueError(f"tokens must be [S, d], got rank {tokens.ndim}")
-    if tokens.shape[1] != params.d_model:
+    if tokens.ndim not in (2, 3):
+        raise ValueError(f"tokens must be [S, d] or [G, S, d], got rank {tokens.ndim}")
+    if tokens.shape[-1] != params.d_model:
         raise ValueError(
-            f"token width {tokens.shape[1]} != projection width {params.d_model}"
+            f"token width {tokens.shape[-1]} != projection width {params.d_model}"
         )
     q = linear(tokens, params.w_q, params.b_q)
     k = linear(tokens, params.w_k, params.b_k)
     v = linear(tokens, params.w_v, params.b_v)
-    scores = (q @ k.T) / math.sqrt(params.d_model)
+    scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(params.d_model)
     return softmax(scores, axis=-1) @ v
 
 
-def _group_indices(seq: TokenSequence, mode: str) -> list[np.ndarray]:
-    base = 1 if seq.has_summary else 0
-    hw = seq.grid_h * seq.grid_w
-    groups: list[np.ndarray] = []
-    if seq.has_summary:
-        groups.append(np.array([0]))
-    if mode == "temporal":
-        for pos in range(hw):
-            groups.append(base + pos + hw * np.arange(seq.frames))
-    else:
-        for ft in range(seq.frames):
-            groups.append(base + hw * ft + np.arange(hw))
-    return groups
-
-
 def _grouped_attention(seq: TokenSequence, params: EncoderParams, mode: str) -> np.ndarray:
+    """One batched pass over all groups: [hw, T, d] (temporal) or [T, hw, d] (spatial)."""
+    base = 1 if seq.has_summary else 0
+    grid = seq.tokens[base:].reshape(seq.frames, seq.grid_h * seq.grid_w, seq.width)
+    temporal = mode == "temporal"
+    groups = grid.swapaxes(0, 1) if temporal else grid
     out = seq.tokens.copy()
-    for idx in _group_indices(seq, mode):
-        if idx.size > 1:
-            out[idx] = self_attention(seq.tokens[idx], params)
+    if groups.shape[1] > 1:  # singleton groups pass through unchanged
+        attended = self_attention(groups, params)
+        out[base:] = (attended.swapaxes(0, 1) if temporal else attended).reshape(-1, seq.width)
     return out
 
 

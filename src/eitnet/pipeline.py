@@ -188,16 +188,13 @@ class PipelineModel:
     def crop_clip(self, clip: np.ndarray) -> np.ndarray:
         clip = as_tensor(clip)
         c = self.config
-        frames = []
-        for t in range(clip.shape[1]):
-            frame = clip[:, t]
-            if c.toggles.detection:
-                box = self.detector.best_box(frame)
-            else:
-                h, w = frame.shape[1:]
-                box = BoundingBox(cx=w / 2.0, cy=h / 2.0, w=float(w), h=float(h))
-            frames.append(crop_region(frame, box, c.crop_hw))
-        return np.stack(frames, axis=1)
+        if c.toggles.detection:
+            boxes = self.detector.best_box(clip)
+        else:
+            h, w = clip.shape[2:]
+            boxes = [BoundingBox(cx=w / 2.0, cy=h / 2.0, w=float(w), h=float(h))] * clip.shape[1]
+        crops = [crop_region(clip[:, t], box, c.crop_hw) for t, box in enumerate(boxes)]
+        return np.stack(crops, axis=1)
 
     def stage_features(self, cropped: np.ndarray, dropout_p: float = 0.0, seed: int = 0):
         if self.config.toggles.spatiotemporal:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ACTION_LABELS
 from .rng import Rng, derive_seed
 
 PACKET_MAGIC = b"EITP"
@@ -434,7 +435,7 @@ def run_simulation(
     window_period_us: int | None = None,
     median_window: int = 3,
     feedback_threshold: float = 0.5,
-    labels: tuple[str, ...] = ("dribble", "shoot", "pass", "jump"),
+    labels: tuple[str, ...] = ACTION_LABELS,
     handshakes: int = 5,
     threaded: bool = False,
     queue_capacity: int = 64,
@@ -445,7 +446,8 @@ def run_simulation(
     The threaded mode runs one producer thread per camera over a bounded
     queue; arrival interleaving (and therefore late/duplicate counts and
     window completeness) may vary run to run, but packet conservation and
-    emission ordering hold in both modes.
+    emission ordering hold in both modes.  If consuming a packet raises, the
+    producers are stopped and joined before the error reaches the caller.
     """
     if not specs:
         raise ValueError("need at least one camera")
@@ -481,9 +483,12 @@ def run_simulation(
     if threaded:
         chan: queue.Queue = queue.Queue(maxsize=queue_capacity)
         sentinel = object()
+        stop = threading.Event()
 
         def producer(cid):
             for _, blob in outputs[cid].packets:
+                if stop.is_set():
+                    return
                 chan.put(blob)  # blocks while the queue is full
             chan.put(sentinel)
 
@@ -492,15 +497,23 @@ def run_simulation(
         ]
         for t in threads:
             t.start()
-        finished = 0
-        while finished < len(threads):
-            item = chan.get()
-            if item is sentinel:
-                finished += 1
-            else:
-                consume(item)
-        for t in threads:
-            t.join()
+        try:
+            finished = 0
+            while finished < len(threads):
+                item = chan.get()
+                if item is sentinel:
+                    finished += 1
+                else:
+                    consume(item)
+        finally:
+            # After a consumer failure producers may be blocked in put: stop
+            # them and drain until every one has exited; the error propagates.
+            stop.set()
+            while any(t.is_alive() for t in threads):
+                try:
+                    chan.get(timeout=0.01)
+                except queue.Empty:
+                    pass
     else:
         merged = []
         for cid, out in outputs.items():

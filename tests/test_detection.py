@@ -94,6 +94,9 @@ class TestLevelAttention:
             assert abs(out[idx] - cur[idx] / (prev[idx] + 1e-3)) <= 1e-12
 
 
+ONE_FRAME_SCORES = np.ones((1, 2))
+
+
 class TestPredictBoxes:
     def anchors(self):
         return [BoundingBox(8.0, 8.0, 16.0, 16.0), BoundingBox(4.0, 12.0, 8.0, 6.0)]
@@ -101,7 +104,7 @@ class TestPredictBoxes:
     def test_zero_logits_halve_anchor(self):
         fused = np.zeros((1, 2, 2))
         w = np.zeros((4, 8))
-        out = predict_boxes(fused, w, np.zeros(8), self.anchors())
+        out = predict_boxes(fused, w, np.zeros(8), self.anchors(), ONE_FRAME_SCORES)[0]
         for box, anchor in zip(out, self.anchors()):
             assert box.cx == pytest.approx(0.5 * anchor.cx)
             assert box.h == pytest.approx(0.5 * anchor.h)
@@ -109,7 +112,7 @@ class TestPredictBoxes:
     def test_saturated_logits_recover_anchor(self):
         fused = np.ones((1, 1, 1))
         w = np.zeros((1, 8))
-        out = predict_boxes(fused, w, np.full(8, 50.0), self.anchors())
+        out = predict_boxes(fused, w, np.full(8, 50.0), self.anchors(), ONE_FRAME_SCORES)[0]
         for box, anchor in zip(out, self.anchors()):
             for got, want in zip(
                 (box.cx, box.cy, box.w, box.h), (anchor.cx, anchor.cy, anchor.w, anchor.h)
@@ -121,7 +124,7 @@ class TestPredictBoxes:
         fused = rng.normals(8).reshape(2, 2, 2)
         w = rng.normals(8 * 8).reshape(8, 8)
         b = rng.normals(8)
-        out = predict_boxes(fused, w, b, self.anchors())
+        out = predict_boxes(fused[None], w, b, self.anchors(), ONE_FRAME_SCORES)[0]
         logits = fused.reshape(-1) @ w + b
         for i, (box, anchor) in enumerate(zip(out, self.anchors())):
             for j, (got, base) in enumerate(
@@ -134,13 +137,15 @@ class TestPredictBoxes:
         rng = Rng(27)
         fused = rng.normals(4).reshape(1, 2, 2)
         w = rng.normals(4 * 8).reshape(4, 8) * 3.0
-        out = predict_boxes(fused, w, rng.normals(8), self.anchors())
+        out = predict_boxes(fused, w, rng.normals(8), self.anchors(), ONE_FRAME_SCORES)[0]
         for box, anchor in zip(out, self.anchors()):
             assert 0.0 < box.w <= anchor.w and 0.0 < box.h <= anchor.h
 
     def test_anchor_count_mismatch(self):
         with pytest.raises(ValueError, match="4 per anchor"):
-            predict_boxes(np.ones((1, 1, 2)), np.ones((2, 4)), np.zeros(4), self.anchors())
+            predict_boxes(
+                np.ones((1, 1, 2)), np.ones((2, 4)), np.zeros(4), self.anchors(), ONE_FRAME_SCORES
+            )
 
 
 class TestDetectionLoss:
@@ -263,8 +268,8 @@ class TestDetector:
         det = Detector(frame_hw=(16, 16), seed=5)
         rng = Rng(31)
         frame = np.abs(rng.normals(16 * 16)).reshape(1, 16, 16)
-        first = det.detect(frame)
-        second = det.detect(frame)
+        first = det.detect(frame[:, None])[0]
+        second = det.detect(frame[:, None])[0]
         assert first == second
         assert len(first) >= 1
         for box in first:
@@ -274,5 +279,21 @@ class TestDetector:
         det = Detector(frame_hw=(16, 16), seed=5)
         rng = Rng(32)
         frame = np.abs(rng.normals(16 * 16)).reshape(1, 16, 16)
-        crop = crop_region(frame, det.best_box(frame), (12, 12))
+        crop = crop_region(frame, det.best_box(frame[:, None])[0], (12, 12))
         assert crop.shape == (1, 12, 12)
+
+    def test_clip_detect_equals_frame_by_frame_bitwise(self):
+        det = Detector(frame_hw=(16, 16), seed=5)
+        rng = Rng(33)
+        clip = np.abs(rng.normals(8 * 16 * 16)).reshape(1, 8, 16, 16)
+
+        def as_array(boxes):
+            return np.array([[b.cx, b.cy, b.w, b.h, b.score, b.class_id] for b in boxes])
+
+        batched = det.detect(clip)
+        assert len(batched) == 8
+        for t, boxes in enumerate(batched):
+            single = det.detect(clip[:, t : t + 1])
+            assert len(single) == 1
+            assert np.array_equal(as_array(boxes), as_array(single[0]))
+

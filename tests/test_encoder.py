@@ -49,7 +49,52 @@ def make_sequence(rng, frames=2, gh=2, gw=2, d=4, has_summary=False):
     )
 
 
+def per_group_divided_block(seq, params):
+    """Divided block with one self_attention call per attention group.
+
+    Temporal groups are the frames of one grid position, spatial groups the
+    positions of one frame; the summary token is in no group and stays as is.
+    """
+    base = 1 if seq.has_summary else 0
+    hw = seq.grid_h * seq.grid_w
+
+    def grouped(tokens, mode):
+        if mode == "temporal":
+            groups = [base + pos + hw * np.arange(seq.frames) for pos in range(hw)]
+        else:
+            groups = [base + hw * ft + np.arange(hw) for ft in range(seq.frames)]
+        out = tokens.copy()
+        for idx in groups:
+            if idx.size > 1:
+                out[idx] = self_attention(tokens[idx], params)
+        return out
+
+    x = seq.tokens
+    z = grouped(grouped(x, "temporal"), "spatial")
+    h = layer_norm(z + x, params.norm1_gamma, params.norm1_beta, params.eps)
+    f = linear(relu(linear(h, params.w_ffn1, params.b_ffn1)), params.w_ffn2, params.b_ffn2)
+    return layer_norm(f + h, params.norm2_gamma, params.norm2_beta, params.eps)
+
+
 class TestPatchEmbed:
+    def test_matches_per_patch_loop_bitwise(self):
+        rng = Rng(68)
+        c, t, h, w, p = 2, 3, 4, 6, 2
+        clip = rng.normals(c * t * h * w).reshape(c, t, h, w)
+        weight = rng.normals(c * p * p * 5).reshape(c * p * p, 5)
+        bias = rng.normals(5)
+        count = t * (h // p) * (w // p)
+        pos = rng.normals(count * 5).reshape(count, 5)
+        patches = [
+            clip[:, ft, r * p : (r + 1) * p, cc * p : (cc + 1) * p].ravel()
+            for ft in range(t)
+            for r in range(h // p)
+            for cc in range(w // p)
+        ]
+        ref = linear(np.array(patches), weight, bias) + pos
+        seq = patch_embed(clip, p, weight, bias, pos)
+        assert np.array_equal(seq.tokens, ref)
+
     def test_one_patch_per_frame(self):
         rng = Rng(50)
         clip = rng.normals(1 * 3 * 4 * 4).reshape(1, 3, 4, 4)
@@ -168,6 +213,14 @@ class TestEncoderBlock:
         a = encoder_block(seq, params, "divided").tokens
         b = encoder_block(seq, params, "spatial").tokens
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("has_summary", [False, True])
+    def test_divided_matches_per_group_loop_bitwise(self, has_summary):
+        rng = Rng(69)
+        params = make_params(rng)
+        seq = make_sequence(rng, frames=3, gh=2, gw=3, has_summary=has_summary)
+        out = encoder_block(seq, params, "divided").tokens
+        assert np.array_equal(out, per_group_divided_block(seq, params))
 
     def test_deterministic(self):
         rng = Rng(62)

@@ -1,3 +1,4 @@
+import threading
 import zlib
 
 import numpy as np
@@ -307,6 +308,19 @@ class TestSimulation:
         assert report.conservation_holds()
         indices = [row[0] for row in report.window_rows]
         assert indices == sorted(indices)
+
+    def test_threaded_consumer_failure_stops_producers(self, monkeypatch):
+        import eitnet.stream
+
+        def broken(blob):
+            raise RuntimeError("decode failed")
+
+        monkeypatch.setattr(eitnet.stream, "decode_packet", broken)
+        specs = [spec(1), spec(2), spec(3)]
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="decode failed"):
+            run_simulation(specs, duration_us=30_000, seed=6, threaded=True, queue_capacity=2)
+        assert [t for t in threading.enumerate() if t not in before] == []
 
     def test_hook_receives_every_window(self):
         specs = [spec(1), spec(2)]

@@ -151,6 +151,8 @@ def predict_boxes(
             f"regression head emits {logits.shape[1]} values, need 4 per anchor "
             f"for {len(anchors)} anchors"
         )
+    if np.shape(scores) != (len(logits), len(anchors)):
+        raise ValueError(f"scores must be [{len(logits)}, {len(anchors)}], got {np.shape(scores)}")
     gates = np.clip(sigmoid(logits.reshape(-1, len(anchors), 4)), 1e-12, 1.0)
     return [
         [

@@ -148,6 +148,13 @@ class TestPredictBoxes:
             )
 
 
+    def test_score_rows_must_match_frames(self):
+        with pytest.raises(ValueError, match="scores must be"):
+            predict_boxes(
+                np.ones((2, 1, 1)), np.ones((1, 8)), np.zeros(8), self.anchors(), ONE_FRAME_SCORES
+            )
+
+
 class TestDetectionLoss:
     def test_perfect_predictions(self):
         box = BoundingBox(5.0, 5.0, 2.0, 2.0)

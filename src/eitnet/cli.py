@@ -112,12 +112,9 @@ def cmd_run_pipeline(args) -> int:
     features_dir = out / "features"
     features_dir.mkdir(exist_ok=True)
     for i, sample in enumerate(samples):
+        boxes = model.frame_boxes(sample.clip)  # the dataset load validated the clip
+        output = model.forward(sample.clip, boxes=boxes)
         frames = sample.clip.shape[1]
-        boxes = (
-            model.detector.best_box(sample.clip)
-            if config.toggles.detection
-            else [model.detector.full_frame_box()] * frames
-        )
         h, w = sample.clip.shape[2:]
         for t, box in enumerate(boxes):
             detection_rows.append(detection_csv_row(i * frames + t, sample.view_id, box))
@@ -125,7 +122,6 @@ def cmd_run_pipeline(args) -> int:
             pred_boxes.append(box)
             true_boxes.append(BoundingBox(cx, cy, bw, bh))
             scores.append([box.score, 1.0 - box.score])
-        output = model.forward(sample.clip)
         for k, p in enumerate(output.probs):
             class_rows.append(f"{i},{k},{float(p)!r}")
         save_tensor(features_dir / f"sample_{i:04d}.bin", output.pose_feat)

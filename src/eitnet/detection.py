@@ -55,7 +55,7 @@ class FeaturePyramid:
     def __post_init__(self):
         if len(self.levels) < 2:
             raise ValueError("pyramid needs at least two levels")
-        self.levels = [as_tensor(lv) for lv in self.levels]
+        self.levels = [np.asarray(lv, dtype=np.float64) for lv in self.levels]
         channels = {lv.shape[0] for lv in self.levels}
         if len(channels) != 1:
             raise ValueError(f"pyramid levels must share a channel count, got {channels}")
@@ -96,7 +96,7 @@ class DetectionLossParts:
 
 def resample_nearest(feature: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     """Nearest-neighbor resample of [..., H, W] to [..., out_h, out_w] (center rule)."""
-    feature = as_tensor(feature)
+    feature = np.asarray(feature, dtype=np.float64)
     in_h, in_w = feature.shape[-2:]
     out_h, out_w = out_hw
     if out_h < 1 or out_w < 1:
@@ -144,7 +144,7 @@ def predict_boxes(
     scores.  Each row is its own [1, feat] product, so it rounds exactly as a
     one-frame call would (a [T, feat] matrix product does not).
     """
-    fused = as_tensor(fused)
+    fused = np.asarray(fused, dtype=np.float64)
     logits = linear(fused.reshape(fused.shape[0], 1, -1), reg_weight, reg_bias)[:, 0]
     if logits.shape[1] != 4 * len(anchors):
         raise ValueError(
@@ -216,7 +216,7 @@ def crop_region(
     frame: np.ndarray, box: BoundingBox, out_hw: tuple[int, int]
 ) -> np.ndarray:
     """Clamp the box to the frame and nearest-resample the crop to out_hw."""
-    frame = as_tensor(frame)
+    frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 3:
         raise ValueError(f"frame must be [C,H,W], got rank {frame.ndim}")
     _, h, w = frame.shape
@@ -307,7 +307,7 @@ class Detector:
 
     def pyramid(self, clip: np.ndarray) -> FeaturePyramid:
         """[C,T,H,W] clip to [C,T,h,w] levels; the kt=1 convs keep frames apart."""
-        x = as_tensor(clip)
+        x = np.asarray(clip, dtype=np.float64)
         w = self._weights
         same = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1), bias_enabled=False)
         down = ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1), bias_enabled=False)
@@ -317,7 +317,10 @@ class Detector:
         return FeaturePyramid(levels=[f3, f2, f1])
 
     def fuse(self, pyramid: FeaturePyramid) -> np.ndarray:
-        common = [resample_nearest(lv, self.fused_hw) for lv in pyramid.levels]
+        common = [
+            lv if lv.shape[-2:] == self.fused_hw else resample_nearest(lv, self.fused_hw)
+            for lv in pyramid.levels
+        ]
         return bifpn_fuse(FeaturePyramid(levels=common), self._weights["fusion"])
 
     def detect(self, clip: np.ndarray) -> list[list[BoundingBox]]:

@@ -43,7 +43,7 @@ class TokenSequence:
     has_summary: bool = False
 
     def __post_init__(self):
-        self.tokens = as_tensor(self.tokens)
+        self.tokens = np.asarray(self.tokens, dtype=np.float64)
         if self.tokens.ndim != 2:
             raise ValueError(f"tokens must be [S, d], got rank {self.tokens.ndim}")
         if min(self.frames, self.grid_h, self.grid_w, self.patch) < 1:
@@ -104,7 +104,7 @@ def patch_embed(
     pos_enc: np.ndarray,
 ) -> TokenSequence:
     """Flatten P x P x C patches, project to d_model, and add positional rows."""
-    clip = as_tensor(clip)
+    clip = np.asarray(clip, dtype=np.float64)
     if clip.ndim != 4:
         raise ValueError(f"clip must be [C,T,H,W], got rank {clip.ndim}")
     c, t, h, w = clip.shape
@@ -113,12 +113,12 @@ def patch_embed(
         raise ValueError(f"patch size {p} must divide frame extents {h}x{w}")
     gh, gw = h // p, w // p
     count = t * gh * gw
-    proj_weight = as_tensor(proj_weight)
+    proj_weight = np.asarray(proj_weight, dtype=np.float64)
     if proj_weight.shape[0] != c * p * p:
         raise ValueError(
             f"projection expects rows of {proj_weight.shape[0]}, patches have {c * p * p}"
         )
-    pos_enc = as_tensor(pos_enc)
+    pos_enc = np.asarray(pos_enc, dtype=np.float64)
     if pos_enc.shape != (count, proj_weight.shape[1]):
         raise ValueError(
             f"positional table must be [{count}, {proj_weight.shape[1]}], got {pos_enc.shape}"
@@ -135,7 +135,7 @@ def self_attention(tokens: np.ndarray, params: EncoderParams) -> np.ndarray:
     Takes one [S, d] sequence or a [G, S, d] stack of G groups attended
     independently.
     """
-    tokens = as_tensor(tokens)
+    tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim not in (2, 3):
         raise ValueError(f"tokens must be [S, d] or [G, S, d], got rank {tokens.ndim}")
     if tokens.shape[-1] != params.d_model:

@@ -64,7 +64,7 @@ def i3d_forward(clip: np.ndarray, blocks: list[I3DBlockParams], seed: int = 0) -
     """Run the block stack on [C,T,H,W] and globally average to [C_final]."""
     if not blocks:
         raise ValueError("i3d_forward needs at least one block")
-    out = as_tensor(clip)
+    out = np.asarray(clip, dtype=np.float64)
     for i, params in enumerate(blocks):
         try:
             out = i3d_block(out, params, seed=derive_seed(seed, "i3d-block", i))

@@ -185,15 +185,24 @@ class PipelineModel:
 
     # -- frozen stages -----------------------------------------------------
 
-    def crop_clip(self, clip: np.ndarray) -> np.ndarray:
+    def frame_boxes(self, clip: np.ndarray) -> list[BoundingBox]:
+        """Each frame's crop box: the detector's best box, or the full frame without it.
+
+        ``clip`` is trusted: a validated [C,T,H,W] float64 clip.
+        """
+        if self.config.toggles.detection:
+            return self.detector.best_box(clip)
+        h, w = clip.shape[2:]
+        return [BoundingBox(cx=w / 2.0, cy=h / 2.0, w=float(w), h=float(h))] * clip.shape[1]
+
+    def crop_clip(self, clip: np.ndarray, boxes: list[BoundingBox] | None = None) -> np.ndarray:
+        """Validate the clip and crop each frame to its box (default: ``frame_boxes``)."""
         clip = as_tensor(clip)
-        c = self.config
-        if c.toggles.detection:
-            boxes = self.detector.best_box(clip)
-        else:
-            h, w = clip.shape[2:]
-            boxes = [BoundingBox(cx=w / 2.0, cy=h / 2.0, w=float(w), h=float(h))] * clip.shape[1]
-        crops = [crop_region(clip[:, t], box, c.crop_hw) for t, box in enumerate(boxes)]
+        if boxes is None:
+            boxes = self.frame_boxes(clip)
+        elif len(boxes) != clip.shape[1]:
+            raise ValueError(f"{len(boxes)} boxes for a clip of {clip.shape[1]} frames")
+        crops = [crop_region(clip[:, t], box, self.config.crop_hw) for t, box in enumerate(boxes)]
         return np.stack(crops, axis=1)
 
     def stage_features(self, cropped: np.ndarray, dropout_p: float = 0.0, seed: int = 0):
@@ -223,14 +232,27 @@ class PipelineModel:
             seq = encoder_block(seq, params, "divided")
         return seq
 
-    def extract(self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0):
-        """Frozen-stage forward: (classifier feature, pose feature), standardized."""
-        cropped = self.crop_clip(clip)
+    def extract(
+        self,
+        clip: np.ndarray,
+        dropout_p: float = 0.0,
+        seed: int = 0,
+        boxes: list[BoundingBox] | None = None,
+    ):
+        """Frozen-stage forward: (classifier feature, pose feature), standardized.
+
+        ``boxes`` are this clip's ``frame_boxes``, for a caller that already
+        has them.  The stages inside do not scan their arrays for NaN or
+        infinity; this one check on the features stands in for them.
+        """
+        cropped = self.crop_clip(clip, boxes)
         feats = self.stage_features(cropped, dropout_p=dropout_p, seed=seed)
         seq = self.encode(self.tokens(cropped, feats))
         ns = self.norm_stats
         cls_feat = (seq.tokens.mean(axis=0) - ns["cls_mean"]) * ns["cls_scale"]
         pose_feat = (feats - ns["pose_mean"]) * ns["pose_scale"]
+        if not (np.isfinite(cls_feat).all() and np.isfinite(pose_feat).all()):
+            raise ValueError("extracted features are not finite")
         return cls_feat, pose_feat
 
     def fit_feature_norm(self, samples, target_std: float = 16.0) -> None:
@@ -271,8 +293,14 @@ class PipelineModel:
         mm = 1000.0 * meters.reshape(c.frames, c.joints, 3)
         return [SkeletonPose(joints=mm[t]) for t in range(c.frames)]
 
-    def forward(self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0) -> PipelineOutput:
-        cls_feat, pose_feat = self.extract(clip, dropout_p=dropout_p, seed=seed)
+    def forward(
+        self,
+        clip: np.ndarray,
+        dropout_p: float = 0.0,
+        seed: int = 0,
+        boxes: list[BoundingBox] | None = None,
+    ) -> PipelineOutput:
+        cls_feat, pose_feat = self.extract(clip, dropout_p=dropout_p, seed=seed, boxes=boxes)
         return PipelineOutput(
             probs=self.head_probs(cls_feat),
             pose=self.head_pose(pose_feat),

@@ -6,6 +6,14 @@ most); ``as_tensor`` validates shape and finiteness.  Every kernel is a pure
 function: inputs are never mutated and outputs are freshly allocated, so
 values can be shared freely across threads.
 
+Validation happens at the program's edges, not in every kernel:
+``as_tensor`` runs where a clip enters the pipeline
+(``PipelineModel.crop_clip``), on file loads (``load_tensor``) and on each
+synthetic sample, and ``PipelineModel.extract`` rejects features that are not
+finite.  The kernels take their arrays with ``np.asarray(x, dtype=np.float64)``,
+which copies nothing for a float64 array and scans nothing; they check only
+ranks and shapes.
+
 Serialization uses a little-endian binary layout: magic ``EITT``, u8 rank,
 rank x u32 extents, then the row-major float64 payload.
 """
@@ -33,9 +41,9 @@ def as_tensor(data, shape=None) -> np.ndarray:
     arr = np.ascontiguousarray(arr) if arr.ndim else arr
     if arr.ndim < 1 or arr.ndim > MAX_RANK:
         raise ValueError(f"tensor rank must be 1..{MAX_RANK}, got {arr.ndim}")
-    if any(extent < 1 for extent in arr.shape):
+    if 0 in arr.shape:
         raise ValueError(f"tensor extents must be positive, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor values must be finite")
     return arr
 
@@ -70,6 +78,15 @@ class ConvSpec:
         return tuple(out)
 
 
+def _pad(x: np.ndarray, padding: Triple, fill: float) -> np.ndarray:
+    """Copy of [C,T,H,W] x with ``padding`` cells of ``fill`` around its last three axes."""
+    pt, ph, pw = padding
+    c, t, h, w = x.shape
+    out = np.full((c, t + 2 * pt, h + 2 * ph, w + 2 * pw), fill)
+    out[:, pt : pt + t, ph : ph + h, pw : pw + w] = x
+    return out
+
+
 def _windows(padded: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Sliding [.., T', H', W', kt, kh, kw] view over the last three axes."""
     view = np.lib.stride_tricks.sliding_window_view(padded, spec.kernel, axis=(-3, -2, -1))
@@ -81,8 +98,8 @@ def conv3d(
     x: np.ndarray, weights: np.ndarray, spec: ConvSpec, bias: np.ndarray | None = None
 ) -> np.ndarray:
     """3D cross-correlation of [C_in,T,H,W] with [C_out,C_in,kt,kh,kw] plus bias."""
-    x = as_tensor(x)
-    weights = as_tensor(weights)
+    x = np.asarray(x, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     if x.ndim != 4:
         raise ValueError(f"conv3d input must be [C,T,H,W], got rank {x.ndim}")
     if weights.ndim != 5:
@@ -98,13 +115,11 @@ def conv3d(
     if spec.bias_enabled:
         if bias is None:
             raise ValueError("spec enables bias but none was given")
-        bias = as_tensor(bias)
+        bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (c_out,):
             raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
 
-    pt, ph, pw = spec.padding
-    padded = np.pad(x, ((0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    win = _windows(padded, spec)
+    win = _windows(_pad(x, spec.padding, 0.0), spec)
     out = np.einsum("cthwijk,ocijk->othw", win, weights, optimize=True)
     if spec.bias_enabled:
         out = out + bias[:, None, None, None]
@@ -118,22 +133,19 @@ def pool3d_max(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     keeps outputs members of the input value multiset. Requires pad < kernel
     per axis so every window covers at least one real cell.
     """
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ValueError(f"pool3d_max input must be [C,T,H,W], got rank {x.ndim}")
     spec.output_extents(x.shape[1:])
     if any(p >= k for p, k in zip(spec.padding, spec.kernel)):
         raise ValueError(f"padding {spec.padding} must be < kernel {spec.kernel}")
-    pt, ph, pw = spec.padding
-    padded = np.pad(
-        x, ((0, 0), (pt, pt), (ph, ph), (pw, pw)), constant_values=-np.inf
-    )
+    padded = _pad(x, spec.padding, -np.inf) if any(spec.padding) else x
     win = _windows(padded, spec)
     return np.ascontiguousarray(win.max(axis=(-3, -2, -1)))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(as_tensor(x), 0.0)
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
 def batch_norm(
@@ -145,7 +157,7 @@ def batch_norm(
     eps: float = 1e-5,
 ) -> np.ndarray:
     """Inference-mode normalization over axis 0 channels with supplied statistics."""
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     c = x.shape[0]
     mean, var, gamma, beta = (np.asarray(a, dtype=np.float64) for a in (mean, var, gamma, beta))
     for name, a in (("mean", mean), ("var", var), ("gamma", gamma), ("beta", beta)):
@@ -159,7 +171,7 @@ def batch_norm(
 
 def dropout(x: np.ndarray, p: float, seed: int) -> np.ndarray:
     """Zero each element with probability p (seeded), scaling survivors by 1/(1-p)."""
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"dropout probability must be in [0, 1], got {p}")
     if p == 0.0:
@@ -173,14 +185,14 @@ def dropout(x: np.ndarray, p: float, seed: int) -> np.ndarray:
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Per-channel mean over all temporal-spatial cells of [C,T,H,W]."""
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ValueError(f"global_avg_pool input must be [C,T,H,W], got rank {x.ndim}")
     return x.mean(axis=(1, 2, 3))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     if not -x.ndim <= axis < x.ndim:
         raise ValueError(f"axis {axis} out of range for rank {x.ndim}")
     shifted = x - x.max(axis=axis, keepdims=True)
@@ -192,7 +204,7 @@ def layer_norm(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -205,8 +217,8 @@ def layer_norm(
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Matrix product over the last axis plus broadcast bias."""
-    x = as_tensor(x)
-    weight = as_tensor(weight)
+    x = np.asarray(x, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
     if weight.ndim != 2:
         raise ValueError(f"weight must be [d_in, d_out], got rank {weight.ndim}")
     if x.shape[-1] != weight.shape[0]:
@@ -215,7 +227,7 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
         )
     out = x @ weight
     if bias is not None:
-        bias = as_tensor(bias)
+        bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (weight.shape[1],):
             raise ValueError(f"bias must have shape ({weight.shape[1]},), got {bias.shape}")
         out = out + bias

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from eitnet.cli import ConfigError, dispatch, parse_duration_us, parse_toggles
+from eitnet.detection import Detector
 from eitnet.fileio import load_dataset, read_csv_rows
 
 
@@ -99,6 +100,19 @@ class TestRunPipeline:
         assert det_rows[0] == "frame_id,camera_id,class_id,score,cx,cy,w,h".split(",")
         assert len(det_rows) == 1 + 200 * 8
         assert (out / "features" / "sample_0000.bin").exists()
+
+    def test_detector_runs_once_per_clip(self, dataset_dir, tmp_path, monkeypatch):
+        calls = []
+        best_box = Detector.best_box
+
+        def counted(self, clip):
+            calls.append(clip.shape)
+            return best_box(self, clip)
+
+        monkeypatch.setattr(Detector, "best_box", counted)
+        argv = ["run-pipeline", "--seed", "7", "--dataset", str(dataset_dir)]
+        assert dispatch(argv + ["--out", str(tmp_path)]) == 0
+        assert calls == [(1, 8, 16, 16)] * 200  # one whole-clip call per clip
 
 
 class TestEval:

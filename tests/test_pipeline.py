@@ -84,6 +84,31 @@ class TestForward:
         z, _ = model.extract(clip)
         np.testing.assert_allclose(z, seq.tokens.mean(axis=0), atol=1e-12)
 
+    def test_forward_rejects_nan_clip(self, samples):
+        clip = samples[0].clip.copy()
+        clip[0, 3, 5, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            PipelineModel(PipelineConfig(), seed=3).forward(clip)
+
+    @pytest.mark.parametrize("stat", ["cls_mean", "pose_scale"])
+    def test_extract_rejects_nonfinite_features(self, samples, stat):
+        model = PipelineModel(PipelineConfig(), seed=3)
+        model.norm_stats[stat] = np.full_like(model.norm_stats[stat], np.inf)
+        with pytest.raises(ValueError, match="not finite"):
+            model.extract(samples[0].clip)
+
+    @pytest.mark.parametrize("detection", [True, False])
+    def test_given_frame_boxes_equal_computed_ones(self, samples, detection):
+        model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=3)
+        clip = samples[0].clip
+        boxes = model.frame_boxes(clip)
+        assert len(boxes) == 8
+        a, b = model.forward(clip, boxes=boxes), model.forward(clip)
+        for name in ("probs", "cls_feat", "pose_feat"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        with pytest.raises(ValueError, match="7 boxes for a clip of 8 frames"):
+            model.forward(clip, boxes=boxes[:7])
+
     def test_forward_deterministic(self, samples):
         a = PipelineModel(PipelineConfig(), seed=9).forward(samples[1].clip)
         b = PipelineModel(PipelineConfig(), seed=9).forward(samples[1].clip)

@@ -111,6 +111,66 @@ class TestConv3d:
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+def np_pad_conv3d(x, w, spec, bias):
+    """conv3d with np.pad for the zero padding: the reference for the padding buffer."""
+    pt, ph, pw = spec.padding
+    padded = np.pad(x, ((0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    st, sh, sw = spec.stride
+    win = np.lib.stride_tricks.sliding_window_view(padded, spec.kernel, axis=(-3, -2, -1))
+    out = np.einsum("cthwijk,ocijk->othw", win[..., ::st, ::sh, ::sw, :, :, :], w, optimize=True)
+    return out + bias[:, None, None, None] if spec.bias_enabled else out
+
+
+def np_pad_pool3d_max(x, spec):
+    pt, ph, pw = spec.padding
+    padded = np.pad(x, ((0, 0), (pt, pt), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    st, sh, sw = spec.stride
+    win = np.lib.stride_tricks.sliding_window_view(padded, spec.kernel, axis=(-3, -2, -1))
+    return win[..., ::st, ::sh, ::sw, :, :, :].max(axis=(-3, -2, -1))
+
+
+DETECTOR_SAME = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1), bias_enabled=False)
+DETECTOR_DOWN = ConvSpec(
+    kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1), bias_enabled=False
+)
+I3D_CONV = ConvSpec(kernel=(3, 3, 3), padding=(1, 1, 1))
+
+# (input [C,T,H,W], c_out, spec) of the detector's three convs and the I3D blocks
+PIPELINE_CONVS = [
+    ((1, 8, 16, 16), 4, DETECTOR_SAME),
+    ((4, 8, 16, 16), 4, DETECTOR_DOWN),
+    ((4, 8, 8, 8), 4, DETECTOR_DOWN),
+    ((1, 8, 12, 12), 8, I3D_CONV),
+    ((8, 4, 6, 6), 16, I3D_CONV),
+    ((16, 2, 3, 3), 32, I3D_CONV),
+]
+
+
+class TestPaddingBuffer:
+    @pytest.mark.parametrize("shape,c_out,spec", PIPELINE_CONVS)
+    def test_conv3d_equals_np_pad_bitwise(self, shape, c_out, spec):
+        rng = Rng(sum(shape) + c_out)
+        x = rng.normals(math.prod(shape)).reshape(shape)
+        w = rng.normals(c_out * shape[0] * math.prod(spec.kernel)).reshape(
+            (c_out, shape[0]) + spec.kernel
+        )
+        b = rng.normals(c_out)
+        np.testing.assert_array_equal(conv3d(x, w, spec, bias=b), np_pad_conv3d(x, w, spec, b))
+
+    @pytest.mark.parametrize("shape", [shape for shape, _, _ in PIPELINE_CONVS])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ConvSpec(kernel=(2, 2, 2), stride=(2, 2, 2)),  # the I3D pools: no padding
+            ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1)),
+            ConvSpec(kernel=(2, 3, 3), stride=(2, 2, 2), padding=(1, 1, 1)),
+        ],
+    )
+    def test_pool3d_max_equals_np_pad_bitwise(self, shape, spec):
+        x = Rng(sum(shape)).normals(math.prod(shape)).reshape(shape)
+        np.testing.assert_array_equal(pool3d_max(x, spec), np_pad_pool3d_max(x, spec))
+
+
 class TestPool3dMax:
     def test_constant_input(self):
         x = np.full((2, 4, 4, 4), 7.0)

@@ -37,7 +37,13 @@ from .pipeline import (
     evaluate_pipeline,
 )
 from .rng import Rng, derive_seed
-from .stream import CameraSpec, FEEDBACK_CSV_HEADER, report_csv_text, run_simulation
+from .stream import (
+    FEEDBACK_CSV_HEADER,
+    MAX_THREADED_CAMERAS,
+    CameraSpec,
+    report_csv_text,
+    run_simulation,
+)
 from .synthetic import DatasetConfig, generate_synthetic_dataset
 from .tensorops import save_tensor, softmax
 from .training import LEARNING_CURVE_HEADER, Hyperparams, train_toy
@@ -240,9 +246,12 @@ def _default_camera_specs(args) -> list[CameraSpec]:
         path = Path(args.camera_config)
         if not path.exists():
             raise ConfigError(f"camera config not found at {path}")
-        return parse_camera_config(path.read_text())
+        specs = parse_camera_config(path.read_text())
+        _check_thread_bound(args, len(specs))
+        return specs
     if args.cameras < 1:
         raise ConfigError("--cameras must be >= 1")
+    _check_thread_bound(args, args.cameras)
     return [
         CameraSpec(
             camera_id=i,
@@ -253,6 +262,14 @@ def _default_camera_specs(args) -> list[CameraSpec]:
         )
         for i in range(1, args.cameras + 1)
     ]
+
+
+def _check_thread_bound(args, cameras: int) -> None:
+    if args.threaded and cameras > MAX_THREADED_CAMERAS:
+        raise ConfigError(
+            f"--threaded starts one thread per camera: at most "
+            f"{MAX_THREADED_CAMERAS} cameras, got {cameras}"
+        )
 
 
 def _window_hook(seed: int, frame_hw: tuple[int, int]):

@@ -48,6 +48,19 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def unit_floats(bits: np.ndarray) -> np.ndarray:
+    """The ``uniform`` convention applied to raw outputs: floats in [0, 1)."""
+    return (bits >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+def box_muller(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``normal`` convention applied to raw output pairs: (r cos, r sin)."""
+    u1 = ((first >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * unit_floats(second)
+    return r * np.cos(theta), r * np.sin(theta)
+
+
 def _fnv1a(seed: int, parts: tuple) -> int:
     h = _FNV_OFFSET
     for byte in seed.to_bytes(8, "little"):
@@ -68,7 +81,7 @@ class Rng:
         self._state = (self._state + _INCREMENT) & _MASK64
         return _mix(self._state)
 
-    def _raw(self, n: int) -> np.ndarray:
+    def raw(self, n: int) -> np.ndarray:
         """n consecutive outputs, vectorised; advances the state by n."""
         if n < 0:
             raise ValueError("draw count must be nonnegative")
@@ -84,19 +97,13 @@ class Rng:
         return (self.next_u64() >> 11) / float(1 << 53)
 
     def uniforms(self, n: int) -> np.ndarray:
-        bits = self._raw(n) >> np.uint64(11)
-        return bits.astype(np.float64) / float(1 << 53)
+        return unit_floats(self.raw(n))
 
     def normals(self, n: int) -> np.ndarray:
         pairs = (n + 1) // 2
-        bits = self._raw(2 * pairs) >> np.uint64(11)
-        u1 = (bits[0::2].astype(np.float64) + 1.0) / float(1 << 53)
-        u2 = bits[1::2].astype(np.float64) / float(1 << 53)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        bits = self.raw(2 * pairs)
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        out[0::2], out[1::2] = box_muller(bits[0::2], bits[1::2])
         return out[:n]
 
     def below(self, n: int) -> int:

@@ -22,6 +22,7 @@ true floor of the in-process transport.
 
 from __future__ import annotations
 
+import functools
 import math
 import queue
 import statistics
@@ -32,12 +33,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ACTION_LABELS
-from .rng import Rng, derive_seed
+from .rng import Rng, box_muller, derive_seed, unit_floats
 
 PACKET_MAGIC = b"EITP"
 PACKET_VERSION = 1
 _HEADER_LEN = 4 + 1 + 2 + 4 + 8 + 2 + 2  # magic..width
 _CRC_LEN = 4
+# Frames per median_filter call in run_simulation, which bounds the transient
+# memory of the filter whatever the simulated duration.
+_FILTER_BLOCK = 256
+# Largest camera count the threaded mode accepts: one producer thread each.
+MAX_THREADED_CAMERAS = 64
 
 
 class StreamError(Exception):
@@ -153,20 +159,41 @@ def decode_packet(blob: bytes) -> StreamPacket:
     )
 
 
-def median_filter(frame: np.ndarray, window: int) -> np.ndarray:
-    """k x k neighborhood median with replicated borders; k odd, k <= extents."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 2:
-        raise ValueError(f"frame must be [H, W], got rank {frame.ndim}")
-    h, w = frame.shape
+def median_filter(frames: np.ndarray, window: int) -> np.ndarray:
+    """k x k neighborhood median with replicated borders over [..., H, W].
+
+    k must be odd and no larger than either extent.  uint8 frames keep their
+    dtype; anything else is filtered in float64 and must be finite.  The
+    median of each neighborhood is selected by min/max exchanges over the
+    k*k shifted views of one edge-padded copy, so a whole stack of frames
+    costs a fixed number of array operations.
+    """
+    frames = np.asarray(frames)
+    if frames.dtype != np.uint8:
+        frames = frames.astype(np.float64, copy=False)
+        if not np.isfinite(frames).all():
+            raise ValueError("frames must be finite")
+    if frames.ndim < 2:
+        raise ValueError(f"frames must be [..., H, W], got rank {frames.ndim}")
+    h, w = frames.shape[-2:]
     if window % 2 == 0 or window < 1:
         raise ValueError(f"window must be odd, got {window}")
     if window > min(h, w):
         raise ValueError(f"window {window} exceeds frame extents {h}x{w}")
     r = window // 2
-    padded = np.pad(frame, r, mode="edge")
-    view = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
-    return np.median(view, axis=(2, 3))
+    padded = np.pad(frames, [(0, 0)] * (frames.ndim - 2) + [(r, r), (r, r)], mode="edge")
+    values = [padded[..., i : i + h, j : j + w] for i in range(window) for j in range(window)]
+    # Each bubble pass carries the largest remaining value to the end and
+    # drops it; once the values above the median are gone, the median is the
+    # largest of what is left.
+    for _ in range(len(values) // 2):
+        for j in range(len(values) - 1):
+            values[j], values[j + 1] = (
+                np.minimum(values[j], values[j + 1]),
+                np.maximum(values[j], values[j + 1]),
+            )
+        values.pop()
+    return functools.reduce(np.maximum, values)
 
 
 def calibrate_clocks(
@@ -389,40 +416,41 @@ class _ProducerOutput:
 def _run_producer(
     spec: CameraSpec, duration_us: int, seed: int, frame_hw: tuple[int, int], handshakes: int
 ) -> _ProducerOutput:
-    """Generate one camera's handshake samples and surviving encoded packets."""
+    """Generate one camera's handshake samples and surviving encoded packets.
+
+    Each handshake draws one normal pair (its first value is the jitter); each
+    packet draws one normal pair for its jitter and then one uniform for its
+    link drop, three consecutive generator outputs in all.
+    """
     rng = Rng(derive_seed(seed, "camera", spec.camera_id))
     h, w = frame_hw
-    hs = []
-    for j in range(handshakes):
-        true_t = j * 100
-        jitter = rng.normals(1)[0] * spec.jitter_std_us
-        hs.append((int(true_t + spec.clock_offset_us + round(jitter)), true_t))
+    period = spec.frame_period_us
+    hs_jitter = rng.normals(2 * handshakes)[0::2] * spec.jitter_std_us
+    hs = [
+        (int(j * 100 + spec.clock_offset_us + round(jitter)), j * 100)
+        for j, jitter in enumerate(hs_jitter.tolist())
+    ]
+    n = -(-duration_us // period)  # frames sent at 0, period, ... before duration_us
+    bits = rng.raw(3 * n).reshape(n, 3)
+    jitters = (box_muller(bits[:, 0], bits[:, 1])[0] * spec.jitter_std_us).tolist()
+    kept = unit_floats(bits[:, 2]) >= spec.drop_probability
+    # uint8 addition wraps, which is the % 256 of the payload pattern
+    grid = (np.arange(h)[:, None] * 3 + np.arange(w)[None, :] * 5) % 256
+    bases = (np.arange(n) * 7 + spec.camera_id * 13) % 251
+    payloads = grid.astype(np.uint8) + bases.astype(np.uint8)[:, None, None]
     out_packets = []
-    produced = 0
-    dropped = 0
-    k = 0
-    while k * spec.frame_period_us < duration_us:
-        true_t = k * spec.frame_period_us
-        produced += 1
-        jitter = rng.normals(1)[0] * spec.jitter_std_us
-        timestamp = max(int(true_t + spec.clock_offset_us + round(jitter)), 0)
-        base = (k * 7 + spec.camera_id * 13) % 251
-        rows = (np.arange(h)[:, None] * 3 + np.arange(w)[None, :] * 5 + base) % 256
-        payload = rows.astype(np.uint8).tobytes()
-        if rng.uniform() < spec.drop_probability:
-            dropped += 1
-        else:
-            packet = StreamPacket(
-                camera_id=spec.camera_id,
-                sequence_no=k,
-                timestamp_us=timestamp,
-                height=h,
-                width=w,
-                payload=payload,
-            )
-            out_packets.append((true_t, encode_packet(packet)))
-        k += 1
-    return _ProducerOutput(hs, out_packets, produced, dropped)
+    for k in np.flatnonzero(kept).tolist():
+        true_t = k * period
+        packet = StreamPacket(
+            camera_id=spec.camera_id,
+            sequence_no=k,
+            timestamp_us=max(int(true_t + spec.clock_offset_us + round(jitters[k])), 0),
+            height=h,
+            width=w,
+            payload=payloads[k].tobytes(),
+        )
+        out_packets.append((true_t, encode_packet(packet)))
+    return _ProducerOutput(hs, out_packets, n, n - len(out_packets))
 
 
 def run_simulation(
@@ -442,17 +470,24 @@ def run_simulation(
 ) -> SimulationReport:
     """Producers -> decode -> calibrate -> median filter -> windows -> hook.
 
-    The deterministic mode merges packets in (send time, camera id) order.
-    The threaded mode runs one producer thread per camera over a bounded
-    queue; arrival interleaving (and therefore late/duplicate counts and
-    window completeness) may vary run to run, but packet conservation and
-    emission ordering hold in both modes.  If consuming a packet raises, the
-    producers are stopped and joined before the error reaches the caller.
+    The deterministic mode merges packets in (send time, camera id) order
+    and decodes and filters them in blocks of at most ``_FILTER_BLOCK``.
+    The threaded mode runs one producer thread per camera (at most
+    ``MAX_THREADED_CAMERAS``) over a bounded queue; arrival interleaving
+    (and therefore late/duplicate counts and window completeness) may vary
+    run to run, but packet conservation and emission ordering hold in both
+    modes.  If consuming a packet raises, the producers are stopped and
+    joined before the error reaches the caller.
     """
     if not specs:
         raise ValueError("need at least one camera")
     if duration_us <= 0:
         raise ValueError("duration must be positive")
+    if threaded and len(specs) > MAX_THREADED_CAMERAS:
+        raise ValueError(
+            f"threaded mode starts one thread per camera: at most "
+            f"{MAX_THREADED_CAMERAS} cameras, got {len(specs)}"
+        )
     period = window_period_us or specs[0].frame_period_us
     outputs = {
         s.camera_id: _run_producer(s, duration_us, seed, frame_hw, handshakes) for s in specs
@@ -466,19 +501,22 @@ def run_simulation(
 
     windows: list[SyncWindow] = []
 
-    def consume(blob: bytes):
-        packet = decode_packet(blob)
-        counts[packet.camera_id].delivered += 1
-        filtered = median_filter(packet.frame(), median_window)
-        repacked = StreamPacket(
-            camera_id=packet.camera_id,
-            sequence_no=packet.sequence_no,
-            timestamp_us=packet.timestamp_us,
-            height=packet.height,
-            width=packet.width,
-            payload=np.clip(filtered, 0, 255).astype(np.uint8).tobytes(),
-        )
-        windows.extend(assembler.push(repacked))
+    def consume(blobs: list[bytes]):
+        packets = [decode_packet(blob) for blob in blobs]
+        for packet in packets:
+            counts[packet.camera_id].delivered += 1
+        frames = np.frombuffer(b"".join(p.payload for p in packets), dtype=np.uint8)
+        filtered = median_filter(frames.reshape(len(packets), *frame_hw), median_window)
+        for packet, frame in zip(packets, filtered):
+            repacked = StreamPacket(
+                camera_id=packet.camera_id,
+                sequence_no=packet.sequence_no,
+                timestamp_us=packet.timestamp_us,
+                height=packet.height,
+                width=packet.width,
+                payload=frame.tobytes(),
+            )
+            windows.extend(assembler.push(repacked))
 
     if threaded:
         chan: queue.Queue = queue.Queue(maxsize=queue_capacity)
@@ -504,7 +542,7 @@ def run_simulation(
                 if item is sentinel:
                     finished += 1
                 else:
-                    consume(item)
+                    consume([item])
         finally:
             # After a consumer failure producers may be blocked in put: stop
             # them and drain until every one has exited; the error propagates.
@@ -519,8 +557,8 @@ def run_simulation(
         for cid, out in outputs.items():
             merged.extend((t, cid, blob) for t, blob in out.packets)
         merged.sort(key=lambda item: (item[0], item[1]))
-        for _, _, blob in merged:
-            consume(blob)
+        for start in range(0, len(merged), _FILTER_BLOCK):
+            consume([blob for _, _, blob in merged[start : start + _FILTER_BLOCK]])
 
     windows.extend(assembler.flush())
 

@@ -7,7 +7,7 @@ def test_sequential_and_vectorised_draws_agree():
     a = Rng(42)
     b = Rng(42)
     seq = [a.next_u64() for _ in range(100)]
-    vec = b._raw(100)
+    vec = b.raw(100)
     assert seq == [int(v) for v in vec]
 
 

@@ -1,20 +1,32 @@
 import threading
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eitnet.stream
+from eitnet import ACTION_LABELS
+from eitnet.cli import _window_hook
 from eitnet.fileio import camera_config_text, parse_camera_config
-from eitnet.rng import Rng
+from eitnet.rng import Rng, derive_seed
 from eitnet.stream import (
+    MAX_THREADED_CAMERAS,
+    CameraCounts,
     CameraSpec,
     IntegrityError,
     ProtocolError,
+    SimulationReport,
     StreamError,
     StreamPacket,
     SyncWindow,
     TruncationError,
     WindowAssembler,
+    _percentile,
+    _ProducerOutput,
+    _run_producer,
     calibrate_clocks,
     decode_packet,
     emit_feedback,
@@ -155,6 +167,32 @@ class TestMedianFilter:
         with pytest.raises(ValueError, match="exceeds"):
             median_filter(frame, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_frames(self, bad):
+        frame = np.arange(25, dtype=np.float64).reshape(5, 5)
+        frame[2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            median_filter(frame, 3)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("hw", [(5, 7), (7, 5), (6, 6)])
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_stack_matches_sort_oracle_frame_by_frame(self, dtype, hw, window):
+        rng = Rng(310 + window)
+        frames = (rng.uniforms(4 * hw[0] * hw[1]) * 256).astype(dtype).reshape(4, *hw)
+        out = median_filter(frames, window)
+        assert out.dtype == dtype and out.shape == frames.shape
+        for frame, got in zip(frames, out):
+            ref = oracles.median_filter_oracle(frame.astype(np.float64), window)
+            np.testing.assert_array_equal(got, ref)
+
+    def test_leading_axes_are_independent_frames(self):
+        frames = (Rng(313).uniforms(2 * 3 * 5 * 4) * 256).astype(np.uint8).reshape(2, 3, 5, 4)
+        out = median_filter(frames, 3)
+        for a in range(2):
+            for b in range(3):
+                np.testing.assert_array_equal(out[a, b], median_filter(frames[a, b], 3))
+
 
 class TestCalibration:
     def test_exact_offset_with_clean_samples(self):
@@ -197,6 +235,125 @@ def frame_packet(cid, seq, ts, value=0):
     return StreamPacket(
         camera_id=cid, sequence_no=seq, timestamp_us=ts, height=2, width=2, payload=payload
     )
+
+
+def per_packet_producer(spec, duration_us, seed, frame_hw, handshakes):
+    """Reference producer: one jitter normal, one drop uniform and one payload per packet."""
+    rng = Rng(derive_seed(seed, "camera", spec.camera_id))
+    h, w = frame_hw
+    hs = []
+    for j in range(handshakes):
+        true_t = j * 100
+        jitter = rng.normals(1)[0] * spec.jitter_std_us
+        hs.append((int(true_t + spec.clock_offset_us + round(jitter)), true_t))
+    out_packets = []
+    produced = 0
+    dropped = 0
+    k = 0
+    while k * spec.frame_period_us < duration_us:
+        true_t = k * spec.frame_period_us
+        produced += 1
+        jitter = rng.normals(1)[0] * spec.jitter_std_us
+        timestamp = max(int(true_t + spec.clock_offset_us + round(jitter)), 0)
+        base = (k * 7 + spec.camera_id * 13) % 251
+        rows = (np.arange(h)[:, None] * 3 + np.arange(w)[None, :] * 5 + base) % 256
+        payload = rows.astype(np.uint8).tobytes()
+        if rng.uniform() < spec.drop_probability:
+            dropped += 1
+        else:
+            packet = StreamPacket(
+                camera_id=spec.camera_id,
+                sequence_no=k,
+                timestamp_us=timestamp,
+                height=h,
+                width=w,
+                payload=payload,
+            )
+            out_packets.append((true_t, encode_packet(packet)))
+        k += 1
+    return _ProducerOutput(hs, out_packets, produced, dropped)
+
+
+def per_frame_median_filter(frame, window):
+    """Reference filter: one pad, one window view and one np.median per frame."""
+    r = window // 2
+    padded = np.pad(np.asarray(frame, dtype=np.float64), r, mode="edge")
+    view = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
+    return np.median(view, axis=(2, 3))
+
+
+def per_packet_simulation(
+    specs, duration_us, seed, pipeline_hook, *, frame_hw, window_period_us, feedback_threshold
+):
+    """Reference deterministic run_simulation: decode, filter and push one packet at a time."""
+    period = window_period_us or specs[0].frame_period_us
+    outputs = {s.camera_id: per_packet_producer(s, duration_us, seed, frame_hw, 5) for s in specs}
+    offsets = calibrate_clocks({cid: o.handshakes for cid, o in outputs.items()})
+    assembler = WindowAssembler(specs, period, offsets)
+    counts = {
+        cid: CameraCounts(produced=o.produced, dropped_link=o.dropped_link)
+        for cid, o in outputs.items()
+    }
+    windows = []
+    merged = []
+    for cid, out in outputs.items():
+        merged.extend((t, cid, blob) for t, blob in out.packets)
+    merged.sort(key=lambda item: (item[0], item[1]))
+    for _, _, blob in merged:
+        packet = decode_packet(blob)
+        counts[packet.camera_id].delivered += 1
+        filtered = per_frame_median_filter(packet.frame(), 3)
+        repacked = StreamPacket(
+            camera_id=packet.camera_id,
+            sequence_no=packet.sequence_no,
+            timestamp_us=packet.timestamp_us,
+            height=packet.height,
+            width=packet.width,
+            payload=np.clip(filtered, 0, 255).astype(np.uint8).tobytes(),
+        )
+        windows.extend(assembler.push(repacked))
+    windows.extend(assembler.flush())
+    window_rows = []
+    feedback = []
+    for window in windows:
+        probs = np.asarray(pipeline_hook(window), dtype=np.float64)
+        label = ACTION_LABELS[int(probs.argmax())]
+        window_rows.append((window.window_index, window.completeness, label, float(probs.max())))
+        message = emit_feedback(window, probs, ACTION_LABELS, feedback_threshold)
+        if message is not None:
+            feedback.append(message)
+    latencies = [w.close_latency_us for w in windows]
+    return SimulationReport(
+        counts=counts,
+        duplicates=assembler.stats.duplicates,
+        dropped_late=assembler.stats.dropped_late,
+        window_rows=window_rows,
+        feedback=feedback,
+        hook_failures=[],
+        latency_p50_us=_percentile(latencies, 0.50),
+        latency_p95_us=_percentile(latencies, 0.95),
+        latency_max_us=_percentile(latencies, 1.00),
+    )
+
+
+# (cameras, duration_us, seed, frame_hw, window_period_us)
+EQUIVALENCE_CASES = {
+    "clamped-at-zero": (
+        [spec(1, offset=-4000, jitter=3000.0), spec(2, offset=-2500, jitter=2500.0)],
+        40_000, 21, (4, 4), None,
+    ),
+    "drop-0.3": ([spec(cid, jitter=150.0, drop=0.3) for cid in (1, 2, 3)], 60_000, 22, (16, 16), None),
+    "duplicates-and-late": (
+        [spec(1, offset=300, jitter=900.0), spec(2, jitter=1200.0), spec(3, offset=-200)],
+        80_000, 23, (4, 4), None,
+    ),
+    "partial-last-period": ([spec(1, jitter=100.0), spec(2, offset=250)], 10_500, 24, (16, 16), None),
+    "window-override": ([spec(cid, jitter=300.0, drop=0.1) for cid in (1, 2)], 30_000, 25, (4, 4), 2500),
+    "several-blocks": (
+        [spec(cid, offset=100 * cid, jitter=400.0, drop=0.05) for cid in (1, 2, 3)],
+        120_000, 26, (16, 16), None,
+    ),
+}
 
 
 class TestSynchronize:
@@ -353,6 +510,177 @@ class TestSimulation:
             else:
                 assert label == "dribble"
         assert all(m.window_index not in failed for m in report.feedback)
+
+
+class TestBlockEquivalence:
+    """The block consumer and producer against the per-packet reference loops."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_producer_matches_per_packet_loop(self, case):
+        specs, duration, seed, frame_hw, _ = EQUIVALENCE_CASES[case]
+        for cam in specs:
+            got = _run_producer(cam, duration, seed, frame_hw, 5)
+            ref = per_packet_producer(cam, duration, seed, frame_hw, 5)
+            assert got == ref
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_report_and_feedback_bytes_match_per_packet_loop(self, case):
+        specs, duration, seed, frame_hw, window_period = EQUIVALENCE_CASES[case]
+        kwargs = dict(frame_hw=frame_hw, window_period_us=window_period, feedback_threshold=0.3)
+        new = run_simulation(specs, duration, seed, _window_hook(seed, frame_hw), **kwargs)
+        ref = per_packet_simulation(specs, duration, seed, _window_hook(seed, frame_hw), **kwargs)
+        assert report_csv_text(new, seed) == report_csv_text(ref, seed)
+        assert [m.csv_row() for m in new.feedback] == [m.csv_row() for m in ref.feedback]
+        assert new.feedback
+
+    def test_cases_reach_the_conditions_they_name(self):
+        specs, duration, seed, frame_hw, _ = EQUIVALENCE_CASES["clamped-at-zero"]
+        stamps = [
+            decode_packet(blob).timestamp_us
+            for cam in specs
+            for t, blob in _run_producer(cam, duration, seed, frame_hw, 5).packets
+            if t > 0
+        ]
+        assert 0 in stamps
+        specs, duration, seed, frame_hw, _ = EQUIVALENCE_CASES["duplicates-and-late"]
+        report = run_simulation(specs, duration, seed, frame_hw=frame_hw)
+        assert report.duplicates > 0 and report.dropped_late > 0
+        specs, duration, seed, frame_hw, _ = EQUIVALENCE_CASES["several-blocks"]
+        report = run_simulation(specs, duration, seed, frame_hw=frame_hw)
+        delivered = sum(c.delivered for c in report.counts.values())
+        assert delivered > eitnet.stream._FILTER_BLOCK
+
+    def test_filter_calls_stay_within_the_block_cap(self, monkeypatch):
+        shapes = []
+        original = eitnet.stream.median_filter
+
+        def recording(frames, window):
+            shapes.append(np.shape(frames))
+            return original(frames, window)
+
+        monkeypatch.setattr(eitnet.stream, "median_filter", recording)
+        specs = [spec(cid, period=33333, offset=200 * cid, drop=0.05) for cid in range(1, 6)]
+        report = run_simulation(specs, duration_us=20_000_000, seed=27)
+        delivered = sum(c.delivered for c in report.counts.values())
+        assert max(shape[0] for shape in shapes) <= eitnet.stream._FILTER_BLOCK
+        assert sum(shape[0] for shape in shapes) == delivered
+        assert len(shapes) > 1
+
+
+class TestThreadBound:
+    """More cameras than the cap is refused before any producer thread starts."""
+
+    @pytest.fixture
+    def no_threads(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a producer thread was started")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+
+    def test_run_simulation_rejects_before_starting_threads(self, no_threads):
+        specs = [spec(cid) for cid in range(1, MAX_THREADED_CAMERAS + 2)]
+        with pytest.raises(ValueError, match="one thread per camera"):
+            run_simulation(specs, duration_us=1000, seed=1, threaded=True)
+
+    def test_cli_cameras_over_the_cap_exit_3(self, no_threads, tmp_path, capsys):
+        from eitnet.cli import dispatch
+
+        argv = ["simulate", "--seed", "1", "--cameras", str(MAX_THREADED_CAMERAS + 1),
+                "--threaded", "--duration", "1ms", "--out", str(tmp_path / "out")]
+        assert dispatch(argv) == 3
+        assert "one thread per camera" in capsys.readouterr().err
+
+    def test_cli_camera_config_over_the_cap_exit_3(self, no_threads, tmp_path, capsys):
+        from eitnet.cli import dispatch
+
+        config = tmp_path / "cams.txt"
+        config.write_text(
+            camera_config_text([spec(cid) for cid in range(1, MAX_THREADED_CAMERAS + 2)])
+        )
+        argv = ["simulate", "--seed", "1", "--camera-config", str(config), "--threaded",
+                "--duration", "1ms", "--out", str(tmp_path / "out")]
+        assert dispatch(argv) == 3
+        assert "one thread per camera" in capsys.readouterr().err
+
+
+def identified_packet(frame_id, camera_id, ts):
+    """A 2x2 frame whose four bytes spell its id, so it can be traced into windows."""
+    return StreamPacket(camera_id, frame_id, ts, 2, 2, frame_id.to_bytes(4, "little"))
+
+
+def frame_id(frame):
+    return int.from_bytes(frame.astype(np.uint8).tobytes(), "little")
+
+
+assembler_runs = st.integers(1, 4).flatmap(
+    lambda cameras: st.tuples(
+        st.lists(st.integers(1, 5).map(lambda p: p * 100), min_size=cameras, max_size=cameras),
+        st.lists(st.integers(-300, 300), min_size=cameras, max_size=cameras),
+        st.integers(1, 5).map(lambda p: p * 100),
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, cameras - 1), st.integers(0, 3000)),
+                st.just("flush"),
+            ),
+            max_size=40,
+        ),
+    )
+)
+
+
+class TestAssemblerProperties:
+    """Watermark invariants of the assembler and conservation of the simulation."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(assembler_runs)
+    def test_frames_windows_and_counts(self, run):
+        periods, offsets, window_period, events = run
+        specs = [spec(cid, period=p) for cid, p in enumerate(periods, start=1)]
+        assembler = WindowAssembler(
+            specs, window_period, {cid: o for cid, o in enumerate(offsets, start=1)}
+        )
+        windows = []
+        pushed = 0
+        for event in events:
+            if event == "flush":
+                windows.extend(assembler.flush())
+                continue
+            camera, ts = event
+            windows.extend(assembler.push(identified_packet(pushed, camera + 1, ts)))
+            pushed += 1
+        windows.extend(assembler.flush())
+
+        landed = Counter(frame_id(f) for w in windows for f in w.frames.values())
+        assert all(n == 1 for n in landed.values())
+        indices = [w.window_index for w in windows]
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        stats = assembler.stats
+        assert pushed == sum(landed.values()) + stats.duplicates + stats.dropped_late
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 3000.0), st.integers(-2000, 2000)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(1, 20_000),
+        st.integers(0, 2**32),
+        st.booleans(),
+    )
+    def test_simulation_conserves_packets(self, cameras, duration, seed, threaded):
+        specs = [
+            spec(cid, offset=offset, jitter=jitter, drop=drop)
+            for cid, (drop, jitter, offset) in enumerate(cameras, start=1)
+        ]
+        report = run_simulation(
+            specs, duration, seed, frame_hw=(4, 4), threaded=threaded, queue_capacity=2
+        )
+        for c in report.counts.values():
+            assert c.produced == -(-duration // 1000)
+            assert c.produced == c.delivered + c.dropped_link
+        indices = [row[0] for row in report.window_rows]
+        assert all(a < b for a, b in zip(indices, indices[1:]))
 
 
 class TestFeedback:

@@ -10,6 +10,7 @@ failure (single ``error:`` line on stderr), 2 usage, 3 invalid config.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineModel,
     StageToggles,
+    count_attention_projections,
     count_conv3d,
     count_linear,
     count_params_flops,
@@ -369,13 +371,15 @@ def cmd_complexity(args) -> int:
     rows.append(f"linear_4x2,{p},{m}")
     p, m = count_conv3d(1, 1, (3, 3, 3), (4, 4, 4))
     rows.append(f"conv3d_1to1_k3_on_4cube,{p},{m}")
-    rows.append(f"attention_projections_d32,{3 * (32 * 32 + 32)},0")
+    rows.append(f"attention_projections_d32,{count_attention_projections(32)},0")
     write_csv(out / "complexity.csv", COMPLEXITY_CSV_HEADER, rows, seed=None)
     print(f"pipeline: {params} parameters, {macs} MACs -> {out / 'complexity.csv'}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="eitnet",
         description="Desk-scale multi-camera action recognition pipeline",

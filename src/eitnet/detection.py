@@ -122,15 +122,6 @@ def bifpn_fuse(pyramid: FeaturePyramid, weights: FusionWeights) -> np.ndarray:
     return out
 
 
-def level_attention(current: np.ndarray, previous: np.ndarray, eps: float) -> np.ndarray:
-    """Elementwise ratio of the current level to the previous level plus eps."""
-    current = as_tensor(current)
-    previous = as_tensor(previous)
-    if current.shape != previous.shape:
-        raise ValueError(f"shape mismatch: {current.shape} vs {previous.shape}")
-    return current / (previous + eps)
-
-
 def predict_boxes(
     fused: np.ndarray,
     reg_weight: np.ndarray,
@@ -230,24 +221,10 @@ def crop_region(
     return resample_nearest(frame[:, r0:r1, c0:c1], out_hw)
 
 
-def match_anchors(
-    anchors: list[BoundingBox], truths: list[BoundingBox]
-) -> list[tuple[int, int]]:
-    """Greedy one-to-one pairing by descending IoU; unmatched entries drop out."""
-    pairs = sorted(
-        ((iou(a, t), ai, ti) for ai, a in enumerate(anchors) for ti, t in enumerate(truths)),
-        key=lambda x: (-x[0], x[1], x[2]),
-    )
-    used_a: set[int] = set()
-    used_t: set[int] = set()
-    matched = []
-    for score, ai, ti in pairs:
-        if score <= 0.0 or ai in used_a or ti in used_t:
-            continue
-        matched.append((ai, ti))
-        used_a.add(ai)
-        used_t.add(ti)
-    return matched
+SAME_CONV = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1), bias_enabled=False)
+DOWN_CONV = ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1), bias_enabled=False)
+# Backbone convs, fine to coarse: the weight each level reads and the spec it runs with.
+PYRAMID_CONVS = (("conv1", SAME_CONV), ("conv2", DOWN_CONV), ("conv3", DOWN_CONV))
 
 
 @dataclass
@@ -308,13 +285,11 @@ class Detector:
     def pyramid(self, clip: np.ndarray) -> FeaturePyramid:
         """[C,T,H,W] clip to [C,T,h,w] levels; the kt=1 convs keep frames apart."""
         x = np.asarray(clip, dtype=np.float64)
-        w = self._weights
-        same = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1), bias_enabled=False)
-        down = ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1), bias_enabled=False)
-        f1 = relu(conv3d(x, w["conv1"], same))
-        f2 = relu(conv3d(f1, w["conv2"], down))
-        f3 = relu(conv3d(f2, w["conv3"], down))
-        return FeaturePyramid(levels=[f3, f2, f1])
+        levels = []
+        for name, spec in PYRAMID_CONVS:
+            x = relu(conv3d(x, self._weights[name], spec))
+            levels.insert(0, x)
+        return FeaturePyramid(levels=levels)
 
     def fuse(self, pyramid: FeaturePyramid) -> np.ndarray:
         common = [
@@ -335,6 +310,13 @@ class Detector:
     def best_box(self, clip: np.ndarray) -> list[BoundingBox]:
         """Top surviving box of each frame, or the full frame where none survives."""
         return [kept[0] if kept else self.full_frame_box() for kept in self.detect(clip)]
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Every weight array by name; the three fusion weights are one array."""
+        return {
+            name: np.asarray(w.raw) if isinstance(w, FusionWeights) else w
+            for name, w in self._weights.items()
+        }
 
     def full_frame_box(self) -> BoundingBox:
         h, w = self.frame_hw

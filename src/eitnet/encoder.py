@@ -193,14 +193,4 @@ def encoder_block(tokens, params: EncoderParams, mode: str):
     return seq.with_tokens(y) if seq is not None else y
 
 
-def classify_sequence(tokens, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Mean-pool the tokens, apply the linear head, and normalize with softmax."""
-    x = tokens.tokens if isinstance(tokens, TokenSequence) else as_tensor(tokens)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("classify_sequence needs a nonempty [S, d] sequence")
-    pooled = x.mean(axis=0)
-    logits = linear(pooled[None, :], weight, bias)[0]
-    return softmax(logits)
-
-
 CLASSIFICATION_CSV_HEADER = "clip_id,class_id,probability"

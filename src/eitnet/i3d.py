@@ -2,10 +2,9 @@
 
 Each block applies, in order: 3D convolution, ReLU, 3D max pooling,
 inference-mode batch normalization, dropout.  A forward pass chains the
-blocks and finishes with per-channel global average pooling; the classifier
-head is a linear map plus softmax.  Plain blocks with channel widths chosen
-at desk scale stand in for the Inception-style branch topology, whose
-per-branch widths are not part of this build.
+blocks and finishes with per-channel global average pooling.  Plain blocks
+with channel widths chosen at desk scale stand in for the Inception-style
+branch topology, whose per-branch widths are not part of this build.
 """
 
 from __future__ import annotations
@@ -18,15 +17,13 @@ import numpy as np
 from .rng import Rng, derive_seed
 from .tensorops import (
     ConvSpec,
-    as_tensor,
+    as_tensor,  # noqa: F401  (unused here; perfbench counts as_tensor calls through this name)
     batch_norm,
     conv3d,
     dropout,
     global_avg_pool,
-    linear,
     pool3d_max,
     relu,
-    softmax,
 )
 
 
@@ -42,12 +39,6 @@ class I3DBlockParams:
     bn_beta: np.ndarray
     bn_eps: float = 1e-5
     dropout_p: float = 0.0
-
-
-@dataclass
-class I3DHeadParams:
-    weight: np.ndarray  # [C_final, num_classes]
-    bias: np.ndarray  # [num_classes]
 
 
 def i3d_block(x: np.ndarray, params: I3DBlockParams, seed: int = 0) -> np.ndarray:
@@ -71,12 +62,6 @@ def i3d_forward(clip: np.ndarray, blocks: list[I3DBlockParams], seed: int = 0) -
         except ValueError as exc:
             raise ValueError(f"block {i}: {exc}") from exc
     return global_avg_pool(out)
-
-
-def i3d_classify(features: np.ndarray, head: I3DHeadParams) -> np.ndarray:
-    features = as_tensor(features)
-    logits = linear(features[None, :], head.weight, head.bias)[0]
-    return softmax(logits)
 
 
 DEFAULT_POOLS = ((2, 2, 2), (2, 2, 2), (2, 3, 3))
@@ -119,10 +104,6 @@ class I3DStack:
                 )
             )
             c_prev = width
-
-    @property
-    def out_channels(self) -> int:
-        return self.widths[-1]
 
     def forward(self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0) -> np.ndarray:
         if dropout_p == 0.0:

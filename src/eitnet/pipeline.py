@@ -8,10 +8,11 @@ heads are trainable: the action classifier over the mean-pooled token and
 the pose regressor over the stage-two features (joint trajectories are
 predicted in meters and reported in millimeters).
 
-Complexity accounting counts parameters exactly and multiply-accumulates
-under a fixed convention: only matrix products contribute (convolutions,
-linear layers, attention score and value products); pooling, activations,
-residuals, normalizations and resampling count zero.
+Complexity accounting reads a live model: parameters are the arrays the
+enabled stages use, and multiply-accumulates follow a fixed convention in
+which only matrix products contribute (convolutions, linear layers,
+attention score and value products); pooling, activations, residuals,
+normalizations and resampling count zero.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ACTION_LABELS
-from .detection import BoundingBox, Detector, crop_region
+from .detection import PYRAMID_CONVS, BoundingBox, Detector, crop_region
 from .encoder import EncoderParams, TokenSequence, encoder_block, patch_embed
-from .i3d import DEFAULT_POOLS, I3DStack
+from .i3d import I3DStack
 from .metrics import SkeletonPose, accuracy, mpjpe, pa_mpjpe
 from .rng import Rng, derive_seed
-from .tensorops import as_tensor, linear, softmax
+from .tensorops import ConvSpec, as_tensor, linear, softmax
 
 
 @dataclass(frozen=True)
@@ -308,6 +309,23 @@ class PipelineModel:
             pose_feat=pose_feat,
         )
 
+    def parameters(self) -> list[np.ndarray]:
+        """Every weight array the enabled stages use, heads included."""
+        c = self.config
+        arrays = []
+        if c.toggles.detection:
+            arrays += self.detector.parameters().values()
+        if c.toggles.spatiotemporal:
+            for b in self.i3d.blocks:
+                arrays += [b.conv_weight, b.conv_bias, b.bn_gamma, b.bn_beta]
+        arrays += [self.patch_weight, self.patch_bias, self.pos_enc]
+        if c.has_summary:
+            arrays += [self.summary_weight, self.summary_bias]
+        if c.toggles.temporal:
+            for blk in self.blocks:
+                arrays += [a for a in vars(blk).values() if isinstance(a, np.ndarray)]
+        return arrays + list(self.head_parameters().values())
+
     def head_parameters(self) -> dict[str, np.ndarray]:
         return {
             "cls_weight": self.cls_weight,
@@ -359,14 +377,9 @@ def count_conv3d(
     padding: tuple[int, int, int] = (0, 0, 0),
     bias: bool = True,
 ) -> tuple[int, int]:
-    kt, kh, kw = kernel
-    out = [
-        (n + 2 * p - k) // s + 1
-        for n, k, s, p in zip(in_extents, kernel, stride, padding)
-    ]
-    params = c_out * c_in * kt * kh * kw + (c_out if bias else 0)
-    macs = c_out * c_in * kt * kh * kw * out[0] * out[1] * out[2]
-    return params, macs
+    weights = c_out * c_in * math.prod(kernel)
+    out = ConvSpec(kernel, stride, padding).output_extents(in_extents)
+    return weights + (c_out if bias else 0), weights * math.prod(out)
 
 
 def count_attention_projections(d_model: int) -> int:
@@ -374,94 +387,45 @@ def count_attention_projections(d_model: int) -> int:
     return 3 * (d_model * d_model + d_model)
 
 
-def _attention_group_macs(group_sizes: list[int], d: int) -> int:
-    """QKV plus score and value products for each attended group (singletons skip)."""
-    macs = 0
-    for g in group_sizes:
-        if g > 1:
-            macs += 3 * g * d * d + 2 * g * g * d
-    return macs
-
-
 def count_params_flops(config: PipelineConfig) -> tuple[int, int]:
-    """Exact parameter and multiply-accumulate counts for one clip forward."""
+    """Exact parameter and multiply-accumulate counts for one clip forward.
+
+    Both are read off a live model: the parameters are ``parameters()``, and
+    the MACs walk the same weights through the extents their specs produce,
+    so a config whose forward cannot run raises ``ValueError`` here too.
+    """
     c = config
-    params = 0
-    macs = 0
+    model = PipelineModel(c, seed=0)
     t = c.frames
-    fh, fw = c.frame_hw
-    cb = c.detector_channels
-
+    macs = 0
     if c.toggles.detection:
-        p, m = count_conv3d(1, cb, (1, 3, 3), (1, fh, fw), padding=(0, 1, 1), bias=False)
-        params += p
-        macs += t * m
-        p, m = count_conv3d(
-            cb, cb, (1, 3, 3), (1, fh, fw), stride=(1, 2, 2), padding=(0, 1, 1), bias=False
-        )
-        params += p
-        macs += t * m
-        p, m = count_conv3d(
-            cb, cb, (1, 3, 3), (1, fh // 2, fw // 2), stride=(1, 2, 2), padding=(0, 1, 1),
-            bias=False,
-        )
-        params += p
-        macs += t * m
-        params += 3  # fusion weights
-        feat = cb * (fh // 4) * (fw // 4)
-        p, m = count_linear(feat, 4 * c.num_anchors)
-        params += p
-        macs += t * m
-        p, m = count_linear(feat, c.num_anchors)
-        params += p
-        macs += t * m
-
-    ch, cw = c.crop_hw
+        weights = model.detector.parameters()
+        extents = (t, *c.frame_hw)
+        for name, spec in PYRAMID_CONVS:
+            extents = spec.output_extents(extents)
+            macs += weights[name].size * math.prod(extents)
+        macs += t * (weights["reg_w"].size + weights["score_w"].size)
     if c.toggles.spatiotemporal:
-        extents = (t, ch, cw)
-        c_prev = 1
-        for width, pool in zip(c.i3d_widths, DEFAULT_POOLS):
-            p, m = count_conv3d(c_prev, width, (3, 3, 3), extents, padding=(1, 1, 1))
-            params += p
-            macs += m
-            params += 2 * width  # batch-norm affine
-            extents = tuple(n // k for n, k in zip(extents, pool))
-            c_prev = width
-
-    gh, gw = c.grid_hw
-    s0 = c.patch_tokens
-    p, m = count_linear(c.patch * c.patch, c.d_model, rows=s0)
-    params += p
-    macs += m
-    params += s0 * c.d_model  # learned positional table
+        extents = (t, *c.crop_hw)
+        for block in model.i3d.blocks:
+            extents = block.conv_spec.output_extents(extents)
+            macs += block.conv_weight.size * math.prod(extents)
+            extents = block.pool_spec.output_extents(extents)
+    macs += c.patch_tokens * model.patch_weight.size
     if c.has_summary:
-        p, m = count_linear(c.i3d_widths[-1], c.d_model)
-        params += p
-        macs += m
-
-    s = s0 + (1 if c.has_summary else 0)
+        macs += model.summary_weight.size
     if c.toggles.temporal:
-        for _ in range(c.encoder_blocks):
-            params += count_attention_projections(c.d_model)
-            temporal_groups = [t] * (gh * gw)
-            spatial_groups = [gh * gw] * t
-            macs += _attention_group_macs(temporal_groups, c.d_model)
-            macs += _attention_group_macs(spatial_groups, c.d_model)
-            p, m = count_linear(c.d_model, c.d_ff, rows=s)
-            params += p
-            macs += m
-            p, m = count_linear(c.d_ff, c.d_model, rows=s)
-            params += p
-            macs += m
-            params += 4 * c.d_model  # two layer-norm affines
-
-    p, m = count_linear(c.d_model, c.num_classes)
-    params += p
-    macs += m
-    p, m = count_linear(c.pose_feat_dim, c.pose_out_dim)
-    params += p
-    macs += m
-    return params, macs
+        positions = c.grid_hw[0] * c.grid_hw[1]
+        rows = c.patch_tokens + int(c.has_summary)
+        for blk in model.blocks:
+            qkv = blk.w_q.size + blk.w_k.size + blk.w_v.size
+            # temporal then spatial pass; a group of one skips attention
+            for groups, size in ((positions, t), (t, positions)):
+                if size > 1:
+                    macs += groups * size * (qkv + 2 * size * c.d_model)
+            macs += rows * (blk.w_ffn1.size + blk.w_ffn2.size)
+    macs += model.cls_weight.size + model.pose_weight.size
+    return sum(a.size for a in model.parameters()), macs
 
 
 def with_toggles(config: PipelineConfig, toggles: StageToggles) -> PipelineConfig:

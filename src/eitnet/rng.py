@@ -19,7 +19,7 @@ datasets, splits and simulations from the same root seed:
   to (0, 1] as ``(bits + 1) / 2**53`` before the log.
 * ``shuffle``: Fisher-Yates, drawing ``next_u64() % (i + 1)`` for position i
   from the end.
-* child streams: ``spawn(*labels)`` reseeds with FNV-1a(64) over the parent
+* child seeds: ``derive_seed(root, *labels)`` is FNV-1a(64) over the root
   seed and the labels' text, passed once through the finalizer.
 """
 
@@ -116,9 +116,6 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def spawn(self, *labels) -> "Rng":
-        return Rng(_mix(_fnv1a(self._state, labels)))
 
 
 def derive_seed(root: int, *labels) -> int:

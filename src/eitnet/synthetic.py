@@ -209,7 +209,7 @@ def rotate_frames(clip: np.ndarray, angle_deg: float) -> np.ndarray:
     clip = as_tensor(clip)
     if angle_deg == 0.0:
         return clip.copy()
-    c, t, h, w = clip.shape
+    h, w = clip.shape[2:]
     theta = math.radians(angle_deg)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -220,12 +220,7 @@ def rotate_frames(clip: np.ndarray, angle_deg: float) -> np.ndarray:
     valid = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
     src_r_safe = np.clip(src_r, 0, h - 1)
     src_c_safe = np.clip(src_c, 0, w - 1)
-    out = np.zeros_like(clip)
-    for ci in range(c):
-        for ti in range(t):
-            plane = clip[ci, ti][src_r_safe, src_c_safe]
-            out[ci, ti] = np.where(valid, plane, 0.0)
-    return out
+    return np.ascontiguousarray(np.where(valid, clip[..., src_r_safe, src_c_safe], 0.0))
 
 
 def random_crop(clip: np.ndarray, crop_hw: tuple[int, int], rng: Rng) -> np.ndarray:

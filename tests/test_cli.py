@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from eitnet.cli import ConfigError, dispatch, parse_duration_us, parse_toggles
+from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset, read_csv_rows
 
@@ -46,6 +46,22 @@ class TestParsing:
             parse_toggles("det,bogus")
         with pytest.raises(ConfigError):
             parse_toggles("")
+
+
+    def test_parser_built_once_and_reused_by_dispatch(self, tmp_path):
+        assert build_parser() is build_parser()
+
+        def pipeline_row(name, *toggles):
+            assert dispatch(["complexity", *toggles, "--out", str(tmp_path / name)]) == 0
+            _, rows = read_csv_rows(tmp_path / name / "complexity.csv")
+            return rows[1]
+
+        full = pipeline_row("a")
+        assert dispatch(
+            ["simulate", "--seed", "1", "--duration", "100ms", "--out", str(tmp_path / "sim")]
+        ) == 0
+        assert pipeline_row("b", "--toggles", "i3d") != full
+        assert pipeline_row("c") == full  # no option leaks from one dispatch into the next
 
 
 class TestExitCodes:

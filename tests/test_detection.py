@@ -12,8 +12,6 @@ from eitnet.detection import (
     crop_region,
     detection_loss,
     iou,
-    level_attention,
-    match_anchors,
     nms,
     predict_boxes,
     resample_nearest,
@@ -73,25 +71,6 @@ class TestBifpnFuse:
         pyr = FeaturePyramid(levels=[np.ones((2, 4, 4)), np.ones((2, 2, 2))])
         with pytest.raises(ValueError, match="common extent"):
             bifpn_fuse(pyr, FusionWeights(raw=(1.0, 1.0)))
-
-
-class TestLevelAttention:
-    def test_equal_levels_give_ones(self):
-        rng = Rng(24)
-        lv = rand_level(rng) + 10.0
-        np.testing.assert_allclose(level_attention(lv, lv.copy(), 0.0), np.ones_like(lv))
-
-    def test_zero_previous_definition(self):
-        cur = np.full((1, 2, 2), 3.0)
-        prev = np.zeros((1, 2, 2))
-        np.testing.assert_allclose(level_attention(cur, prev, 1e-4), np.full_like(cur, 3e4))
-
-    def test_elementwise_oracle(self):
-        rng = Rng(25)
-        cur, prev = rand_level(rng), np.abs(rand_level(rng)) + 0.5
-        out = level_attention(cur, prev, 1e-3)
-        for idx in np.ndindex(cur.shape):
-            assert abs(out[idx] - cur[idx] / (prev[idx] + 1e-3)) <= 1e-12
 
 
 ONE_FRAME_SCORES = np.ones((1, 2))
@@ -255,19 +234,6 @@ class TestCropRegion:
         plane = rng.normals(5 * 7).reshape(5, 7)
         out = resample_nearest(plane[None], (3, 4))[0]
         np.testing.assert_array_equal(out, oracles.nearest_resample_oracle(plane, 3, 4))
-
-
-class TestMatchAnchors:
-    def test_one_to_one_greedy(self):
-        anchors = [BoundingBox(2.0, 2.0, 2.0, 2.0), BoundingBox(6.0, 6.0, 2.0, 2.0)]
-        truths = [BoundingBox(6.2, 6.0, 2.0, 2.0), BoundingBox(2.1, 2.0, 2.0, 2.0)]
-        pairs = match_anchors(anchors, truths)
-        assert sorted(pairs) == [(0, 1), (1, 0)]
-
-    def test_disjoint_boxes_unmatched(self):
-        anchors = [BoundingBox(2.0, 2.0, 1.0, 1.0)]
-        truths = [BoundingBox(50.0, 50.0, 1.0, 1.0)]
-        assert match_anchors(anchors, truths) == []
 
 
 class TestDetector:

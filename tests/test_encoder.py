@@ -4,7 +4,6 @@ import pytest
 from eitnet.encoder import (
     EncoderParams,
     TokenSequence,
-    classify_sequence,
     encoder_block,
     patch_embed,
     self_attention,
@@ -254,29 +253,3 @@ class TestEncoderBlock:
         out = encoder_block(tokens, params, "joint")
         out_permuted = encoder_block(tokens[perm], params, "joint")
         np.testing.assert_allclose(out[perm], out_permuted, atol=1e-12)
-
-
-class TestClassifySequence:
-    def test_zero_classifier_uniform(self):
-        rng = Rng(66)
-        seq = make_sequence(rng)
-        probs = classify_sequence(seq, np.zeros((4, 4)), np.zeros(4))
-        np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-15)
-
-    def test_logit_shift_invariance(self):
-        rng = Rng(67)
-        seq = make_sequence(rng)
-        w = rng.normals(16).reshape(4, 4)
-        probs = classify_sequence(seq, w, np.zeros(4))
-        shifted = classify_sequence(seq, w, np.full(4, 11.0))
-        np.testing.assert_allclose(probs, shifted, atol=1e-12)
-
-    def test_hand_two_class_case(self):
-        tokens = np.ones((3, 1))
-        w = np.array([[0.0, np.log(3.0)]])
-        probs = classify_sequence(tokens, w, np.zeros(2))
-        np.testing.assert_allclose(probs, [0.25, 0.75], atol=1e-12)
-
-    def test_empty_sequence_raises(self):
-        with pytest.raises(ValueError):
-            classify_sequence(np.zeros((0, 4)), np.zeros((4, 2)), np.zeros(2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eitnet.i3d import I3DBlockParams, I3DHeadParams, I3DStack, i3d_block, i3d_classify, i3d_forward
+from eitnet.i3d import I3DBlockParams, I3DStack, i3d_block, i3d_forward
 from eitnet.rng import Rng, derive_seed
 from eitnet.tensorops import ConvSpec, batch_norm, conv3d, dropout, pool3d_max, relu
 
@@ -117,24 +117,6 @@ class TestForward:
         np.testing.assert_allclose(
             i3d_forward(a * clip, [block]), a * i3d_forward(clip, [block]), atol=1e-9
         )
-
-
-class TestClassify:
-    def test_zero_head_uniform(self):
-        head = I3DHeadParams(weight=np.zeros((6, 4)), bias=np.zeros(4))
-        probs = i3d_classify(np.ones(6), head)
-        np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-15)
-
-    def test_sums_to_one(self):
-        rng = Rng(47)
-        head = I3DHeadParams(weight=rng.normals(24).reshape(6, 4), bias=rng.normals(4))
-        probs = i3d_classify(rng.normals(6), head)
-        assert abs(probs.sum() - 1.0) <= 1e-12
-
-    def test_hand_two_class_case(self):
-        head = I3DHeadParams(weight=np.array([[0.0, np.log(3.0)]]), bias=np.zeros(2))
-        probs = i3d_classify(np.ones(1), head)
-        np.testing.assert_allclose(probs, [0.25, 0.75], atol=1e-12)
 
 
 class TestStack:

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from eitnet import detection, encoder, i3d, pipeline
+from eitnet.encoder import self_attention
 from eitnet.pipeline import (
     PipelineConfig,
     PipelineModel,
@@ -13,28 +17,51 @@ from eitnet.pipeline import (
     with_toggles,
 )
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
+from eitnet.tensorops import conv3d, linear
+
+ALL_TOGGLES = [
+    StageToggles(),
+    StageToggles(temporal=False),
+    StageToggles(spatiotemporal=False),
+    StageToggles(spatiotemporal=False, temporal=False),
+    StageToggles(detection=False),
+    StageToggles(detection=False, temporal=False),
+    StageToggles(detection=False, spatiotemporal=False),
+]
+
+# (params, MACs) from the hand-written accounting that the live walk replaced.
+PINNED_COUNTS = {
+    **{
+        t.tag(): (PipelineConfig(toggles=t), counts)
+        for t, counts in zip(
+            ALL_TOGGLES,
+            [(42263, 2852736), (27287, 1213312), (36983, 1861632), (22007, 230400),
+             (40636, 2676608), (25660, 1037184), (35356, 1685504)],
+        )
+    },
+    "frame_hw": (PipelineConfig(frame_hw=(24, 20)), (43383, 3006848)),
+    "encoder": (PipelineConfig(d_model=16, d_ff=24, encoder_blocks=3), (30335, 1811776)),
+    "no-summary": (PipelineConfig(summary_token=False), (41207, 2843520)),
+    "i3d_widths": (PipelineConfig(i3d_widths=(4, 8, 16)), (26679, 2166016)),
+    "anchors": (PipelineConfig(num_anchors=2, detector_channels=3), (41318, 2787584)),
+    "large": (
+        PipelineConfig(frames=16, crop_hw=(24, 24), patch=6, frame_hw=(32, 32)),
+        (56591, 15975040),
+    ),
+    "heads-no-i3d": (
+        PipelineConfig(joints=7, num_classes=6, toggles=StageToggles(spatiotemporal=False)),
+        (44009, 1868608),
+    ),
+    "4-frames-no-i3d": (
+        PipelineConfig(frames=4, toggles=StageToggles(spatiotemporal=False)),
+        (27131, 912448),
+    ),
+}
 
 
 @pytest.fixture(scope="module")
 def samples():
     return generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=21)[:12]
-
-
-def live_parameter_arrays(model: PipelineModel):
-    d = model.detector._weights
-    arrays = [d["conv1"], d["conv2"], d["conv3"], np.zeros(3), d["reg_w"], d["reg_b"],
-              d["score_w"], d["score_b"]]
-    for b in model.i3d.blocks:
-        arrays += [b.conv_weight, b.conv_bias, b.bn_gamma, b.bn_beta]
-    arrays += [model.patch_weight, model.patch_bias, model.pos_enc]
-    if model.config.has_summary:
-        arrays += [model.summary_weight, model.summary_bias]
-    for blk in model.blocks:
-        arrays += [blk.w_q, blk.w_k, blk.w_v, blk.b_q, blk.b_k, blk.b_v,
-                   blk.w_ffn1, blk.b_ffn1, blk.w_ffn2, blk.b_ffn2,
-                   blk.norm1_gamma, blk.norm1_beta, blk.norm2_gamma, blk.norm2_beta]
-    arrays += [model.cls_weight, model.cls_bias, model.pose_weight, model.pose_bias]
-    return arrays
 
 
 class TestToggles:
@@ -148,32 +175,67 @@ class TestComplexity:
     def test_parameter_count_matches_live_arrays(self, toggles):
         config = with_toggles(PipelineConfig(), toggles)
         model = PipelineModel(config, seed=5)
-        live = sum(a.size for a in live_parameter_arrays(model))
-        counted = count_params_flops(config)[0]
-        # arrays for disabled stages still exist on the model but are not
-        # part of the configured pipeline; subtract them explicitly
-        if not toggles.detection:
-            d = model.detector._weights
-            live -= sum(
-                a.size
-                for a in (d["conv1"], d["conv2"], d["conv3"], np.zeros(3), d["reg_w"],
-                          d["reg_b"], d["score_w"], d["score_b"])
-            )
-        if not toggles.spatiotemporal:
-            live -= sum(
-                b.conv_weight.size + b.conv_bias.size + b.bn_gamma.size + b.bn_beta.size
-                for b in model.i3d.blocks
-            )
-        if not toggles.temporal:
-            for blk in model.blocks:
-                live -= sum(
-                    a.size
-                    for a in (blk.w_q, blk.w_k, blk.w_v, blk.b_q, blk.b_k, blk.b_v,
-                              blk.w_ffn1, blk.b_ffn1, blk.w_ffn2, blk.b_ffn2,
-                              blk.norm1_gamma, blk.norm1_beta, blk.norm2_gamma,
-                              blk.norm2_beta)
-                )
-        assert live == counted
+        listed = {id(a) for a in model.parameters()}
+        # a disabled stage keeps its arrays on the model but lists none of them
+        stage_arrays = {
+            "detection": [model.detector.parameters()["conv1"]],
+            "spatiotemporal": [b.conv_weight for b in model.i3d.blocks],
+            "temporal": [blk.w_q for blk in model.blocks],
+        }
+        for stage, arrays in stage_arrays.items():
+            assert all((id(a) in listed) == getattr(toggles, stage) for a in arrays), stage
+        live = sum(a.size for a in model.parameters())
+        assert live == count_params_flops(config)[0]
+
+    @pytest.mark.parametrize("config, counts", PINNED_COUNTS.values(), ids=PINNED_COUNTS)
+    def test_counts_pinned(self, config, counts):
+        assert count_params_flops(config) == counts
+
+    @pytest.mark.parametrize(
+        "config",
+        [PipelineConfig(frames=4), PipelineConfig(crop_hw=(8, 8))],
+        ids=["4-frames", "8x8-crop"],
+    )
+    def test_config_the_forward_cannot_run_is_rejected(self, samples, config):
+        clip = samples[0].clip[:, : config.frames]
+        with pytest.raises(ValueError, match="yields empty output"):
+            PipelineModel(config, seed=0).forward(clip)
+        with pytest.raises(ValueError, match="yields empty output"):
+            count_params_flops(config)
+
+    @pytest.mark.parametrize("toggles", ALL_TOGGLES, ids=StageToggles.tag)
+    def test_traced_macs_equal_count(self, samples, monkeypatch, toggles):
+        config = with_toggles(PipelineConfig(), toggles)
+        model = PipelineModel(config, seed=0)
+        macs = []
+
+        def traced_linear(x, weight, bias=None):
+            macs.append(math.prod(np.shape(x)[:-1]) * np.size(weight))
+            return linear(x, weight, bias)
+
+        def traced_conv3d(x, weights, spec, bias=None):
+            out = conv3d(x, weights, spec, bias)
+            macs.append(np.size(weights) * math.prod(out.shape[1:]))
+            return out
+
+        def traced_attention(tokens, params):
+            groups, size, d = (1, *np.shape(tokens)) if np.ndim(tokens) == 2 else np.shape(tokens)
+            macs.append(2 * groups * size * size * d)  # scores and values; QKV go through linear
+            return self_attention(tokens, params)
+
+        for module, name, fn in [
+            (detection, "conv3d", traced_conv3d),
+            (detection, "linear", traced_linear),
+            (i3d, "conv3d", traced_conv3d),
+            (encoder, "linear", traced_linear),
+            (encoder, "self_attention", traced_attention),
+            (pipeline, "linear", traced_linear),
+        ]:
+            monkeypatch.setattr(module, name, fn)
+        model.forward(samples[0].clip)
+        if config.has_summary:  # a plain matrix product in PipelineModel.tokens
+            macs.append(model.summary_weight.size)
+        assert sum(macs) == count_params_flops(config)[1]
 
     def test_macs_positive_and_monotone_in_stages(self):
         full = count_params_flops(PipelineConfig())[1]

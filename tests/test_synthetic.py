@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,27 @@ from eitnet.synthetic import (
 
 def small_config(**kw):
     return DatasetConfig(repetitions=kw.pop("repetitions", 1), **kw)
+
+
+def per_frame_rotate(clip, angle_deg):
+    """The per-(channel, frame) loop that ``rotate_frames`` replaced, kept as its reference."""
+    c, t, h, w = clip.shape
+    theta = math.radians(angle_deg)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rows = np.arange(h)[:, None] - cy
+    cols = np.arange(w)[None, :] - cx
+    src_r = np.rint(cos_t * rows + sin_t * cols + cy).astype(int)
+    src_c = np.rint(-sin_t * rows + cos_t * cols + cx).astype(int)
+    valid = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
+    src_r_safe = np.clip(src_r, 0, h - 1)
+    src_c_safe = np.clip(src_c, 0, w - 1)
+    out = np.zeros_like(clip)
+    for ci in range(c):
+        for ti in range(t):
+            plane = clip[ci, ti][src_r_safe, src_c_safe]
+            out[ci, ti] = np.where(valid, plane, 0.0)
+    return out
 
 
 def flatten_trajectory(sample):
@@ -97,6 +120,15 @@ class TestAugment:
         out = rotate_frames(clip, 15.0)
         assert out.shape == clip.shape
         assert out.min() >= 0.0 and out.max() <= clip.max() + 1e-12
+
+    def test_rotation_matches_per_frame_loop_bitwise(self):
+        rng = Rng(91)
+        for shape in [(1, 4, 16, 16), (2, 3, 7, 12), (1, 1, 5, 3)]:
+            clip = rng.normals(math.prod(shape)).reshape(shape)
+            for angle in (15.0, -7.5, 33.0, 90.0, 1e-9):
+                out = rotate_frames(clip, angle)
+                assert out.flags.c_contiguous
+                assert out.tobytes() == per_frame_rotate(clip, angle).tobytes(), (shape, angle)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

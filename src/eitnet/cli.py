@@ -284,7 +284,9 @@ def _window_hook(seed: int, frame_hw: tuple[int, int]):
     def hook(window):
         if not window.frames:
             return np.full(len(ACTION_LABELS), 1.0 / len(ACTION_LABELS))
-        mean_frame = np.mean([f for f in window.frames.values()], axis=0) / 255.0
+        # A running sum in frame order, as np.mean over axis 0 adds them.
+        frames = window.frames.values()
+        mean_frame = functools.reduce(np.add, frames) / len(frames) / 255.0
         return softmax(mean_frame.ravel() @ weight)
 
     return hook

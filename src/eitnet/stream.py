@@ -26,6 +26,7 @@ import functools
 import math
 import queue
 import statistics
+import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
@@ -37,8 +38,15 @@ from .rng import Rng, box_muller, derive_seed, unit_floats
 
 PACKET_MAGIC = b"EITP"
 PACKET_VERSION = 1
-_HEADER_LEN = 4 + 1 + 2 + 4 + 8 + 2 + 2  # magic..width
-_CRC_LEN = 4
+_HEADER = struct.Struct("<4sBHIQHH")  # magic, version, camera, sequence, timestamp, height, width
+_CRC = struct.Struct("<I")
+_HEADER_LEN = _HEADER.size
+_CRC_LEN = _CRC.size
+# The CRC32 of a body followed by its own CRC (u32 LE) is this constant, and
+# for a given body no other 4 bytes give it: appending 32 bits maps the CRC
+# register one to one.  So a packet is checked whole, without slicing off
+# its CRC.
+_CRC_RESIDUE = 0x2144DF1C
 # Frames per median_filter call in run_simulation, which bounds the transient
 # memory of the filter whatever the simulated duration.
 _FILTER_BLOCK = 256
@@ -105,49 +113,42 @@ class StreamPacket:
                 f"{self.height}x{self.width} frame"
             )
 
-    def frame(self) -> np.ndarray:
-        data = np.frombuffer(self.payload, dtype=np.uint8).astype(np.float64)
-        return data.reshape(self.height, self.width)
-
 
 def encode_packet(packet: StreamPacket) -> bytes:
     body = (
-        PACKET_MAGIC
-        + PACKET_VERSION.to_bytes(1, "little")
-        + packet.camera_id.to_bytes(2, "little")
-        + packet.sequence_no.to_bytes(4, "little")
-        + packet.timestamp_us.to_bytes(8, "little")
-        + packet.height.to_bytes(2, "little")
-        + packet.width.to_bytes(2, "little")
+        _HEADER.pack(
+            PACKET_MAGIC,
+            PACKET_VERSION,
+            packet.camera_id,
+            packet.sequence_no,
+            packet.timestamp_us,
+            packet.height,
+            packet.width,
+        )
         + packet.payload
     )
-    return body + zlib.crc32(body).to_bytes(4, "little")
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def decode_packet(blob: bytes) -> StreamPacket:
-    if len(blob) < len(PACKET_MAGIC):
+    size = len(blob)
+    if size < len(PACKET_MAGIC):
         if PACKET_MAGIC.startswith(blob):
-            raise TruncationError(f"{len(blob)} bytes is shorter than the magic")
+            raise TruncationError(f"{size} bytes is shorter than the magic")
         raise ProtocolError("bad magic")
     if blob[:4] != PACKET_MAGIC:
         raise ProtocolError("bad magic")
-    if len(blob) < _HEADER_LEN:
-        raise TruncationError(f"header needs {_HEADER_LEN} bytes, got {len(blob)}")
-    version = blob[4]
+    if size < _HEADER_LEN:
+        raise TruncationError(f"header needs {_HEADER_LEN} bytes, got {size}")
+    _, version, camera_id, sequence_no, timestamp_us, height, width = _HEADER.unpack_from(blob)
     if version != PACKET_VERSION:
         raise ProtocolError(f"unsupported version {version}")
-    camera_id = int.from_bytes(blob[5:7], "little")
-    sequence_no = int.from_bytes(blob[7:11], "little")
-    timestamp_us = int.from_bytes(blob[11:19], "little")
-    height = int.from_bytes(blob[19:21], "little")
-    width = int.from_bytes(blob[21:23], "little")
     total = _HEADER_LEN + height * width + _CRC_LEN
-    if len(blob) < total:
-        raise TruncationError(f"packet needs {total} bytes, got {len(blob)}")
-    if len(blob) > total:
-        raise ProtocolError(f"{len(blob) - total} trailing bytes")
-    expected = int.from_bytes(blob[total - 4 : total], "little")
-    if zlib.crc32(blob[: total - 4]) != expected:
+    if size < total:
+        raise TruncationError(f"packet needs {total} bytes, got {size}")
+    if size > total:
+        raise ProtocolError(f"{size - total} trailing bytes")
+    if zlib.crc32(blob) != _CRC_RESIDUE:
         raise IntegrityError("checksum mismatch")
     return StreamPacket(
         camera_id=camera_id,
@@ -155,7 +156,7 @@ def decode_packet(blob: bytes) -> StreamPacket:
         timestamp_us=timestamp_us,
         height=height,
         width=width,
-        payload=blob[_HEADER_LEN : total - 4],
+        payload=blob[_HEADER_LEN : total - _CRC_LEN],
     )
 
 
@@ -237,86 +238,78 @@ class AssemblerStats:
 class WindowAssembler:
     """Groups clock-corrected frames into fixed windows behind a watermark.
 
-    A window closes once every camera has either delivered a frame mapping to
-    a later window or has been silent for more than two of its frame periods
-    (cameras never heard from count as silent immediately).  Windows are
-    emitted in strictly increasing index order; a frame for an already-closed
-    window is counted late and dropped; a second frame from one camera in one
-    window replaces the first (later wins) and counts as a duplicate.
+    ``push(camera_id, corrected_ts, frame)`` takes one frame row whose
+    timestamp already has the camera's clock offset subtracted, and returns
+    the windows it closes.  The watermark is the lowest of the cameras'
+    highest delivered window indices, taken over the cameras heard from that
+    have not been silent for more than two of their frame periods (cameras
+    never heard from count as silent).  Every pending window below it closes.
+    Windows are emitted in strictly increasing index order; a frame for an
+    already-closed window is counted late and dropped; a second frame from
+    one camera in one window replaces the first (later wins) and counts as a
+    duplicate.  ``run_simulation`` hands each window to its hook as soon as
+    ``push`` or ``flush`` returns it, before the next packet is pushed.
     """
 
-    def __init__(self, specs: list[CameraSpec], window_period_us: int, offsets=None):
+    def __init__(self, specs: list[CameraSpec], window_period_us: int):
         if window_period_us <= 0:
             raise ValueError("window period must be positive")
         if not specs:
             raise ValueError("need at least one camera")
         self.specs = {s.camera_id: s for s in specs}
         self.period = window_period_us
-        self.offsets = dict(offsets or {})
         self.stats = AssemblerStats()
+        self._silence = {s.camera_id: 2 * s.frame_period_us for s in specs}
         self._pending: dict[int, dict[int, np.ndarray]] = {}
         self._last_seen: dict[int, float] = {}
         self._max_index: dict[int, int] = {}
         self._emitted_below = -(2**62)
         self._max_corrected = -math.inf
 
-    def corrected_timestamp(self, packet: StreamPacket) -> float:
-        return packet.timestamp_us - self.offsets.get(packet.camera_id, 0.0)
-
-    def push(self, packet: StreamPacket) -> list[SyncWindow]:
-        if packet.camera_id not in self.specs:
-            raise ValueError(f"unknown camera {packet.camera_id}")
-        ts = self.corrected_timestamp(packet)
-        index = int(math.floor(ts / self.period + 0.5))
-        self._last_seen[packet.camera_id] = ts
-        self._max_index[packet.camera_id] = max(
-            self._max_index.get(packet.camera_id, -(2**62)), index
-        )
-        self._max_corrected = max(self._max_corrected, ts)
+    def push(self, camera_id: int, corrected_ts: float, frame: np.ndarray) -> list[SyncWindow]:
+        if camera_id not in self._silence:
+            raise ValueError(f"unknown camera {camera_id}")
+        index = int(math.floor(corrected_ts / self.period + 0.5))
+        self._last_seen[camera_id] = corrected_ts
+        if index > self._max_index.get(camera_id, -(2**62)):
+            self._max_index[camera_id] = index
+        if corrected_ts > self._max_corrected:
+            self._max_corrected = corrected_ts
         if index < self._emitted_below:
             self.stats.dropped_late += 1
             return []
         bucket = self._pending.setdefault(index, {})
-        if packet.camera_id in bucket:
+        if camera_id in bucket:
             self.stats.duplicates += 1
-        bucket[packet.camera_id] = packet.frame()
+        bucket[camera_id] = frame
         return self._drain()
 
-    def _camera_silent(self, camera_id: int) -> bool:
-        spec = self.specs[camera_id]
-        last = self._last_seen.get(camera_id)
-        if last is None:
-            return True
-        return self._max_corrected - last > 2 * spec.frame_period_us
-
-    def _watermark(self) -> float:
-        """Highest window index strictly below which no frame can still arrive."""
-        marks = []
-        for camera_id in self.specs:
-            if self._camera_silent(camera_id):
-                continue
-            marks.append(self._max_index.get(camera_id, -(2**62)))
-        return min(marks) if marks else math.inf
 
     def _emit(self, index: int) -> SyncWindow:
         frames = self._pending.pop(index)
-        window = SyncWindow(
+        return SyncWindow(
             window_index=index,
             reference_time_us=index * self.period,
             frames=frames,
             completeness=len(frames) / len(self.specs),
             close_latency_us=max(self._max_corrected - index * self.period, 0.0),
         )
-        return window
 
     def _drain(self) -> list[SyncWindow]:
-        mark = self._watermark()
-        out = []
-        for index in sorted(self._pending):
-            if index < mark:
-                out.append(self._emit(index))
-        if out:
-            self._emitted_below = max(self._emitted_below, out[-1].window_index + 1)
+        # The watermark: the highest window index strictly below which no
+        # frame can still arrive.  Most pushes close nothing, so the scan
+        # stops at the first live camera that holds the lowest pending window.
+        lowest = min(self._pending)
+        mark = math.inf
+        for camera_id, last in self._last_seen.items():
+            if self._max_corrected - last <= self._silence[camera_id]:
+                index = self._max_index[camera_id]
+                if index <= lowest:
+                    return []
+                if index < mark:
+                    mark = index
+        out = [self._emit(index) for index in sorted(self._pending) if index < mark]
+        self._emitted_below = max(self._emitted_below, out[-1].window_index + 1)
         return out
 
     def flush(self) -> list[SyncWindow]:
@@ -324,21 +317,6 @@ class WindowAssembler:
         if out:
             self._emitted_below = max(self._emitted_below, out[-1].window_index + 1)
         return out
-
-
-def synchronize(
-    packets: list[StreamPacket],
-    specs: list[CameraSpec],
-    window_period_us: int,
-    offsets=None,
-) -> list[SyncWindow]:
-    """Batch wrapper over the assembler: push every packet, then flush."""
-    assembler = WindowAssembler(specs, window_period_us, offsets)
-    windows = []
-    for packet in packets:
-        windows.extend(assembler.push(packet))
-    windows.extend(assembler.flush())
-    return windows
 
 
 @dataclass
@@ -472,6 +450,9 @@ def run_simulation(
 
     The deterministic mode merges packets in (send time, camera id) order
     and decodes and filters them in blocks of at most ``_FILTER_BLOCK``.
+    Every decoded frame must have the extents ``frame_hw``.  The hook runs
+    on each window as the assembler emits it, so a closed window's frames
+    are released once it is labelled.
     The threaded mode runs one producer thread per camera (at most
     ``MAX_THREADED_CAMERAS``) over a bounded queue; arrival interleaving
     (and therefore late/duplicate counts and window completeness) may vary
@@ -489,34 +470,56 @@ def run_simulation(
             f"{MAX_THREADED_CAMERAS} cameras, got {len(specs)}"
         )
     period = window_period_us or specs[0].frame_period_us
+    h, w = frame_hw
     outputs = {
         s.camera_id: _run_producer(s, duration_us, seed, frame_hw, handshakes) for s in specs
     }
     offsets = calibrate_clocks({cid: o.handshakes for cid, o in outputs.items()})
-    assembler = WindowAssembler(specs, period, offsets)
+    assembler = WindowAssembler(specs, period)
     counts = {
         cid: CameraCounts(produced=o.produced, dropped_link=o.dropped_link)
         for cid, o in outputs.items()
     }
 
-    windows: list[SyncWindow] = []
+    window_rows = []
+    feedback = []
+    hook_failures = []
+    latencies = []
+
+    def label_window(window: SyncWindow):
+        """Label one closed window; only its row and latency outlive the call."""
+        latencies.append(window.close_latency_us)
+        probs = None
+        if pipeline_hook is not None:
+            try:
+                probs = np.asarray(pipeline_hook(window), dtype=np.float64)
+            except Exception as exc:  # failures are recorded per window, never fatal
+                hook_failures.append((window.window_index, str(exc)))
+                window_rows.append((window.window_index, window.completeness, "hook-error", 0.0))
+                return
+        if probs is None:
+            probs = np.full(len(labels), 1.0 / len(labels))
+        name = labels[int(probs.argmax())]
+        window_rows.append((window.window_index, window.completeness, name, float(probs.max())))
+        message = emit_feedback(window, probs, labels, feedback_threshold)
+        if message is not None:
+            feedback.append(message)
 
     def consume(blobs: list[bytes]):
         packets = [decode_packet(blob) for blob in blobs]
         for packet in packets:
+            if packet.height != h or packet.width != w:
+                raise ValueError(
+                    f"camera {packet.camera_id} sent a {packet.height}x{packet.width} frame, "
+                    f"expected {h}x{w}"
+                )
             counts[packet.camera_id].delivered += 1
         frames = np.frombuffer(b"".join(p.payload for p in packets), dtype=np.uint8)
-        filtered = median_filter(frames.reshape(len(packets), *frame_hw), median_window)
-        for packet, frame in zip(packets, filtered):
-            repacked = StreamPacket(
-                camera_id=packet.camera_id,
-                sequence_no=packet.sequence_no,
-                timestamp_us=packet.timestamp_us,
-                height=packet.height,
-                width=packet.width,
-                payload=frame.tobytes(),
-            )
-            windows.extend(assembler.push(repacked))
+        filtered = median_filter(frames.reshape(len(packets), h, w), median_window)
+        for packet, frame in zip(packets, filtered.astype(np.float64)):
+            corrected = packet.timestamp_us - offsets[packet.camera_id]
+            for window in assembler.push(packet.camera_id, corrected, frame):
+                label_window(window)
 
     if threaded:
         chan: queue.Queue = queue.Queue(maxsize=queue_capacity)
@@ -560,29 +563,9 @@ def run_simulation(
         for start in range(0, len(merged), _FILTER_BLOCK):
             consume([blob for _, _, blob in merged[start : start + _FILTER_BLOCK]])
 
-    windows.extend(assembler.flush())
+    for window in assembler.flush():
+        label_window(window)
 
-    window_rows = []
-    feedback = []
-    hook_failures = []
-    for window in windows:
-        probs = None
-        if pipeline_hook is not None:
-            try:
-                probs = np.asarray(pipeline_hook(window), dtype=np.float64)
-            except Exception as exc:  # failures are recorded per window, never fatal
-                hook_failures.append((window.window_index, str(exc)))
-                window_rows.append((window.window_index, window.completeness, "hook-error", 0.0))
-                continue
-        if probs is None:
-            probs = np.full(len(labels), 1.0 / len(labels))
-        label = labels[int(probs.argmax())]
-        window_rows.append((window.window_index, window.completeness, label, float(probs.max())))
-        message = emit_feedback(window, probs, labels, feedback_threshold)
-        if message is not None:
-            feedback.append(message)
-
-    latencies = [w.close_latency_us for w in windows]
     return SimulationReport(
         counts=counts,
         duplicates=assembler.stats.duplicates,

@@ -1,3 +1,4 @@
+import math
 import threading
 import zlib
 from collections import Counter
@@ -14,6 +15,7 @@ from eitnet.fileio import camera_config_text, parse_camera_config
 from eitnet.rng import Rng, derive_seed
 from eitnet.stream import (
     MAX_THREADED_CAMERAS,
+    AssemblerStats,
     CameraCounts,
     CameraSpec,
     IntegrityError,
@@ -34,7 +36,6 @@ from eitnet.stream import (
     median_filter,
     run_simulation,
     report_csv_text,
-    synchronize,
 )
 
 import oracles
@@ -97,6 +98,18 @@ class TestCodec:
                 corrupted[i] ^= 1 << bit
                 with pytest.raises(IntegrityError):
                     decode_packet(bytes(corrupted))
+
+    def test_only_the_body_crc_is_accepted(self):
+        """The whole-packet residue check accepts exactly the CRC of the body."""
+        rng = Rng(315)
+        for _ in range(200):
+            blob = encode_packet(make_packet(rng, h=1 + rng.below(4), w=1 + rng.below(4)))
+            body = blob[:-4]
+            crc = zlib.crc32(body)
+            assert blob[-4:] == crc.to_bytes(4, "little")
+            wrong = crc ^ (1 + rng.below(0xFFFFFFFF))
+            with pytest.raises(IntegrityError):
+                decode_packet(body + wrong.to_bytes(4, "little"))
 
     def test_truncation_after_header(self):
         rng = Rng(303)
@@ -220,6 +233,106 @@ class TestCalibration:
             calibrate_clocks({1: [(0, 0), (1, 1)]})
 
 
+def packet_frame(packet):
+    """The payload of a packet as a float64 [height, width] frame."""
+    data = np.frombuffer(packet.payload, dtype=np.uint8).astype(np.float64)
+    return data.reshape(packet.height, packet.width)
+
+
+def assemble(specs, window_period_us, packets, offsets=None):
+    """Push each packet with its offset subtracted, as the consumer does, then flush."""
+    offsets = offsets or {}
+    assembler = WindowAssembler(specs, window_period_us)
+    windows = []
+    for packet in packets:
+        corrected = packet.timestamp_us - offsets.get(packet.camera_id, 0.0)
+        windows.extend(assembler.push(packet.camera_id, corrected, packet_frame(packet)))
+    windows.extend(assembler.flush())
+    return windows
+
+
+class RescanAssembler:
+    """Reference assembler: rescans every camera and sorts every pending index on each push."""
+
+    def __init__(self, specs, window_period_us, offsets=None):
+        if window_period_us <= 0:
+            raise ValueError("window period must be positive")
+        if not specs:
+            raise ValueError("need at least one camera")
+        self.specs = {s.camera_id: s for s in specs}
+        self.period = window_period_us
+        self.offsets = dict(offsets or {})
+        self.stats = AssemblerStats()
+        self._pending = {}
+        self._last_seen = {}
+        self._max_index = {}
+        self._emitted_below = -(2**62)
+        self._max_corrected = -math.inf
+
+    def corrected_timestamp(self, packet):
+        return packet.timestamp_us - self.offsets.get(packet.camera_id, 0.0)
+
+    def push(self, packet):
+        if packet.camera_id not in self.specs:
+            raise ValueError(f"unknown camera {packet.camera_id}")
+        ts = self.corrected_timestamp(packet)
+        index = int(math.floor(ts / self.period + 0.5))
+        self._last_seen[packet.camera_id] = ts
+        self._max_index[packet.camera_id] = max(
+            self._max_index.get(packet.camera_id, -(2**62)), index
+        )
+        self._max_corrected = max(self._max_corrected, ts)
+        if index < self._emitted_below:
+            self.stats.dropped_late += 1
+            return []
+        bucket = self._pending.setdefault(index, {})
+        if packet.camera_id in bucket:
+            self.stats.duplicates += 1
+        bucket[packet.camera_id] = packet_frame(packet)
+        return self._drain()
+
+    def _camera_silent(self, camera_id):
+        spec = self.specs[camera_id]
+        last = self._last_seen.get(camera_id)
+        if last is None:
+            return True
+        return self._max_corrected - last > 2 * spec.frame_period_us
+
+    def _watermark(self):
+        marks = []
+        for camera_id in self.specs:
+            if self._camera_silent(camera_id):
+                continue
+            marks.append(self._max_index.get(camera_id, -(2**62)))
+        return min(marks) if marks else math.inf
+
+    def _emit(self, index):
+        frames = self._pending.pop(index)
+        return SyncWindow(
+            window_index=index,
+            reference_time_us=index * self.period,
+            frames=frames,
+            completeness=len(frames) / len(self.specs),
+            close_latency_us=max(self._max_corrected - index * self.period, 0.0),
+        )
+
+    def _drain(self):
+        mark = self._watermark()
+        out = []
+        for index in sorted(self._pending):
+            if index < mark:
+                out.append(self._emit(index))
+        if out:
+            self._emitted_below = max(self._emitted_below, out[-1].window_index + 1)
+        return out
+
+    def flush(self):
+        out = [self._emit(index) for index in sorted(self._pending)]
+        if out:
+            self._emitted_below = max(self._emitted_below, out[-1].window_index + 1)
+        return out
+
+
 def spec(cid, period=1000, offset=0, jitter=0.0, drop=0.0):
     return CameraSpec(
         camera_id=cid,
@@ -285,11 +398,15 @@ def per_frame_median_filter(frame, window):
 def per_packet_simulation(
     specs, duration_us, seed, pipeline_hook, *, frame_hw, window_period_us, feedback_threshold
 ):
-    """Reference deterministic run_simulation: decode, filter and push one packet at a time."""
+    """Reference deterministic run_simulation: decode, filter and push one packet at a time.
+
+    Every window is assembled before the first hook call, and the frames
+    travel between stages as repacked StreamPackets.
+    """
     period = window_period_us or specs[0].frame_period_us
     outputs = {s.camera_id: per_packet_producer(s, duration_us, seed, frame_hw, 5) for s in specs}
     offsets = calibrate_clocks({cid: o.handshakes for cid, o in outputs.items()})
-    assembler = WindowAssembler(specs, period, offsets)
+    assembler = RescanAssembler(specs, period, offsets)
     counts = {
         cid: CameraCounts(produced=o.produced, dropped_link=o.dropped_link)
         for cid, o in outputs.items()
@@ -302,7 +419,7 @@ def per_packet_simulation(
     for _, _, blob in merged:
         packet = decode_packet(blob)
         counts[packet.camera_id].delivered += 1
-        filtered = per_frame_median_filter(packet.frame(), 3)
+        filtered = per_frame_median_filter(packet_frame(packet), 3)
         repacked = StreamPacket(
             camera_id=packet.camera_id,
             sequence_no=packet.sequence_no,
@@ -360,7 +477,7 @@ class TestSynchronize:
     def test_identical_corrected_timestamps_one_window(self):
         specs = [spec(1), spec(2), spec(3)]
         packets = [frame_packet(cid, 0, 1000) for cid in (1, 2, 3)]
-        windows = synchronize(packets, specs, 1000)
+        windows = assemble(specs, 1000, packets)
         assert len(windows) == 1
         assert windows[0].window_index == 1
         assert windows[0].completeness == 1.0
@@ -368,7 +485,7 @@ class TestSynchronize:
     def test_offsets_are_subtracted(self):
         specs = [spec(1), spec(2)]
         packets = [frame_packet(1, 0, 1500), frame_packet(2, 0, 1000)]
-        windows = synchronize(packets, specs, 1000, offsets={1: 500, 2: 0})
+        windows = assemble(specs, 1000, packets, offsets={1: 500, 2: 0})
         assert len(windows) == 1
         assert set(windows[0].frames) == {1, 2}
 
@@ -378,7 +495,7 @@ class TestSynchronize:
         for k in range(5):
             for cid in (1, 2, 3):
                 packets.append(frame_packet(cid, k, 1000 * k + 100))
-        windows = synchronize(packets, specs, 1000)
+        windows = assemble(specs, 1000, packets)
         assert len(windows) == 5
         assert all(w.completeness == 3 / 4 for w in windows)
 
@@ -390,7 +507,7 @@ class TestSynchronize:
             for cid in (1, 2):
                 ts = 1000 * k + int(rng.normals(1)[0] * 200)
                 packets.append(frame_packet(cid, k, max(ts, 0)))
-        windows = synchronize(packets, specs, 1000)
+        windows = assemble(specs, 1000, packets)
         indices = [w.window_index for w in windows]
         assert indices == sorted(set(indices))
 
@@ -402,7 +519,7 @@ class TestSynchronize:
         assembler = WindowAssembler(specs, 1000)
         out = []
         for p in (first, second, other):
-            out.extend(assembler.push(p))
+            out.extend(assembler.push(p.camera_id, p.timestamp_us, packet_frame(p)))
         out.extend(assembler.flush())
         assert assembler.stats.duplicates == 1
         assert out[0].frames[1][0, 0] == 99.0
@@ -411,12 +528,27 @@ class TestSynchronize:
         specs = [spec(1), spec(2)]
         assembler = WindowAssembler(specs, 1000)
         emitted = []
+        frame = np.zeros((2, 2))
         for k in range(4):
             for cid in (1, 2):
-                emitted.extend(assembler.push(frame_packet(cid, k, 1000 * k)))
+                emitted.extend(assembler.push(cid, 1000 * k, frame))
         assert emitted  # windows 0.. emitted already
-        assembler.push(frame_packet(1, 99, 0))  # arrives long after window 0 closed
+        assembler.push(1, 0, frame)  # arrives long after window 0 closed
         assert assembler.stats.dropped_late == 1
+
+    def test_camera_silent_only_beyond_two_periods(self):
+        assembler = WindowAssembler([spec(1), spec(2)], 1000)
+        frame = np.zeros((2, 2))
+        assert assembler.push(1, 0, frame) == []
+        assert assembler.push(2, 0, frame) == []
+        assert assembler.push(2, 2000, frame) == []  # camera 1 quiet for exactly 2 periods
+        closed = assembler.push(2, 2001, frame)
+        assert [w.window_index for w in closed] == [0]
+
+    def test_unknown_camera_rejected(self):
+        assembler = WindowAssembler([spec(1)], 1000)
+        with pytest.raises(ValueError, match="unknown camera 7"):
+            assembler.push(7, 0, np.zeros((2, 2)))
 
 
 class TestSimulation:
@@ -510,6 +642,73 @@ class TestSimulation:
             else:
                 assert label == "dribble"
         assert all(m.window_index not in failed for m in report.feedback)
+
+    def test_hook_runs_as_each_window_is_emitted(self, monkeypatch):
+        decoded = 0
+        original = eitnet.stream.decode_packet
+
+        def counting(blob):
+            nonlocal decoded
+            decoded += 1
+            return original(blob)
+
+        monkeypatch.setattr(eitnet.stream, "decode_packet", counting)
+        seen = []
+
+        def hook(window):
+            seen.append(decoded)
+            return np.full(len(ACTION_LABELS), 1.0 / len(ACTION_LABELS))
+
+        # 600 packets: the deterministic mode decodes them in 3 blocks
+        specs = [spec(cid, offset=100 * cid, jitter=300.0) for cid in (1, 2, 3)]
+        for threaded in (False, True):
+            seen.clear()
+            decoded = 0
+            report = run_simulation(specs, duration_us=200_000, seed=8, pipeline_hook=hook,
+                                    threaded=threaded)
+            assert len(seen) == len(report.window_rows)
+            assert seen == sorted(seen) and seen[-1] == decoded == 600
+            assert len(set(seen)) >= 3
+
+    def test_two_packet_objects_per_delivered_packet(self, monkeypatch):
+        built = 0
+        original = StreamPacket.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            original(self)
+
+        monkeypatch.setattr(StreamPacket, "__post_init__", counting)
+        specs = [spec(cid, offset=100 * cid, jitter=300.0, drop=0.1) for cid in (1, 2, 3)]
+        report = run_simulation(specs, duration_us=50_000, seed=11)
+        delivered = sum(c.delivered for c in report.counts.values())
+        assert delivered > 0 and built == 2 * delivered
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_frame_of_wrong_extents_rejected(self, monkeypatch, threaded):
+        original = eitnet.stream._run_producer
+
+        def one_wide_camera(spec, duration_us, seed, frame_hw, handshakes):
+            if spec.camera_id == 2:
+                frame_hw = (8, 32)  # as many bytes as 16x16
+            return original(spec, duration_us, seed, frame_hw, handshakes)
+
+        monkeypatch.setattr(eitnet.stream, "_run_producer", one_wide_camera)
+        specs = [spec(1), spec(2), spec(3)]
+        with pytest.raises(ValueError, match="camera 2 sent a 8x32 frame, expected 16x16"):
+            run_simulation(specs, duration_us=10_000, seed=3, threaded=threaded)
+
+    def test_window_hook_mean_equals_np_mean(self):
+        """The hook's running sum gives the probabilities of np.mean's mean frame, bitwise."""
+        rng = Rng(314)
+        hook = _window_hook(5, (4, 4))
+        for trial in range(200):
+            frames = {cid: rng.uniforms(16).reshape(4, 4) * 255 for cid in range(1 + trial % 5)}
+            mean_frame = np.mean(list(frames.values()), axis=0)
+            got = hook(SyncWindow(trial, 0.0, frames, 1.0))
+            ref = hook(SyncWindow(trial, 0.0, {0: mean_frame}, 1.0))
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestBlockEquivalence:
@@ -608,6 +807,45 @@ def identified_packet(frame_id, camera_id, ts):
     return StreamPacket(camera_id, frame_id, ts, 2, 2, frame_id.to_bytes(4, "little"))
 
 
+def run_events(run, make):
+    """Replay an assembler_runs example on make(specs, period, offsets) -> (assembler, push)."""
+    periods, offsets, window_period, events = run
+    specs = [spec(cid, period=p) for cid, p in enumerate(periods, start=1)]
+    offsets = {cid: o for cid, o in enumerate(offsets, start=1)}
+    assembler, push = make(specs, window_period, offsets)
+    windows = []
+    pushed = 0
+    for event in events:
+        if event == "flush":
+            windows.extend(assembler.flush())
+            continue
+        camera, ts = event
+        windows.extend(push(identified_packet(pushed, camera + 1, ts)))
+        pushed += 1
+    windows.extend(assembler.flush())
+    return windows, assembler.stats, pushed
+
+
+def frame_assembler(specs, window_period, offsets):
+    assembler = WindowAssembler(specs, window_period)
+
+    def push(packet):
+        corrected = packet.timestamp_us - offsets[packet.camera_id]
+        return assembler.push(packet.camera_id, corrected, packet_frame(packet))
+
+    return assembler, push
+
+
+def rescan_assembler(specs, window_period, offsets):
+    assembler = RescanAssembler(specs, window_period, offsets)
+    return assembler, assembler.push
+
+
+def window_summary(window):
+    frames = {cid: frame_id(f) for cid, f in window.frames.items()}
+    return (window.window_index, frames, window.completeness, window.close_latency_us)
+
+
 def frame_id(frame):
     return int.from_bytes(frame.astype(np.uint8).tobytes(), "little")
 
@@ -634,28 +872,20 @@ class TestAssemblerProperties:
     @settings(max_examples=60, deadline=None, database=None)
     @given(assembler_runs)
     def test_frames_windows_and_counts(self, run):
-        periods, offsets, window_period, events = run
-        specs = [spec(cid, period=p) for cid, p in enumerate(periods, start=1)]
-        assembler = WindowAssembler(
-            specs, window_period, {cid: o for cid, o in enumerate(offsets, start=1)}
-        )
-        windows = []
-        pushed = 0
-        for event in events:
-            if event == "flush":
-                windows.extend(assembler.flush())
-                continue
-            camera, ts = event
-            windows.extend(assembler.push(identified_packet(pushed, camera + 1, ts)))
-            pushed += 1
-        windows.extend(assembler.flush())
-
+        windows, stats, pushed = run_events(run, frame_assembler)
         landed = Counter(frame_id(f) for w in windows for f in w.frames.values())
         assert all(n == 1 for n in landed.values())
         indices = [w.window_index for w in windows]
         assert all(a < b for a, b in zip(indices, indices[1:]))
-        stats = assembler.stats
         assert pushed == sum(landed.values()) + stats.duplicates + stats.dropped_late
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(assembler_runs)
+    def test_same_windows_and_stats_as_rescanning_assembler(self, run):
+        windows, stats, _ = run_events(run, frame_assembler)
+        ref_windows, ref_stats, _ = run_events(run, rescan_assembler)
+        assert [window_summary(w) for w in windows] == [window_summary(w) for w in ref_windows]
+        assert stats == ref_stats
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(

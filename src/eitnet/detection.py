@@ -5,6 +5,11 @@ its pyramid levels are fused with normalized nonnegative weights, a small
 fully-connected head regresses per-anchor boxes through a sigmoid gate
 (predicted extents can never exceed the anchor, a documented limitation of
 the gating form), and greedy NMS picks the surviving boxes.
+
+Between stages everything is a plain array over the whole clip: pyramid
+levels are [C,T,h,w], anchors [A, 4] and predicted boxes [T, A, 4] rows of
+(cx, cy, w, h) with [T, A] scores, and one NMS call covers every frame.  A
+``BoundingBox`` is built only where a caller needs one: each frame's crop box.
 """
 
 from __future__ import annotations
@@ -46,39 +51,6 @@ class BoundingBox:
         )
 
 
-@dataclass
-class FeaturePyramid:
-    """Ordered coarse-to-fine feature maps with matching channel counts."""
-
-    levels: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.levels) < 2:
-            raise ValueError("pyramid needs at least two levels")
-        self.levels = [np.asarray(lv, dtype=np.float64) for lv in self.levels]
-        channels = {lv.shape[0] for lv in self.levels}
-        if len(channels) != 1:
-            raise ValueError(f"pyramid levels must share a channel count, got {channels}")
-
-
-@dataclass(frozen=True)
-class FusionWeights:
-    """Nonnegative raw fusion weights normalized as w_i / (sum_j w_j + eps)."""
-
-    raw: tuple[float, ...]
-    eps: float = 1e-4
-
-    def __post_init__(self):
-        if any(w < 0 for w in self.raw):
-            raise ValueError("fusion weights must be nonnegative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-
-    def normalized(self) -> np.ndarray:
-        raw = np.asarray(self.raw, dtype=np.float64)
-        return raw / (raw.sum() + self.eps)
-
-
 @dataclass(frozen=True)
 class DetectionLossParts:
     cls: float
@@ -106,18 +78,25 @@ def resample_nearest(feature: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray
     return np.ascontiguousarray(feature[..., rows[:, None], cols[None, :]])
 
 
-def bifpn_fuse(pyramid: FeaturePyramid, weights: FusionWeights) -> np.ndarray:
-    """Weighted sum of same-extent pyramid levels using normalized weights."""
-    shapes = {lv.shape for lv in pyramid.levels}
+def bifpn_fuse(levels: list[np.ndarray], raw: np.ndarray, eps: float) -> np.ndarray:
+    """Weighted sum of same-extent levels with weights raw_i / (sum_j raw_j + eps)."""
+    if len(levels) < 2:
+        raise ValueError("pyramid needs at least two levels")
+    channels = {lv.shape[0] for lv in levels}
+    if len(channels) != 1:
+        raise ValueError(f"pyramid levels must share a channel count, got {channels}")
+    shapes = {lv.shape for lv in levels}
     if len(shapes) != 1:
         raise ValueError(f"levels must be resampled to a common extent, got {shapes}")
-    if len(weights.raw) != len(pyramid.levels):
-        raise ValueError(
-            f"{len(weights.raw)} weights for {len(pyramid.levels)} levels"
-        )
-    alpha = weights.normalized()
-    out = np.zeros_like(pyramid.levels[0])
-    for a, level in zip(alpha, pyramid.levels):
+    if len(raw) != len(levels):
+        raise ValueError(f"{len(raw)} weights for {len(levels)} levels")
+    if (raw < 0).any():
+        raise ValueError("fusion weights must be nonnegative")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    alpha = raw / (raw.sum() + eps)
+    out = np.zeros_like(levels[0])
+    for a, level in zip(alpha, levels):
         out += a * level
     return out
 
@@ -126,10 +105,10 @@ def predict_boxes(
     fused: np.ndarray,
     reg_weight: np.ndarray,
     reg_bias: np.ndarray,
-    anchors: list[BoundingBox],
+    anchors: np.ndarray,
     scores: np.ndarray,
-) -> list[list[BoundingBox]]:
-    """Sigmoid-gated regression rescaling each anchor coordinatewise, per frame.
+) -> np.ndarray:
+    """Sigmoid-gated regression rescaling each [A, 4] anchor coordinatewise: [T, A, 4].
 
     ``fused`` is [T, ...] with one frame per row, ``scores`` the [T, A] box
     scores.  Each row is its own [1, feat] product, so it rounds exactly as a
@@ -145,13 +124,12 @@ def predict_boxes(
     if np.shape(scores) != (len(logits), len(anchors)):
         raise ValueError(f"scores must be [{len(logits)}, {len(anchors)}], got {np.shape(scores)}")
     gates = np.clip(sigmoid(logits.reshape(-1, len(anchors), 4)), 1e-12, 1.0)
-    return [
-        [
-            BoundingBox(g[0] * a.cx, g[1] * a.cy, g[2] * a.w, g[3] * a.h, s, a.class_id)
-            for g, a, s in zip(frame_gates, anchors, frame_scores)
-        ]
-        for frame_gates, frame_scores in zip(gates, scores)
-    ]
+    boxes = gates * anchors
+    bad = (boxes[..., 2] <= 0) | (boxes[..., 3] <= 0) | ~((scores >= 0.0) & (scores <= 1.0))
+    if bad.any():
+        t, a = np.argwhere(bad)[0]
+        BoundingBox(*boxes[t, a], scores[t, a])  # raises with the first bad box's message
+    return boxes
 
 
 def detection_loss(
@@ -182,24 +160,27 @@ def detection_loss(
     return DetectionLossParts(cls=float(cls), reg=float(reg), lam=float(lam))
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.w * a.h + b.w * b.h - inter)
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[list[int]]:
+    """Greedy suppression over every frame of [T, A, 4] boxes with [T, A] scores.
 
-
-def nms(boxes: list[BoundingBox], iou_threshold: float) -> list[BoundingBox]:
-    """Greedy suppression of boxes overlapping a kept box by more than the threshold."""
-    ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx))
-    kept: list[BoundingBox] = []
-    for box in ordered:
-        if all(iou(box, k) <= iou_threshold for k in kept):
-            kept.append(box)
+    Each frame's boxes are ranked by descending score, then ascending cx
+    (stable), and a box is kept when its IoU with every kept box is at most
+    the threshold.  Returns each frame's kept anchor indices in rank order.
+    """
+    order = np.lexsort((boxes[..., 0], -scores))  # [T, A]
+    lo = boxes[..., :2] - boxes[..., 2:] / 2.0  # (x0, y0)
+    hi = boxes[..., :2] + boxes[..., 2:] / 2.0  # (x1, y1)
+    sides = np.minimum(hi[:, :, None], hi[:, None]) - np.maximum(lo[:, :, None], lo[:, None])
+    inter = np.maximum(sides, 0.0).prod(axis=-1)  # [T, A, A]
+    area = boxes[..., 2] * boxes[..., 3]
+    table = (inter / (area[:, :, None] + area[:, None] - inter)).tolist()  # IoU
+    kept = []
+    for frame_order, frame_iou in zip(order.tolist(), table):
+        keep: list[int] = []
+        for i in frame_order:
+            if all(frame_iou[i][k] <= iou_threshold for k in keep):
+                keep.append(i)
+        kept.append(keep)
     return kept
 
 
@@ -257,7 +238,7 @@ class Detector:
             * scale,
             "conv2": rng.normals(c * c * 9).reshape(c, c, 1, 3, 3) * scale,
             "conv3": rng.normals(c * c * 9).reshape(c, c, 1, 3, 3) * scale,
-            "fusion": FusionWeights(raw=(1.0, 1.0, 1.0), eps=self.fusion_eps),
+            "fusion": np.ones(3),
             "reg_w": rng.normals(feat_dim * 4 * self.num_anchors).reshape(
                 feat_dim, 4 * self.num_anchors
             )
@@ -271,7 +252,8 @@ class Detector:
         }
         self.anchors = self._make_anchors()
 
-    def _make_anchors(self) -> list[BoundingBox]:
+    def _make_anchors(self) -> np.ndarray:
+        """[A, 4] anchor rows of (cx, cy, w, h)."""
         h, w = self.frame_hw
         base = [
             (w / 2, h / 2, w, h),
@@ -279,44 +261,44 @@ class Detector:
             (w / 3, h / 3, 0.6 * w, 0.6 * h),
             (2 * w / 3, 2 * h / 3, 0.6 * w, 0.6 * h),
         ]
-        boxes = [BoundingBox(cx, cy, bw, bh) for cx, cy, bw, bh in base]
-        return boxes[: self.num_anchors]
+        return np.array(base[: self.num_anchors], dtype=np.float64).reshape(-1, 4)
 
-    def pyramid(self, clip: np.ndarray) -> FeaturePyramid:
-        """[C,T,H,W] clip to [C,T,h,w] levels; the kt=1 convs keep frames apart."""
+    def pyramid(self, clip: np.ndarray) -> list[np.ndarray]:
+        """[C,T,H,W] clip to coarse-to-fine [C,T,h,w] levels; the kt=1 convs keep frames apart."""
         x = np.asarray(clip, dtype=np.float64)
         levels = []
         for name, spec in PYRAMID_CONVS:
             x = relu(conv3d(x, self._weights[name], spec))
             levels.insert(0, x)
-        return FeaturePyramid(levels=levels)
+        return levels
 
-    def fuse(self, pyramid: FeaturePyramid) -> np.ndarray:
+    def fuse(self, levels: list[np.ndarray]) -> np.ndarray:
         common = [
             lv if lv.shape[-2:] == self.fused_hw else resample_nearest(lv, self.fused_hw)
-            for lv in pyramid.levels
+            for lv in levels
         ]
-        return bifpn_fuse(FeaturePyramid(levels=common), self._weights["fusion"])
+        return bifpn_fuse(common, self._weights["fusion"], self.fusion_eps)
 
-    def detect(self, clip: np.ndarray) -> list[list[BoundingBox]]:
-        """NMS survivors of each frame of a [C,T,H,W] clip."""
+    def detect(self, clip: np.ndarray) -> list[np.ndarray]:
+        """Each frame's NMS survivors of a [C,T,H,W] clip: [K, 5] rows of (cx, cy, w, h, score)."""
         fused = self.fuse(self.pyramid(clip))  # [C, T, h, w]
         rows = fused.transpose(1, 0, 2, 3).reshape(fused.shape[1], 1, -1)  # [T, 1, feat]
         w = self._weights
         scores = sigmoid(linear(rows, w["score_w"], w["score_b"])[:, 0])
         boxes = predict_boxes(rows, w["reg_w"], w["reg_b"], self.anchors, scores)
-        return [nms(frame_boxes, self.iou_threshold) for frame_boxes in boxes]
+        found = np.concatenate([boxes, scores[..., None]], axis=-1)  # [T, A, 5]
+        return [f[keep] for f, keep in zip(found, nms(boxes, scores, self.iou_threshold))]
 
     def best_box(self, clip: np.ndarray) -> list[BoundingBox]:
         """Top surviving box of each frame, or the full frame where none survives."""
-        return [kept[0] if kept else self.full_frame_box() for kept in self.detect(clip)]
+        return [
+            BoundingBox(*kept[0]) if len(kept) else self.full_frame_box()
+            for kept in self.detect(clip)
+        ]
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Every weight array by name; the three fusion weights are one array."""
-        return {
-            name: np.asarray(w.raw) if isinstance(w, FusionWeights) else w
-            for name, w in self._weights.items()
-        }
+        return dict(self._weights)
 
     def full_frame_box(self) -> BoundingBox:
         h, w = self.frame_hw

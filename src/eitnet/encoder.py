@@ -7,7 +7,6 @@ two-layer ReLU feed-forward, and layer-normalizes again.
 
 Attention modes:
 
-* ``joint``     - one attention pass over the whole sequence;
 * ``temporal``  - attention within each spatial position across frames;
 * ``spatial``   - attention within each frame across positions;
 * ``divided``   - temporal pass, then spatial pass, inside the same block.
@@ -26,9 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import as_tensor, layer_norm, linear, relu, softmax
+from .tensorops import (
+    as_tensor,  # noqa: F401  (unused here; perfbench counts as_tensor calls through this name)
+    layer_norm,
+    linear,
+    relu,
+    softmax,
+)
 
-MODES = ("joint", "temporal", "spatial", "divided")
+MODES = ("temporal", "spatial", "divided")
 
 
 @dataclass
@@ -162,35 +167,21 @@ def _grouped_attention(seq: TokenSequence, params: EncoderParams, mode: str) -> 
     return out
 
 
-def encoder_block(tokens, params: EncoderParams, mode: str):
-    """Attention (per mode), residual + norm, feed-forward, residual + norm.
-
-    Accepts a TokenSequence (returned as such) or a bare [S, d] array, which
-    is only valid in joint mode since divided modes need the layout.
-    """
+def encoder_block(seq: TokenSequence, params: EncoderParams, mode: str) -> TokenSequence:
+    """Attention (per mode), residual + norm, feed-forward, residual + norm."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if isinstance(tokens, TokenSequence):
-        seq = tokens
-        x = seq.tokens
-    else:
-        if mode != "joint":
-            raise ValueError(f"{mode!r} mode needs TokenSequence layout metadata")
-        seq = None
-        x = as_tensor(tokens)
-
-    if mode == "joint":
-        z = self_attention(x, params)
-    elif mode == "divided":
+    if mode == "divided":
         after_time = seq.with_tokens(_grouped_attention(seq, params, "temporal"))
         z = _grouped_attention(after_time, params, "spatial")
     else:
         z = _grouped_attention(seq, params, mode)
 
+    x = seq.tokens
     h = layer_norm(z + x, params.norm1_gamma, params.norm1_beta, params.eps)
     f = linear(relu(linear(h, params.w_ffn1, params.b_ffn1)), params.w_ffn2, params.b_ffn2)
     y = layer_norm(f + h, params.norm2_gamma, params.norm2_beta, params.eps)
-    return seq.with_tokens(y) if seq is not None else y
+    return seq.with_tokens(y)
 
 
 CLASSIFICATION_CSV_HEADER = "clip_id,class_id,probability"

@@ -38,27 +38,30 @@ class I3DBlockParams:
     bn_gamma: np.ndarray
     bn_beta: np.ndarray
     bn_eps: float = 1e-5
-    dropout_p: float = 0.0
 
 
-def i3d_block(x: np.ndarray, params: I3DBlockParams, seed: int = 0) -> np.ndarray:
+def i3d_block(
+    x: np.ndarray, params: I3DBlockParams, dropout_p: float = 0.0, seed: int = 0
+) -> np.ndarray:
     """conv3d -> relu -> pool3d_max -> batch_norm -> dropout, exactly in order."""
     out = relu(conv3d(x, params.conv_weight, params.conv_spec, bias=params.conv_bias))
     out = pool3d_max(out, params.pool_spec)
     out = batch_norm(
         out, params.bn_mean, params.bn_var, params.bn_gamma, params.bn_beta, params.bn_eps
     )
-    return dropout(out, params.dropout_p, seed)
+    return dropout(out, dropout_p, seed)
 
 
-def i3d_forward(clip: np.ndarray, blocks: list[I3DBlockParams], seed: int = 0) -> np.ndarray:
+def i3d_forward(
+    clip: np.ndarray, blocks: list[I3DBlockParams], dropout_p: float = 0.0, seed: int = 0
+) -> np.ndarray:
     """Run the block stack on [C,T,H,W] and globally average to [C_final]."""
     if not blocks:
         raise ValueError("i3d_forward needs at least one block")
     out = np.asarray(clip, dtype=np.float64)
     for i, params in enumerate(blocks):
         try:
-            out = i3d_block(out, params, seed=derive_seed(seed, "i3d-block", i))
+            out = i3d_block(out, params, dropout_p, seed=derive_seed(seed, "i3d-block", i))
         except ValueError as exc:
             raise ValueError(f"block {i}: {exc}") from exc
     return global_avg_pool(out)
@@ -106,9 +109,4 @@ class I3DStack:
             c_prev = width
 
     def forward(self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0) -> np.ndarray:
-        if dropout_p == 0.0:
-            return i3d_forward(clip, self.blocks, seed=seed)
-        active = [
-            I3DBlockParams(**{**b.__dict__, "dropout_p": dropout_p}) for b in self.blocks
-        ]
-        return i3d_forward(clip, active, seed=seed)
+        return i3d_forward(clip, self.blocks, dropout_p, seed=seed)

@@ -6,7 +6,10 @@ minimizing sum_i ||p_i - s R phat_i - t||^2 comes from centering both sets,
 taking the orthogonal factor of the cross-covariance (with the smallest
 singular direction flipped when the determinant would be negative), the
 trace-ratio scale, and the centroid-difference translation.  Sequences are
-aligned frame by frame.
+aligned frame by frame, all frames in one batched fit over the [T, J, 3]
+joint stacks (Umeyama, TPAMI 1991): one SVD and one determinant call on the
+[T, 3, 3] cross-covariances, and the degeneracy and rotation checks run on
+every frame at once.
 """
 
 from __future__ import annotations
@@ -54,92 +57,98 @@ class SimilarityTransform:
     def __post_init__(self):
         self.R = np.asarray(self.R, dtype=np.float64)
         self.t = np.asarray(self.t, dtype=np.float64).reshape(3)
-        if self.s <= 0:
-            raise ValueError(f"scale must be positive, got {self.s}")
-        if self.R.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {self.R.shape}")
-        if np.abs(self.R.T @ self.R - np.eye(3)).max() > 1e-9:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(self.R) - 1.0) > 1e-9:
-            raise ValueError("rotation determinant must be +1")
+        _check_similarities(np.array([self.s]), self.R[None])
 
     def apply(self, pose: SkeletonPose) -> SkeletonPose:
         return SkeletonPose(joints=self.s * pose.joints @ self.R.T + self.t)
 
 
+def _check_similarities(s: np.ndarray, R: np.ndarray) -> None:
+    """Positive scales [T] and proper rotations [T, 3, 3], else the first failure."""
+    if (s <= 0).any():
+        raise ValueError(f"scale must be positive, got {s[s <= 0][0]}")
+    if R.shape[1:] != (3, 3):
+        raise ValueError(f"rotation must be 3x3, got {R.shape[1:]}")
+    if np.abs(R.swapaxes(1, 2) @ R - np.eye(3)).max() > 1e-9:
+        raise ValueError("rotation is not orthonormal")
+    if (np.abs(np.linalg.det(R) - 1.0) > 1e-9).any():
+        raise ValueError("rotation determinant must be +1")
+
+
 PoseLike = SkeletonPose | Sequence[SkeletonPose]
 
 
-def _as_sequence(poses: PoseLike) -> list[SkeletonPose]:
-    if isinstance(poses, SkeletonPose):
-        return [poses]
-    seq = list(poses)
-    if not seq:
-        raise ValueError("pose sequence is empty")
-    return seq
-
-
-def _paired(pred: PoseLike, truth: PoseLike) -> list[tuple[SkeletonPose, SkeletonPose]]:
-    p, t = _as_sequence(pred), _as_sequence(truth)
+def _joint_stacks(pred: PoseLike, truth: PoseLike) -> tuple[np.ndarray, np.ndarray]:
+    """[T, J, 3] joints of two equal-length pose sequences (a single pose is T = 1)."""
+    sides = []
+    for poses in (pred, truth):
+        seq = [poses] if isinstance(poses, SkeletonPose) else list(poses)
+        if not seq:
+            raise ValueError("pose sequence is empty")
+        sides.append(seq)
+    p, t = sides
     if len(p) != len(t):
         raise ValueError(f"sequence lengths differ: {len(p)} vs {len(t)}")
     for a, b in zip(p, t):
         if a.count != b.count:
             raise ValueError(f"joint counts differ: {a.count} vs {b.count}")
-    return list(zip(p, t))
+    return np.stack([a.joints for a in p]), np.stack([b.joints for b in t])
+
+
+def _mean_joint_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Mean over frames and joints of ||x - y||.
+
+    The frame sums are added one after another in frame order (a cumulative
+    sum, not a pairwise one), so the value is bitwise that of a per-frame loop.
+    """
+    frame_sums = np.linalg.norm(x - y, axis=2).sum(axis=1)
+    return float(np.cumsum(frame_sums)[-1] / (x.shape[0] * x.shape[1]))
 
 
 def mpjpe(pred: PoseLike, truth: PoseLike) -> float:
     """Mean Euclidean distance between corresponding joints, in millimeters."""
-    total = 0.0
-    count = 0
-    for p, t in _paired(pred, truth):
-        total += np.linalg.norm(p.joints - t.joints, axis=1).sum()
-        count += p.count
-    return total / count
+    return _mean_joint_distance(*_joint_stacks(pred, truth))
 
 
-def _check_nondegenerate(name: str, centered: np.ndarray) -> None:
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[0] < 1e-12 or sv[1] < 1e-9 * sv[0]:
+def _similarity_fit(x: np.ndarray, y: np.ndarray):
+    """Per-frame (s [T], R [T, 3, 3], t [T, 3]) minimizing ||y - (s R x + t)|| over [T, J, 3]."""
+    n = x.shape[1]
+    if n < 3:
+        raise ValueError("alignment needs at least 3 joints")
+    mu_x = x.mean(axis=1, keepdims=True)
+    mu_y = y.mean(axis=1, keepdims=True)
+    xc = x - mu_x
+    yc = y - mu_y
+    sv = np.linalg.svd(np.stack([xc, yc], axis=1), compute_uv=False)  # [T, 2, 3]
+    degenerate = (sv[..., 0] < 1e-12) | (sv[..., 1] < 1e-9 * sv[..., 0])
+    if degenerate.any():
+        side = np.argwhere(degenerate)[0][1]
+        name = ("predicted", "ground-truth")[side]
         raise ValueError(f"{name} joints are coincident or collinear")
+    cov = yc.swapaxes(1, 2) @ xc / n
+    u, d, vt = np.linalg.svd(cov)
+    flip = np.ones_like(d)  # the diagonal of the reflection guard
+    flip[np.linalg.det(u) * np.linalg.det(vt) < 0, 2] = -1.0
+    rot = (u * flip[:, None, :]) @ vt
+    var_x = (xc**2).reshape(len(x), -1).sum(axis=1) / n
+    scale = (d * flip).sum(axis=1) / var_x
+    trans = mu_y[:, 0] - (scale[:, None, None] * rot @ mu_x.swapaxes(1, 2))[..., 0]
+    return scale, rot, trans
 
 
 def procrustes_align(pred: SkeletonPose, truth: SkeletonPose) -> SimilarityTransform:
     """Similarity transform minimizing the summed squared residual to the truth."""
-    if pred.count != truth.count:
-        raise ValueError(f"joint counts differ: {pred.count} vs {truth.count}")
-    if pred.count < 3:
-        raise ValueError("alignment needs at least 3 joints")
-    x = pred.joints
-    y = truth.joints
-    mu_x = x.mean(axis=0)
-    mu_y = y.mean(axis=0)
-    xc = x - mu_x
-    yc = y - mu_y
-    _check_nondegenerate("predicted", xc)
-    _check_nondegenerate("ground-truth", yc)
-    cov = yc.T @ xc / pred.count
-    u, d, vt = np.linalg.svd(cov)
-    flip = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        flip[2, 2] = -1.0
-    rot = u @ flip @ vt
-    var_x = (xc**2).sum() / pred.count
-    scale = float(np.trace(np.diag(d) @ flip) / var_x)
-    trans = mu_y - scale * rot @ mu_x
-    return SimilarityTransform(s=scale, R=rot, t=trans)
+    s, R, t = _similarity_fit(*_joint_stacks(pred, truth))
+    return SimilarityTransform(s=float(s[0]), R=R[0], t=t[0])
 
 
 def pa_mpjpe(pred: PoseLike, truth: PoseLike) -> float:
     """Mean joint error after per-frame Procrustes alignment of pred onto truth."""
-    total = 0.0
-    count = 0
-    for p, t in _paired(pred, truth):
-        aligned = procrustes_align(p, t).apply(p)
-        total += np.linalg.norm(aligned.joints - t.joints, axis=1).sum()
-        count += p.count
-    return total / count
+    x, y = _joint_stacks(pred, truth)
+    s, R, t = _similarity_fit(x, y)
+    _check_similarities(s, R)
+    aligned = s[:, None, None] * x @ R.swapaxes(1, 2) + t[:, None, :]
+    return _mean_joint_distance(aligned, y)
 
 
 def accuracy(predictions: Sequence, truths: Sequence) -> float:

@@ -201,12 +201,11 @@ def pose_bounding_box(
 
 
 def horizontal_flip(clip: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(as_tensor(clip)[..., ::-1])
+    return np.ascontiguousarray(clip[..., ::-1])
 
 
 def rotate_frames(clip: np.ndarray, angle_deg: float) -> np.ndarray:
     """Rotate every frame about its center, nearest-neighbor, zeros outside."""
-    clip = as_tensor(clip)
     if angle_deg == 0.0:
         return clip.copy()
     h, w = clip.shape[2:]
@@ -224,7 +223,6 @@ def rotate_frames(clip: np.ndarray, angle_deg: float) -> np.ndarray:
 
 
 def random_crop(clip: np.ndarray, crop_hw: tuple[int, int], rng: Rng) -> np.ndarray:
-    clip = as_tensor(clip)
     _, _, h, w = clip.shape
     ch, cw = crop_hw
     if ch > h or cw > w:
@@ -241,9 +239,12 @@ def augment(
     flip_prob: float = 0.5,
     max_rotation_deg: float = 15.0,
 ) -> np.ndarray:
-    """Seeded crop, coin-flip horizontal mirror, and rotation within the limit."""
+    """Seeded crop, coin-flip horizontal mirror, and rotation within the limit.
+
+    The clip is validated here once; the three steps trust their input.
+    """
     rng = Rng(seed)
-    out = random_crop(clip, crop_hw, rng)
+    out = random_crop(as_tensor(clip), crop_hw, rng)
     if rng.uniform() < flip_prob:
         out = horizontal_flip(out)
     angle = (2.0 * rng.uniform() - 1.0) * max_rotation_deg

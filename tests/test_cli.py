@@ -1,4 +1,5 @@
 import filecmp
+import re
 from pathlib import Path
 
 import pytest
@@ -199,3 +200,69 @@ class TestGradcheckAndComplexity:
         assert table["linear_4x2"] == (10, 8)
         assert table["conv3d_1to1_k3_on_4cube"] == (28, 216)
         assert table["pipeline"][0] > 0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_FIELD_SPLIT = re.compile(r"([,\s=\[\]():<>]+)")
+_INT = re.compile(r"[+-]?\d+")
+
+
+def assert_same_fields(got_path: Path, want_path: Path) -> None:
+    """Field-by-field CSV comparison: integers and labels exact, floats within 1e-12 relative.
+
+    Comment lines are compared the same way, so a changed float inside a
+    ``#`` line (a loss, an accuracy) shows up too.
+    """
+    got = got_path.read_text().splitlines()
+    want = want_path.read_text().splitlines()
+    assert len(got) == len(want), f"{want_path.name}: {len(got)} lines, want {len(want)}"
+    for n, (g_line, w_line) in enumerate(zip(got, want), start=1):
+        g_fields, w_fields = _FIELD_SPLIT.split(g_line), _FIELD_SPLIT.split(w_line)
+        where = f"{want_path.name}:{n}"
+        assert len(g_fields) == len(w_fields), f"{where}: {g_line!r} != {w_line!r}"
+        for g, w in zip(g_fields, w_fields):
+            if g == w:
+                continue
+            try:
+                g_val, w_val = float(g), float(w)
+            except ValueError:
+                raise AssertionError(f"{where}: {g!r} != {w!r}") from None
+            assert not (_INT.fullmatch(g) or _INT.fullmatch(w)), f"{where}: {g} != {w}"
+            assert abs(g_val - w_val) <= 1e-12 * abs(w_val), f"{where}: {g} != {w}"
+
+
+GOLDEN_RUNS = {
+    "run-pipeline": (["run-pipeline", "--seed", "7"], ["detections.csv", "classifications.csv"]),
+    "eval": (["eval", "--seed", "7", "--epochs", "2"], ["metrics.csv"]),
+    "ablate": (["ablate", "--seed", "7", "--epochs", "1"], ["ablation.csv"]),
+    "complexity": (["complexity"], ["complexity.csv"]),
+    "simulate": (
+        ["simulate", "--seed", "7", "--duration", "100ms"],
+        ["report.csv", "feedback.csv"],
+    ),
+}
+
+
+class TestGolden:
+    """CLI outputs on the seed-7 one-repetition dataset, pinned to recorded files."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+    def test_outputs_match_golden_files(self, name, dataset_dir, tmp_path):
+        argv, files = GOLDEN_RUNS[name]
+        if name in ("run-pipeline", "eval", "ablate"):
+            argv = argv + ["--dataset", str(dataset_dir)]
+        assert dispatch(argv + ["--out", str(tmp_path)]) == 0
+        for file in files:
+            assert_same_fields(tmp_path / file, GOLDEN / file)
+
+    def test_comparison_catches_changed_fields(self, tmp_path):
+        want = tmp_path / "want.csv"
+        want.write_text("# loss=0.5\na,b,c\n1,0.25,x\n")
+        for bad in ("# loss=0.5000001\na,b,c\n1,0.25,x\n", "2,0.25,x\n", "a,b,c\n1,0.25,y\n"):
+            got = tmp_path / "got.csv"
+            got.write_text(bad)
+            with pytest.raises(AssertionError):
+                assert_same_fields(got, want)
+        got = tmp_path / "got.csv"
+        got.write_text("# loss=0.5000000000000001\na,b,c\n1,0.25,x\n")
+        assert_same_fields(got, want)

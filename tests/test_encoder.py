@@ -176,19 +176,6 @@ class TestSelfAttention:
 
 
 class TestEncoderBlock:
-    def test_joint_mode_matches_hand_composition(self):
-        rng = Rng(58)
-        params = make_params(rng)
-        seq = make_sequence(rng)
-        out = encoder_block(seq, params, "joint")
-        z = oracles.attention_oracle(
-            seq.tokens, params.w_q, params.w_k, params.w_v, params.b_q, params.b_k, params.b_v
-        )
-        h = layer_norm(z + seq.tokens, params.norm1_gamma, params.norm1_beta, params.eps)
-        f = linear(relu(linear(h, params.w_ffn1, params.b_ffn1)), params.w_ffn2, params.b_ffn2)
-        ref = layer_norm(f + h, params.norm2_gamma, params.norm2_beta, params.eps)
-        np.testing.assert_allclose(out.tokens, ref, atol=1e-10)
-
     def test_single_frame_divided_equals_spatial_bitwise(self):
         rng = Rng(59)
         params = make_params(rng)
@@ -233,23 +220,6 @@ class TestEncoderBlock:
         rng = Rng(63)
         params = make_params(rng)
         seq = make_sequence(rng, frames=2, gh=2, gw=3, has_summary=True)
-        for mode in ("joint", "temporal", "spatial", "divided"):
+        for mode in ("temporal", "spatial", "divided"):
             out = encoder_block(seq, params, mode)
             assert out.tokens.shape == seq.tokens.shape
-
-    def test_bare_array_requires_joint(self):
-        rng = Rng(64)
-        params = make_params(rng)
-        tokens = rng.normals(8).reshape(2, 4)
-        assert encoder_block(tokens, params, "joint").shape == (2, 4)
-        with pytest.raises(ValueError, match="layout"):
-            encoder_block(tokens, params, "divided")
-
-    def test_permutation_equivariance_joint(self):
-        rng = Rng(65)
-        params = make_params(rng)
-        tokens = rng.normals(5 * 4).reshape(5, 4)
-        perm = [3, 0, 4, 1, 2]
-        out = encoder_block(tokens, params, "joint")
-        out_permuted = encoder_block(tokens[perm], params, "joint")
-        np.testing.assert_allclose(out[perm], out_permuted, atol=1e-12)

@@ -3,10 +3,18 @@ import pytest
 
 from eitnet.i3d import I3DBlockParams, I3DStack, i3d_block, i3d_forward
 from eitnet.rng import Rng, derive_seed
-from eitnet.tensorops import ConvSpec, batch_norm, conv3d, dropout, pool3d_max, relu
+from eitnet.tensorops import (
+    ConvSpec,
+    batch_norm,
+    conv3d,
+    dropout,
+    global_avg_pool,
+    pool3d_max,
+    relu,
+)
 
 
-def identity_block(c=2, dropout_p=0.0):
+def identity_block(c=2):
     w = np.zeros((c, c, 3, 3, 3))
     for i in range(c):
         w[i, i, 1, 1, 1] = 1.0
@@ -20,7 +28,6 @@ def identity_block(c=2, dropout_p=0.0):
         bn_gamma=np.ones(c),
         bn_beta=np.zeros(c),
         bn_eps=0.0,
-        dropout_p=dropout_p,
     )
 
 
@@ -57,15 +64,14 @@ class TestBlock:
         ref = batch_norm(
             ref, params.bn_mean, params.bn_var, params.bn_gamma, params.bn_beta, params.bn_eps
         )
-        ref = dropout(ref, params.dropout_p, 9)
+        ref = dropout(ref, 0.0, 9)
         np.testing.assert_array_equal(out, ref)
 
     def test_dropout_one_zeroes_everything(self):
         rng = Rng(42)
         params = random_block(rng, 1, 2)
-        params.dropout_p = 1.0
         x = rng.normals(1 * 4 * 4 * 4).reshape(1, 4, 4, 4)
-        out = i3d_block(x, params, seed=3)
+        out = i3d_block(x, params, 1.0, seed=3)
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
 
@@ -134,3 +140,16 @@ class TestStack:
         b = stack.forward(clip, dropout_p=0.3, seed=2)
         assert not np.array_equal(a, b)
         np.testing.assert_array_equal(a, stack.forward(clip, dropout_p=0.3, seed=1))
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_forward_matches_hand_composition_bitwise(self, p):
+        stack = I3DStack(seed=3)
+        clip = Rng(50).normals(1 * 8 * 12 * 12).reshape(1, 8, 12, 12)
+        out = clip
+        for i, b in enumerate(stack.blocks):
+            out = relu(conv3d(out, b.conv_weight, b.conv_spec, bias=b.conv_bias))
+            out = pool3d_max(out, b.pool_spec)
+            out = batch_norm(out, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta, b.bn_eps)
+            out = dropout(out, p, derive_seed(4, "i3d-block", i))
+        ref = global_avg_pool(out)
+        assert stack.forward(clip, dropout_p=p, seed=4).tobytes() == ref.tobytes()

@@ -9,6 +9,7 @@ from eitnet.metrics import (
     VIEW_IDS,
     SimilarityTransform,
     SkeletonPose,
+    _similarity_fit,
     accuracy,
     make_split,
     mpjpe,
@@ -16,6 +17,51 @@ from eitnet.metrics import (
     procrustes_align,
 )
 from eitnet.rng import Rng
+
+
+def per_frame_procrustes(pred: SkeletonPose, truth: SkeletonPose) -> SimilarityTransform:
+    """One frame's similarity fit, the reference for the batched fit."""
+    x = pred.joints
+    y = truth.joints
+    mu_x = x.mean(axis=0)
+    mu_y = y.mean(axis=0)
+    xc = x - mu_x
+    yc = y - mu_y
+    cov = yc.T @ xc / pred.count
+    u, d, vt = np.linalg.svd(cov)
+    flip = np.eye(3)
+    if np.linalg.det(u) * np.linalg.det(vt) < 0:
+        flip[2, 2] = -1.0
+    rot = u @ flip @ vt
+    var_x = (xc**2).sum() / pred.count
+    scale = float(np.trace(np.diag(d) @ flip) / var_x)
+    trans = mu_y - scale * rot @ mu_x
+    return SimilarityTransform(s=scale, R=rot, t=trans)
+
+
+def per_frame_pa_mpjpe(pred: list[SkeletonPose], truth: list[SkeletonPose]) -> float:
+    """The frame-by-frame PA-MPJPE loop that the batched fit replaced."""
+    total = 0.0
+    count = 0
+    for p, t in zip(pred, truth):
+        aligned = per_frame_procrustes(p, t).apply(p)
+        total += np.linalg.norm(aligned.joints - t.joints, axis=1).sum()
+        count += p.count
+    return total / count
+
+
+def random_sequence(rng, frames=8, n=17):
+    """A prediction and a truth sequence; every third frame is nearly a similarity image."""
+    pred, truth = [], []
+    for f in range(frames):
+        p = random_pose(rng, n=n, scale=100.0 * (0.1 + 10.0 * rng.uniform()))
+        if f % 3 == 0:
+            t = random_similarity(rng).apply(p).joints + rng.normals(n * 3).reshape(n, 3)
+        else:
+            t = random_pose(rng, n=n, scale=300.0).joints
+        pred.append(p)
+        truth.append(SkeletonPose(joints=t))
+    return pred, truth
 
 
 def random_pose(rng, n=5, scale=100.0):
@@ -71,6 +117,15 @@ class TestMpjpe:
         ]
         assert mpjpe(pred, truth) == 2.0
 
+    def test_matches_per_frame_sum_bitwise(self):
+        rng = Rng(84)
+        for clip in range(50):
+            pred, truth = random_sequence(rng, n=(17, 3, 5, 16)[clip % 4])
+            total = 0.0
+            for p, t in zip(pred, truth):
+                total += np.linalg.norm(p.joints - t.joints, axis=1).sum()
+            assert mpjpe(pred, truth) == total / (len(pred) * pred[0].count)
+
     def test_count_mismatch_raises(self):
         with pytest.raises(ValueError, match="joint counts"):
             mpjpe(SkeletonPose(joints=np.zeros((2, 3))), SkeletonPose(joints=np.zeros((3, 3))))
@@ -114,6 +169,21 @@ class TestProcrustes:
         tf = procrustes_align(pose, mirrored)
         assert np.linalg.det(tf.R) == pytest.approx(1.0, abs=1e-9)
 
+    def test_batched_fit_matches_per_frame_reference_bitwise(self):
+        rng = Rng(81)
+        for clip in range(100):
+            pred, truth = random_sequence(rng, n=(17, 3, 5, 16)[clip % 4])
+            x = np.stack([p.joints for p in pred])
+            y = np.stack([t.joints for t in truth])
+            s, R, t = _similarity_fit(x, y)
+            for f, (p, q) in enumerate(zip(pred, truth)):
+                ref = per_frame_procrustes(p, q)
+                assert s[f] == ref.s
+                assert R[f].tobytes() == ref.R.tobytes()
+                assert t[f].tobytes() == ref.t.tobytes()
+            single = procrustes_align(pred[0], truth[0])
+            assert (single.s, single.R.tobytes()) == (s[0], R[0].tobytes())
+
     def test_degenerate_geometry_raises(self):
         line = SkeletonPose(joints=np.outer(np.arange(4.0), [1.0, 2.0, 3.0]))
         target = SkeletonPose(joints=np.arange(12.0).reshape(4, 3))
@@ -129,6 +199,58 @@ class TestProcrustes:
 
 
 class TestPaMpjpe:
+    def test_matches_per_frame_reference_bitwise(self):
+        rng = Rng(82)
+        for clip in range(100):
+            pred, truth = random_sequence(rng, n=(17, 3, 5, 16)[clip % 4])
+            assert pa_mpjpe(pred, truth) == per_frame_pa_mpjpe(pred, truth)
+
+    def test_first_degenerate_frame_reported_predicted_first(self):
+        rng = Rng(83)
+        pred, truth = random_sequence(rng, frames=4, n=5)
+        line = SkeletonPose(joints=np.outer(np.arange(5.0), [1.0, 2.0, 3.0]))
+        pred[2] = line
+        truth[1] = line
+        with pytest.raises(ValueError, match="^ground-truth joints are coincident or collinear$"):
+            pa_mpjpe(pred, truth)
+        truth[2] = line
+        truth[1] = pred[1]
+        with pytest.raises(ValueError, match="^predicted joints are coincident or collinear$"):
+            pa_mpjpe(pred, truth)
+
+    def test_zero_cross_covariance_keeps_scale_message(self):
+        # planar sets in orthogonal subspaces of the centered joint space: cov = 0, so s = 0
+        v1, v2, v3, v4 = (
+            np.array(v, dtype=float)
+            for v in ([1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [1, 1, -1, -1, 0], [1, 1, 1, 1, -4])
+        )
+        pred = SkeletonPose(joints=np.column_stack([v1, v2, np.zeros(5)]))
+        truth = SkeletonPose(joints=np.column_stack([v3, v4, np.zeros(5)]))
+        with pytest.raises(ValueError, match="^scale must be positive, got 0.0$"):
+            procrustes_align(pred, truth)
+        with pytest.raises(ValueError, match="^scale must be positive, got 0.0$"):
+            pa_mpjpe([truth, pred], [truth, truth])  # the second frame fails
+
+    @pytest.mark.parametrize(
+        "pred, truth, message",
+        [
+            ([], [SkeletonPose(joints=np.eye(3))], "pose sequence is empty"),
+            ([SkeletonPose(joints=np.eye(3))], [], "pose sequence is empty"),
+            ([SkeletonPose(joints=np.eye(3))] * 2, [SkeletonPose(joints=np.eye(3))],
+             "sequence lengths differ: 2 vs 1"),
+            ([SkeletonPose(joints=np.eye(3))], [SkeletonPose(joints=np.ones((4, 3)))],
+             "joint counts differ: 3 vs 4"),
+            (SkeletonPose(joints=np.eye(3)[:2]), SkeletonPose(joints=np.eye(3)[:2]),
+             "alignment needs at least 3 joints"),
+        ],
+    )
+    def test_bad_sequences_keep_their_messages(self, pred, truth, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pa_mpjpe(pred, truth)
+        if "3 joints" not in message:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                mpjpe(pred, truth)
+
     def test_similarity_transform_of_truth_scores_zero(self):
         rng = Rng(76)
         truth = random_pose(rng)

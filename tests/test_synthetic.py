@@ -106,6 +106,17 @@ class TestAugment:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (1, 4, 14, 14)
 
+    def test_clip_validated_once_per_call(self, monkeypatch):
+        from eitnet import synthetic
+
+        calls = []
+        real = synthetic.as_tensor
+        monkeypatch.setattr(
+            synthetic, "as_tensor", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        augment(self.clip(), seed=42, crop_hw=(14, 14), flip_prob=1.0)
+        assert len(calls) == 1
+
     def test_oversized_crop_raises(self):
         with pytest.raises(ValueError, match="larger than clip"):
             random_crop(self.clip(), (32, 32), Rng(1))

@@ -14,6 +14,7 @@ levels are [C,T,h,w], anchors [A, 4] and predicted boxes [T, A, 4] rows of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,6 +67,17 @@ class DetectionLossParts:
         return self.cls + self.lam * self.reg
 
 
+@functools.lru_cache(maxsize=256)
+def _nearest_index(in_h: int, in_w: int, out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only [out_h, 1] source rows and [1, out_w] source columns (center rule)."""
+    rows = np.minimum(((np.arange(out_h) + 0.5) * in_h / out_h).astype(int), in_h - 1)
+    cols = np.minimum(((np.arange(out_w) + 0.5) * in_w / out_w).astype(int), in_w - 1)
+    rows, cols = rows[:, None], cols[None, :]
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def resample_nearest(feature: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     """Nearest-neighbor resample of [..., H, W] to [..., out_h, out_w] (center rule)."""
     feature = np.asarray(feature, dtype=np.float64)
@@ -73,9 +85,8 @@ def resample_nearest(feature: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray
     out_h, out_w = out_hw
     if out_h < 1 or out_w < 1:
         raise ValueError("output extents must be positive")
-    rows = np.minimum(((np.arange(out_h) + 0.5) * in_h / out_h).astype(int), in_h - 1)
-    cols = np.minimum(((np.arange(out_w) + 0.5) * in_w / out_w).astype(int), in_w - 1)
-    return np.ascontiguousarray(feature[..., rows[:, None], cols[None, :]])
+    rows, cols = _nearest_index(in_h, in_w, out_h, out_w)
+    return np.ascontiguousarray(feature[..., rows, cols])
 
 
 def bifpn_fuse(levels: list[np.ndarray], raw: np.ndarray, eps: float) -> np.ndarray:

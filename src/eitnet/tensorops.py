@@ -14,12 +14,28 @@ finite.  The kernels take their arrays with ``np.asarray(x, dtype=np.float64)``,
 which copies nothing for a float64 array and scans nothing; they check only
 ranks and shapes.
 
+``conv3d`` and ``pool3d_max`` are lowered to one gather and one reduction
+(im2col).  ``_window_index`` maps every (kernel offset, output position) pair
+to a cell of the input flattened to ``[C, T*H*W + 1]``, whose extra last cell
+holds the padding value (0 for the convolution, -inf for the pool).  One
+``np.take`` gathers the ``[C, K, M]`` window cells; the pool takes their max,
+the convolution multiplies ``[C_out, C_in*K]`` weights by them as one
+``[C_in*K, M]`` matrix.  That is the matrix product, in the same operand
+order and layouts, that ``np.einsum(optimize=True)`` ran for the pipeline's
+convolutions, so their outputs keep their bits.  The index depends only on the
+input extents and the ``ConvSpec``; it is built once per pair in a bounded
+``functools.lru_cache`` and returned read-only, so a cached value is never
+mutated and the kernels stay pure.
+
 Serialization uses a little-endian binary layout: magic ``EITT``, u8 rank,
 rank x u32 extents, then the row-major float64 payload.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -58,6 +74,15 @@ class ConvSpec:
     bias_enabled: bool = True
 
     def __post_init__(self):
+        for name in ("kernel", "stride", "padding"):
+            value = getattr(self, name)
+            try:
+                triple = tuple(operator.index(v) for v in value)
+            except TypeError:
+                raise ValueError(f"{name} must be 3 integers, got {value!r}") from None
+            if len(triple) != 3:
+                raise ValueError(f"{name} must be 3 integers, got {value!r}")
+            object.__setattr__(self, name, triple)
         if any(k < 1 for k in self.kernel):
             raise ValueError(f"kernel extents must be >= 1, got {self.kernel}")
         if any(s < 1 for s in self.stride):
@@ -78,20 +103,35 @@ class ConvSpec:
         return tuple(out)
 
 
-def _pad(x: np.ndarray, padding: Triple, fill: float) -> np.ndarray:
-    """Copy of [C,T,H,W] x with ``padding`` cells of ``fill`` around its last three axes."""
-    pt, ph, pw = padding
-    c, t, h, w = x.shape
-    out = np.full((c, t + 2 * pt, h + 2 * ph, w + 2 * pw), fill)
-    out[:, pt : pt + t, ph : ph + h, pw : pw + w] = x
-    return out
+@functools.lru_cache(maxsize=64)
+def _window_index(extents: Triple, spec: ConvSpec) -> np.ndarray:
+    """Read-only [kt*kh*kw, T'*H'*W'] index of each window cell in a flat [T*H*W + 1] row.
+
+    Rows run over the kernel offsets, columns over the output positions, both
+    row-major.  A cell that falls in the padding indexes the extra last slot,
+    where the caller puts its fill value.
+    """
+    out = spec.output_extents(extents)  # not cached: an empty output raises on every call
+    cells = math.prod(extents)
+    ids = np.full([n + 2 * p for n, p in zip(extents, spec.padding)], cells)  # padded grid
+    inner = tuple(slice(p, p + n) for n, p in zip(extents, spec.padding))
+    ids[inner] = np.arange(cells).reshape(extents)
+    t, h, w = (
+        np.arange(k)[:, None] + s * np.arange(m) for k, s, m in zip(spec.kernel, spec.stride, out)
+    )  # [k, m] padded coordinates per axis
+    index = ids[t[:, None, None, :, None, None], h[:, None, None, :, None], w[:, None, None, :]]
+    index = index.reshape(math.prod(spec.kernel), -1)
+    index.setflags(write=False)
+    return index
 
 
-def _windows(padded: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Sliding [.., T', H', W', kt, kh, kw] view over the last three axes."""
-    view = np.lib.stride_tricks.sliding_window_view(padded, spec.kernel, axis=(-3, -2, -1))
-    st, sh, sw = spec.stride
-    return view[..., ::st, ::sh, ::sw, :, :, :]
+def _gather_windows(x: np.ndarray, index: np.ndarray, fill: float) -> np.ndarray:
+    """[C, K, M] window cells of [C,T,H,W] x, with ``fill`` in the padding cells."""
+    c = x.shape[0]
+    rows = np.empty((c, x[0].size + 1))
+    rows[:, :-1] = x.reshape(c, -1)
+    rows[:, -1] = fill
+    return np.take(rows, index, axis=1)
 
 
 def conv3d(
@@ -110,7 +150,7 @@ def conv3d(
         )
     if tuple(weights.shape[2:]) != tuple(spec.kernel):
         raise ValueError(f"weights kernel {weights.shape[2:]} != spec kernel {spec.kernel}")
-    spec.output_extents(x.shape[1:])
+    out_extents = spec.output_extents(x.shape[1:])
     c_out = weights.shape[0]
     if spec.bias_enabled:
         if bias is None:
@@ -119,11 +159,12 @@ def conv3d(
         if bias.shape != (c_out,):
             raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
 
-    win = _windows(_pad(x, spec.padding, 0.0), spec)
-    out = np.einsum("cthwijk,ocijk->othw", win, weights, optimize=True)
+    index = _window_index(x.shape[1:], spec)
+    cols = _gather_windows(x, index, 0.0).reshape(-1, index.shape[1])  # [C_in*K, M]
+    out = (weights.reshape(c_out, -1) @ cols).reshape((c_out,) + out_extents)
     if spec.bias_enabled:
         out = out + bias[:, None, None, None]
-    return np.ascontiguousarray(out)
+    return out
 
 
 def pool3d_max(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -136,12 +177,11 @@ def pool3d_max(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ValueError(f"pool3d_max input must be [C,T,H,W], got rank {x.ndim}")
-    spec.output_extents(x.shape[1:])
+    out_extents = spec.output_extents(x.shape[1:])
     if any(p >= k for p, k in zip(spec.padding, spec.kernel)):
         raise ValueError(f"padding {spec.padding} must be < kernel {spec.kernel}")
-    padded = _pad(x, spec.padding, -np.inf) if any(spec.padding) else x
-    win = _windows(padded, spec)
-    return np.ascontiguousarray(win.max(axis=(-3, -2, -1)))
+    cells = _gather_windows(x, _window_index(x.shape[1:], spec), -np.inf)
+    return cells.max(axis=1).reshape(x.shape[:1] + out_extents)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eitnet import detection
 from eitnet.detection import (
     BoundingBox,
     Detector,
@@ -324,6 +325,19 @@ class TestCropRegion:
         plane = rng.normals(5 * 7).reshape(5, 7)
         out = resample_nearest(plane[None], (3, 4))[0]
         np.testing.assert_array_equal(out, oracles.nearest_resample_oracle(plane, 3, 4))
+
+    def test_resample_index_cache_is_read_only_and_bounded(self):
+        rows, cols = detection._nearest_index(5, 7, 3, 4)
+        assert rows.shape == (3, 1) and cols.shape == (1, 4)
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert detection._nearest_index.cache_info().maxsize is not None
+
+    def test_resample_input_extents_each_match_oracle(self):
+        rng = Rng(31)
+        for in_hw in [(5, 7), (7, 5), (5, 7), (2, 9)]:
+            plane = rng.normals(in_hw[0] * in_hw[1]).reshape(in_hw)
+            out = resample_nearest(plane[None], (3, 4))[0]
+            np.testing.assert_array_equal(out, oracles.nearest_resample_oracle(plane, 3, 4))
 
 
 class TestDetector:

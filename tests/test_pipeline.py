@@ -19,6 +19,8 @@ from eitnet.pipeline import (
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
 from eitnet.tensorops import conv3d, linear
 
+from test_tensorops import np_pad_conv3d, np_pad_pool3d_max
+
 ALL_TOGGLES = [
     StageToggles(),
     StageToggles(temporal=False),
@@ -136,6 +138,28 @@ class TestForward:
         with pytest.raises(ValueError, match="7 boxes for a clip of 8 frames"):
             model.forward(clip, boxes=boxes[:7])
 
+    def test_forward_and_extract_bitwise_equal_to_einsum_kernels(self, monkeypatch):
+        clips = [s.clip for s in generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)]
+        model = PipelineModel(PipelineConfig(), seed=7)
+
+        def run():
+            rows = []
+            for i, clip in enumerate(clips[:50]):
+                out = model.forward(clip)
+                rows.append((out.probs, out.cls_feat, out.pose_feat))
+                rows.append(model.extract(clip, dropout_p=0.05, seed=i))
+            return [b"".join(a.tobytes() for a in row) for row in rows]
+
+        got = run()
+
+        def einsum_conv3d(x, weights, spec, bias=None):
+            return np_pad_conv3d(x, weights, spec, bias)
+
+        monkeypatch.setattr(detection, "conv3d", einsum_conv3d)
+        monkeypatch.setattr(i3d, "conv3d", einsum_conv3d)
+        monkeypatch.setattr(i3d, "pool3d_max", np_pad_pool3d_max)
+        assert got == run()
+
     def test_forward_deterministic(self, samples):
         a = PipelineModel(PipelineConfig(), seed=9).forward(samples[1].clip)
         b = PipelineModel(PipelineConfig(), seed=9).forward(samples[1].clip)
@@ -155,6 +179,11 @@ class TestComplexity:
 
     def test_conv_toy_case(self):
         assert count_conv3d(1, 1, (3, 3, 3), (4, 4, 4)) == (28, 216)
+
+    @pytest.mark.parametrize("kernel", [(2, 2), (2, 2.5, 2)])
+    def test_conv_malformed_kernel_raises(self, kernel):
+        with pytest.raises(ValueError, match="kernel must be 3 integers"):
+            count_conv3d(1, 1, kernel, (4, 4, 4))
 
     def test_attention_projection_scaling(self):
         assert count_attention_projections(64) == 4 * count_attention_projections(32) - 3 * 2 * 32

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eitnet import tensorops
 from eitnet.rng import Rng
 from eitnet.tensorops import (
     ConvSpec,
@@ -155,7 +156,9 @@ class TestPaddingBuffer:
             (c_out, shape[0]) + spec.kernel
         )
         b = rng.normals(c_out)
-        np.testing.assert_array_equal(conv3d(x, w, spec, bias=b), np_pad_conv3d(x, w, spec, b))
+        out = conv3d(x, w, spec, bias=b)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, np_pad_conv3d(x, w, spec, b))
 
     @pytest.mark.parametrize("shape", [shape for shape, _, _ in PIPELINE_CONVS])
     @pytest.mark.parametrize(
@@ -168,7 +171,92 @@ class TestPaddingBuffer:
     )
     def test_pool3d_max_equals_np_pad_bitwise(self, shape, spec):
         x = Rng(sum(shape)).normals(math.prod(shape)).reshape(shape)
-        np.testing.assert_array_equal(pool3d_max(x, spec), np_pad_pool3d_max(x, spec))
+        out = pool3d_max(x, spec)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, np_pad_pool3d_max(x, spec))
+
+    def test_pool3d_max_sweep_equals_np_pad_bitwise(self):
+        rng = Rng(103)
+        for trial in range(60):
+            c = 1 + rng.below(3)
+            kernel = (1, 1, 1) if trial < 5 else random_shape(rng, 3, hi=3)
+            extents = tuple(k + rng.below(4) for k in kernel)
+            stride = random_shape(rng, 3, hi=3)
+            padding = tuple(rng.below(k) for k in kernel)
+            x = rng.normals(c * math.prod(extents)).reshape((c,) + extents)
+            spec = ConvSpec(kernel=kernel, stride=stride, padding=padding)
+            np.testing.assert_array_equal(pool3d_max(x, spec), np_pad_pool3d_max(x, spec))
+
+
+class TestConvSpec:
+    @pytest.mark.parametrize("field", ["kernel", "stride", "padding"])
+    @pytest.mark.parametrize("value", [(2, 2), (1, 1, 1, 1), ()])
+    def test_wrong_length_raises(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be 3 integers"):
+            ConvSpec(**{"kernel": (1, 1, 1), field: value})
+
+    @pytest.mark.parametrize("field", ["kernel", "stride", "padding"])
+    @pytest.mark.parametrize("value", [(2.5, 1, 1), (1, 1, 1.0), 3, None])
+    def test_non_integer_raises(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be 3 integers"):
+            ConvSpec(**{"kernel": (1, 1, 1), field: value})
+
+    def test_list_and_numpy_entries_become_int_tuples(self):
+        spec = ConvSpec(kernel=[1, np.int64(3), 3], stride=[1, 2, 2], padding=np.array([0, 1, 1]))
+        assert spec == ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1))
+        for triple in (spec.kernel, spec.stride, spec.padding):
+            assert type(triple) is tuple and all(type(v) is int for v in triple)
+        hash(spec)
+
+
+class TestWindowIndexCache:
+    def test_index_is_read_only(self):
+        index = tensorops._window_index((4, 5, 6), I3D_CONV)
+        assert index.shape == (27, 4 * 5 * 6)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
+
+    def test_cache_is_bounded(self):
+        assert tensorops._window_index.cache_info().maxsize is not None
+
+    def test_padding_cells_index_the_fill_slot(self):
+        index = tensorops._window_index((1, 2, 2), DETECTOR_SAME)
+        # the first output cell's window: row -1 and column -1 are padding
+        assert index[:, 0].tolist() == [4, 4, 4, 4, 0, 1, 4, 2, 3]
+
+    def test_one_spec_on_two_extents(self):
+        rng = Rng(104)
+        spec = ConvSpec(kernel=(2, 3, 3), stride=(1, 2, 1), padding=(1, 1, 0))
+        w = rng.normals(2 * 3 * 18).reshape(2, 3, 2, 3, 3)
+        b = rng.normals(2)
+        for extents in [(3, 5, 4), (4, 3, 6), (3, 5, 4)]:
+            x = rng.normals(3 * math.prod(extents)).reshape((3,) + extents)
+            ref = oracles.conv3d_oracle(x, w, spec.stride, spec.padding, b)
+            assert np.abs(conv3d(x, w, spec, bias=b) - ref).max() <= 1e-10
+            pool_ref = oracles.pool3d_max_oracle(x, spec.kernel, spec.stride, spec.padding)
+            np.testing.assert_array_equal(pool3d_max(x, spec), pool_ref)
+
+    def test_empty_output_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="empty output"):
+                tensorops._window_index((2, 2, 2), ConvSpec(kernel=(3, 1, 1)))
+
+    def test_kernels_use_neither_einsum_nor_window_views(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(np, "einsum", forbidden)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", forbidden)
+        rng = Rng(105)
+        x = rng.normals(2 * 3 * 5 * 5).reshape(2, 3, 5, 5)
+        w = rng.normals(4 * 2 * 27).reshape(4, 2, 3, 3, 3)
+        b = rng.normals(4)
+        spec = ConvSpec(kernel=(3, 3, 3), stride=(1, 2, 2), padding=(1, 1, 1))
+        ref = oracles.conv3d_oracle(x, w, spec.stride, spec.padding, b)
+        assert np.abs(conv3d(x, w, spec, bias=b) - ref).max() <= 1e-10
+        pool_ref = oracles.pool3d_max_oracle(x, spec.kernel, spec.stride, spec.padding)
+        np.testing.assert_array_equal(pool3d_max(x, spec), pool_ref)
 
 
 class TestPool3dMax:

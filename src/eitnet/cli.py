@@ -59,12 +59,28 @@ class ConfigError(Exception):
     """Unresolvable paths or invalid option values (exit code 3)."""
 
 
+def _config(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError reported as an invalid option."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_duration_us(text: str) -> int:
     raw = text.strip().lower()
-    for suffix, scale in (("us", 1), ("ms", 1_000), ("s", 1_000_000)):
-        if raw.endswith(suffix):
-            return int(float(raw[: -len(suffix)]) * scale)
-    return int(raw)
+    try:
+        for suffix, scale in (("us", 1), ("ms", 1_000), ("s", 1_000_000)):
+            if raw.endswith(suffix):
+                duration = int(float(raw[: -len(suffix)]) * scale)
+                break
+        else:
+            duration = int(raw)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"invalid duration {text!r}; use e.g. 2s, 250ms, 33333us") from None
+    if duration <= 0:
+        raise ConfigError(f"duration must be positive, got {text!r}")
+    return duration
 
 
 def parse_toggles(text: str) -> StageToggles:
@@ -73,14 +89,21 @@ def parse_toggles(text: str) -> StageToggles:
     unknown = parts - valid
     if unknown:
         raise ConfigError(f"unknown stage toggles {sorted(unknown)}; choose from det,i3d,tsf")
-    try:
-        return StageToggles(
-            detection="det" in parts,
-            spatiotemporal="i3d" in parts,
-            temporal="tsf" in parts,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _config(
+        StageToggles,
+        detection="det" in parts,
+        spatiotemporal="i3d" in parts,
+        temporal="tsf" in parts,
+    )
+
+
+def _hyperparams(args) -> Hyperparams:
+    """The training regimen from --lr, --epochs and --seed."""
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
+    if not 0.0 < args.lr < float("inf"):
+        raise ConfigError(f"--lr must be positive and finite, got {args.lr}")
+    return Hyperparams(lr=args.lr, epochs=args.epochs, seed=args.seed)
 
 
 def _require_dataset(path_text: str | None):
@@ -99,8 +122,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_gen_data(args) -> int:
+    config = _config(DatasetConfig, repetitions=args.repetitions)
     out = _outdir(args)
-    config = DatasetConfig(repetitions=args.repetitions)
     samples = generate_synthetic_dataset(config, args.seed)
     save_dataset(out, samples, args.seed)
     print(f"wrote {len(samples)} samples to {out}")
@@ -111,6 +134,8 @@ def cmd_run_pipeline(args) -> int:
     from .detection import BoundingBox, detection_loss
     from .synthetic import pose_bounding_box
 
+    if not args.lam >= 0.0:
+        raise ConfigError(f"--lambda must be >= 0, got {args.lam}")
     samples = _require_dataset(args.dataset)
     out = _outdir(args)
     config = PipelineConfig(toggles=parse_toggles(args.toggles))
@@ -124,7 +149,8 @@ def cmd_run_pipeline(args) -> int:
         output = model.forward(sample.clip, boxes=boxes)
         frames = sample.clip.shape[1]
         h, w = sample.clip.shape[2:]
-        for t, box in enumerate(boxes):
+        for t, row in enumerate(boxes.tolist()):
+            box = BoundingBox(*row)
             detection_rows.append(detection_csv_row(i * frames + t, sample.view_id, box))
             cx, cy, bw, bh = pose_bounding_box(sample.poses[t], h, w)
             pred_boxes.append(box)
@@ -164,12 +190,12 @@ def _split_comments(plan) -> tuple[str, ...]:
 
 
 def cmd_train(args) -> int:
+    hp = _hyperparams(args)
     samples = _require_dataset(args.dataset)
     out = _outdir(args)
     plan = make_split(args.axis, args.seed)
     train_samples, _ = split_samples(samples, plan)
     model = PipelineModel(PipelineConfig(toggles=parse_toggles(args.toggles)), seed=args.seed)
-    hp = Hyperparams(lr=args.lr, epochs=args.epochs, seed=args.seed)
     result = train_toy(model, train_samples, hp)
     write_csv(
         out / "learning_curves.csv",
@@ -190,12 +216,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    hp = _hyperparams(args)
     samples = _require_dataset(args.dataset)
     out = _outdir(args)
     plan = make_split(args.axis, args.seed)
     train_samples, test_samples = split_samples(samples, plan)
     model = PipelineModel(PipelineConfig(toggles=parse_toggles(args.toggles)), seed=args.seed)
-    hp = Hyperparams(lr=args.lr, epochs=args.epochs, seed=args.seed)
     train_toy(model, train_samples, hp)
     metrics = evaluate_pipeline(model, test_samples)
     row = (
@@ -217,10 +243,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    hp = _hyperparams(args)
     samples = _require_dataset(args.dataset)
     out = _outdir(args)
     plan = make_split(args.axis, args.seed)
-    hp = Hyperparams(lr=args.lr, epochs=args.epochs, seed=args.seed)
     rows = run_ablation(samples, plan, PipelineConfig(), hp)
     full = rows[0]
     observations = []
@@ -293,9 +319,11 @@ def _window_hook(seed: int, frame_hw: tuple[int, int]):
 
 
 def cmd_simulate(args) -> int:
-    out = _outdir(args)
-    specs = _default_camera_specs(args)
+    specs = _config(_default_camera_specs, args)
     duration = parse_duration_us(args.duration)
+    if args.window_period_us is not None and args.window_period_us <= 0:
+        raise ConfigError(f"--window-period-us must be positive, got {args.window_period_us}")
+    out = _outdir(args)
     report = run_simulation(
         specs,
         duration_us=duration,

@@ -8,8 +8,9 @@ the gating form), and greedy NMS picks the surviving boxes.
 
 Between stages everything is a plain array over the whole clip: pyramid
 levels are [C,T,h,w], anchors [A, 4] and predicted boxes [T, A, 4] rows of
-(cx, cy, w, h) with [T, A] scores, and one NMS call covers every frame.  A
-``BoundingBox`` is built only where a caller needs one: each frame's crop box.
+(cx, cy, w, h) with [T, A] scores, and one NMS call covers every frame.  The
+crop boxes are one [T, 5] array of (cx, cy, w, h, score) rows, and one gather
+crops the whole clip to them.  ``BoundingBox`` is the one-box type of the CLI.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ class BoundingBox:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
-    def corners(self) -> tuple[float, float, float, float]:
-        return (
-            self.cx - self.w / 2.0,
-            self.cy - self.h / 2.0,
-            self.cx + self.w / 2.0,
-            self.cy + self.h / 2.0,
-        )
-
 
 @dataclass(frozen=True)
 class DetectionLossParts:
@@ -67,12 +60,17 @@ class DetectionLossParts:
         return self.cls + self.lam * self.reg
 
 
+def _center_index(n, out: int) -> np.ndarray:
+    """Center rule, [..., out]: sample i of n cells reads min(floor((i + 0.5) * n / out), n - 1)."""
+    n = np.asarray(n)[..., None]
+    return np.minimum(((np.arange(out) + 0.5) * n / out).astype(int), n - 1)
+
+
 @functools.lru_cache(maxsize=256)
 def _nearest_index(in_h: int, in_w: int, out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only [out_h, 1] source rows and [1, out_w] source columns (center rule)."""
-    rows = np.minimum(((np.arange(out_h) + 0.5) * in_h / out_h).astype(int), in_h - 1)
-    cols = np.minimum(((np.arange(out_w) + 0.5) * in_w / out_w).astype(int), in_w - 1)
-    rows, cols = rows[:, None], cols[None, :]
+    rows = _center_index(in_h, out_h)[:, None]
+    cols = _center_index(in_w, out_w)[None, :]
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
@@ -195,22 +193,27 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[lis
     return kept
 
 
-def crop_region(
-    frame: np.ndarray, box: BoundingBox, out_hw: tuple[int, int]
-) -> np.ndarray:
-    """Clamp the box to the frame and nearest-resample the crop to out_hw."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 3:
-        raise ValueError(f"frame must be [C,H,W], got rank {frame.ndim}")
-    _, h, w = frame.shape
-    x0, y0, x1, y1 = box.corners()
-    c0 = max(int(math.floor(x0)), 0)
-    r0 = max(int(math.floor(y0)), 0)
-    c1 = min(int(math.ceil(x1)), w)
-    r1 = min(int(math.ceil(y1)), h)
-    if c1 <= c0 or r1 <= r0:
-        raise ValueError(f"box {box} does not intersect a {h}x{w} frame")
-    return resample_nearest(frame[:, r0:r1, c0:c1], out_hw)
+def crop_region(clip: np.ndarray, boxes: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
+    """Crop each [C,T,H,W] frame to its clamped box row in one gather: [C,T,out_h,out_w]."""
+    clip = np.asarray(clip, dtype=np.float64)
+    boxes = np.asarray(boxes, dtype=np.float64)
+    c, t, h, w = clip.shape
+    if boxes.ndim != 2 or boxes.shape[1] < 4 or len(boxes) != t:
+        raise ValueError(f"{len(boxes)} boxes for a clip of {t} frames, need [{t}, >=4] rows")
+    if min(out_hw) < 1:
+        raise ValueError("output extents must be positive")
+    centers, extents = boxes[:, :2], boxes[:, 2:4]
+    start = np.maximum(np.floor(centers - extents / 2.0), 0.0)  # (c0, r0)
+    stop = np.minimum(np.ceil(centers + extents / 2.0), (w, h))  # (c1, r1)
+    ok = ((stop > start) & (extents > 0.0) & np.isfinite(centers + extents)).all(axis=1)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(f"frame {k} box {boxes[k].tolist()} does not intersect a {h}x{w} frame")
+    start, stop = start.astype(int), stop.astype(int)
+    rows = start[:, 1:] + _center_index(stop[:, 1] - start[:, 1], out_hw[0])  # [T, out_h]
+    cols = start[:, :1] + _center_index(stop[:, 0] - start[:, 0], out_hw[1])  # [T, out_w]
+    flat = (np.arange(t)[:, None, None] * h + rows[:, :, None]) * w + cols[:, None, :]
+    return np.take(clip.reshape(c, -1), flat, axis=1)
 
 
 SAME_CONV = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1), bias_enabled=False)
@@ -300,20 +303,20 @@ class Detector:
         found = np.concatenate([boxes, scores[..., None]], axis=-1)  # [T, A, 5]
         return [f[keep] for f, keep in zip(found, nms(boxes, scores, self.iou_threshold))]
 
-    def best_box(self, clip: np.ndarray) -> list[BoundingBox]:
-        """Top surviving box of each frame, or the full frame where none survives."""
-        return [
-            BoundingBox(*kept[0]) if len(kept) else self.full_frame_box()
-            for kept in self.detect(clip)
-        ]
+    def best_box(self, clip: np.ndarray) -> np.ndarray:
+        """[T, 5] rows: each frame's top surviving box, or the full frame where none survives."""
+        full = full_frame_box(self.frame_hw)
+        return np.array([kept[0] if len(kept) else full for kept in self.detect(clip)])
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Every weight array by name; the three fusion weights are one array."""
         return dict(self._weights)
 
-    def full_frame_box(self) -> BoundingBox:
-        h, w = self.frame_hw
-        return BoundingBox(cx=w / 2.0, cy=h / 2.0, w=float(w), h=float(h))
+
+def full_frame_box(frame_hw: tuple[int, int]) -> np.ndarray:
+    """The whole frame as one (cx, cy, w, h, score) row, with score 1."""
+    h, w = frame_hw
+    return np.array([w / 2.0, h / 2.0, w, h, 1.0])
 
 
 DETECTION_CSV_HEADER = "frame_id,camera_id,class_id,score,cx,cy,w,h"

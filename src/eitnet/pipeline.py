@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ACTION_LABELS
-from .detection import PYRAMID_CONVS, BoundingBox, Detector, crop_region
+from .detection import PYRAMID_CONVS, Detector, crop_region, full_frame_box
 from .encoder import EncoderParams, TokenSequence, encoder_block, patch_embed
 from .i3d import I3DStack
 from .metrics import SkeletonPose, accuracy, mpjpe, pa_mpjpe
@@ -186,25 +186,21 @@ class PipelineModel:
 
     # -- frozen stages -----------------------------------------------------
 
-    def frame_boxes(self, clip: np.ndarray) -> list[BoundingBox]:
-        """Each frame's crop box: the detector's best box, or the full frame without it.
+    def frame_boxes(self, clip: np.ndarray) -> np.ndarray:
+        """[T, 5] crop boxes: the detector's best boxes, or the full frame without it.
 
         ``clip`` is trusted: a validated [C,T,H,W] float64 clip.
         """
         if self.config.toggles.detection:
             return self.detector.best_box(clip)
-        h, w = clip.shape[2:]
-        return [BoundingBox(cx=w / 2.0, cy=h / 2.0, w=float(w), h=float(h))] * clip.shape[1]
+        return np.tile(full_frame_box(clip.shape[2:]), (clip.shape[1], 1))
 
-    def crop_clip(self, clip: np.ndarray, boxes: list[BoundingBox] | None = None) -> np.ndarray:
-        """Validate the clip and crop each frame to its box (default: ``frame_boxes``)."""
+    def crop_clip(self, clip: np.ndarray, boxes: np.ndarray | None = None) -> np.ndarray:
+        """Validate the clip and crop each frame to its box row (default: ``frame_boxes``)."""
         clip = as_tensor(clip)
         if boxes is None:
             boxes = self.frame_boxes(clip)
-        elif len(boxes) != clip.shape[1]:
-            raise ValueError(f"{len(boxes)} boxes for a clip of {clip.shape[1]} frames")
-        crops = [crop_region(clip[:, t], box, self.config.crop_hw) for t, box in enumerate(boxes)]
-        return np.stack(crops, axis=1)
+        return crop_region(clip, boxes, self.config.crop_hw)
 
     def stage_features(self, cropped: np.ndarray, dropout_p: float = 0.0, seed: int = 0):
         if self.config.toggles.spatiotemporal:
@@ -238,7 +234,7 @@ class PipelineModel:
         clip: np.ndarray,
         dropout_p: float = 0.0,
         seed: int = 0,
-        boxes: list[BoundingBox] | None = None,
+        boxes: np.ndarray | None = None,
     ):
         """Frozen-stage forward: (classifier feature, pose feature), standardized.
 
@@ -299,7 +295,7 @@ class PipelineModel:
         clip: np.ndarray,
         dropout_p: float = 0.0,
         seed: int = 0,
-        boxes: list[BoundingBox] | None = None,
+        boxes: np.ndarray | None = None,
     ) -> PipelineOutput:
         cls_feat, pose_feat = self.extract(clip, dropout_p=dropout_p, seed=seed, boxes=boxes)
         return PipelineOutput(

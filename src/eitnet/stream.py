@@ -469,7 +469,7 @@ def run_simulation(
             f"threaded mode starts one thread per camera: at most "
             f"{MAX_THREADED_CAMERAS} cameras, got {len(specs)}"
         )
-    period = window_period_us or specs[0].frame_period_us
+    period = specs[0].frame_period_us if window_period_us is None else window_period_us
     h, w = frame_hw
     outputs = {
         s.camera_id: _run_producer(s, duration_us, seed, frame_hw, handshakes) for s in specs

@@ -69,10 +69,6 @@ class TrainResult:
     history: list[EpochStats]
     stopped_early: bool
 
-    @property
-    def final(self) -> EpochStats:
-        return self.history[-1]
-
 
 class EarlyStopper:
     """Strictly-better-than-best rule with a consecutive-failure budget."""

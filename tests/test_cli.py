@@ -88,6 +88,36 @@ class TestExitCodes:
         assert code == 3
 
 
+INVALID_CONFIG_ARGV = [
+    ["simulate", "--duration", "abc"],
+    ["simulate", "--duration", "0s"],
+    ["simulate", "--period-us", "0"],
+    ["simulate", "--drop-prob", "1.5"],
+    ["simulate", "--jitter-us", "-1"],
+    ["simulate", "--window-period-us", "-5"],
+    ["simulate", "--window-period-us", "0"],
+    ["simulate", "--camera-config", "{cameras}"],
+    ["gen-data", "--repetitions", "0"],
+    ["train", "--dataset", "{dataset}", "--epochs", "0"],
+    ["train", "--dataset", "{dataset}", "--lr", "-1"],
+    ["eval", "--dataset", "{dataset}", "--lr", "nan"],
+    ["ablate", "--dataset", "{dataset}", "--epochs", "0"],
+    ["run-pipeline", "--dataset", "{dataset}", "--lambda", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_CONFIG_ARGV, ids=" ".join)
+def test_invalid_option_exits_3_before_any_output(argv, dataset_dir, tmp_path, capsys):
+    cameras = tmp_path / "cameras.txt"
+    cameras.write_text("id=1 period_us=0\n")
+    argv = [a.format(dataset=dataset_dir, cameras=cameras) for a in argv]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--seed", "7", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 class TestGenData:
     def test_dataset_roundtrip(self, dataset_dir):
         samples = load_dataset(dataset_dir)

@@ -14,7 +14,7 @@ from eitnet.detection import (
     predict_boxes,
     resample_nearest,
 )
-from eitnet.pipeline import PipelineConfig, PipelineModel
+from eitnet.pipeline import PipelineConfig, PipelineModel, StageToggles
 from eitnet.rng import Rng
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
 from eitnet.tensorops import linear, sigmoid
@@ -26,10 +26,19 @@ def rand_level(rng, c=2, h=4, w=4):
     return rng.normals(c * h * w).reshape(c, h, w)
 
 
+def corners(box: BoundingBox) -> tuple[float, float, float, float]:
+    return (
+        box.cx - box.w / 2.0,
+        box.cy - box.h / 2.0,
+        box.cx + box.w / 2.0,
+        box.cy + box.h / 2.0,
+    )
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Scalar IoU of two boxes, the reference for the array NMS."""
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
+    ax0, ay0, ax1, ay1 = corners(a)
+    bx0, by0, bx1, by1 = corners(b)
     iw = min(ax1, bx1) - max(ax0, bx0)
     ih = min(ay1, by1) - max(ay0, by0)
     if iw <= 0 or ih <= 0:
@@ -71,6 +80,33 @@ def reference_detect(det: Detector, clip: np.ndarray) -> list[list[BoundingBox]]
 
 def box_rows(boxes: list[BoundingBox]) -> np.ndarray:
     return np.array([[b.cx, b.cy, b.w, b.h, b.score] for b in boxes]).reshape(-1, 5)
+
+
+def frame_crop_region(frame: np.ndarray, box: BoundingBox, out_hw: tuple[int, int]) -> np.ndarray:
+    """The per-frame crop that the whole-clip gather replaced: one [C,H,W] frame, one box."""
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 3:
+        raise ValueError(f"frame must be [C,H,W], got rank {frame.ndim}")
+    _, h, w = frame.shape
+    x0, y0, x1, y1 = corners(box)
+    c0 = max(int(math.floor(x0)), 0)
+    r0 = max(int(math.floor(y0)), 0)
+    c1 = min(int(math.ceil(x1)), w)
+    r1 = min(int(math.ceil(y1)), h)
+    if c1 <= c0 or r1 <= r0:
+        raise ValueError(f"box {box} does not intersect a {h}x{w} frame")
+    return resample_nearest(frame[:, r0:r1, c0:c1], out_hw)
+
+
+def frame_by_frame_crops(clip, boxes, out_hw) -> list:
+    """Each frame's reference crop, or None where the reference raises."""
+    crops = []
+    for t, row in enumerate(np.asarray(boxes).tolist()):
+        try:
+            crops.append(frame_crop_region(clip[:, t], BoundingBox(*row[:4]), out_hw))
+        except (ValueError, OverflowError):
+            crops.append(None)
+    return crops
 
 
 class TestBifpnFuse:
@@ -298,27 +334,105 @@ class TestCropRegion:
     def test_full_frame_identity(self):
         rng = Rng(29)
         frame = rng.normals(2 * 4 * 4).reshape(2, 4, 4)
-        box = BoundingBox(2.0, 2.0, 4.0, 4.0)
-        np.testing.assert_array_equal(crop_region(frame, box, (4, 4)), frame)
+        boxes = np.array([[2.0, 2.0, 4.0, 4.0, 1.0]])
+        np.testing.assert_array_equal(crop_region(frame[:, None], boxes, (4, 4))[:, 0], frame)
 
     def test_downscale_constant(self):
-        frame = np.full((1, 8, 8), 3.25)
-        box = BoundingBox(4.0, 4.0, 8.0, 8.0)
-        out = crop_region(frame, box, (4, 4))
-        np.testing.assert_array_equal(out, np.full((1, 4, 4), 3.25))
+        clip = np.full((1, 2, 8, 8), 3.25)
+        boxes = np.array([[4.0, 4.0, 8.0, 8.0], [3.0, 5.0, 2.5, 6.0]])
+        out = crop_region(clip, boxes, (4, 4))
+        np.testing.assert_array_equal(out, np.full((1, 2, 4, 4), 3.25))
 
     def test_checkerboard_matches_oracle_resampler(self):
         board = np.indices((4, 4)).sum(axis=0) % 2
-        frame = board[None, :, :].astype(float)
-        box = BoundingBox(2.0, 2.0, 4.0, 4.0)
-        out = crop_region(frame, box, (2, 2))
-        ref = oracles.nearest_resample_oracle(frame[0], 2, 2)
-        np.testing.assert_array_equal(out[0], ref)
+        clip = board[None, None, :, :].astype(float)
+        out = crop_region(clip, np.array([[2.0, 2.0, 4.0, 4.0, 1.0]]), (2, 2))
+        ref = oracles.nearest_resample_oracle(clip[0, 0], 2, 2)
+        np.testing.assert_array_equal(out[0, 0], ref)
 
     def test_no_intersection_raises(self):
-        frame = np.ones((1, 4, 4))
-        with pytest.raises(ValueError, match="intersect"):
-            crop_region(frame, BoundingBox(100.0, 100.0, 2.0, 2.0), (2, 2))
+        clip = np.ones((1, 3, 4, 4))
+        boxes = np.array([[2.0, 2.0, 2.0, 2.0], [100.0, 100.0, 2.0, 2.0], [-9.0, 2.0, 2.0, 2.0]])
+        with pytest.raises(ValueError, match=r"^frame 1 box .* does not intersect a 4x4 frame$"):
+            crop_region(clip, boxes, (2, 2))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (np.nan, 2.0, 2.0, 2.0),
+            (2.0, 2.0, np.nan, 2.0),
+            (np.inf, 2.0, 2.0, 2.0),
+            (2.0, -np.inf, 2.0, 2.0),
+            (2.0, 2.0, np.inf, 2.0),
+            (2.5, 2.5, 0.0, 2.0),  # would span one pixel if empty boxes were allowed
+            (2.5, 2.5, 2.0, -0.5),
+        ],
+    )
+    def test_empty_or_non_finite_box_raises(self, row):
+        clip = np.ones((1, 2, 4, 4))
+        boxes = np.array([(2.0, 2.0, 2.0, 2.0), row])
+        assert frame_by_frame_crops(clip, boxes, (2, 2))[1] is None  # the reference raises too
+        with pytest.raises(ValueError, match="^frame 1 box .* does not intersect"):
+            crop_region(clip, boxes, (2, 2))
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 3), (7, 5), (9, 5)])
+    def test_box_array_must_match_frames(self, shape):
+        with pytest.raises(ValueError, match=f"^{shape[0]} boxes for a clip of 8 frames"):
+            crop_region(np.ones((1, 8, 4, 4)), np.ones(shape), (2, 2))
+
+    @pytest.mark.parametrize("detection", [True, False])
+    def test_equals_frame_by_frame_crop_on_seed7_clips(self, detection):
+        samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
+        model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=7)
+        for sample in samples:
+            boxes = model.frame_boxes(sample.clip)
+            ref = np.stack(frame_by_frame_crops(sample.clip, boxes, (12, 12)), axis=1)
+            got = model.crop_clip(sample.clip)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            assert got.flags.c_contiguous
+
+    def test_equals_frame_by_frame_crop_on_random_boxes(self):
+        """3200 boxes in 8-frame clips: inside, partly outside, missing and under a pixel."""
+        rng = Rng(35)
+        raised = 0
+        for trial in range(400):
+            h, w = (16, 16) if trial % 2 else (5 + rng.below(12), 5 + rng.below(12))
+            clip = rng.normals(2 * 8 * h * w).reshape(2, 8, h, w)
+            out_hw = (1 + rng.below(13), 1 + rng.below(13))
+            boxes = np.array(
+                [
+                    [
+                        -0.3 * w + 1.6 * w * rng.uniform(),
+                        -0.3 * h + 1.6 * h * rng.uniform(),
+                        w * math.exp(-5.0 + 5.5 * rng.uniform()),
+                        h * math.exp(-5.0 + 5.5 * rng.uniform()),
+                        rng.uniform(),
+                    ]
+                    for _ in range(8)
+                ]
+            )
+            ref = frame_by_frame_crops(clip, boxes, out_hw)
+            kept = [t for t, crop in enumerate(ref) if crop is not None]
+            if len(kept) < 8:
+                raised += 8 - len(kept)
+                first = min(set(range(8)) - set(kept))
+                with pytest.raises(ValueError, match=f"^frame {first} box .* does not intersect"):
+                    crop_region(clip, boxes, out_hw)
+            if kept:
+                got = crop_region(clip[:, kept], boxes[kept], out_hw)
+                want = np.stack([ref[t] for t in kept], axis=1)
+                assert got.tobytes() == want.tobytes(), trial
+        assert 100 < raised < 1600  # both outcomes are well represented
+
+    # 33 and 49 tell (i + 0.5) * n / out from (i + 0.5) * (n / out), which rounds otherwise
+    @pytest.mark.parametrize("out", [5, 33, 49])
+    def test_center_rule_over_an_extent_array_matches_oracle(self, out):
+        extents = np.array([1, 2, 5, 7, 12, 16, 18])
+        rows = detection._center_index(extents, out)
+        assert rows.shape == (7, out)
+        for n, row in zip(extents, rows):
+            plane = np.arange(float(n))[:, None]
+            np.testing.assert_array_equal(row, oracles.nearest_resample_oracle(plane, out, 1)[:, 0])
 
     def test_resample_matches_oracle_on_random(self):
         rng = Rng(30)
@@ -355,8 +469,10 @@ class TestDetector:
         det = Detector(frame_hw=(16, 16), seed=5)
         rng = Rng(32)
         frame = np.abs(rng.normals(16 * 16)).reshape(1, 16, 16)
-        crop = crop_region(frame, det.best_box(frame[:, None])[0], (12, 12))
-        assert crop.shape == (1, 12, 12)
+        boxes = det.best_box(frame[:, None])
+        assert boxes.shape == (1, 5) and boxes.dtype == np.float64
+        crop = crop_region(frame[:, None], boxes, (12, 12))
+        assert crop.shape == (1, 1, 12, 12)
 
     def test_clip_detect_equals_frame_by_frame_bitwise(self):
         det = Detector(frame_hw=(16, 16), seed=5)
@@ -378,10 +494,17 @@ class TestDetector:
             assert len(got) == len(ref)
             for survivors, kept in zip(got, ref):
                 assert survivors.tobytes() == box_rows(kept).tobytes()
-            assert det.best_box(sample.clip) == [kept[0] for kept in ref]
+            best = det.best_box(sample.clip)
+            assert best.tobytes() == box_rows([kept[0] for kept in ref]).tobytes()
 
     def test_frame_without_survivor_gets_full_frame(self, monkeypatch):
         det = Detector(frame_hw=(16, 12), seed=5)
-        clip = np.ones((1, 2, 16, 12))
-        monkeypatch.setattr(Detector, "detect", lambda self, clip: [np.zeros((0, 5))] * 2)
-        assert det.best_box(clip) == [det.full_frame_box()] * 2
+        clip = np.ones((1, 3, 16, 12))
+        found = np.array([[3.0, 4.0, 5.0, 6.0, 0.75], [1.0, 1.0, 1.0, 1.0, 0.5]])
+        survivors = [np.zeros((0, 5)), found, np.zeros((0, 5))]
+        monkeypatch.setattr(Detector, "detect", lambda self, clip: survivors)
+        full = [6.0, 8.0, 12.0, 16.0, 1.0]  # (w/2, h/2, w, h, score) of the 16x12 frame
+        assert det.best_box(clip).tolist() == [full, found[0].tolist(), full]
+        assert detection.full_frame_box((16, 12)).tolist() == full
+        off = PipelineModel(PipelineConfig(toggles=StageToggles(detection=False)), seed=5)
+        assert off.frame_boxes(np.ones((1, 3, 16, 12))).tolist() == [full] * 3

@@ -131,12 +131,28 @@ class TestForward:
         model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=3)
         clip = samples[0].clip
         boxes = model.frame_boxes(clip)
-        assert len(boxes) == 8
+        assert boxes.shape == (8, 5) and boxes.dtype == np.float64
         a, b = model.forward(clip, boxes=boxes), model.forward(clip)
         for name in ("probs", "cls_feat", "pose_feat"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         with pytest.raises(ValueError, match="7 boxes for a clip of 8 frames"):
             model.forward(clip, boxes=boxes[:7])
+
+    @pytest.mark.parametrize("detection", [True, False])
+    def test_crop_region_runs_once_per_clip(self, samples, monkeypatch, detection):
+        calls = []
+        crop_region = pipeline.crop_region
+
+        def counted(clip, boxes, out_hw):
+            calls.append((clip.shape, boxes.shape))
+            return crop_region(clip, boxes, out_hw)
+
+        monkeypatch.setattr(pipeline, "crop_region", counted)
+        model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=3)
+        for sample in samples[:3]:
+            model.forward(sample.clip)
+        model.extract(samples[0].clip, boxes=model.frame_boxes(samples[0].clip))
+        assert calls == [((1, 8, 16, 16), (8, 5))] * 4  # one whole-clip call per clip
 
     def test_forward_and_extract_bitwise_equal_to_einsum_kernels(self, monkeypatch):
         clips = [s.clip for s in generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)]

@@ -568,6 +568,10 @@ class TestSimulation:
         full = [row for row in report.window_rows if row[1] == 1.0]
         assert len(full) == 30
 
+    def test_window_period_zero_is_rejected_not_defaulted(self):
+        with pytest.raises(ValueError, match="window period must be positive"):
+            run_simulation([spec(1)], duration_us=5_000, seed=1, window_period_us=0)
+
     def test_drop_rate_estimate(self):
         specs = [spec(1, period=100, drop=0.1)]
         report = run_simulation(specs, duration_us=1_000_000, seed=9)

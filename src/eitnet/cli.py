@@ -136,16 +136,16 @@ def cmd_run_pipeline(args) -> int:
 
     if not args.lam >= 0.0:
         raise ConfigError(f"--lambda must be >= 0, got {args.lam}")
+    config = PipelineConfig(toggles=parse_toggles(args.toggles))
     samples = _require_dataset(args.dataset)
     out = _outdir(args)
-    config = PipelineConfig(toggles=parse_toggles(args.toggles))
     model = PipelineModel(config, seed=args.seed)
     detection_rows, class_rows = [], []
     pred_boxes, true_boxes, scores = [], [], []
     features_dir = out / "features"
     features_dir.mkdir(exist_ok=True)
     for i, sample in enumerate(samples):
-        boxes = model.frame_boxes(sample.clip)  # the dataset load validated the clip
+        boxes = model.frame_boxes(sample.clip[None])[0]  # the dataset load validated the clip
         output = model.forward(sample.clip, boxes=boxes)
         frames = sample.clip.shape[1]
         h, w = sample.clip.shape[2:]
@@ -191,11 +191,12 @@ def _split_comments(plan) -> tuple[str, ...]:
 
 def cmd_train(args) -> int:
     hp = _hyperparams(args)
+    config = PipelineConfig(toggles=parse_toggles(args.toggles))
     samples = _require_dataset(args.dataset)
     out = _outdir(args)
     plan = make_split(args.axis, args.seed)
     train_samples, _ = split_samples(samples, plan)
-    model = PipelineModel(PipelineConfig(toggles=parse_toggles(args.toggles)), seed=args.seed)
+    model = PipelineModel(config, seed=args.seed)
     result = train_toy(model, train_samples, hp)
     write_csv(
         out / "learning_curves.csv",
@@ -217,11 +218,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     hp = _hyperparams(args)
+    config = PipelineConfig(toggles=parse_toggles(args.toggles))
     samples = _require_dataset(args.dataset)
     out = _outdir(args)
     plan = make_split(args.axis, args.seed)
     train_samples, test_samples = split_samples(samples, plan)
-    model = PipelineModel(PipelineConfig(toggles=parse_toggles(args.toggles)), seed=args.seed)
+    model = PipelineModel(config, seed=args.seed)
     train_toy(model, train_samples, hp)
     metrics = evaluate_pipeline(model, test_samples)
     row = (
@@ -323,6 +325,8 @@ def cmd_simulate(args) -> int:
     duration = parse_duration_us(args.duration)
     if args.window_period_us is not None and args.window_period_us <= 0:
         raise ConfigError(f"--window-period-us must be positive, got {args.window_period_us}")
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
     out = _outdir(args)
     report = run_simulation(
         specs,
@@ -393,9 +397,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_complexity(args) -> int:
+    config = PipelineConfig(toggles=parse_toggles(args.toggles))
     out = _outdir(args)
     rows = []
-    params, macs = count_params_flops(PipelineConfig(toggles=parse_toggles(args.toggles)))
+    params, macs = count_params_flops(config)
     rows.append(f"pipeline,{params},{macs}")
     p, m = count_linear(4, 2)
     rows.append(f"linear_4x2,{p},{m}")

@@ -228,7 +228,8 @@ class Detector:
 
     Weights are drawn from the seeded stream at construction; nothing here is
     trained. Clips enter as [C,T,H,W] and every stage runs on all T frames at
-    once; detect() returns each frame's NMS survivors.
+    once; detect() returns each frame's NMS survivors.  best_box() takes a
+    [B,C,T,H,W] stack and joins its clips on the T axis.
     """
 
     frame_hw: tuple[int, int]
@@ -303,10 +304,17 @@ class Detector:
         found = np.concatenate([boxes, scores[..., None]], axis=-1)  # [T, A, 5]
         return [f[keep] for f, keep in zip(found, nms(boxes, scores, self.iou_threshold))]
 
-    def best_box(self, clip: np.ndarray) -> np.ndarray:
-        """[T, 5] rows: each frame's top surviving box, or the full frame where none survives."""
+    def best_box(self, clips: np.ndarray) -> np.ndarray:
+        """[B, T, 5] rows: each frame's top surviving box, or the full frame where none survives.
+
+        The [B,C,T,H,W] stack runs as one clip of B*T frames: the convs have
+        kt=1 and every later stage works frame by frame, so no frame sees
+        another clip's.
+        """
+        b, c, t, h, w = clips.shape
         full = full_frame_box(self.frame_hw)
-        return np.array([kept[0] if len(kept) else full for kept in self.detect(clip)])
+        kept = self.detect(clips.swapaxes(0, 1).reshape(c, b * t, h, w))
+        return np.array([k[0] if len(k) else full for k in kept]).reshape(b, t, 5)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Every weight array by name; the three fusion weights are one array."""

@@ -16,6 +16,10 @@ the degenerate geometries exact: with one frame the divided block equals the
 spatial block bitwise, and with a 1x1 grid it equals the temporal block.
 The summary token always forms its own singleton group in divided modes;
 the other groups are regrouped by a reshape and attended in one batched call.
+
+A sequence is one clip's [S, d] tokens or a [B, S, d] stack of B clips'.
+Every product over a stack is one matrix product per clip (per attention
+group), so each clip's tokens keep the bits they get on their own.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ MODES = ("temporal", "spatial", "divided")
 
 @dataclass
 class TokenSequence:
-    """[S, d_model] tokens plus the layout needed to regroup them."""
+    """[S, d_model] or [B, S, d_model] tokens plus the layout needed to regroup them."""
 
     tokens: np.ndarray
     frames: int
@@ -49,21 +53,21 @@ class TokenSequence:
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.float64)
-        if self.tokens.ndim != 2:
-            raise ValueError(f"tokens must be [S, d], got rank {self.tokens.ndim}")
+        if self.tokens.ndim not in (2, 3):
+            raise ValueError(f"tokens must be [S, d] or [B, S, d], got rank {self.tokens.ndim}")
         if min(self.frames, self.grid_h, self.grid_w, self.patch) < 1:
             raise ValueError("layout extents must be >= 1")
         expected = self.frames * self.grid_h * self.grid_w + (1 if self.has_summary else 0)
-        if self.tokens.shape[0] != expected:
+        if self.tokens.shape[-2] != expected:
             raise ValueError(
-                f"{self.tokens.shape[0]} tokens inconsistent with layout "
+                f"{self.tokens.shape[-2]} tokens inconsistent with layout "
                 f"{self.frames}x{self.grid_h}x{self.grid_w}"
                 f"{' + summary' if self.has_summary else ''}"
             )
 
     @property
     def width(self) -> int:
-        return self.tokens.shape[1]
+        return self.tokens.shape[-1]
 
     def with_tokens(self, tokens: np.ndarray) -> "TokenSequence":
         return TokenSequence(
@@ -108,11 +112,14 @@ def patch_embed(
     proj_bias: np.ndarray,
     pos_enc: np.ndarray,
 ) -> TokenSequence:
-    """Flatten P x P x C patches, project to d_model, and add positional rows."""
+    """Flatten P x P x C patches, project to d_model, and add positional rows.
+
+    ``clip`` is one [C,T,H,W] clip or a [B,C,T,H,W] stack, whose tokens are [B, S, d].
+    """
     clip = np.asarray(clip, dtype=np.float64)
-    if clip.ndim != 4:
-        raise ValueError(f"clip must be [C,T,H,W], got rank {clip.ndim}")
-    c, t, h, w = clip.shape
+    if clip.ndim not in (4, 5):
+        raise ValueError(f"clip must be [C,T,H,W] or [B,C,T,H,W], got rank {clip.ndim}")
+    *lead, c, t, h, w = clip.shape
     p = patch_size
     if p < 1 or h % p or w % p:
         raise ValueError(f"patch size {p} must divide frame extents {h}x{w}")
@@ -129,7 +136,9 @@ def patch_embed(
             f"positional table must be [{count}, {proj_weight.shape[1]}], got {pos_enc.shape}"
         )
     # [C,T,gh,P,gw,P] -> [T,gh,gw,C,P,P]: frame-major tokens, each patch flattened C,row,col
-    patches = clip.reshape(c, t, gh, p, gw, p).transpose(1, 2, 4, 0, 3, 5).reshape(count, -1)
+    n = len(lead)
+    axes = [*range(n), *(n + a for a in (1, 2, 4, 0, 3, 5))]
+    patches = clip.reshape(*lead, c, t, gh, p, gw, p).transpose(axes).reshape(*lead, count, -1)
     tokens = linear(patches, proj_weight, proj_bias) + pos_enc
     return TokenSequence(tokens=tokens, frames=t, grid_h=gh, grid_w=gw, patch=p)
 
@@ -137,12 +146,12 @@ def patch_embed(
 def self_attention(tokens: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Scaled dot-product attention with single-head QKV projections.
 
-    Takes one [S, d] sequence or a [G, S, d] stack of G groups attended
-    independently.
+    Takes one [S, d] sequence or a [..., G, S, d] stack of groups attended
+    independently (at most two leading axes).
     """
     tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim not in (2, 3):
-        raise ValueError(f"tokens must be [S, d] or [G, S, d], got rank {tokens.ndim}")
+    if tokens.ndim not in (2, 3, 4):
+        raise ValueError(f"tokens must be [S, d] or [..., G, S, d], got rank {tokens.ndim}")
     if tokens.shape[-1] != params.d_model:
         raise ValueError(
             f"token width {tokens.shape[-1]} != projection width {params.d_model}"
@@ -155,15 +164,19 @@ def self_attention(tokens: np.ndarray, params: EncoderParams) -> np.ndarray:
 
 
 def _grouped_attention(seq: TokenSequence, params: EncoderParams, mode: str) -> np.ndarray:
-    """One batched pass over all groups: [hw, T, d] (temporal) or [T, hw, d] (spatial)."""
+    """One batched pass over all groups: [(B,) hw, T, d] (temporal) or [(B,) T, hw, d] (spatial)."""
     base = 1 if seq.has_summary else 0
-    grid = seq.tokens[base:].reshape(seq.frames, seq.grid_h * seq.grid_w, seq.width)
+    lead = seq.tokens.shape[:-2]
+    grid = seq.tokens[..., base:, :].reshape(
+        lead + (seq.frames, seq.grid_h * seq.grid_w, seq.width)
+    )
     temporal = mode == "temporal"
-    groups = grid.swapaxes(0, 1) if temporal else grid
+    groups = grid.swapaxes(-3, -2) if temporal else grid
     out = seq.tokens.copy()
-    if groups.shape[1] > 1:  # singleton groups pass through unchanged
+    if groups.shape[-2] > 1:  # singleton groups pass through unchanged
         attended = self_attention(groups, params)
-        out[base:] = (attended.swapaxes(0, 1) if temporal else attended).reshape(-1, seq.width)
+        attended = attended.swapaxes(-3, -2) if temporal else attended
+        out[..., base:, :] = attended.reshape(lead + (-1, seq.width))
     return out
 
 

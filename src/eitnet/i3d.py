@@ -5,6 +5,10 @@ inference-mode batch normalization, dropout.  A forward pass chains the
 blocks and finishes with per-channel global average pooling.  Plain blocks
 with channel widths chosen at desk scale stand in for the Inception-style
 branch topology, whose per-branch widths are not part of this build.
+
+Every stage runs on a [B, C, T, H, W] stack of B clips and gives each clip
+the bits it gets on its own: the convolution is one matrix product per clip,
+and dropout draws each clip's mask from that clip's seed.
 """
 
 from __future__ import annotations
@@ -41,27 +45,40 @@ class I3DBlockParams:
 
 
 def i3d_block(
-    x: np.ndarray, params: I3DBlockParams, dropout_p: float = 0.0, seed: int = 0
+    x: np.ndarray, params: I3DBlockParams, dropout_p: float = 0.0, seeds=None
 ) -> np.ndarray:
-    """conv3d -> relu -> pool3d_max -> batch_norm -> dropout, exactly in order."""
+    """conv3d -> relu -> pool3d_max -> batch_norm -> dropout on [B,C,T,H,W], exactly in order.
+
+    ``seeds`` holds one dropout seed per clip; only dropout reads them.
+    """
     out = relu(conv3d(x, params.conv_weight, params.conv_spec, bias=params.conv_bias))
     out = pool3d_max(out, params.pool_spec)
     out = batch_norm(
-        out, params.bn_mean, params.bn_var, params.bn_gamma, params.bn_beta, params.bn_eps
+        out, params.bn_mean, params.bn_var, params.bn_gamma, params.bn_beta, params.bn_eps, axis=1
     )
-    return dropout(out, dropout_p, seed)
+    if not dropout_p:
+        return out
+    return np.stack([dropout(clip, dropout_p, seed) for clip, seed in zip(out, seeds)])
 
 
 def i3d_forward(
-    clip: np.ndarray, blocks: list[I3DBlockParams], dropout_p: float = 0.0, seed: int = 0
+    clips: np.ndarray, blocks: list[I3DBlockParams], dropout_p: float = 0.0, seeds=None
 ) -> np.ndarray:
-    """Run the block stack on [C,T,H,W] and globally average to [C_final]."""
+    """Run the block stack on [B,C,T,H,W] and globally average to [B, C_final].
+
+    ``seeds`` holds one seed per clip (default 0); block i of a clip draws its
+    dropout mask from ``derive_seed(seed, "i3d-block", i)``.
+    """
     if not blocks:
         raise ValueError("i3d_forward needs at least one block")
-    out = np.asarray(clip, dtype=np.float64)
+    out = np.asarray(clips, dtype=np.float64)
+    if out.ndim != 5:
+        raise ValueError(f"i3d_forward input must be [B,C,T,H,W], got rank {out.ndim}")
+    seeds = [0] * len(out) if seeds is None else seeds
     for i, params in enumerate(blocks):
+        block_seeds = [derive_seed(seed, "i3d-block", i) for seed in seeds] if dropout_p else None
         try:
-            out = i3d_block(out, params, dropout_p, seed=derive_seed(seed, "i3d-block", i))
+            out = i3d_block(out, params, dropout_p, block_seeds)
         except ValueError as exc:
             raise ValueError(f"block {i}: {exc}") from exc
     return global_avg_pool(out)
@@ -108,5 +125,6 @@ class I3DStack:
             )
             c_prev = width
 
-    def forward(self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0) -> np.ndarray:
-        return i3d_forward(clip, self.blocks, dropout_p, seed=seed)
+    def forward(self, clips: np.ndarray, dropout_p: float = 0.0, seeds=None) -> np.ndarray:
+        """[B, C_final] features of a [B,C,T,H,W] stack; ``seeds`` one per clip."""
+        return i3d_forward(clips, self.blocks, dropout_p, seeds)

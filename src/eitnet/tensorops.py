@@ -7,25 +7,28 @@ function: inputs are never mutated and outputs are freshly allocated, so
 values can be shared freely across threads.
 
 Validation happens at the program's edges, not in every kernel:
-``as_tensor`` runs where a clip enters the pipeline
-(``PipelineModel.crop_clip``), on file loads (``load_tensor``) and on each
-synthetic sample, and ``PipelineModel.extract`` rejects features that are not
-finite.  The kernels take their arrays with ``np.asarray(x, dtype=np.float64)``,
-which copies nothing for a float64 array and scans nothing; they check only
-ranks and shapes.
+``as_tensor`` runs where clips enter the pipeline
+(``PipelineModel.extract_batch``), on file loads (``load_tensor``) and on
+each synthetic sample, and ``PipelineModel.extract_batch`` rejects features
+that are not finite.  The kernels take their arrays with
+``np.asarray(x, dtype=np.float64)``, which copies nothing for a float64 array
+and scans nothing; they check only ranks and shapes.
 
-``conv3d`` and ``pool3d_max`` are lowered to one gather and one reduction
-(im2col).  ``_window_index`` maps every (kernel offset, output position) pair
-to a cell of the input flattened to ``[C, T*H*W + 1]``, whose extra last cell
-holds the padding value (0 for the convolution, -inf for the pool).  One
-``np.take`` gathers the ``[C, K, M]`` window cells; the pool takes their max,
-the convolution multiplies ``[C_out, C_in*K]`` weights by them as one
-``[C_in*K, M]`` matrix.  That is the matrix product, in the same operand
-order and layouts, that ``np.einsum(optimize=True)`` ran for the pipeline's
-convolutions, so their outputs keep their bits.  The index depends only on the
-input extents and the ``ConvSpec``; it is built once per pair in a bounded
-``functools.lru_cache`` and returned read-only, so a cached value is never
-mutated and the kernels stay pure.
+``conv3d`` and ``pool3d_max`` take one ``[C, T, H, W]`` input or a
+``[B, C, T, H, W]`` stack of B, and are lowered to one gather and one
+reduction (im2col).  ``_window_index`` maps every (kernel offset, output
+position) pair to a cell of the input flattened to ``[C, T*H*W + 1]``, whose
+extra last cell holds the padding value (0 for the convolution, -inf for the
+pool).  One ``np.take`` gathers the ``[(B,) C, K, M]`` window cells; the pool
+takes their max, the convolution multiplies ``[C_out, C_in*K]`` weights by
+them as ``[C_in*K, M]`` matrices, one matrix product per stacked input.  That
+is the matrix product, in the same operand order and layouts, that
+``np.einsum(optimize=True)`` ran for the pipeline's convolutions, so their
+outputs keep their bits, and a stacked input gives the bits of its inputs run
+one at a time.  The index depends only on the input extents and the
+``ConvSpec``; it is built once per pair in a bounded ``functools.lru_cache``
+and returned read-only, so a cached value is never mutated and the kernels
+stay pure.
 
 Serialization uses a little-endian binary layout: magic ``EITT``, u8 rank,
 rank x u32 extents, then the row-major float64 payload.
@@ -126,31 +129,31 @@ def _window_index(extents: Triple, spec: ConvSpec) -> np.ndarray:
 
 
 def _gather_windows(x: np.ndarray, index: np.ndarray, fill: float) -> np.ndarray:
-    """[C, K, M] window cells of [C,T,H,W] x, with ``fill`` in the padding cells."""
-    c = x.shape[0]
-    rows = np.empty((c, x[0].size + 1))
-    rows[:, :-1] = x.reshape(c, -1)
-    rows[:, -1] = fill
-    return np.take(rows, index, axis=1)
+    """[..., C, K, M] window cells of [..., C,T,H,W] x, with ``fill`` in the padding cells."""
+    lead = x.shape[:-3]
+    rows = np.empty(lead + (math.prod(x.shape[-3:]) + 1,))
+    rows[..., :-1] = x.reshape(lead + (-1,))
+    rows[..., -1] = fill
+    return np.take(rows, index, axis=-1)
 
 
 def conv3d(
     x: np.ndarray, weights: np.ndarray, spec: ConvSpec, bias: np.ndarray | None = None
 ) -> np.ndarray:
-    """3D cross-correlation of [C_in,T,H,W] with [C_out,C_in,kt,kh,kw] plus bias."""
+    """3D cross-correlation of [(B,) C_in,T,H,W] with [C_out,C_in,kt,kh,kw] plus bias."""
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if x.ndim != 4:
-        raise ValueError(f"conv3d input must be [C,T,H,W], got rank {x.ndim}")
+    if x.ndim not in (4, 5):
+        raise ValueError(f"conv3d input must be [C,T,H,W] or [B,C,T,H,W], got rank {x.ndim}")
     if weights.ndim != 5:
         raise ValueError(f"conv3d weights must be [C_out,C_in,kt,kh,kw], got rank {weights.ndim}")
-    if weights.shape[1] != x.shape[0]:
+    if weights.shape[1] != x.shape[-4]:
         raise ValueError(
-            f"channel mismatch: input has {x.shape[0]}, weights expect {weights.shape[1]}"
+            f"channel mismatch: input has {x.shape[-4]}, weights expect {weights.shape[1]}"
         )
     if tuple(weights.shape[2:]) != tuple(spec.kernel):
         raise ValueError(f"weights kernel {weights.shape[2:]} != spec kernel {spec.kernel}")
-    out_extents = spec.output_extents(x.shape[1:])
+    out_extents = spec.output_extents(x.shape[-3:])
     c_out = weights.shape[0]
     if spec.bias_enabled:
         if bias is None:
@@ -159,9 +162,10 @@ def conv3d(
         if bias.shape != (c_out,):
             raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
 
-    index = _window_index(x.shape[1:], spec)
-    cols = _gather_windows(x, index, 0.0).reshape(-1, index.shape[1])  # [C_in*K, M]
-    out = (weights.reshape(c_out, -1) @ cols).reshape((c_out,) + out_extents)
+    index = _window_index(x.shape[-3:], spec)
+    lead = x.shape[:-4]
+    cols = _gather_windows(x, index, 0.0).reshape(lead + (-1, index.shape[1]))  # [C_in*K, M]
+    out = (weights.reshape(c_out, -1) @ cols).reshape(lead + (c_out,) + out_extents)
     if spec.bias_enabled:
         out = out + bias[:, None, None, None]
     return out
@@ -175,13 +179,13 @@ def pool3d_max(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     per axis so every window covers at least one real cell.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ValueError(f"pool3d_max input must be [C,T,H,W], got rank {x.ndim}")
-    out_extents = spec.output_extents(x.shape[1:])
+    if x.ndim not in (4, 5):
+        raise ValueError(f"pool3d_max input must be [C,T,H,W] or [B,C,T,H,W], got rank {x.ndim}")
+    out_extents = spec.output_extents(x.shape[-3:])
     if any(p >= k for p, k in zip(spec.padding, spec.kernel)):
         raise ValueError(f"padding {spec.padding} must be < kernel {spec.kernel}")
-    cells = _gather_windows(x, _window_index(x.shape[1:], spec), -np.inf)
-    return cells.max(axis=1).reshape(x.shape[:1] + out_extents)
+    cells = _gather_windows(x, _window_index(x.shape[-3:], spec), -np.inf)
+    return cells.max(axis=-2).reshape(x.shape[:-3] + out_extents)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -195,17 +199,18 @@ def batch_norm(
     gamma: np.ndarray,
     beta: np.ndarray,
     eps: float = 1e-5,
+    axis: int = 0,
 ) -> np.ndarray:
-    """Inference-mode normalization over axis 0 channels with supplied statistics."""
+    """Inference-mode normalization of the channels on ``axis`` with supplied statistics."""
     x = np.asarray(x, dtype=np.float64)
-    c = x.shape[0]
+    c = x.shape[axis]
     mean, var, gamma, beta = (np.asarray(a, dtype=np.float64) for a in (mean, var, gamma, beta))
     for name, a in (("mean", mean), ("var", var), ("gamma", gamma), ("beta", beta)):
         if a.shape != (c,):
             raise ValueError(f"{name} must have shape ({c},), got {a.shape}")
     if np.any(var < 0):
         raise ValueError("variance must be nonnegative")
-    expand = (slice(None),) + (None,) * (x.ndim - 1)
+    expand = (slice(None),) + (None,) * (x.ndim - 1 - axis % x.ndim)
     return gamma[expand] * (x - mean[expand]) / np.sqrt(var[expand] + eps) + beta[expand]
 
 
@@ -224,11 +229,13 @@ def dropout(x: np.ndarray, p: float, seed: int) -> np.ndarray:
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Per-channel mean over all temporal-spatial cells of [C,T,H,W]."""
+    """Per-channel mean over all temporal-spatial cells of [(B,) C,T,H,W]."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ValueError(f"global_avg_pool input must be [C,T,H,W], got rank {x.ndim}")
-    return x.mean(axis=(1, 2, 3))
+    if x.ndim not in (4, 5):
+        raise ValueError(
+            f"global_avg_pool input must be [C,T,H,W] or [B,C,T,H,W], got rank {x.ndim}"
+        )
+    return x.mean(axis=(-3, -2, -1))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

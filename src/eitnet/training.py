@@ -4,7 +4,9 @@ The optimizer is Adam (beta1 0.9, beta2 0.999, eps 1e-8) at an initial
 learning rate of 0.001, decayed by 0.1 every 10 epochs, for at most 50
 epochs; training stops early once the validation loss has failed to improve
 on its best value for 5 consecutive epochs.  Every clip is re-augmented each
-epoch before the frozen stages run.  Only the classification and pose heads
+epoch before the frozen stages run: a batch's clips are all augmented first,
+then run through the frozen stages in stacks (``PipelineModel.extract_batch``),
+each clip with its own dropout seed.  Only the classification and pose heads
 receive gradients, which are analytic for the linear+softmax and
 linear+squared-error forms; everything upstream stays frozen.
 """
@@ -177,28 +179,32 @@ def _label_accuracy(params, cls_feats, labels) -> float:
     return 100.0 * float(np.mean(logits.argmax(axis=1) == labels))
 
 
+def _pose_target(sample) -> np.ndarray:
+    """The sample's joint trajectories flattened to meters, the pose head's target."""
+    return np.concatenate([p.joints.ravel() for p in sample.poses]) / 1000.0
+
+
 def _extract_batch(model: PipelineModel, samples, indices, epoch, hp, train_mode) -> FeatureBatch:
-    cls_rows, pose_rows, labels, targets = [], [], [], []
-    for idx in indices:
-        sample = samples[idx]
-        clip = sample.clip
-        if train_mode:
-            hw = clip.shape[2:]
-            clip = augment(clip, derive_seed(hp.seed, "aug", epoch, idx), crop_hw=hw)
-            z, f = model.extract(
-                clip, dropout_p=hp.dropout, seed=derive_seed(hp.seed, "drop", epoch, idx)
-            )
-        else:
-            z, f = model.extract(clip)
-        cls_rows.append(z)
-        pose_rows.append(f)
-        labels.append(sample.label_index)
-        targets.append(np.concatenate([p.joints.ravel() for p in sample.poses]) / 1000.0)
+    """Features of the indexed samples, extracted as one ``extract_batch`` call.
+
+    In train mode every clip is augmented first, each with its own seed, and
+    then the stack runs with dropout, each clip masked from its own seed.
+    """
+    chosen = [samples[idx] for idx in indices]
+    if train_mode:
+        clips = [
+            augment(s.clip, derive_seed(hp.seed, "aug", epoch, idx), crop_hw=s.clip.shape[2:])
+            for idx, s in zip(indices, chosen)
+        ]
+        seeds = [derive_seed(hp.seed, "drop", epoch, idx) for idx in indices]
+        cls_feats, pose_feats = model.extract_batch(clips, hp.dropout, seeds)
+    else:
+        cls_feats, pose_feats = model.extract_batch([s.clip for s in chosen])
     return FeatureBatch(
-        cls_feats=np.stack(cls_rows),
-        labels=np.array(labels),
-        pose_feats=np.stack(pose_rows),
-        pose_targets=np.stack(targets),
+        cls_feats=cls_feats,
+        labels=np.array([s.label_index for s in chosen]),
+        pose_feats=pose_feats,
+        pose_targets=np.stack([_pose_target(s) for s in chosen]),
     )
 
 
@@ -219,14 +225,7 @@ def train_toy(model: PipelineModel, samples, hp: Hyperparams) -> TrainResult:
     params = model.head_parameters()
     # Start the pose head at the mean training trajectory so it learns
     # per-sample deviations instead of spending steps on the global offset.
-    mean_target = np.mean(
-        [
-            np.concatenate([p.joints.ravel() for p in samples[i].poses]) / 1000.0
-            for i in train_idx
-        ],
-        axis=0,
-    )
-    params["pose_bias"][:] = mean_target
+    params["pose_bias"][:] = np.mean([_pose_target(samples[i]) for i in train_idx], axis=0)
     optimizer = Adam(params)
     stopper = EarlyStopper(patience=hp.patience)
     val_batch = _extract_batch(model, samples, val_idx, 0, hp, train_mode=False)

@@ -103,6 +103,13 @@ INVALID_CONFIG_ARGV = [
     ["eval", "--dataset", "{dataset}", "--lr", "nan"],
     ["ablate", "--dataset", "{dataset}", "--epochs", "0"],
     ["run-pipeline", "--dataset", "{dataset}", "--lambda", "-1"],
+    ["simulate", "--threshold", "1.5"],
+    ["simulate", "--threshold", "nan"],
+    ["simulate", "--threshold", "-1"],
+    ["run-pipeline", "--dataset", "{dataset}", "--toggles", "bogus"],
+    ["train", "--dataset", "{dataset}", "--toggles", "bogus"],
+    ["eval", "--dataset", "{dataset}", "--toggles", "bogus"],
+    ["complexity", "--toggles", "bogus"],
 ]
 
 
@@ -112,7 +119,8 @@ def test_invalid_option_exits_3_before_any_output(argv, dataset_dir, tmp_path, c
     cameras.write_text("id=1 period_us=0\n")
     argv = [a.format(dataset=dataset_dir, cameras=cameras) for a in argv]
     out = tmp_path / "out"
-    assert dispatch(argv + ["--seed", "7", "--out", str(out)]) == 3
+    seed = [] if argv[0] == "complexity" else ["--seed", "7"]  # complexity has no --seed
+    assert dispatch(argv + seed + ["--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
@@ -159,7 +167,7 @@ class TestRunPipeline:
         monkeypatch.setattr(Detector, "best_box", counted)
         argv = ["run-pipeline", "--seed", "7", "--dataset", str(dataset_dir)]
         assert dispatch(argv + ["--out", str(tmp_path)]) == 0
-        assert calls == [(1, 8, 16, 16)] * 200  # one whole-clip call per clip
+        assert calls == [(1, 1, 8, 16, 16)] * 200  # one one-clip stack per clip
 
 
 class TestEval:

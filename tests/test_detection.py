@@ -385,9 +385,9 @@ class TestCropRegion:
         samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
         model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=7)
         for sample in samples:
-            boxes = model.frame_boxes(sample.clip)
+            boxes = model.frame_boxes(sample.clip[None])[0]
             ref = np.stack(frame_by_frame_crops(sample.clip, boxes, (12, 12)), axis=1)
-            got = model.crop_clip(sample.clip)
+            got = model.crop_clip(sample.clip[None])[0]
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
             assert got.flags.c_contiguous
 
@@ -469,9 +469,9 @@ class TestDetector:
         det = Detector(frame_hw=(16, 16), seed=5)
         rng = Rng(32)
         frame = np.abs(rng.normals(16 * 16)).reshape(1, 16, 16)
-        boxes = det.best_box(frame[:, None])
-        assert boxes.shape == (1, 5) and boxes.dtype == np.float64
-        crop = crop_region(frame[:, None], boxes, (12, 12))
+        boxes = det.best_box(frame[None, :, None])
+        assert boxes.shape == (1, 1, 5) and boxes.dtype == np.float64
+        crop = crop_region(frame[:, None], boxes[0], (12, 12))
         assert crop.shape == (1, 1, 12, 12)
 
     def test_clip_detect_equals_frame_by_frame_bitwise(self):
@@ -494,8 +494,17 @@ class TestDetector:
             assert len(got) == len(ref)
             for survivors, kept in zip(got, ref):
                 assert survivors.tobytes() == box_rows(kept).tobytes()
-            best = det.best_box(sample.clip)
+            best = det.best_box(sample.clip[None])[0]
             assert best.tobytes() == box_rows([kept[0] for kept in ref]).tobytes()
+
+    @pytest.mark.parametrize("b", [2, 5, 9])
+    def test_best_box_of_a_stack_equals_one_clip_calls_bitwise(self, b):
+        samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)[: 2 * b]
+        det = PipelineModel(PipelineConfig(), seed=7).detector
+        clips = np.stack([s.clip for s in samples])
+        for stack in (clips[:b], clips[b:]):
+            want = np.stack([det.best_box(clip[None])[0] for clip in stack])
+            assert det.best_box(stack).tobytes() == want.tobytes()
 
     def test_frame_without_survivor_gets_full_frame(self, monkeypatch):
         det = Detector(frame_hw=(16, 12), seed=5)
@@ -504,7 +513,7 @@ class TestDetector:
         survivors = [np.zeros((0, 5)), found, np.zeros((0, 5))]
         monkeypatch.setattr(Detector, "detect", lambda self, clip: survivors)
         full = [6.0, 8.0, 12.0, 16.0, 1.0]  # (w/2, h/2, w, h, score) of the 16x12 frame
-        assert det.best_box(clip).tolist() == [full, found[0].tolist(), full]
+        assert det.best_box(clip[None]).tolist() == [[full, found[0].tolist(), full]]
         assert detection.full_frame_box((16, 12)).tolist() == full
         off = PipelineModel(PipelineConfig(toggles=StageToggles(detection=False)), seed=5)
-        assert off.frame_boxes(np.ones((1, 3, 16, 12))).tolist() == [full] * 3
+        assert off.frame_boxes(np.ones((2, 1, 3, 16, 12))).tolist() == [[full] * 3] * 2

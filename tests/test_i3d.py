@@ -51,14 +51,14 @@ class TestBlock:
         params.bn_mean = np.zeros(3)
         params.bn_beta = np.zeros(3)
         params.conv_bias = np.zeros(3)
-        out = i3d_block(np.zeros((2, 4, 4, 4)), params, seed=1)
+        out = i3d_block(np.zeros((1, 2, 4, 4, 4)), params, seeds=[1])
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
     def test_matches_hand_composition(self):
         rng = Rng(41)
         params = random_block(rng, 2, 3)
         x = rng.normals(2 * 4 * 4 * 4).reshape(2, 4, 4, 4)
-        out = i3d_block(x, params, seed=9)
+        out = i3d_block(x[None], params, seeds=[9])[0]
         ref = relu(conv3d(x, params.conv_weight, params.conv_spec, bias=params.conv_bias))
         ref = pool3d_max(ref, params.pool_spec)
         ref = batch_norm(
@@ -71,42 +71,42 @@ class TestBlock:
         rng = Rng(42)
         params = random_block(rng, 1, 2)
         x = rng.normals(1 * 4 * 4 * 4).reshape(1, 4, 4, 4)
-        out = i3d_block(x, params, 1.0, seed=3)
+        out = i3d_block(x[None], params, 1.0, seeds=[3])
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
 
 class TestForward:
     def test_identity_config_preserves_constant(self):
         clip = np.full((2, 3, 3, 3), 1.75)
-        feats = i3d_forward(clip, [identity_block(c=2)])
+        feats = i3d_forward(clip[None], [identity_block(c=2)])[0]
         np.testing.assert_allclose(feats, [1.75, 1.75], atol=1e-12)
 
     def test_two_block_composition_oracle(self):
         rng = Rng(43)
         blocks = [random_block(rng, 1, 2), random_block(rng, 2, 3, pool=(1, 2, 2))]
         clip = rng.normals(1 * 4 * 8 * 8).reshape(1, 4, 8, 8)
-        feats = i3d_forward(clip, blocks, seed=5)
-        step = i3d_block(clip, blocks[0], seed=derive_seed(5, "i3d-block", 0))
-        step = i3d_block(step, blocks[1], seed=derive_seed(5, "i3d-block", 1))
+        feats = i3d_forward(clip[None], blocks, seeds=[5])[0]
+        step = i3d_block(clip[None], blocks[0], seeds=[derive_seed(5, "i3d-block", 0)])
+        step = i3d_block(step, blocks[1], seeds=[derive_seed(5, "i3d-block", 1)])[0]
         ref = step.mean(axis=(1, 2, 3))
         np.testing.assert_allclose(feats, ref, atol=1e-10)
 
     def test_empty_block_list_raises(self):
         with pytest.raises(ValueError, match="at least one block"):
-            i3d_forward(np.ones((1, 2, 2, 2)), [])
+            i3d_forward(np.ones((1, 1, 2, 2, 2)), [])
 
     def test_shrinking_extent_names_block(self):
         rng = Rng(44)
         blocks = [random_block(rng, 1, 2), random_block(rng, 2, 2)]
         with pytest.raises(ValueError, match="block 1"):
-            i3d_forward(np.ones((1, 2, 3, 3)), blocks)
+            i3d_forward(np.ones((1, 1, 2, 3, 3)), blocks)
 
     def test_seed_independent_without_dropout(self):
         rng = Rng(45)
         blocks = [random_block(rng, 1, 2)]
         clip = rng.normals(1 * 4 * 4 * 4).reshape(1, 4, 4, 4)
         np.testing.assert_array_equal(
-            i3d_forward(clip, blocks, seed=1), i3d_forward(clip, blocks, seed=2)
+            i3d_forward(clip[None], blocks, seeds=[1]), i3d_forward(clip[None], blocks, seeds=[2])
         )
 
     def test_positive_homogeneity(self):
@@ -121,7 +121,7 @@ class TestForward:
         clip = np.abs(rng.normals(1 * 4 * 4 * 4)).reshape(1, 4, 4, 4)
         a = 2.5
         np.testing.assert_allclose(
-            i3d_forward(a * clip, [block]), a * i3d_forward(clip, [block]), atol=1e-9
+            i3d_forward(a * clip[None], [block]), a * i3d_forward(clip[None], [block]), atol=1e-9
         )
 
 
@@ -129,17 +129,17 @@ class TestStack:
     def test_desk_scale_shapes(self):
         stack = I3DStack(seed=3)
         clip = Rng(48).normals(1 * 8 * 12 * 12).reshape(1, 8, 12, 12)
-        feats = stack.forward(clip)
-        assert feats.shape == (32,)
+        feats = stack.forward(clip[None])
+        assert feats.shape == (1, 32)
         assert np.all(np.isfinite(feats))
 
     def test_dropout_seed_changes_features(self):
         stack = I3DStack(seed=3)
         clip = Rng(49).normals(1 * 8 * 12 * 12).reshape(1, 8, 12, 12)
-        a = stack.forward(clip, dropout_p=0.3, seed=1)
-        b = stack.forward(clip, dropout_p=0.3, seed=2)
+        a = stack.forward(clip[None], dropout_p=0.3, seeds=[1])
+        b = stack.forward(clip[None], dropout_p=0.3, seeds=[2])
         assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(a, stack.forward(clip, dropout_p=0.3, seed=1))
+        np.testing.assert_array_equal(a, stack.forward(clip[None], dropout_p=0.3, seeds=[1]))
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_forward_matches_hand_composition_bitwise(self, p):
@@ -152,4 +152,13 @@ class TestStack:
             out = batch_norm(out, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta, b.bn_eps)
             out = dropout(out, p, derive_seed(4, "i3d-block", i))
         ref = global_avg_pool(out)
-        assert stack.forward(clip, dropout_p=p, seed=4).tobytes() == ref.tobytes()
+        assert stack.forward(clip[None], dropout_p=p, seeds=[4])[0].tobytes() == ref.tobytes()
+
+    def test_stack_equals_one_clip_calls_bitwise(self):
+        stack = I3DStack(seed=3)
+        clips = Rng(51).normals(5 * 8 * 12 * 12).reshape(5, 1, 8, 12, 12)
+        seeds = [11, 12, 13, 14, 15]
+        got = stack.forward(clips, dropout_p=0.3, seeds=seeds)
+        for clip, seed, row in zip(clips, seeds, got):
+            one = stack.forward(clip[None], dropout_p=0.3, seeds=[seed])[0]
+            assert row.tobytes() == one.tobytes()

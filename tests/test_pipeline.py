@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eitnet import detection, encoder, i3d, pipeline
+from eitnet.ablation import TABLE_ROWS
 from eitnet.encoder import self_attention
 from eitnet.pipeline import (
     PipelineConfig,
@@ -16,8 +17,10 @@ from eitnet.pipeline import (
     evaluate_pipeline,
     with_toggles,
 )
+from eitnet.rng import derive_seed
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
 from eitnet.tensorops import conv3d, linear
+from eitnet.training import Hyperparams, train_toy
 
 from test_tensorops import np_pad_conv3d, np_pad_pool3d_max
 
@@ -94,7 +97,8 @@ class TestForward:
         off = PipelineModel(
             PipelineConfig(toggles=StageToggles(detection=False)), seed=3
         )
-        assert on.crop_clip(clip).shape == off.crop_clip(clip).shape == (1, 8, 12, 12)
+        stack = clip[None]
+        assert on.crop_clip(stack).shape == off.crop_clip(stack).shape == (1, 1, 8, 12, 12)
 
     def test_i3d_off_uses_mean_frame_features(self, samples):
         config = PipelineConfig(toggles=StageToggles(spatiotemporal=False))
@@ -107,11 +111,11 @@ class TestForward:
         config = PipelineConfig(toggles=StageToggles(temporal=False))
         model = PipelineModel(config, seed=3)
         clip = samples[0].clip
-        cropped = model.crop_clip(clip)
+        cropped = model.crop_clip(clip[None])
         feats = model.stage_features(cropped)
         seq = model.tokens(cropped, feats)
         z, _ = model.extract(clip)
-        np.testing.assert_allclose(z, seq.tokens.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(z, seq.tokens[0].mean(axis=0), atol=1e-12)
 
     def test_forward_rejects_nan_clip(self, samples):
         clip = samples[0].clip.copy()
@@ -130,12 +134,12 @@ class TestForward:
     def test_given_frame_boxes_equal_computed_ones(self, samples, detection):
         model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=3)
         clip = samples[0].clip
-        boxes = model.frame_boxes(clip)
+        boxes = model.frame_boxes(clip[None])[0]
         assert boxes.shape == (8, 5) and boxes.dtype == np.float64
         a, b = model.forward(clip, boxes=boxes), model.forward(clip)
         for name in ("probs", "cls_feat", "pose_feat"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        with pytest.raises(ValueError, match="7 boxes for a clip of 8 frames"):
+        with pytest.raises(ValueError, match=r"boxes of shape \(1, 7, 5\), need \[1, 8, 5\]"):
             model.forward(clip, boxes=boxes[:7])
 
     @pytest.mark.parametrize("detection", [True, False])
@@ -151,7 +155,7 @@ class TestForward:
         model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=3)
         for sample in samples[:3]:
             model.forward(sample.clip)
-        model.extract(samples[0].clip, boxes=model.frame_boxes(samples[0].clip))
+        model.extract(samples[0].clip, boxes=model.frame_boxes(samples[0].clip[None])[0])
         assert calls == [((1, 8, 16, 16), (8, 5))] * 4  # one whole-clip call per clip
 
     def test_forward_and_extract_bitwise_equal_to_einsum_kernels(self, monkeypatch):
@@ -164,6 +168,7 @@ class TestForward:
                 out = model.forward(clip)
                 rows.append((out.probs, out.cls_feat, out.pose_feat))
                 rows.append(model.extract(clip, dropout_p=0.05, seed=i))
+            rows.extend(zip(*model.extract_batch(clips[:50], dropout_p=0.05, seeds=range(50))))
             return [b"".join(a.tobytes() for a in row) for row in rows]
 
         got = run()
@@ -171,9 +176,15 @@ class TestForward:
         def einsum_conv3d(x, weights, spec, bias=None):
             return np_pad_conv3d(x, weights, spec, bias)
 
-        monkeypatch.setattr(detection, "conv3d", einsum_conv3d)
-        monkeypatch.setattr(i3d, "conv3d", einsum_conv3d)
-        monkeypatch.setattr(i3d, "pool3d_max", np_pad_pool3d_max)
+        def per_sample(kernel):
+            def run(x, *args, **kwargs):  # I3D's [B, C, T, H, W] stack, one sample at a time
+                return np.stack([kernel(sample, *args, **kwargs) for sample in x])
+
+            return run
+
+        monkeypatch.setattr(detection, "conv3d", einsum_conv3d)  # clips joined on T: [C, B*T, H, W]
+        monkeypatch.setattr(i3d, "conv3d", per_sample(einsum_conv3d))
+        monkeypatch.setattr(i3d, "pool3d_max", per_sample(np_pad_pool3d_max))
         assert got == run()
 
     def test_forward_deterministic(self, samples):
@@ -187,6 +198,77 @@ class TestForward:
         assert set(metrics) == {"accuracy", "mpjpe", "pa_mpjpe"}
         assert 0.0 <= metrics["accuracy"] <= 100.0
         assert metrics["pa_mpjpe"] <= metrics["mpjpe"] + 1e-9
+
+
+class TestStacking:
+    """Stacks of clips: each clip gets the bytes of a one-clip call, one crop per stack."""
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.05])
+    @pytest.mark.parametrize("toggles", TABLE_ROWS, ids=StageToggles.tag)
+    def test_stacked_rows_equal_one_clip_extract_bitwise(self, samples, toggles, dropout_p):
+        model = PipelineModel(PipelineConfig(toggles=toggles), seed=7)
+        model.fit_feature_norm(samples[:6])
+        clips = [s.clip for s in samples[:9]]
+        seeds = [derive_seed(3, "drop", i) for i in range(9)]
+        ones = [model.extract(c, dropout_p=dropout_p, seed=s) for c, s in zip(clips, seeds)]
+        for b in (1, 2, 3, 4, 5, 9):  # 5 and 9 cross the stack cap
+            cls_feats, pose_feats = model.extract_batch(clips[:b], dropout_p, seeds[:b])
+            assert cls_feats.shape[0] == pose_feats.shape[0] == b
+            for (z, f), cls_feat, pose_feat in zip(ones, cls_feats, pose_feats):
+                assert cls_feat.tobytes() == z.tobytes()
+                assert pose_feat.tobytes() == f.tobytes()
+
+    @pytest.mark.parametrize("toggles", TABLE_ROWS, ids=StageToggles.tag)
+    def test_stacked_heads_equal_forward_bitwise(self, samples, toggles):
+        model = PipelineModel(PipelineConfig(toggles=toggles), seed=7)
+        model.fit_feature_norm(samples)
+        cls_feats, pose_feats = model.extract_batch([s.clip for s in samples])
+        probs, poses = model.head_probs(cls_feats), model.head_pose(pose_feats)
+        for sample, row, pose in zip(samples, probs, poses):
+            out = model.forward(sample.clip)
+            assert row.tobytes() == out.probs.tobytes()
+            assert [p.joints.tobytes() for p in pose] == [p.joints.tobytes() for p in out.pose]
+
+    def test_extract_batch_checks_seeds_and_rank(self, samples):
+        model = PipelineModel(PipelineConfig(), seed=7)
+        clips = [s.clip for s in samples[:3]]
+        with pytest.raises(ValueError, match="2 dropout seeds for 3 clips"):
+            model.extract_batch(clips, 0.05, [1, 2])
+        with pytest.raises(ValueError, match="must be \\[N,C,T,H,W\\], got rank 4"):
+            model.extract_batch(clips[0])
+
+    @pytest.fixture
+    def crop_calls(self, monkeypatch):
+        calls = []
+        crop_region = pipeline.crop_region
+
+        def counted(frames, boxes, out_hw):
+            calls.append((frames.shape, boxes.shape))
+            return crop_region(frames, boxes, out_hw)
+
+        monkeypatch.setattr(pipeline, "crop_region", counted)
+        return calls
+
+    def test_fit_and_evaluate_crop_once_per_stack(self, samples, crop_calls):
+        model = PipelineModel(PipelineConfig(), seed=3)
+        for n in (1, 4, 5, 12):
+            crop_calls.clear()
+            model.fit_feature_norm(samples[:n])
+            assert len(crop_calls) == math.ceil(n / 4)
+        for n in (1, 4, 5, 12, 9):
+            crop_calls.clear()
+            evaluate_pipeline(model, samples[:n])
+            assert len(crop_calls) == math.ceil(n / 4)
+        # 9 clips: two stacks of 4 joined on the frame axis, then one clip
+        assert crop_calls == [((1, 32, 16, 16), (32, 5))] * 2 + [((1, 8, 16, 16), (8, 5))]
+        assert pipeline.STACK_CLIPS == 4
+
+    def test_train_toy_epoch_crops_once_per_stack(self, samples, crop_calls):
+        model = PipelineModel(PipelineConfig(), seed=3)
+        train_toy(model, samples, Hyperparams(epochs=1, seed=4))
+        # 12 samples: 2 held out for validation, 10 trained in batches of 8 and 2.
+        # Feature norm fit, validation features, then the two batches of the epoch:
+        assert len(crop_calls) == math.ceil(10 / 4) + math.ceil(2 / 4) + 2 + 1
 
 
 class TestComplexity:
@@ -260,12 +342,12 @@ class TestComplexity:
 
         def traced_conv3d(x, weights, spec, bias=None):
             out = conv3d(x, weights, spec, bias)
-            macs.append(np.size(weights) * math.prod(out.shape[1:]))
+            macs.append(np.size(weights) * out[..., 0, :, :, :].size)  # weights x output positions
             return out
 
         def traced_attention(tokens, params):
-            groups, size, d = (1, *np.shape(tokens)) if np.ndim(tokens) == 2 else np.shape(tokens)
-            macs.append(2 * groups * size * size * d)  # scores and values; QKV go through linear
+            *groups, size, d = np.shape(tokens)
+            macs.append(2 * math.prod(groups) * size * size * d)  # QKV go through linear
             return self_attention(tokens, params)
 
         for module, name, fn in [

@@ -188,6 +188,64 @@ class TestPaddingBuffer:
             np.testing.assert_array_equal(pool3d_max(x, spec), np_pad_pool3d_max(x, spec))
 
 
+class TestStackedInput:
+    """A [B, C, T, H, W] stack gives each sample the bits of its own [C, T, H, W] call."""
+
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    @pytest.mark.parametrize("shape,c_out,spec", PIPELINE_CONVS)
+    def test_pipeline_shapes_equal_per_sample_calls_bitwise(self, b, shape, c_out, spec):
+        rng = Rng(sum(shape) + c_out + b)
+        x = rng.normals(b * math.prod(shape)).reshape((b,) + shape)
+        w = rng.normals(c_out * shape[0] * math.prod(spec.kernel)).reshape(
+            (c_out, shape[0]) + spec.kernel
+        )
+        bias = rng.normals(c_out)
+        pool_spec = ConvSpec(kernel=(2, 2, 2), stride=(2, 2, 2))  # the I3D pool
+        out = conv3d(x, w, spec, bias=bias)
+        pooled = pool3d_max(x, pool_spec)
+        assert out.shape == (b, c_out) + spec.output_extents(shape[1:])
+        assert out.flags.c_contiguous and pooled.flags.c_contiguous
+        for sample, got, got_pool in zip(x, out, pooled):
+            assert got.tobytes() == conv3d(sample, w, spec, bias=bias).tobytes()
+            assert got_pool.tobytes() == pool3d_max(sample, pool_spec).tobytes()
+
+    def test_stack_sweep_meets_oracles(self):
+        rng = Rng(106)
+        for _ in range(30):
+            b, c_in, c_out = 1 + rng.below(4), 1 + rng.below(2), 1 + rng.below(2)
+            kernel = random_shape(rng, 3, hi=3)
+            extents = tuple(k + rng.below(4) for k in kernel)
+            stride = random_shape(rng, 3, hi=2)
+            padding = tuple(rng.below(k) for k in kernel)  # below the kernel: valid for the pool
+            x = rng.normals(b * c_in * math.prod(extents)).reshape((b, c_in) + extents)
+            w = rng.normals(c_out * c_in * math.prod(kernel)).reshape((c_out, c_in) + kernel)
+            bias = rng.normals(c_out)
+            mean, var = rng.normals(c_in), np.abs(rng.normals(c_in)) + 0.05
+            gamma, beta = rng.normals(c_in), rng.normals(c_in)
+            spec = ConvSpec(kernel=kernel, stride=stride, padding=padding)
+            out = conv3d(x, w, spec, bias=bias)
+            pooled = pool3d_max(x, spec)
+            normed = batch_norm(x, mean, var, gamma, beta, axis=1)
+            averaged = global_avg_pool(x)
+            for k, sample in enumerate(x):
+                assert out[k].tobytes() == conv3d(sample, w, spec, bias=bias).tobytes()
+                ref = oracles.conv3d_oracle(sample, w, stride, padding, bias)
+                assert np.abs(out[k] - ref).max() <= 1e-10
+                assert pooled[k].tobytes() == pool3d_max(sample, spec).tobytes()
+                ref = oracles.pool3d_max_oracle(sample, kernel, stride, padding)
+                assert np.abs(pooled[k] - ref).max() <= 1e-10
+                assert normed[k].tobytes() == batch_norm(sample, mean, var, gamma, beta).tobytes()
+                assert averaged[k].tobytes() == global_avg_pool(sample).tobytes()
+
+    @pytest.mark.parametrize("rank", [3, 6])
+    def test_other_ranks_raise(self, rank):
+        x = np.ones((1,) * rank)
+        with pytest.raises(ValueError, match=r"\[C,T,H,W\] or \[B,C,T,H,W\]"):
+            conv3d(x, np.ones((1, 1, 1, 1, 1)), ConvSpec(kernel=(1, 1, 1)), bias=np.zeros(1))
+        with pytest.raises(ValueError, match=r"\[C,T,H,W\] or \[B,C,T,H,W\]"):
+            pool3d_max(x, ConvSpec(kernel=(1, 1, 1)))
+
+
 class TestConvSpec:
     @pytest.mark.parametrize("field", ["kernel", "stride", "padding"])
     @pytest.mark.parametrize("value", [(2, 2), (1, 1, 1, 1), ()])

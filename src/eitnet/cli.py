@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ACTION_LABELS, __version__
 from .ablation import ABLATION_CSV_HEADER, run_ablation, split_samples
-from .detection import DETECTION_CSV_HEADER, detection_csv_row
+from .detection import DETECTION_CSV_HEADER, detection_csv_row, detection_loss
 from .encoder import CLASSIFICATION_CSV_HEADER
 from .fileio import (
     default_out_dir,
@@ -46,7 +46,7 @@ from .stream import (
     report_csv_text,
     run_simulation,
 )
-from .synthetic import DatasetConfig, generate_synthetic_dataset
+from .synthetic import DatasetConfig, generate_synthetic_dataset, pose_bounding_box
 from .tensorops import save_tensor, softmax
 from .training import LEARNING_CURVE_HEADER, Hyperparams, train_toy
 
@@ -112,7 +112,10 @@ def _require_dataset(path_text: str | None):
     path = Path(path_text)
     if not (path / "manifest.csv").exists():
         raise ConfigError(f"dataset not found at {path}")
-    return load_dataset(path)
+    samples = load_dataset(path)
+    if not samples:
+        raise ConfigError(f"dataset at {path} has no samples")
+    return samples
 
 
 def _outdir(args) -> Path:
@@ -131,41 +134,33 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_run_pipeline(args) -> int:
-    from .detection import BoundingBox, detection_loss
-    from .synthetic import pose_bounding_box
-
     if not args.lam >= 0.0:
         raise ConfigError(f"--lambda must be >= 0, got {args.lam}")
     config = PipelineConfig(toggles=parse_toggles(args.toggles))
     samples = _require_dataset(args.dataset)
     out = _outdir(args)
     model = PipelineModel(config, seed=args.seed)
-    detection_rows, class_rows = [], []
-    pred_boxes, true_boxes, scores = [], [], []
-    features_dir = out / "features"
-    features_dir.mkdir(exist_ok=True)
-    for i, sample in enumerate(samples):
-        boxes = model.frame_boxes(sample.clip[None])[0]  # the dataset load validated the clip
-        output = model.forward(sample.clip, boxes=boxes)
-        frames = sample.clip.shape[1]
-        h, w = sample.clip.shape[2:]
-        for t, row in enumerate(boxes.tolist()):
-            box = BoundingBox(*row)
-            detection_rows.append(detection_csv_row(i * frames + t, sample.view_id, box))
-            cx, cy, bw, bh = pose_bounding_box(sample.poses[t], h, w)
-            pred_boxes.append(box)
-            true_boxes.append(BoundingBox(cx, cy, bw, bh))
-            scores.append([box.score, 1.0 - box.score])
-        for k, p in enumerate(output.probs):
-            class_rows.append(f"{i},{k},{float(p)!r}")
-        save_tensor(features_dir / f"sample_{i:04d}.bin", output.pose_feat)
+    clips = np.stack([sample.clip for sample in samples])  # the dataset load validated them
+    boxes = model.frame_boxes(clips)  # [N, T, 5]
+    cls_feats, pose_feats = model.extract_batch(clips, boxes=boxes)
+    probs = model.head_probs(cls_feats)
+    n, t = boxes.shape[:2]
+    boxes = boxes.reshape(n * t, 5)
+    joints = np.stack([[pose.joints for pose in sample.poses] for sample in samples])
+    true_boxes = pose_bounding_box(joints, *clips.shape[-2:]).reshape(n * t, 4)
+    scores = boxes[:, 4:]
     parts = detection_loss(
-        np.clip(np.asarray(scores), 1e-12, 1.0),
-        [0] * len(pred_boxes),
-        pred_boxes,
+        np.clip(np.hstack([scores, 1.0 - scores]), 1e-12, 1.0),
+        np.zeros(n * t, dtype=int),
+        boxes[:, :4],
         true_boxes,
         lam=args.lam,
     )
+    cameras = np.repeat([sample.view_id for sample in samples], t).tolist()
+    detection_rows = [
+        detection_csv_row(k, camera, box)
+        for k, (camera, box) in enumerate(zip(cameras, boxes.tolist()))
+    ]
     write_csv(
         out / "detections.csv",
         DETECTION_CSV_HEADER,
@@ -176,7 +171,15 @@ def cmd_run_pipeline(args) -> int:
             f"reg={parts.reg!r} lambda={parts.lam!r}",
         ),
     )
+    class_rows = [
+        f"{i},{k},{p!r}" for i, clip_probs in enumerate(probs.tolist())
+        for k, p in enumerate(clip_probs)
+    ]
     write_csv(out / "classifications.csv", CLASSIFICATION_CSV_HEADER, class_rows, seed=args.seed)
+    features_dir = out / "features"
+    features_dir.mkdir(exist_ok=True)
+    for i, feat in enumerate(pose_feats):
+        save_tensor(features_dir / f"sample_{i:04d}.bin", feat)
     print(f"processed {len(samples)} clips into {out} (detection loss {parts.total:.3f})")
     return 0
 

@@ -10,7 +10,7 @@ Between stages everything is a plain array over the whole clip: pyramid
 levels are [C,T,h,w], anchors [A, 4] and predicted boxes [T, A, 4] rows of
 (cx, cy, w, h) with [T, A] scores, and one NMS call covers every frame.  The
 crop boxes are one [T, 5] array of (cx, cy, w, h, score) rows, and one gather
-crops the whole clip to them.  ``BoundingBox`` is the one-box type of the CLI.
+crops the whole clip to them.  ``BoundingBox`` checks one box's extents and score.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from .tensorops import ConvSpec, as_tensor, conv3d, linear, relu, sigmoid
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Center-format pixel box with a confidence score and class id."""
+    """Center-format pixel box with a confidence score."""
 
     cx: float
     cy: float
     w: float
     h: float
     score: float = 1.0
-    class_id: int = 0
 
     def __post_init__(self):
         for name in ("cx", "cy", "w", "h", "score"):
@@ -143,30 +142,29 @@ def predict_boxes(
 
 def detection_loss(
     pred_scores: np.ndarray,
-    true_labels: list[int],
-    pred_boxes: list[BoundingBox],
-    true_boxes: list[BoundingBox],
+    true_labels: np.ndarray,
+    pred_boxes: np.ndarray,
+    true_boxes: np.ndarray,
     lam: float = 1.0,
 ) -> DetectionLossParts:
-    """Mean cross-entropy over matched anchors plus lambda times mean smooth-L1."""
-    if len(true_labels) == 0 or np.size(pred_scores) == 0:
+    """Mean cross-entropy over matched anchors plus lambda times mean smooth-L1.
+
+    Scores are [N, K], labels [N] and boxes [N, 4] rows of (cx, cy, w, h).
+    Both means divide running sums taken in match order.
+    """
+    if np.size(true_labels) == 0 or np.size(pred_scores) == 0:
         raise ValueError("empty match set")
     pred_scores = np.atleast_2d(as_tensor(pred_scores))
     n = pred_scores.shape[0]
-    if not (n == len(true_labels) == len(pred_boxes) == len(true_boxes)):
-        raise ValueError("matched inputs must have equal lengths")
+    if np.shape(true_labels) != (n,) or not np.shape(pred_boxes) == np.shape(true_boxes) == (n, 4):
+        raise ValueError(f"matched inputs must be {n} labels and two [{n}, 4] box arrays")
     cls = 0.0
-    for row, label in zip(pred_scores, true_labels):
-        cls -= math.log(max(row[label], 1e-300))
-    cls /= n
-    reg = 0.0
-    for pred, true in zip(pred_boxes, true_boxes):
-        deltas = (pred.cx - true.cx, pred.cy - true.cy, pred.w - true.w, pred.h - true.h)
-        for d in deltas:
-            a = abs(d)
-            reg += 0.5 * d * d if a < 1.0 else a - 0.5
-    reg /= 4 * n
-    return DetectionLossParts(cls=float(cls), reg=float(reg), lam=float(lam))
+    for p in np.maximum(pred_scores[np.arange(n), true_labels], 1e-300).tolist():
+        cls -= math.log(p)  # np.log may differ from math.log in the last bit
+    d = (np.asarray(pred_boxes, dtype=np.float64) - true_boxes).ravel()
+    a = np.abs(d)
+    reg = np.add.accumulate(np.where(a < 1.0, 0.5 * d * d, a - 0.5))[-1] / (4 * n)
+    return DetectionLossParts(cls=float(cls / n), reg=float(reg), lam=float(lam))
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> list[list[int]]:
@@ -330,8 +328,7 @@ def full_frame_box(frame_hw: tuple[int, int]) -> np.ndarray:
 DETECTION_CSV_HEADER = "frame_id,camera_id,class_id,score,cx,cy,w,h"
 
 
-def detection_csv_row(frame_id: int, camera_id: int, box: BoundingBox) -> str:
-    return (
-        f"{frame_id},{camera_id},{box.class_id},{box.score!r},"
-        f"{box.cx!r},{box.cy!r},{box.w!r},{box.h!r}"
-    )
+def detection_csv_row(frame_id: int, camera_id: int, box: list[float]) -> str:
+    """One detection row from a (cx, cy, w, h, score) box of the single class 0."""
+    cx, cy, w, h, score = map(float, box)
+    return f"{frame_id},{camera_id},0,{score!r},{cx!r},{cy!r},{w!r},{h!r}"

@@ -51,6 +51,7 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
 
 def parse_camera_config(text: str) -> list[CameraSpec]:
     specs = []
+    id_lines = {}  # camera id -> the line that defined it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -62,17 +63,19 @@ def parse_camera_config(text: str) -> list[CameraSpec]:
             key, value = token.split("=", 1)
             fields[key] = value
         try:
-            specs.append(
-                CameraSpec(
-                    camera_id=int(fields["id"]),
-                    frame_period_us=int(fields["period_us"]),
-                    clock_offset_us=int(fields.get("offset_us", "0")),
-                    jitter_std_us=float(fields.get("jitter_us", "0")),
-                    drop_probability=float(fields.get("drop_prob", "0")),
-                )
+            spec = CameraSpec(
+                camera_id=int(fields["id"]),
+                frame_period_us=int(fields["period_us"]),
+                clock_offset_us=int(fields.get("offset_us", "0")),
+                jitter_std_us=float(fields.get("jitter_us", "0")),
+                drop_probability=float(fields.get("drop_prob", "0")),
             )
         except KeyError as exc:
             raise ValueError(f"line {lineno}: missing field {exc.args[0]}") from exc
+        first = id_lines.setdefault(spec.camera_id, lineno)
+        if first != lineno:
+            raise ValueError(f"line {lineno}: camera id {spec.camera_id} repeats line {first}")
+        specs.append(spec)
     if not specs:
         raise ValueError("camera config defines no cameras")
     return specs

@@ -10,8 +10,8 @@ predicted in meters and reported in millimeters).
 
 The frozen stages run on a [B, C, T, H, W] stack of clips, and
 ``extract_batch`` is their one entry: ``extract`` and ``forward`` are its
-one-clip case, and feature-norm fitting, training and evaluation pass it all
-their clips, which it runs in stacks of at most ``STACK_CLIPS``.  The
+one-clip case, and every other caller passes it all its clips.  It, and
+``frame_boxes`` for the detector, cut them into stacks of ``STACK_CLIPS``.  The
 detector and the crop join a stack's clips on the frame axis, I3D runs one
 matrix product per clip, the tokens are [B, S, d], and the summary projection
 and heads multiply [B, 1, feat] rows, so each clip's outputs are bitwise
@@ -201,10 +201,12 @@ class PipelineModel:
     def frame_boxes(self, clips: np.ndarray) -> np.ndarray:
         """[B, T, 5] crop boxes: the detector's best boxes, or the full frame without it.
 
-        ``clips`` is trusted: a validated [B,C,T,H,W] float64 stack.
+        ``clips`` is trusted: a validated [B,C,T,H,W] float64 stack.  The
+        detector runs on stacks of at most ``STACK_CLIPS`` of them.
         """
         if self.config.toggles.detection:
-            return self.detector.best_box(clips)
+            stacks = [clips[s : s + STACK_CLIPS] for s in range(0, len(clips), STACK_CLIPS)]
+            return np.concatenate([self.detector.best_box(stack) for stack in stacks])
         b, _, t, h, w = clips.shape
         return np.tile(full_frame_box((h, w)), (b, t, 1))
 
@@ -286,17 +288,10 @@ class PipelineModel:
         return cls_feat, pose_feat
 
     def extract(
-        self,
-        clip: np.ndarray,
-        dropout_p: float = 0.0,
-        seed: int = 0,
-        boxes: np.ndarray | None = None,
+        self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
         """One [C,T,H,W] clip's ``extract_batch``: (classifier feature, pose feature)."""
-        stack_boxes = None if boxes is None else np.asarray(boxes)[None]
-        cls_feat, pose_feat = self.extract_batch(
-            np.asarray(clip)[None], dropout_p, [seed], stack_boxes
-        )
+        cls_feat, pose_feat = self.extract_batch(np.asarray(clip)[None], dropout_p, [seed])
         return cls_feat[0], pose_feat[0]
 
     def fit_feature_norm(self, samples, target_std: float = 16.0) -> None:
@@ -335,14 +330,8 @@ class PipelineModel:
         mm = 1000.0 * meters.reshape(-1, c.frames, c.joints, 3)
         return [[SkeletonPose(joints=frame) for frame in clip] for clip in mm]
 
-    def forward(
-        self,
-        clip: np.ndarray,
-        dropout_p: float = 0.0,
-        seed: int = 0,
-        boxes: np.ndarray | None = None,
-    ) -> PipelineOutput:
-        cls_feat, pose_feat = self.extract(clip, dropout_p=dropout_p, seed=seed, boxes=boxes)
+    def forward(self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0) -> PipelineOutput:
+        cls_feat, pose_feat = self.extract(clip, dropout_p=dropout_p, seed=seed)
         return PipelineOutput(
             probs=self.head_probs(cls_feat[None])[0],
             pose=self.head_pose(pose_feat[None])[0],

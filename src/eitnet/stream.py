@@ -83,8 +83,8 @@ class CameraSpec:
             raise ValueError("camera_id must fit u16")
         if self.frame_period_us <= 0:
             raise ValueError("frame_period must be positive")
-        if self.jitter_std_us < 0:
-            raise ValueError("jitter must be nonnegative")
+        if not 0.0 <= self.jitter_std_us < math.inf:
+            raise ValueError(f"jitter must be nonnegative and finite, got {self.jitter_std_us}")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
 
@@ -462,6 +462,9 @@ def run_simulation(
     """
     if not specs:
         raise ValueError("need at least one camera")
+    ids = [s.camera_id for s in specs]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"camera ids must be unique, got {ids}")
     if duration_us <= 0:
         raise ValueError("duration must be positive")
     if threaded and len(specs) > MAX_THREADED_CAMERAS:

@@ -186,18 +186,14 @@ def generate_synthetic_dataset(config: DatasetConfig, seed: int) -> list[Synthet
     return samples
 
 
-def pose_bounding_box(
-    pose: SkeletonPose, height: int, width: int, margin_px: float = 1.5
-) -> tuple[float, float, float, float]:
-    """(cx, cy, w, h) of the tight pixel box around the rendered joints."""
+def pose_bounding_box(joints: np.ndarray, height: int, width: int, margin_px=1.5) -> np.ndarray:
+    """[..., 4] (cx, cy, w, h) of the tight pixel box around each [J, 3] pose's rendered joints."""
     mm_per_px = 1600.0 / min(height, width)
-    px = (width - 1) / 2.0 + pose.joints[:, 0] / mm_per_px
-    py = (height - 1) * 0.92 - pose.joints[:, 1] / mm_per_px
-    x0 = max(px.min() - margin_px, 0.0)
-    x1 = min(px.max() + margin_px, float(width))
-    y0 = max(py.min() - margin_px, 0.0)
-    y1 = min(py.max() + margin_px, float(height))
-    return ((x0 + x1) / 2.0, (y0 + y1) / 2.0, max(x1 - x0, 1.0), max(y1 - y0, 1.0))
+    px = (width - 1) / 2.0 + joints[..., 0] / mm_per_px
+    py = (height - 1) * 0.92 - joints[..., 1] / mm_per_px
+    lo = np.maximum(np.stack([px.min(-1), py.min(-1)], axis=-1) - margin_px, 0.0)
+    hi = np.minimum(np.stack([px.max(-1), py.max(-1)], axis=-1) + margin_px, (width, height))
+    return np.concatenate([(lo + hi) / 2.0, np.maximum(hi - lo, 1.0)], axis=-1)
 
 
 def horizontal_flip(clip: np.ndarray) -> np.ndarray:

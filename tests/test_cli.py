@@ -1,9 +1,13 @@
 import filecmp
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import eitnet
 from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset, read_csv_rows
@@ -66,6 +70,15 @@ class TestParsing:
 
 
 class TestExitCodes:
+    def test_python_m_eitnet_runs_the_cli(self):
+        src = Path(eitnet.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "eitnet", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, f"{eitnet.__version__}\n"), done.stderr
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert dispatch([]) == 2
         assert "usage" in capsys.readouterr().err.lower()
@@ -81,6 +94,17 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["run-pipeline", "train", "eval", "ablate"])
+    def test_empty_dataset_is_config_error(self, command, dataset_dir, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        manifest = (dataset_dir / "manifest.csv").read_text().splitlines()
+        (empty / "manifest.csv").write_text("\n".join(manifest[:2]) + "\n")  # seed and header
+        out = tmp_path / "out"
+        assert dispatch([command, "--seed", "7", "--dataset", str(empty), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: dataset at {empty} has no samples\n"
+        assert not out.exists()
+
     def test_bad_camera_count(self, tmp_path, capsys):
         code = dispatch(
             ["simulate", "--seed", "1", "--cameras", "0", "--out", str(tmp_path / "out")]
@@ -94,6 +118,8 @@ INVALID_CONFIG_ARGV = [
     ["simulate", "--period-us", "0"],
     ["simulate", "--drop-prob", "1.5"],
     ["simulate", "--jitter-us", "-1"],
+    ["simulate", "--jitter-us", "nan"],
+    ["simulate", "--jitter-us", "inf"],
     ["simulate", "--window-period-us", "-5"],
     ["simulate", "--window-period-us", "0"],
     ["simulate", "--camera-config", "{cameras}"],
@@ -167,7 +193,7 @@ class TestRunPipeline:
         monkeypatch.setattr(Detector, "best_box", counted)
         argv = ["run-pipeline", "--seed", "7", "--dataset", str(dataset_dir)]
         assert dispatch(argv + ["--out", str(tmp_path)]) == 0
-        assert calls == [(1, 1, 8, 16, 16)] * 200  # one one-clip stack per clip
+        assert calls == [(4, 1, 8, 16, 16)] * 50  # one call per stack of 4 clips
 
 
 class TestEval:
@@ -209,6 +235,15 @@ class TestSimulate:
         assert text.endswith("\n")
         _, rows = read_csv_rows(out / "feedback.csv")
         assert rows[0] == "window_index,label,confidence,latency_us".split(",")
+
+    def test_repeated_camera_id_exits_3_naming_both_lines(self, tmp_path, capsys):
+        config = tmp_path / "cameras.txt"
+        config.write_text("id=1 period_us=33333\nid=2 period_us=33333\nid=1 period_us=33333\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--seed", "1", "--camera-config", str(config), "--out", str(out)]
+        assert dispatch(argv) == 3
+        assert capsys.readouterr().err == "error: line 3: camera id 1 repeats line 1\n"
+        assert not out.exists()
 
     def test_camera_config_file(self, tmp_path):
         config = tmp_path / "cams.txt"

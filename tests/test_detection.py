@@ -6,6 +6,7 @@ import pytest
 from eitnet import detection
 from eitnet.detection import (
     BoundingBox,
+    DetectionLossParts,
     Detector,
     bifpn_fuse,
     crop_region,
@@ -16,7 +17,7 @@ from eitnet.detection import (
 )
 from eitnet.pipeline import PipelineConfig, PipelineModel, StageToggles
 from eitnet.rng import Rng
-from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
+from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset, pose_bounding_box
 from eitnet.tensorops import linear, sigmoid
 
 import oracles
@@ -49,7 +50,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 def list_nms(boxes: list[BoundingBox], iou_threshold: float) -> list[BoundingBox]:
     """The per-frame NMS over box objects that the clip-wide array NMS replaced."""
-    ordered = sorted(boxes, key=lambda b: (-b.score, b.class_id, b.cx))
+    ordered = sorted(boxes, key=lambda b: (-b.score, b.cx))
     kept: list[BoundingBox] = []
     for box in ordered:
         if all(iou(box, k) <= iou_threshold for k in kept):
@@ -69,7 +70,7 @@ def reference_detect(det: Detector, clip: np.ndarray) -> list[list[BoundingBox]]
     return [
         list_nms(
             [
-                BoundingBox(g[0] * a.cx, g[1] * a.cy, g[2] * a.w, g[3] * a.h, s, a.class_id)
+                BoundingBox(g[0] * a.cx, g[1] * a.cy, g[2] * a.w, g[3] * a.h, s)
                 for g, a, s in zip(frame_gates, anchors, frame_scores)
             ],
             det.iou_threshold,
@@ -230,33 +231,87 @@ class TestPredictBoxes:
             predict_boxes(np.zeros((2, 1, 1)), np.zeros((1, 8)), np.zeros(8), anchors, scores)
 
 
+def reference_detection_loss(pred_scores, true_labels, pred_boxes, true_boxes, lam=1.0):
+    """The loop over ``BoundingBox`` pairs that the array loss replaced, kept as its reference."""
+    pred_scores = np.atleast_2d(np.asarray(pred_scores, dtype=np.float64))
+    n = pred_scores.shape[0]
+    cls = 0.0
+    for row, label in zip(pred_scores, true_labels):
+        cls -= math.log(max(row[label], 1e-300))
+    cls /= n
+    reg = 0.0
+    for pred, true in zip(pred_boxes, true_boxes):
+        deltas = (pred.cx - true.cx, pred.cy - true.cy, pred.w - true.w, pred.h - true.h)
+        for d in deltas:
+            a = abs(d)
+            reg += 0.5 * d * d if a < 1.0 else a - 0.5
+    reg /= 4 * n
+    return DetectionLossParts(cls=float(cls), reg=float(reg), lam=float(lam))
+
+
+def seed7_loss_inputs(detection: bool):
+    """run-pipeline's loss inputs on the seed-7 dataset: scores, labels, predicted, true boxes."""
+    samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
+    model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=7)
+    clips = np.stack([s.clip for s in samples])
+    boxes = model.frame_boxes(clips).reshape(-1, 5)
+    joints = np.stack([[p.joints for p in s.poses] for s in samples])
+    true_boxes = pose_bounding_box(joints, *clips.shape[-2:]).reshape(-1, 4)
+    scores = np.clip(np.hstack([boxes[:, 4:], 1.0 - boxes[:, 4:]]), 1e-12, 1.0)
+    return scores, np.zeros(len(boxes), dtype=int), boxes[:, :4], true_boxes
+
+
 class TestDetectionLoss:
     def test_perfect_predictions(self):
-        box = BoundingBox(5.0, 5.0, 2.0, 2.0)
-        parts = detection_loss(np.array([[1.0, 0.0]]), [0], [box], [box], lam=1.0)
+        box = np.array([[5.0, 5.0, 2.0, 2.0]])
+        parts = detection_loss(np.array([[1.0, 0.0]]), np.array([0]), box, box, lam=1.0)
         assert parts.total <= 1e-9
 
     def test_lambda_zero_is_cls_only(self):
-        a = BoundingBox(5.0, 5.0, 2.0, 2.0)
-        b = BoundingBox(9.0, 9.0, 3.0, 1.0)
-        parts = detection_loss(np.array([[0.7, 0.3]]), [0], [a], [b], lam=0.0)
+        a = np.array([[5.0, 5.0, 2.0, 2.0]])
+        b = np.array([[9.0, 9.0, 3.0, 1.0]])
+        parts = detection_loss(np.array([[0.7, 0.3]]), np.array([0]), a, b, lam=0.0)
         assert parts.total == parts.cls
 
     def test_hand_cross_entropy(self):
-        box = BoundingBox(5.0, 5.0, 2.0, 2.0)
-        parts = detection_loss(np.array([[0.5, 0.5]]), [0], [box], [box], lam=1.0)
+        box = np.array([[5.0, 5.0, 2.0, 2.0]])
+        parts = detection_loss(np.array([[0.5, 0.5]]), np.array([0]), box, box, lam=1.0)
         assert parts.total == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_monotone_in_lambda(self):
-        a = BoundingBox(5.0, 5.0, 2.0, 2.0)
-        b = BoundingBox(7.0, 6.0, 2.5, 2.0)
-        low = detection_loss(np.array([[0.6, 0.4]]), [0], [a], [b], lam=0.5)
-        high = detection_loss(np.array([[0.6, 0.4]]), [0], [a], [b], lam=2.0)
+        a = np.array([[5.0, 5.0, 2.0, 2.0]])
+        b = np.array([[7.0, 6.0, 2.5, 2.0]])
+        low = detection_loss(np.array([[0.6, 0.4]]), np.array([0]), a, b, lam=0.5)
+        high = detection_loss(np.array([[0.6, 0.4]]), np.array([0]), a, b, lam=2.0)
         assert high.total >= low.total >= 0.0
 
     def test_empty_match_set_raises(self):
+        empty = np.zeros((0, 4))
         with pytest.raises(ValueError, match="empty"):
-            detection_loss(np.zeros((0, 2)), [], [], [])
+            detection_loss(np.zeros((0, 2)), np.zeros(0, dtype=int), empty, empty)
+
+    @pytest.mark.parametrize("labels, pred_shape", [([0], (2, 4)), ([0, 0], (2, 5)), ([0, 0], [4])])
+    def test_mismatched_inputs_raise(self, labels, pred_shape):
+        scores, true = np.full((2, 2), 0.5), np.ones((2, 4))
+        message = r"^matched inputs must be 2 labels and two \[2, 4\] box arrays$"
+        with pytest.raises(ValueError, match=message):
+            detection_loss(scores, np.array(labels), np.ones(pred_shape), true)
+
+    @pytest.mark.parametrize("detection", [True, False])
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_equals_box_loop_bytes_on_seed7_boxes(self, detection, lam):
+        scores, labels, pred, true = seed7_loss_inputs(detection)
+        got = detection_loss(scores, labels, pred, true, lam=lam)
+        want = reference_detection_loss(
+            scores,
+            labels.tolist(),
+            [BoundingBox(*row) for row in pred.tolist()],
+            [BoundingBox(*row) for row in true.tolist()],
+            lam=lam,
+        )
+        assert repr((got.total, got.cls, got.reg)) == repr((want.total, want.cls, want.reg))
+        if not detection:  # every full-frame score is 1: the loss is +0.0, not -0.0
+            assert repr(got.cls) == "0.0"
 
 
 def as_frame(boxes: list[BoundingBox]) -> tuple[np.ndarray, np.ndarray]:

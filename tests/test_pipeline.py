@@ -133,14 +133,14 @@ class TestForward:
     @pytest.mark.parametrize("detection", [True, False])
     def test_given_frame_boxes_equal_computed_ones(self, samples, detection):
         model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=3)
-        clip = samples[0].clip
-        boxes = model.frame_boxes(clip[None])[0]
-        assert boxes.shape == (8, 5) and boxes.dtype == np.float64
-        a, b = model.forward(clip, boxes=boxes), model.forward(clip)
-        for name in ("probs", "cls_feat", "pose_feat"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        with pytest.raises(ValueError, match=r"boxes of shape \(1, 7, 5\), need \[1, 8, 5\]"):
-            model.forward(clip, boxes=boxes[:7])
+        clips = np.stack([s.clip for s in samples[:5]])
+        boxes = model.frame_boxes(clips)
+        assert boxes.shape == (5, 8, 5) and boxes.dtype == np.float64
+        given, computed = model.extract_batch(clips, boxes=boxes), model.extract_batch(clips)
+        for a, b in zip(given, computed):
+            assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match=r"boxes of shape \(4, 7, 5\), need \[4, 8, 5\]"):
+            model.extract_batch(clips, boxes=boxes[:, :7])
 
     @pytest.mark.parametrize("detection", [True, False])
     def test_crop_region_runs_once_per_clip(self, samples, monkeypatch, detection):
@@ -155,7 +155,8 @@ class TestForward:
         model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=3)
         for sample in samples[:3]:
             model.forward(sample.clip)
-        model.extract(samples[0].clip, boxes=model.frame_boxes(samples[0].clip[None])[0])
+        clip = samples[0].clip[None]
+        model.extract_batch(clip, boxes=model.frame_boxes(clip))
         assert calls == [((1, 8, 16, 16), (8, 5))] * 4  # one whole-clip call per clip
 
     def test_forward_and_extract_bitwise_equal_to_einsum_kernels(self, monkeypatch):
@@ -228,6 +229,21 @@ class TestStacking:
             out = model.forward(sample.clip)
             assert row.tobytes() == out.probs.tobytes()
             assert [p.joints.tobytes() for p in pose] == [p.joints.tobytes() for p in out.pose]
+
+    def test_frame_boxes_runs_the_detector_per_stack(self, samples, monkeypatch):
+        model = PipelineModel(PipelineConfig(), seed=7)
+        clips = np.stack([s.clip for s in samples[:9]])
+        want = np.stack([model.detector.best_box(clip[None])[0] for clip in clips])
+        calls = []
+        best_box = detection.Detector.best_box
+
+        def counted(self, stack):
+            calls.append(len(stack))
+            return best_box(self, stack)
+
+        monkeypatch.setattr(detection.Detector, "best_box", counted)
+        assert model.frame_boxes(clips).tobytes() == want.tobytes()
+        assert calls == [4, 4, 1]
 
     def test_extract_batch_checks_seeds_and_rank(self, samples):
         model = PipelineModel(PipelineConfig(), seed=7)

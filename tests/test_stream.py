@@ -568,6 +568,10 @@ class TestSimulation:
         full = [row for row in report.window_rows if row[1] == 1.0]
         assert len(full) == 30
 
+    def test_repeated_camera_ids_are_rejected(self):
+        with pytest.raises(ValueError, match=r"^camera ids must be unique, got \[1, 2, 1\]$"):
+            run_simulation([spec(1), spec(2), spec(1, offset=50)], duration_us=5_000, seed=1)
+
     def test_window_period_zero_is_rejected_not_defaulted(self):
         with pytest.raises(ValueError, match="window period must be positive"):
             run_simulation([spec(1)], duration_us=5_000, seed=1, window_period_us=0)
@@ -958,3 +962,13 @@ class TestCameraConfig:
             parse_camera_config("id=1\n")
         with pytest.raises(ValueError, match="no cameras"):
             parse_camera_config("# only a comment\n")
+
+    def test_repeated_id_names_both_lines(self):
+        text = "id=4 period_us=1000\n# spare\nid=4 period_us=2000\n"
+        with pytest.raises(ValueError, match="^line 3: camera id 4 repeats line 1$"):
+            parse_camera_config(text)
+
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1.0])
+    def test_jitter_must_be_finite_and_nonnegative(self, jitter):
+        with pytest.raises(ValueError, match="jitter must be nonnegative and finite"):
+            spec(1, jitter=jitter)

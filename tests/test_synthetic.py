@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from eitnet import ACTION_LABELS
+from eitnet.metrics import SkeletonPose
 from eitnet.rng import Rng
 from eitnet.synthetic import (
     DatasetConfig,
     augment,
     generate_synthetic_dataset,
     horizontal_flip,
+    pose_bounding_box,
     random_crop,
     rotate_frames,
 )
@@ -38,6 +40,18 @@ def per_frame_rotate(clip, angle_deg):
             plane = clip[ci, ti][src_r_safe, src_c_safe]
             out[ci, ti] = np.where(valid, plane, 0.0)
     return out
+
+
+def per_pose_bounding_box(pose, height, width, margin_px=1.5):
+    """The one-pose box that ``pose_bounding_box`` replaced, kept as its reference."""
+    mm_per_px = 1600.0 / min(height, width)
+    px = (width - 1) / 2.0 + pose.joints[:, 0] / mm_per_px
+    py = (height - 1) * 0.92 - pose.joints[:, 1] / mm_per_px
+    x0 = max(px.min() - margin_px, 0.0)
+    x1 = min(px.max() + margin_px, float(width))
+    y0 = max(py.min() - margin_px, 0.0)
+    y1 = min(py.max() + margin_px, float(height))
+    return ((x0 + x1) / 2.0, (y0 + y1) / 2.0, max(x1 - x0, 1.0), max(y1 - y0, 1.0))
 
 
 def flatten_trajectory(sample):
@@ -73,6 +87,17 @@ class TestGenerator:
             assert s.clip.min() >= 0.0 and s.clip.max() <= 1.0
             assert len(s.poses) == 8
             assert all(p.count == 5 for p in s.poses)
+
+    @pytest.mark.parametrize("hw", [(16, 16), (12, 20)])
+    def test_pose_boxes_equal_per_pose_reference_bitwise(self, hw):
+        samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
+        poses = [p for s in samples for p in s.poses]
+        # joints far outside the frame too, so the clamps and the 1-pixel floor act
+        joints = Rng(36).normals(50 * 5 * 3).reshape(50, 5, 3) * 3000.0
+        poses += [SkeletonPose(joints=j) for j in joints]
+        got = pose_bounding_box(np.stack([p.joints for p in poses]), *hw)
+        want = np.array([per_pose_bounding_box(p, *hw) for p in poses])
+        assert got.shape == (len(poses), 4) and got.tobytes() == want.tobytes()
 
     def test_centroid_classifier_separates_classes(self):
         """Generator sanity oracle: nearest centroid on raw pose trajectories."""

@@ -41,8 +41,8 @@ from .pipeline import (
 from .rng import Rng, derive_seed
 from .stream import (
     FEEDBACK_CSV_HEADER,
-    MAX_THREADED_CAMERAS,
     CameraSpec,
+    check_simulation,
     report_csv_text,
     run_simulation,
 )
@@ -134,8 +134,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_run_pipeline(args) -> int:
-    if not args.lam >= 0.0:
-        raise ConfigError(f"--lambda must be >= 0, got {args.lam}")
+    if not 0.0 <= args.lam < float("inf"):
+        raise ConfigError(f"--lambda must be nonnegative and finite, got {args.lam}")
     config = PipelineConfig(toggles=parse_toggles(args.toggles))
     samples = _require_dataset(args.dataset)
     out = _outdir(args)
@@ -279,12 +279,9 @@ def _default_camera_specs(args) -> list[CameraSpec]:
         path = Path(args.camera_config)
         if not path.exists():
             raise ConfigError(f"camera config not found at {path}")
-        specs = parse_camera_config(path.read_text())
-        _check_thread_bound(args, len(specs))
-        return specs
+        return parse_camera_config(path.read_text())
     if args.cameras < 1:
         raise ConfigError("--cameras must be >= 1")
-    _check_thread_bound(args, args.cameras)
     return [
         CameraSpec(
             camera_id=i,
@@ -295,14 +292,6 @@ def _default_camera_specs(args) -> list[CameraSpec]:
         )
         for i in range(1, args.cameras + 1)
     ]
-
-
-def _check_thread_bound(args, cameras: int) -> None:
-    if args.threaded and cameras > MAX_THREADED_CAMERAS:
-        raise ConfigError(
-            f"--threaded starts one thread per camera: at most "
-            f"{MAX_THREADED_CAMERAS} cameras, got {cameras}"
-        )
 
 
 def _window_hook(seed: int, frame_hw: tuple[int, int]):
@@ -330,6 +319,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--window-period-us must be positive, got {args.window_period_us}")
     if not 0.0 <= args.threshold <= 1.0:
         raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
+    _config(check_simulation, specs, duration, args.threaded)
     out = _outdir(args)
     report = run_simulation(
         specs,
@@ -512,3 +502,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -8,9 +8,10 @@ the magic through the payload.
 
 The transport is an in-process channel with injectable loss and jitter; the
 byte format is exact so a socket transport could be slotted in unchanged.
-Two scheduler modes exist: a deterministic single-threaded merge (packets
-arrive in true send-time order) used for reproducible reports, and a
-threaded mode with one producer thread per camera pushing into a bounded
+Each camera is a lazy source that encodes a packet only when it is read.
+Two scheduler modes read the sources: a deterministic single-threaded merge
+(packets arrive in true send-time order) used for reproducible reports, and
+a threaded mode with one producer thread per camera pushing into a bounded
 queue (producers block when it fills) where arrival interleaving is up to
 the scheduler but counting invariants still hold.
 
@@ -22,14 +23,17 @@ true floor of the in-process transport.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import heapq
+import itertools
 import math
 import queue
 import statistics
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +51,14 @@ _CRC_LEN = _CRC.size
 # register one to one.  So a packet is checked whole, without slicing off
 # its CRC.
 _CRC_RESIDUE = 0x2144DF1C
-# Frames per median_filter call in run_simulation, which bounds the transient
-# memory of the filter whatever the simulated duration.
+# Frames per median_filter call and per block of a camera's draws in
+# run_simulation: bounds their transient memory whatever the duration.
 _FILTER_BLOCK = 256
 # Largest camera count the threaded mode accepts: one producer thread each.
 MAX_THREADED_CAMERAS = 64
+_QUEUE_CAPACITY = 64  # packets queued before the threaded producers block
+_HANDSHAKES = 5  # clock samples per camera
+_MEDIAN_WINDOW = 3
 
 
 class StreamError(Exception):
@@ -132,11 +139,9 @@ def encode_packet(packet: StreamPacket) -> bytes:
 
 def decode_packet(blob: bytes) -> StreamPacket:
     size = len(blob)
-    if size < len(PACKET_MAGIC):
+    if blob[:4] != PACKET_MAGIC:
         if PACKET_MAGIC.startswith(blob):
             raise TruncationError(f"{size} bytes is shorter than the magic")
-        raise ProtocolError("bad magic")
-    if blob[:4] != PACKET_MAGIC:
         raise ProtocolError("bad magic")
     if size < _HEADER_LEN:
         raise TruncationError(f"header needs {_HEADER_LEN} bytes, got {size}")
@@ -284,8 +289,9 @@ class WindowAssembler:
         bucket[camera_id] = frame
         return self._drain()
 
-
     def _emit(self, index: int) -> SyncWindow:
+        # windows leave in increasing index order, so this never lowers the bar
+        self._emitted_below = index + 1
         frames = self._pending.pop(index)
         return SyncWindow(
             window_index=index,
@@ -308,15 +314,10 @@ class WindowAssembler:
                     return []
                 if index < mark:
                     mark = index
-        out = [self._emit(index) for index in sorted(self._pending) if index < mark]
-        self._emitted_below = max(self._emitted_below, out[-1].window_index + 1)
-        return out
+        return [self._emit(index) for index in sorted(self._pending) if index < mark]
 
     def flush(self) -> list[SyncWindow]:
-        out = [self._emit(index) for index in sorted(self._pending)]
-        if out:
-            self._emitted_below = max(self._emitted_below, out[-1].window_index + 1)
-        return out
+        return [self._emit(index) for index in sorted(self._pending)]
 
 
 @dataclass
@@ -383,82 +384,11 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-@dataclass
-class _ProducerOutput:
-    handshakes: list[tuple[int, int]]
-    packets: list[tuple[int, bytes]]  # (true send time, encoded bytes)
-    produced: int
-    dropped_link: int
+def check_simulation(specs: list[CameraSpec], duration_us: int, threaded: bool) -> None:
+    """Reject, before anything runs, a simulation that could not run to its end.
 
-
-def _run_producer(
-    spec: CameraSpec, duration_us: int, seed: int, frame_hw: tuple[int, int], handshakes: int
-) -> _ProducerOutput:
-    """Generate one camera's handshake samples and surviving encoded packets.
-
-    Each handshake draws one normal pair (its first value is the jitter); each
-    packet draws one normal pair for its jitter and then one uniform for its
-    link drop, three consecutive generator outputs in all.
-    """
-    rng = Rng(derive_seed(seed, "camera", spec.camera_id))
-    h, w = frame_hw
-    period = spec.frame_period_us
-    hs_jitter = rng.normals(2 * handshakes)[0::2] * spec.jitter_std_us
-    hs = [
-        (int(j * 100 + spec.clock_offset_us + round(jitter)), j * 100)
-        for j, jitter in enumerate(hs_jitter.tolist())
-    ]
-    n = -(-duration_us // period)  # frames sent at 0, period, ... before duration_us
-    bits = rng.raw(3 * n).reshape(n, 3)
-    jitters = (box_muller(bits[:, 0], bits[:, 1])[0] * spec.jitter_std_us).tolist()
-    kept = unit_floats(bits[:, 2]) >= spec.drop_probability
-    # uint8 addition wraps, which is the % 256 of the payload pattern
-    grid = (np.arange(h)[:, None] * 3 + np.arange(w)[None, :] * 5) % 256
-    bases = (np.arange(n) * 7 + spec.camera_id * 13) % 251
-    payloads = grid.astype(np.uint8) + bases.astype(np.uint8)[:, None, None]
-    out_packets = []
-    for k in np.flatnonzero(kept).tolist():
-        true_t = k * period
-        packet = StreamPacket(
-            camera_id=spec.camera_id,
-            sequence_no=k,
-            timestamp_us=max(int(true_t + spec.clock_offset_us + round(jitters[k])), 0),
-            height=h,
-            width=w,
-            payload=payloads[k].tobytes(),
-        )
-        out_packets.append((true_t, encode_packet(packet)))
-    return _ProducerOutput(hs, out_packets, n, n - len(out_packets))
-
-
-def run_simulation(
-    specs: list[CameraSpec],
-    duration_us: int,
-    seed: int,
-    pipeline_hook=None,
-    *,
-    frame_hw: tuple[int, int] = (16, 16),
-    window_period_us: int | None = None,
-    median_window: int = 3,
-    feedback_threshold: float = 0.5,
-    labels: tuple[str, ...] = ACTION_LABELS,
-    handshakes: int = 5,
-    threaded: bool = False,
-    queue_capacity: int = 64,
-) -> SimulationReport:
-    """Producers -> decode -> calibrate -> median filter -> windows -> hook.
-
-    The deterministic mode merges packets in (send time, camera id) order
-    and decodes and filters them in blocks of at most ``_FILTER_BLOCK``.
-    Every decoded frame must have the extents ``frame_hw``.  The hook runs
-    on each window as the assembler emits it, so a closed window's frames
-    are released once it is labelled.
-    The threaded mode runs one producer thread per camera (at most
-    ``MAX_THREADED_CAMERAS``) over a bounded queue; arrival interleaving
-    (and therefore late/duplicate counts and window completeness) may vary
-    run to run, but packet conservation and emission ordering hold in both
-    modes.  If consuming a packet raises, the producers are stopped and
-    joined before the error reaches the caller.
+    Beyond unique ids, a positive duration and the thread bound, each camera's
+    frames must fit u32 sequence numbers and its last jitter-free timestamp u64.
     """
     if not specs:
         raise ValueError("need at least one camera")
@@ -472,27 +402,97 @@ def run_simulation(
             f"threaded mode starts one thread per camera: at most "
             f"{MAX_THREADED_CAMERAS} cameras, got {len(specs)}"
         )
+    for s in specs:
+        frames = -(-duration_us // s.frame_period_us)
+        if frames > 2**32:
+            raise ValueError(f"camera {s.camera_id}: {frames} frames overflow u32 sequence_no")
+        last = (frames - 1) * s.frame_period_us + s.clock_offset_us
+        if last >= 2**64:
+            raise ValueError(f"camera {s.camera_id}: last timestamp {last} does not fit u64")
+
+
+def _handshakes(spec: CameraSpec, rng: Rng) -> list[tuple[int, int]]:
+    """(send, receive) clock samples 100 us apart, each jittered by one normal pair's first value."""
+    jitters = rng.normals(2 * _HANDSHAKES)[0::2] * spec.jitter_std_us
+    return [
+        (int(j * 100 + spec.clock_offset_us + round(jitter)), j * 100)
+        for j, jitter in enumerate(jitters.tolist())
+    ]
+
+
+def _packets(
+    spec: CameraSpec, rng: Rng, n: int, frame_hw: tuple[int, int], counts: CameraCounts
+):
+    """Yield one camera's surviving packets as (send time, camera id, encoded bytes).
+
+    The n frames, sent at 0, period, ..., are made ``_FILTER_BLOCK`` at a time,
+    each from three consecutive generator outputs (a normal pair whose first
+    value is the jitter, then the link-drop uniform); each block adds to
+    ``counts`` as it is made.  Only the encoding runs per packet, when read.
+    """
+    h, w = frame_hw
+    # uint8 addition wraps, which is the % 256 of the payload pattern
+    grid = ((np.arange(h)[:, None] * 3 + np.arange(w)[None, :] * 5) % 256).astype(np.uint8)
+    for start in range(0, n, _FILTER_BLOCK):
+        ks = np.arange(start, min(start + _FILTER_BLOCK, n))
+        bits = rng.raw(3 * ks.size).reshape(ks.size, 3)
+        jitters = (box_muller(bits[:, 0], bits[:, 1])[0] * spec.jitter_std_us).tolist()
+        kept = np.flatnonzero(unit_floats(bits[:, 2]) >= spec.drop_probability).tolist()
+        payloads = grid + ((ks * 7 + spec.camera_id * 13) % 251).astype(np.uint8)[:, None, None]
+        counts.produced += ks.size
+        counts.dropped_link += ks.size - len(kept)
+        for i in kept:
+            true_t = (start + i) * spec.frame_period_us
+            stamp = max(int(true_t + spec.clock_offset_us + round(jitters[i])), 0)
+            packet = StreamPacket(spec.camera_id, start + i, stamp, h, w, payloads[i].tobytes())
+            yield true_t, spec.camera_id, encode_packet(packet)
+
+
+def run_simulation(
+    specs: list[CameraSpec],
+    duration_us: int,
+    seed: int,
+    pipeline_hook=None,
+    *,
+    frame_hw: tuple[int, int] = (16, 16),
+    window_period_us: int | None = None,
+    feedback_threshold: float = 0.5,
+    threaded: bool = False,
+) -> SimulationReport:
+    """Camera sources -> decode -> calibrate -> median filter -> windows -> hook.
+
+    ``check_simulation`` runs first.  Both modes read one lazy ``_packets``
+    source per camera, so packets are encoded only as they are consumed.
+    The deterministic mode merges the sources in (send time, camera id)
+    order and decodes and filters them in blocks of at most ``_FILTER_BLOCK``.
+    Every decoded frame must have the extents ``frame_hw``.  The hook runs on
+    each window as the assembler emits it, so a closed window's frames are
+    released once it is labelled.  The threaded mode runs one producer
+    thread per camera over a queue of ``_QUEUE_CAPACITY``; arrival
+    interleaving (and therefore late/duplicate counts and window
+    completeness) may vary run to run, but packet conservation and emission
+    ordering hold in both modes.  If producing or consuming a packet raises,
+    the producers are stopped and joined before the error reaches the caller.
+    """
+    check_simulation(specs, duration_us, threaded)
     period = specs[0].frame_period_us if window_period_us is None else window_period_us
     h, w = frame_hw
-    outputs = {
-        s.camera_id: _run_producer(s, duration_us, seed, frame_hw, handshakes) for s in specs
-    }
-    offsets = calibrate_clocks({cid: o.handshakes for cid, o in outputs.items()})
+    counts = {s.camera_id: CameraCounts() for s in specs}
+    samples, sources = {}, []
+    for s in specs:
+        rng = Rng(derive_seed(seed, "camera", s.camera_id))
+        samples[s.camera_id] = _handshakes(s, rng)
+        n = -(-duration_us // s.frame_period_us)  # frames sent before duration_us
+        sources.append(_packets(s, rng, n, frame_hw, counts[s.camera_id]))
+    offsets = calibrate_clocks(samples)
     assembler = WindowAssembler(specs, period)
-    counts = {
-        cid: CameraCounts(produced=o.produced, dropped_link=o.dropped_link)
-        for cid, o in outputs.items()
-    }
 
-    window_rows = []
-    feedback = []
-    hook_failures = []
-    latencies = []
+    window_rows, feedback, hook_failures, latencies = [], [], [], []
 
     def label_window(window: SyncWindow):
         """Label one closed window; only its row and latency outlive the call."""
         latencies.append(window.close_latency_us)
-        probs = None
+        probs = np.full(len(ACTION_LABELS), 1.0 / len(ACTION_LABELS))
         if pipeline_hook is not None:
             try:
                 probs = np.asarray(pipeline_hook(window), dtype=np.float64)
@@ -500,11 +500,9 @@ def run_simulation(
                 hook_failures.append((window.window_index, str(exc)))
                 window_rows.append((window.window_index, window.completeness, "hook-error", 0.0))
                 return
-        if probs is None:
-            probs = np.full(len(labels), 1.0 / len(labels))
-        name = labels[int(probs.argmax())]
+        name = ACTION_LABELS[int(probs.argmax())]
         window_rows.append((window.window_index, window.completeness, name, float(probs.max())))
-        message = emit_feedback(window, probs, labels, feedback_threshold)
+        message = emit_feedback(window, probs, ACTION_LABELS, feedback_threshold)
         if message is not None:
             feedback.append(message)
 
@@ -518,53 +516,54 @@ def run_simulation(
                 )
             counts[packet.camera_id].delivered += 1
         frames = np.frombuffer(b"".join(p.payload for p in packets), dtype=np.uint8)
-        filtered = median_filter(frames.reshape(len(packets), h, w), median_window)
+        filtered = median_filter(frames.reshape(len(packets), h, w), _MEDIAN_WINDOW)
         for packet, frame in zip(packets, filtered.astype(np.float64)):
             corrected = packet.timestamp_us - offsets[packet.camera_id]
             for window in assembler.push(packet.camera_id, corrected, frame):
                 label_window(window)
 
     if threaded:
-        chan: queue.Queue = queue.Queue(maxsize=queue_capacity)
-        sentinel = object()
+        chan: queue.Queue = queue.Queue(maxsize=_QUEUE_CAPACITY)
         stop = threading.Event()
 
-        def producer(cid):
-            for _, blob in outputs[cid].packets:
-                if stop.is_set():
-                    return
-                chan.put(blob)  # blocks while the queue is full
-            chan.put(sentinel)
+        def produce(source):
+            # Ends by sending None, or its source's error for the consumer to
+            # raise: a thread that died silently would leave it waiting forever.
+            try:
+                for _, _, blob in source:
+                    if stop.is_set():
+                        return
+                    chan.put(blob)  # blocks while the queue is full
+            except Exception as exc:
+                chan.put(exc)
+            else:
+                chan.put(None)
 
-        threads = [
-            threading.Thread(target=producer, args=(cid,), daemon=True) for cid in outputs
-        ]
-        for t in threads:
-            t.start()
+        threads = [threading.Thread(target=produce, args=(src,), daemon=True) for src in sources]
         try:
+            for t in threads:
+                t.start()
             finished = 0
             while finished < len(threads):
                 item = chan.get()
-                if item is sentinel:
+                if item is None:
                     finished += 1
+                elif isinstance(item, Exception):
+                    raise item
                 else:
                     consume([item])
         finally:
-            # After a consumer failure producers may be blocked in put: stop
-            # them and drain until every one has exited; the error propagates.
+            # After a failure producers may be blocked in put: stop them and
+            # drain until every one has exited; the error propagates.
             stop.set()
             while any(t.is_alive() for t in threads):
-                try:
+                with contextlib.suppress(queue.Empty):
                     chan.get(timeout=0.01)
-                except queue.Empty:
-                    pass
     else:
-        merged = []
-        for cid, out in outputs.items():
-            merged.extend((t, cid, blob) for t, blob in out.packets)
-        merged.sort(key=lambda item: (item[0], item[1]))
-        for start in range(0, len(merged), _FILTER_BLOCK):
-            consume([blob for _, _, blob in merged[start : start + _FILTER_BLOCK]])
+        # (send time, camera id) is unique, so the merge never compares bytes
+        merged = heapq.merge(*sources)
+        while block := list(itertools.islice(merged, _FILTER_BLOCK)):
+            consume([blob for _, _, blob in block])
 
     for window in assembler.flush():
         label_window(window)

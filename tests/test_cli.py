@@ -70,14 +70,21 @@ class TestParsing:
 
 
 class TestExitCodes:
-    def test_python_m_eitnet_runs_the_cli(self):
+    @staticmethod
+    def python_m_version(module):
         src = Path(eitnet.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run(
-            [sys.executable, "-m", "eitnet", "--version"],
+            [sys.executable, "-m", module, "--version"],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (done.returncode, done.stdout) == (0, f"{eitnet.__version__}\n"), done.stderr
+
+    def test_python_m_eitnet_runs_the_cli(self):
+        self.python_m_version("eitnet")
+
+    def test_python_m_eitnet_cli_runs_the_cli(self):
+        self.python_m_version("eitnet.cli")
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert dispatch([]) == 2
@@ -123,12 +130,15 @@ INVALID_CONFIG_ARGV = [
     ["simulate", "--window-period-us", "-5"],
     ["simulate", "--window-period-us", "0"],
     ["simulate", "--camera-config", "{cameras}"],
+    ["simulate", "--offset-us", "10000000000000000000", "--cameras", "2"],
+    ["simulate", "--period-us", "1", "--duration", "4295s"],
     ["gen-data", "--repetitions", "0"],
     ["train", "--dataset", "{dataset}", "--epochs", "0"],
     ["train", "--dataset", "{dataset}", "--lr", "-1"],
     ["eval", "--dataset", "{dataset}", "--lr", "nan"],
     ["ablate", "--dataset", "{dataset}", "--epochs", "0"],
     ["run-pipeline", "--dataset", "{dataset}", "--lambda", "-1"],
+    ["run-pipeline", "--dataset", "{dataset}", "--lambda", "inf"],
     ["simulate", "--threshold", "1.5"],
     ["simulate", "--threshold", "nan"],
     ["simulate", "--threshold", "-1"],

@@ -2,6 +2,7 @@ import math
 import threading
 import zlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,9 +27,9 @@ from eitnet.stream import (
     SyncWindow,
     TruncationError,
     WindowAssembler,
+    _handshakes,
+    _packets,
     _percentile,
-    _ProducerOutput,
-    _run_producer,
     calibrate_clocks,
     decode_packet,
     emit_feedback,
@@ -351,7 +352,10 @@ def frame_packet(cid, seq, ts, value=0):
 
 
 def per_packet_producer(spec, duration_us, seed, frame_hw, handshakes):
-    """Reference producer: one jitter normal, one drop uniform and one payload per packet."""
+    """Reference producer: one jitter normal, one drop uniform and one payload per packet.
+
+    Returns (handshake samples, [(send time, camera id, bytes)], produced, dropped).
+    """
     rng = Rng(derive_seed(seed, "camera", spec.camera_id))
     h, w = frame_hw
     hs = []
@@ -382,9 +386,19 @@ def per_packet_producer(spec, duration_us, seed, frame_hw, handshakes):
                 width=w,
                 payload=payload,
             )
-            out_packets.append((true_t, encode_packet(packet)))
+            out_packets.append((true_t, spec.camera_id, encode_packet(packet)))
         k += 1
-    return _ProducerOutput(hs, out_packets, produced, dropped)
+    return hs, out_packets, produced, dropped
+
+
+def lazy_producer(cam, duration_us, seed, frame_hw):
+    """per_packet_producer's tuple from the lazy source, read to its end."""
+    rng = Rng(derive_seed(seed, "camera", cam.camera_id))
+    hs = _handshakes(cam, rng)
+    counts = CameraCounts()
+    n = -(-duration_us // cam.frame_period_us)
+    packets = list(_packets(cam, rng, n, frame_hw, counts))
+    return hs, packets, counts.produced, counts.dropped_link
 
 
 def per_frame_median_filter(frame, window):
@@ -405,16 +419,14 @@ def per_packet_simulation(
     """
     period = window_period_us or specs[0].frame_period_us
     outputs = {s.camera_id: per_packet_producer(s, duration_us, seed, frame_hw, 5) for s in specs}
-    offsets = calibrate_clocks({cid: o.handshakes for cid, o in outputs.items()})
+    offsets = calibrate_clocks({cid: hs for cid, (hs, _, _, _) in outputs.items()})
     assembler = RescanAssembler(specs, period, offsets)
     counts = {
-        cid: CameraCounts(produced=o.produced, dropped_link=o.dropped_link)
-        for cid, o in outputs.items()
+        cid: CameraCounts(produced=produced, dropped_link=dropped)
+        for cid, (_, _, produced, dropped) in outputs.items()
     }
     windows = []
-    merged = []
-    for cid, out in outputs.items():
-        merged.extend((t, cid, blob) for t, blob in out.packets)
+    merged = [item for _, packets, _, _ in outputs.values() for item in packets]
     merged.sort(key=lambda item: (item[0], item[1]))
     for _, _, blob in merged:
         packet = decode_packet(blob)
@@ -469,6 +481,11 @@ EQUIVALENCE_CASES = {
     "several-blocks": (
         [spec(cid, offset=100 * cid, jitter=400.0, drop=0.05) for cid in (1, 2, 3)],
         120_000, 26, (16, 16), None,
+    ),
+    # camera 1 draws over three source blocks: 600 frames against a 256 block
+    "several-source-blocks": (
+        [spec(1, period=100, offset=300, jitter=30.0, drop=0.2), spec(2, jitter=250.0)],
+        60_000, 28, (4, 4), None,
     ),
 }
 
@@ -592,32 +609,92 @@ class TestSimulation:
 
     def test_corrected_timestamps_strictly_increasing_per_camera(self):
         cam = spec(1, period=1000, offset=700, jitter=200.0)  # jitter < period/2
-        from eitnet.stream import _run_producer
-
-        out = _run_producer(cam, 50_000, seed=4, frame_hw=(4, 4), handshakes=5)
-        offsets = calibrate_clocks({1: out.handshakes})
-        corrected = [decode_packet(blob).timestamp_us - offsets[1] for _, blob in out.packets]
+        hs, packets, _, _ = lazy_producer(cam, 50_000, seed=4, frame_hw=(4, 4))
+        offsets = calibrate_clocks({1: hs})
+        corrected = [decode_packet(blob).timestamp_us - offsets[1] for _, _, blob in packets]
         assert all(b > a for a, b in zip(corrected, corrected[1:]))
 
-    def test_threaded_mode_preserves_conservation(self):
+    def test_threaded_mode_preserves_conservation(self, monkeypatch):
+        monkeypatch.setattr(eitnet.stream, "_QUEUE_CAPACITY", 4)
         specs = [spec(1, drop=0.2, jitter=100.0), spec(2, drop=0.1), spec(3)]
-        report = run_simulation(specs, duration_us=30_000, seed=6, threaded=True, queue_capacity=4)
+        report = run_simulation(specs, duration_us=30_000, seed=6, threaded=True)
         assert report.conservation_holds()
         indices = [row[0] for row in report.window_rows]
         assert indices == sorted(indices)
 
     def test_threaded_consumer_failure_stops_producers(self, monkeypatch):
-        import eitnet.stream
-
         def broken(blob):
             raise RuntimeError("decode failed")
 
         monkeypatch.setattr(eitnet.stream, "decode_packet", broken)
+        monkeypatch.setattr(eitnet.stream, "_QUEUE_CAPACITY", 2)
         specs = [spec(1), spec(2), spec(3)]
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="decode failed"):
-            run_simulation(specs, duration_us=30_000, seed=6, threaded=True, queue_capacity=2)
+            run_simulation(specs, duration_us=30_000, seed=6, threaded=True)
         assert [t for t in threading.enumerate() if t not in before] == []
+
+    def test_threaded_producer_failure_reaches_the_caller(self, monkeypatch):
+        original = eitnet.stream.encode_packet
+
+        def broken(packet):
+            if packet.camera_id == 2 and packet.sequence_no == 3:
+                raise RuntimeError("encode failed")
+            return original(packet)
+
+        monkeypatch.setattr(eitnet.stream, "encode_packet", broken)
+        monkeypatch.setattr(eitnet.stream, "_QUEUE_CAPACITY", 2)
+        specs = [spec(1), spec(2), spec(3)]
+        before = set(threading.enumerate())
+        errors = []
+
+        def run():
+            try:
+                run_simulation(specs, duration_us=30_000, seed=6, threaded=True)
+            except Exception as exc:
+                errors.append(exc)
+
+        # A producer that died without a word would leave run() blocked for good.
+        watchdog = threading.Thread(target=run, daemon=True)
+        watchdog.start()
+        watchdog.join(timeout=20)
+        assert not watchdog.is_alive(), "the producer failure never reached the caller"
+        assert [str(e) for e in errors] == ["encode failed"]
+        assert isinstance(errors[0], RuntimeError)
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_packets_in_flight_stay_bounded(self, monkeypatch, threaded):
+        """Packets are encoded as they are consumed, not all before the first is."""
+        lock = threading.Lock()
+        in_flight = peak = 0
+        encode, decode = eitnet.stream.encode_packet, eitnet.stream.decode_packet
+
+        def counting_encode(packet):
+            nonlocal in_flight, peak
+            blob = encode(packet)
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            return blob
+
+        def counting_decode(blob):
+            nonlocal in_flight
+            with lock:
+                in_flight -= 1
+            return decode(blob)
+
+        monkeypatch.setattr(eitnet.stream, "encode_packet", counting_encode)
+        monkeypatch.setattr(eitnet.stream, "decode_packet", counting_decode)
+        specs = [spec(cid, period=33333, offset=200 * cid, drop=0.05) for cid in range(1, 6)]
+        report = run_simulation(specs, duration_us=20_000_000, seed=27, threaded=threaded)
+        assert in_flight == 0 and report.conservation_holds()
+        # One packet waits in each source beside a filter block or the queue;
+        # the threaded consumer may also hold one between get and decode.
+        if threaded:
+            assert peak <= eitnet.stream._QUEUE_CAPACITY + len(specs) + 1
+        else:
+            assert peak <= eitnet.stream._FILTER_BLOCK + len(specs)
 
     def test_hook_receives_every_window(self):
         specs = [spec(1), spec(2)]
@@ -695,14 +772,14 @@ class TestSimulation:
 
     @pytest.mark.parametrize("threaded", [False, True])
     def test_frame_of_wrong_extents_rejected(self, monkeypatch, threaded):
-        original = eitnet.stream._run_producer
+        original = eitnet.stream._packets
 
-        def one_wide_camera(spec, duration_us, seed, frame_hw, handshakes):
+        def one_wide_camera(spec, rng, n, frame_hw, counts):
             if spec.camera_id == 2:
                 frame_hw = (8, 32)  # as many bytes as 16x16
-            return original(spec, duration_us, seed, frame_hw, handshakes)
+            return original(spec, rng, n, frame_hw, counts)
 
-        monkeypatch.setattr(eitnet.stream, "_run_producer", one_wide_camera)
+        monkeypatch.setattr(eitnet.stream, "_packets", one_wide_camera)
         specs = [spec(1), spec(2), spec(3)]
         with pytest.raises(ValueError, match="camera 2 sent a 8x32 frame, expected 16x16"):
             run_simulation(specs, duration_us=10_000, seed=3, threaded=threaded)
@@ -726,7 +803,7 @@ class TestBlockEquivalence:
     def test_producer_matches_per_packet_loop(self, case):
         specs, duration, seed, frame_hw, _ = EQUIVALENCE_CASES[case]
         for cam in specs:
-            got = _run_producer(cam, duration, seed, frame_hw, 5)
+            got = lazy_producer(cam, duration, seed, frame_hw)
             ref = per_packet_producer(cam, duration, seed, frame_hw, 5)
             assert got == ref
 
@@ -745,7 +822,7 @@ class TestBlockEquivalence:
         stamps = [
             decode_packet(blob).timestamp_us
             for cam in specs
-            for t, blob in _run_producer(cam, duration, seed, frame_hw, 5).packets
+            for t, _, blob in lazy_producer(cam, duration, seed, frame_hw)[1]
             if t > 0
         ]
         assert 0 in stamps
@@ -756,6 +833,10 @@ class TestBlockEquivalence:
         report = run_simulation(specs, duration, seed, frame_hw=frame_hw)
         delivered = sum(c.delivered for c in report.counts.values())
         assert delivered > eitnet.stream._FILTER_BLOCK
+        specs, duration, seed, frame_hw, _ = EQUIVALENCE_CASES["several-source-blocks"]
+        report = run_simulation(specs, duration, seed, frame_hw=frame_hw)
+        assert report.counts[1].produced > 2 * eitnet.stream._FILTER_BLOCK
+        assert report.counts[1].dropped_link > 0
 
     def test_filter_calls_stay_within_the_block_cap(self, monkeypatch):
         shapes = []
@@ -911,9 +992,8 @@ class TestAssemblerProperties:
             spec(cid, offset=offset, jitter=jitter, drop=drop)
             for cid, (drop, jitter, offset) in enumerate(cameras, start=1)
         ]
-        report = run_simulation(
-            specs, duration, seed, frame_hw=(4, 4), threaded=threaded, queue_capacity=2
-        )
+        with mock.patch.object(eitnet.stream, "_QUEUE_CAPACITY", 2):  # the queue fills
+            report = run_simulation(specs, duration, seed, frame_hw=(4, 4), threaded=threaded)
         for c in report.counts.values():
             assert c.produced == -(-duration // 1000)
             assert c.produced == c.delivered + c.dropped_link

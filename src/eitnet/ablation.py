@@ -47,17 +47,12 @@ def split_samples(samples, plan: SplitPlan):
 
 
 def run_ablation(
-    samples,
-    plan: SplitPlan,
-    base_config: PipelineConfig,
-    hp: Hyperparams,
-    rows: tuple[StageToggles, ...] = TABLE_ROWS,
+    samples, plan: SplitPlan, base_config: PipelineConfig, hp: Hyperparams
 ) -> list[AblationRow]:
-    if not rows:
-        raise ValueError("ablation needs at least one configuration row")
+    """One row per ``TABLE_ROWS`` configuration, in that order."""
     train, test = split_samples(samples, plan)
     out = []
-    for toggles in rows:
+    for toggles in TABLE_ROWS:
         model = PipelineModel(with_toggles(base_config, toggles), seed=hp.seed)
         train_toy(model, train, hp)
         metrics = evaluate_pipeline(model, test)

@@ -78,8 +78,6 @@ def parse_duration_us(text: str) -> int:
             duration = int(raw)
     except (ValueError, OverflowError):
         raise ConfigError(f"invalid duration {text!r}; use e.g. 2s, 250ms, 33333us") from None
-    if duration <= 0:
-        raise ConfigError(f"duration must be positive, got {text!r}")
     return duration
 
 
@@ -280,8 +278,6 @@ def _default_camera_specs(args) -> list[CameraSpec]:
         if not path.exists():
             raise ConfigError(f"camera config not found at {path}")
         return parse_camera_config(path.read_text())
-    if args.cameras < 1:
-        raise ConfigError("--cameras must be >= 1")
     return [
         CameraSpec(
             camera_id=i,
@@ -315,11 +311,7 @@ def _window_hook(seed: int, frame_hw: tuple[int, int]):
 def cmd_simulate(args) -> int:
     specs = _config(_default_camera_specs, args)
     duration = parse_duration_us(args.duration)
-    if args.window_period_us is not None and args.window_period_us <= 0:
-        raise ConfigError(f"--window-period-us must be positive, got {args.window_period_us}")
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
-    _config(check_simulation, specs, duration, args.threaded)
+    _config(check_simulation, specs, duration, args.window_period_us, args.threshold, args.threaded)
     out = _outdir(args)
     report = run_simulation(
         specs,

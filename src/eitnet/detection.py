@@ -218,6 +218,9 @@ SAME_CONV = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1), bias_enabled=False)
 DOWN_CONV = ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1), bias_enabled=False)
 # Backbone convs, fine to coarse: the weight each level reads and the spec it runs with.
 PYRAMID_CONVS = (("conv1", SAME_CONV), ("conv2", DOWN_CONV), ("conv3", DOWN_CONV))
+IN_CHANNELS = 1  # grayscale clips
+IOU_THRESHOLD = 0.5  # NMS drops a box overlapping a kept one by more than this
+FUSION_EPS = 1e-4  # keeps the fusion weights' normalizing sum positive
 
 
 @dataclass
@@ -231,12 +234,9 @@ class Detector:
     """
 
     frame_hw: tuple[int, int]
-    in_channels: int = 1
     channels: int = 4
     num_anchors: int = 4
-    iou_threshold: float = 0.5
     seed: int = 0
-    fusion_eps: float = 1e-4
     _weights: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -245,9 +245,9 @@ class Detector:
         h, w = self.frame_hw
         self.fused_hw = (max(h // 4, 1), max(w // 4, 1))
         feat_dim = c * self.fused_hw[0] * self.fused_hw[1]
-        scale = 1.0 / math.sqrt(9 * max(self.in_channels, c))
+        scale = 1.0 / math.sqrt(9 * max(IN_CHANNELS, c))
         self._weights = {
-            "conv1": rng.normals(c * self.in_channels * 9).reshape(c, self.in_channels, 1, 3, 3)
+            "conv1": rng.normals(c * IN_CHANNELS * 9).reshape(c, IN_CHANNELS, 1, 3, 3)
             * scale,
             "conv2": rng.normals(c * c * 9).reshape(c, c, 1, 3, 3) * scale,
             "conv3": rng.normals(c * c * 9).reshape(c, c, 1, 3, 3) * scale,
@@ -290,7 +290,7 @@ class Detector:
             lv if lv.shape[-2:] == self.fused_hw else resample_nearest(lv, self.fused_hw)
             for lv in levels
         ]
-        return bifpn_fuse(common, self._weights["fusion"], self.fusion_eps)
+        return bifpn_fuse(common, self._weights["fusion"], FUSION_EPS)
 
     def detect(self, clip: np.ndarray) -> list[np.ndarray]:
         """Each frame's NMS survivors of a [C,T,H,W] clip: [K, 5] rows of (cx, cy, w, h, score)."""
@@ -300,7 +300,7 @@ class Detector:
         scores = sigmoid(linear(rows, w["score_w"], w["score_b"])[:, 0])
         boxes = predict_boxes(rows, w["reg_w"], w["reg_b"], self.anchors, scores)
         found = np.concatenate([boxes, scores[..., None]], axis=-1)  # [T, A, 5]
-        return [f[keep] for f, keep in zip(found, nms(boxes, scores, self.iou_threshold))]
+        return [f[keep] for f, keep in zip(found, nms(boxes, scores, IOU_THRESHOLD))]
 
     def best_box(self, clips: np.ndarray) -> np.ndarray:
         """[B, T, 5] rows: each frame's top surviving box, or the full frame where none survives.

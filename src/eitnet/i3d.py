@@ -96,17 +96,15 @@ class I3DStack:
     trainer, which passes per-epoch probabilities and seeds.
     """
 
-    in_channels: int = 1
     widths: tuple[int, ...] = (8, 16, 32)
-    pools: tuple[tuple[int, int, int], ...] = DEFAULT_POOLS
     seed: int = 0
     blocks: list[I3DBlockParams] = field(init=False, repr=False)
 
     def __post_init__(self):
         rng = Rng(self.seed)
         self.blocks = []
-        c_prev = self.in_channels
-        for width, pool in zip(self.widths, self.pools):
+        c_prev = 1  # single-channel clips
+        for width, pool in zip(self.widths, DEFAULT_POOLS):
             fan_in = c_prev * 27
             w = rng.normals(width * fan_in).reshape(width, c_prev, 3, 3, 3) * math.sqrt(
                 2.0 / fan_in

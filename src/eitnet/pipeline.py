@@ -45,6 +45,8 @@ from .tensorops import ConvSpec, as_tensor, linear, softmax
 # about 5 MB (10%, its regression bound) for about 10% more speed.
 STACK_CLIPS = 4
 
+FEATURE_STD = 16.0  # of each head input over the feature-norm fitting set
+
 
 @dataclass(frozen=True)
 class StageToggles:
@@ -294,12 +296,12 @@ class PipelineModel:
         cls_feat, pose_feat = self.extract_batch(np.asarray(clip)[None], dropout_p, [seed])
         return cls_feat[0], pose_feat[0]
 
-    def fit_feature_norm(self, samples, target_std: float = 16.0) -> None:
+    def fit_feature_norm(self, samples) -> None:
         """Freeze head-input statistics from the given samples' clean features.
 
         Called once before head training; afterwards every extract() applies
         the same affine standardization, scaled so each dimension has the
-        target standard deviation over the fitting set.
+        standard deviation ``FEATURE_STD`` over the fitting set.
         """
         self.norm_stats = {
             "cls_mean": np.zeros_like(self.norm_stats["cls_mean"]),
@@ -310,9 +312,9 @@ class PipelineModel:
         cls, pose = self.extract_batch([sample.clip for sample in samples])
         self.norm_stats = {
             "cls_mean": cls.mean(axis=0),
-            "cls_scale": target_std / np.maximum(cls.std(axis=0), 1e-8),
+            "cls_scale": FEATURE_STD / np.maximum(cls.std(axis=0), 1e-8),
             "pose_mean": pose.mean(axis=0),
-            "pose_scale": target_std / np.maximum(pose.std(axis=0), 1e-8),
+            "pose_scale": FEATURE_STD / np.maximum(pose.std(axis=0), 1e-8),
         }
 
     # -- trainable heads ----------------------------------------------------

@@ -17,8 +17,8 @@ the scheduler but counting invariants still hold.
 
 Clock calibration is a coarse one-way estimator: the offset to subtract from
 a camera's timestamps is the median of (send - receive) over its handshake
-samples plus a global minimum-latency estimate, which defaults to zero, the
-true floor of the in-process transport.
+samples, which takes the latency as zero, the true floor of the in-process
+transport.
 """
 
 from __future__ import annotations
@@ -202,22 +202,18 @@ def median_filter(frames: np.ndarray, window: int) -> np.ndarray:
     return functools.reduce(np.maximum, values)
 
 
-def calibrate_clocks(
-    samples: dict[int, list[tuple[int, int]]], min_latency_us: float = 0.0
-) -> dict[int, float]:
+def calibrate_clocks(samples: dict[int, list[tuple[int, int]]]) -> dict[int, float]:
     """Per-camera offset to subtract from sender timestamps.
 
     Each sample is (camera send timestamp, hub receive timestamp).  One-way
-    samples cannot separate latency from offset, so the shared minimum
-    latency is an explicit parameter (zero for the in-process transport).
+    samples cannot separate latency from offset, so the latency is taken as
+    zero, the floor of the in-process transport.
     """
     offsets = {}
     for camera_id, pairs in samples.items():
         if len(pairs) < 3:
             raise ValueError(f"camera {camera_id}: need >= 3 handshake samples")
-        offsets[camera_id] = (
-            statistics.median(send - recv for send, recv in pairs) + min_latency_us
-        )
+        offsets[camera_id] = float(statistics.median(send - recv for send, recv in pairs))
     return offsets
 
 
@@ -335,18 +331,18 @@ FEEDBACK_CSV_HEADER = "window_index,label,confidence,latency_us"
 
 
 def emit_feedback(
-    window: SyncWindow, probs: np.ndarray, labels: tuple[str, ...], threshold: float
+    window: SyncWindow, probs: np.ndarray, threshold: float
 ) -> FeedbackMessage | None:
-    """A message when the top class probability clears the threshold."""
+    """A message when the top class probability (one per ``ACTION_LABELS``) clears the threshold."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or len(labels) != probs.size:
+    if probs.ndim != 1 or len(ACTION_LABELS) != probs.size:
         raise ValueError("need one label per probability")
     best = int(probs.argmax())
     if probs[best] < threshold:
         return None
     return FeedbackMessage(
         window_index=window.window_index,
-        label=labels[best],
+        label=ACTION_LABELS[best],
         confidence=float(probs[best]),
         latency_us=window.close_latency_us,
     )
@@ -384,11 +380,18 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def check_simulation(specs: list[CameraSpec], duration_us: int, threaded: bool) -> None:
+def check_simulation(
+    specs: list[CameraSpec],
+    duration_us: int,
+    window_period_us: int | None,
+    feedback_threshold: float,
+    threaded: bool,
+) -> None:
     """Reject, before anything runs, a simulation that could not run to its end.
 
-    Beyond unique ids, a positive duration and the thread bound, each camera's
-    frames must fit u32 sequence numbers and its last jitter-free timestamp u64.
+    Beyond unique ids, a positive duration and window period (when given), a
+    feedback threshold in [0, 1] and the thread bound, each camera's frames
+    must fit u32 sequence numbers and its last jitter-free timestamp u64.
     """
     if not specs:
         raise ValueError("need at least one camera")
@@ -397,6 +400,10 @@ def check_simulation(specs: list[CameraSpec], duration_us: int, threaded: bool) 
         raise ValueError(f"camera ids must be unique, got {ids}")
     if duration_us <= 0:
         raise ValueError("duration must be positive")
+    if window_period_us is not None and window_period_us <= 0:
+        raise ValueError(f"window period must be positive, got {window_period_us}")
+    if not 0.0 <= feedback_threshold <= 1.0:
+        raise ValueError(f"feedback threshold must be in [0, 1], got {feedback_threshold}")
     if threaded and len(specs) > MAX_THREADED_CAMERAS:
         raise ValueError(
             f"threaded mode starts one thread per camera: at most "
@@ -443,7 +450,8 @@ def _packets(
         counts.dropped_link += ks.size - len(kept)
         for i in kept:
             true_t = (start + i) * spec.frame_period_us
-            stamp = max(int(true_t + spec.clock_offset_us + round(jitters[i])), 0)
+            stamp = int(true_t + spec.clock_offset_us + round(jitters[i]))
+            stamp = min(max(stamp, 0), 2**64 - 1)  # jitter may push a stamp past either end
             packet = StreamPacket(spec.camera_id, start + i, stamp, h, w, payloads[i].tobytes())
             yield true_t, spec.camera_id, encode_packet(packet)
 
@@ -468,13 +476,14 @@ def run_simulation(
     Every decoded frame must have the extents ``frame_hw``.  The hook runs on
     each window as the assembler emits it, so a closed window's frames are
     released once it is labelled.  The threaded mode runs one producer
-    thread per camera over a queue of ``_QUEUE_CAPACITY``; arrival
+    thread per camera over a queue of ``_QUEUE_CAPACITY``, whose consumer
+    filters what it holds in blocks of at most ``_FILTER_BLOCK``; arrival
     interleaving (and therefore late/duplicate counts and window
     completeness) may vary run to run, but packet conservation and emission
     ordering hold in both modes.  If producing or consuming a packet raises,
     the producers are stopped and joined before the error reaches the caller.
     """
-    check_simulation(specs, duration_us, threaded)
+    check_simulation(specs, duration_us, window_period_us, feedback_threshold, threaded)
     period = specs[0].frame_period_us if window_period_us is None else window_period_us
     h, w = frame_hw
     counts = {s.camera_id: CameraCounts() for s in specs}
@@ -502,19 +511,21 @@ def run_simulation(
                 return
         name = ACTION_LABELS[int(probs.argmax())]
         window_rows.append((window.window_index, window.completeness, name, float(probs.max())))
-        message = emit_feedback(window, probs, ACTION_LABELS, feedback_threshold)
+        message = emit_feedback(window, probs, feedback_threshold)
         if message is not None:
             feedback.append(message)
 
-    def consume(blobs: list[bytes]):
-        packets = [decode_packet(blob) for blob in blobs]
-        for packet in packets:
-            if packet.height != h or packet.width != w:
-                raise ValueError(
-                    f"camera {packet.camera_id} sent a {packet.height}x{packet.width} frame, "
-                    f"expected {h}x{w}"
-                )
-            counts[packet.camera_id].delivered += 1
+    def admit(blob: bytes) -> StreamPacket:
+        packet = decode_packet(blob)
+        if packet.height != h or packet.width != w:
+            raise ValueError(
+                f"camera {packet.camera_id} sent a {packet.height}x{packet.width} frame, "
+                f"expected {h}x{w}"
+            )
+        counts[packet.camera_id].delivered += 1
+        return packet
+
+    def consume(packets: list[StreamPacket]):
         frames = np.frombuffer(b"".join(p.payload for p in packets), dtype=np.uint8)
         filtered = median_filter(frames.reshape(len(packets), h, w), _MEDIAN_WINDOW)
         for packet, frame in zip(packets, filtered.astype(np.float64)):
@@ -543,15 +554,19 @@ def run_simulation(
         try:
             for t in threads:
                 t.start()
-            finished = 0
-            while finished < len(threads):
-                item = chan.get()
-                if item is None:
+            # Each packet is decoded as it is taken, so none waits encoded beside
+            # a refilled queue; a block is filtered when full or the queue is dry.
+            finished, block = 0, []
+            while finished < len(threads) or block:
+                if block and (len(block) == _FILTER_BLOCK or chan.empty()):
+                    consume(block)
+                    block = []
+                elif (item := chan.get()) is None:  # waits only with an empty block: one reader
                     finished += 1
                 elif isinstance(item, Exception):
                     raise item
                 else:
-                    consume([item])
+                    block.append(admit(item))
         finally:
             # After a failure producers may be blocked in put: stop them and
             # drain until every one has exited; the error propagates.
@@ -563,7 +578,7 @@ def run_simulation(
         # (send time, camera id) is unique, so the merge never compares bytes
         merged = heapq.merge(*sources)
         while block := list(itertools.islice(merged, _FILTER_BLOCK)):
-            consume([blob for _, _, blob in block])
+            consume([admit(blob) for _, _, blob in block])
 
     for window in assembler.flush():
         label_window(window)

@@ -41,23 +41,20 @@ _BASE_JOINTS_MM = np.array(
 _VIEW_ANGLES_DEG = {1: -40.0, 2: -20.0, 3: 0.0, 4: 20.0, 5: 40.0}
 
 
+FRAMES = 8  # per clip
+FRAME_HW = (16, 16)
+NOISE = 0.02  # standard deviation of the Gaussian pixel noise
+FLIP_PROB = 0.5  # augmentation: chance of a horizontal mirror
+MAX_ROTATION_DEG = 15.0  # augmentation: largest rotation either way
+
+
 @dataclass
 class DatasetConfig:
     repetitions: int = 2
-    frames: int = 8
-    height: int = 16
-    width: int = 16
-    noise: float = 0.02
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.frames < 2:
-            raise ValueError("need at least two frames")
-        if self.height < 8 or self.width < 8:
-            raise ValueError("frames must be at least 8x8 pixels")
-        if not 0.0 <= self.noise < 1.0:
-            raise ValueError("noise level must be in [0, 1)")
 
 
 @dataclass
@@ -148,26 +145,24 @@ def render_pose(
     return np.clip(frame, 0.0, 1.0)
 
 
-def _make_sample(
-    config: DatasetConfig, subject_id: int, view_id: int, label: str, rng: Rng
-) -> SyntheticAction:
+def _make_sample(subject_id: int, view_id: int, label: str, rng: Rng) -> SyntheticAction:
     build = 0.85 + 0.03 * (subject_id - 1)
     amp = 1.0 + 0.12 * (rng.uniform() - 0.5)
     phase = 0.08 * (rng.uniform() - 0.5)
     rot = _view_rotation(view_id)
     poses = []
-    frames = np.empty((1, config.frames, config.height, config.width))
-    for t in range(config.frames):
-        tau = t / (config.frames - 1)
+    h, w = FRAME_HW
+    frames = np.empty((1, FRAMES, h, w))
+    for t in range(FRAMES):
+        tau = t / (FRAMES - 1)
         world = build * (_BASE_JOINTS_MM + _motion_template(label, tau, amp, phase))
         camera = world @ rot.T
         pose = SkeletonPose(joints=camera)
         poses.append(pose)
         ball = _ball_position(label, tau, amp)
         ball_cam = build * ball @ rot.T if ball is not None else None
-        frame = render_pose(pose, config.height, config.width, ball_mm=ball_cam)
-        if config.noise > 0:
-            frame = frame + config.noise * rng.normals(frame.size).reshape(frame.shape)
+        frame = render_pose(pose, h, w, ball_mm=ball_cam)
+        frame = frame + NOISE * rng.normals(frame.size).reshape(frame.shape)
         frames[0, t] = np.clip(frame, 0.0, 1.0)
     return SyntheticAction(
         clip=frames, poses=poses, subject_id=subject_id, view_id=view_id, label=label
@@ -182,7 +177,7 @@ def generate_synthetic_dataset(config: DatasetConfig, seed: int) -> list[Synthet
             for label in ACTION_LABELS:
                 for rep in range(config.repetitions):
                     rng = Rng(derive_seed(seed, "sample", subject_id, view_id, label, rep))
-                    samples.append(_make_sample(config, subject_id, view_id, label, rng))
+                    samples.append(_make_sample(subject_id, view_id, label, rng))
     return samples
 
 
@@ -228,20 +223,14 @@ def random_crop(clip: np.ndarray, crop_hw: tuple[int, int], rng: Rng) -> np.ndar
     return np.ascontiguousarray(clip[:, :, r0 : r0 + ch, c0 : c0 + cw])
 
 
-def augment(
-    clip: np.ndarray,
-    seed: int,
-    crop_hw: tuple[int, int] = DEFAULT_CROP_HW,
-    flip_prob: float = 0.5,
-    max_rotation_deg: float = 15.0,
-) -> np.ndarray:
+def augment(clip: np.ndarray, seed: int, crop_hw: tuple[int, int] = DEFAULT_CROP_HW) -> np.ndarray:
     """Seeded crop, coin-flip horizontal mirror, and rotation within the limit.
 
     The clip is validated here once; the three steps trust their input.
     """
     rng = Rng(seed)
     out = random_crop(as_tensor(clip), crop_hw, rng)
-    if rng.uniform() < flip_prob:
+    if rng.uniform() < FLIP_PROB:
         out = horizontal_flip(out)
-    angle = (2.0 * rng.uniform() - 1.0) * max_rotation_deg
+    angle = (2.0 * rng.uniform() - 1.0) * MAX_ROTATION_DEG
     return rotate_frames(out, angle)

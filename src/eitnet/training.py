@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,23 +29,30 @@ class TrainingDiverged(RuntimeError):
     """Raised when a non-finite loss appears; carries the offending epoch."""
 
 
+# The fixed regimen; only the initial rate, the epoch cap and the seed are set per run.
+LR_DECAY = 0.1
+DECAY_EVERY = 10
+BATCH_SIZE = 8
+PATIENCE = 5
+DROPOUT = 0.05
+VAL_FRACTION = 0.2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class Hyperparams:
     lr: float = 1e-3
-    lr_decay: float = 0.1
-    decay_every: int = 10
     epochs: int = 50
-    batch_size: int = 8
-    patience: int = 5
-    dropout: float = 0.05
-    val_fraction: float = 0.2
     seed: int = 0
+    patience: ClassVar[int] = PATIENCE  # not a field: fixed, but readable from an instance
 
     def learning_rate(self, epoch: int) -> float:
         """Schedule value for a 1-indexed epoch: lr * decay^floor((epoch-1)/every)."""
         if epoch < 1:
             raise ValueError("epochs are 1-indexed")
-        return self.lr * self.lr_decay ** ((epoch - 1) // self.decay_every)
+        return self.lr * LR_DECAY ** ((epoch - 1) // DECAY_EVERY)
 
 
 @dataclass
@@ -75,7 +83,7 @@ class TrainResult:
 class EarlyStopper:
     """Strictly-better-than-best rule with a consecutive-failure budget."""
 
-    def __init__(self, patience: int = 5):
+    def __init__(self, patience: int):
         self.patience = patience
         self.best = math.inf
         self.bad_epochs = 0
@@ -93,9 +101,8 @@ class EarlyStopper:
 class Adam:
     """Moment-tracking updates over a dict of named parameter arrays."""
 
-    def __init__(self, params: dict[str, np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -103,11 +110,11 @@ class Adam:
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
         for key, grad in grads.items():
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * grad
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * grad * grad
-            m_hat = self.m[key] / (1 - self.beta1**self.t)
-            v_hat = self.v[key] / (1 - self.beta2**self.t)
-            self.params[key] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1 - ADAM_BETA1) * grad
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1 - ADAM_BETA2) * grad * grad
+            m_hat = self.m[key] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[key] / (1 - ADAM_BETA2**self.t)
+            self.params[key] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -197,7 +204,7 @@ def _extract_batch(model: PipelineModel, samples, indices, epoch, hp, train_mode
             for idx, s in zip(indices, chosen)
         ]
         seeds = [derive_seed(hp.seed, "drop", epoch, idx) for idx in indices]
-        cls_feats, pose_feats = model.extract_batch(clips, hp.dropout, seeds)
+        cls_feats, pose_feats = model.extract_batch(clips, DROPOUT, seeds)
     else:
         cls_feats, pose_feats = model.extract_batch([s.clip for s in chosen])
     return FeatureBatch(
@@ -218,7 +225,7 @@ def train_toy(model: PipelineModel, samples, hp: Hyperparams) -> TrainResult:
         raise ValueError("need at least two samples to carve out validation data")
     order = list(range(len(samples)))
     Rng(derive_seed(hp.seed, "val-split")).shuffle(order)
-    n_val = max(1, int(len(order) * hp.val_fraction))
+    n_val = max(1, int(len(order) * VAL_FRACTION))
     val_idx, train_idx = order[:n_val], order[n_val:]
 
     model.fit_feature_norm([samples[i] for i in train_idx])
@@ -227,7 +234,7 @@ def train_toy(model: PipelineModel, samples, hp: Hyperparams) -> TrainResult:
     # per-sample deviations instead of spending steps on the global offset.
     params["pose_bias"][:] = np.mean([_pose_target(samples[i]) for i in train_idx], axis=0)
     optimizer = Adam(params)
-    stopper = EarlyStopper(patience=hp.patience)
+    stopper = EarlyStopper(PATIENCE)
     val_batch = _extract_batch(model, samples, val_idx, 0, hp, train_mode=False)
 
     history: list[EpochStats] = []
@@ -237,8 +244,8 @@ def train_toy(model: PipelineModel, samples, hp: Hyperparams) -> TrainResult:
         shuffled = train_idx[:]
         Rng(derive_seed(hp.seed, "order", epoch)).shuffle(shuffled)
         losses, accs = [], []
-        for start in range(0, len(shuffled), hp.batch_size):
-            batch_idx = shuffled[start : start + hp.batch_size]
+        for start in range(0, len(shuffled), BATCH_SIZE):
+            batch_idx = shuffled[start : start + BATCH_SIZE]
             batch = _extract_batch(model, samples, batch_idx, epoch, hp, train_mode=True)
             ce, pose_mse, grads = heads_loss_and_grads(params, batch)
             loss = ce + pose_mse

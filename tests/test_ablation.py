@@ -39,12 +39,6 @@ class TestRunAblation:
         assert TABLE_ROWS[2] == StageToggles(spatiotemporal=False)
         assert TABLE_ROWS[3] == StageToggles(temporal=False)
 
-    def test_empty_rows_rejected(self):
-        samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=17)[:8]
-        plan = make_split("subject", 17)
-        with pytest.raises(ValueError, match="at least one configuration"):
-            run_ablation(samples, plan, PipelineConfig(), Hyperparams(seed=1, epochs=1), rows=())
-
     def test_split_samples_partition(self):
         samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=17)
         plan = make_split("view", 17)

@@ -265,6 +265,15 @@ class TestSimulate:
         ) == 0
         assert (out / "report.csv").exists()
 
+    def test_jitter_past_the_u64_end_is_clamped(self, tmp_path):
+        """The last frame is sent 2 us before the u64 end; 5 ms of jitter pushes stamps past it."""
+        out = tmp_path / "out"
+        assert dispatch(
+            ["simulate", "--seed", "1", "--cameras", "1", "--offset-us", "18446744073709451615",
+             "--jitter-us", "5000", "--duration", "100ms", "--out", str(out)]
+        ) == 0
+        assert (out / "report.csv").exists()
+
 
 class TestGradcheckAndComplexity:
     def test_gradcheck_reports_small_errors(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from eitnet import detection
 from eitnet.detection import (
+    IOU_THRESHOLD,
     BoundingBox,
     DetectionLossParts,
     Detector,
@@ -73,7 +74,7 @@ def reference_detect(det: Detector, clip: np.ndarray) -> list[list[BoundingBox]]
                 BoundingBox(g[0] * a.cx, g[1] * a.cy, g[2] * a.w, g[3] * a.h, s)
                 for g, a, s in zip(frame_gates, anchors, frame_scores)
             ],
-            det.iou_threshold,
+            IOU_THRESHOLD,
         )
         for frame_gates, frame_scores in zip(gates, scores)
     ]

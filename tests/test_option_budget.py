@@ -1,0 +1,43 @@
+"""The settable values of the fixed training regimen and of the untrained stages.
+
+Each owner's set is every field of its config object or every parameter of
+its function; the fixed values live in module constants.  A change that adds
+or removes an option changes the set here as well.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from eitnet import ablation, detection, i3d, pipeline, stream, synthetic, training
+
+BUDGET = {
+    training.Hyperparams: {"lr", "epochs", "seed"},
+    training.Adam: {"params"},
+    pipeline.PipelineModel.fit_feature_norm: {"self", "samples"},
+    synthetic.augment: {"clip", "seed", "crop_hw"},
+    synthetic.DatasetConfig: {"repetitions"},
+    detection.Detector: {"frame_hw", "channels", "num_anchors", "seed"},
+    i3d.I3DStack: {"widths", "seed"},
+    stream.calibrate_clocks: {"samples"},
+    stream.emit_feedback: {"window", "probs", "threshold"},
+    ablation.run_ablation: {"samples", "plan", "base_config", "hp"},
+}
+
+
+def settable(owner) -> set[str]:
+    if dataclasses.is_dataclass(owner):
+        return {f.name for f in dataclasses.fields(owner) if f.init}
+    return set(inspect.signature(owner).parameters)
+
+
+@pytest.mark.parametrize("owner", list(BUDGET), ids=lambda owner: owner.__qualname__)
+def test_settable_values(owner):
+    assert settable(owner) == BUDGET[owner]
+
+
+def test_patience_is_readable_but_not_settable():
+    assert training.Hyperparams().patience == training.PATIENCE == 5
+    with pytest.raises(TypeError):
+        training.Hyperparams(patience=3)

@@ -4,6 +4,13 @@ Each row rebuilds the pipeline with one stage replaced by its pass-through
 adapter, retrains the heads on the split's training side (head input sizes
 change with the toggles), and evaluates accuracy and MPJPE on the held-out
 side.  The full configuration is always the first row.
+
+Every row's model has the same seed, so the same frozen weights, and sees
+the same clips, augmentation and dropout seeds.  The rows therefore run in
+one ``shared_frozen_stages()`` block: the detector runs once per stack for
+the three rows that keep it, and I3D once per crop stack for the full and
+no-timesformer rows, whose crops are the same.  Each row's numbers are
+bitwise those of a row run on its own.
 """
 
 from __future__ import annotations
@@ -11,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metrics import SplitPlan
-from .pipeline import PipelineConfig, PipelineModel, StageToggles, evaluate_pipeline, with_toggles
+from .pipeline import (
+    PipelineConfig,
+    PipelineModel,
+    StageToggles,
+    evaluate_pipeline,
+    shared_frozen_stages,
+    with_toggles,
+)
 from .training import Hyperparams, train_toy
 
 TABLE_ROWS = (
@@ -52,16 +66,17 @@ def run_ablation(
     """One row per ``TABLE_ROWS`` configuration, in that order."""
     train, test = split_samples(samples, plan)
     out = []
-    for toggles in TABLE_ROWS:
-        model = PipelineModel(with_toggles(base_config, toggles), seed=hp.seed)
-        train_toy(model, train, hp)
-        metrics = evaluate_pipeline(model, test)
-        out.append(
-            AblationRow(
-                toggles=toggles,
-                accuracy=metrics["accuracy"],
-                mpjpe=metrics["mpjpe"],
-                pa_mpjpe=metrics["pa_mpjpe"],
+    with shared_frozen_stages():
+        for toggles in TABLE_ROWS:
+            model = PipelineModel(with_toggles(base_config, toggles), seed=hp.seed)
+            train_toy(model, train, hp)
+            metrics = evaluate_pipeline(model, test)
+            out.append(
+                AblationRow(
+                    toggles=toggles,
+                    accuracy=metrics["accuracy"],
+                    mpjpe=metrics["mpjpe"],
+                    pa_mpjpe=metrics["pa_mpjpe"],
+                )
             )
-        )
     return out

@@ -17,6 +17,14 @@ matrix product per clip, the tokens are [B, S, d], and the summary projection
 and heads multiply [B, 1, feat] rows, so each clip's outputs are bitwise
 those of a one-clip call.
 
+Inside a ``shared_frozen_stages()`` block, models share the frozen stages'
+outputs: a stack the detector or I3D has already run on, under the same
+frozen weights (and, for I3D, the same dropout probability and seeds), takes
+its [B, T, 5] boxes or [B, F] features from a memo keyed by the weights'
+constructor values and a digest of the stack.  ``run_ablation`` opens one
+block around its rows, whose models share a seed and see the same clips.
+Outside a block nothing is hashed or kept.
+
 Complexity accounting reads a live model: parameters are the arrays the
 enabled stages use, and multiply-accumulates follow a fixed convention in
 which only matrix products contribute (convolutions, linear layers,
@@ -26,7 +34,10 @@ normalizations and resampling count zero.
 
 from __future__ import annotations
 
+import contextvars
+import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +57,43 @@ from .tensorops import ConvSpec, as_tensor, linear, softmax
 STACK_CLIPS = 4
 
 FEATURE_STD = 16.0  # of each head input over the feature-norm fitting set
+
+# The open shared_frozen_stages() block's memo, or None outside one.
+_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared", default=None)
+
+
+@contextmanager
+def shared_frozen_stages():
+    """Share detector boxes and I3D features between models within the block.
+
+    Each result is kept read-only under its stage's constructor values, the
+    input stack's shape and a 128-bit digest of its bytes (and, for I3D, the
+    dropout probability and seeds), so a stack seen again skips the stage.
+    Only the outputs are kept, never the stacks.  The memo lives until the
+    block exits; a nested block starts its own.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _digest(stack: np.ndarray) -> bytes:
+    return hashlib.blake2b(np.ascontiguousarray(stack), digest_size=16).digest()
+
+
+def _shared(key: tuple, stack: np.ndarray, compute) -> np.ndarray:
+    """``compute(stack)``, or inside a shared block the result kept for ``key`` and this stack."""
+    memo = _SHARED.get()
+    if memo is None:
+        return compute(stack)
+    key += (stack.shape, _digest(stack))
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = compute(stack)
+        out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -204,11 +252,14 @@ class PipelineModel:
         """[B, T, 5] crop boxes: the detector's best boxes, or the full frame without it.
 
         ``clips`` is trusted: a validated [B,C,T,H,W] float64 stack.  The
-        detector runs on stacks of at most ``STACK_CLIPS`` of them.
+        detector runs on stacks of at most ``STACK_CLIPS`` of them, each
+        shared within a ``shared_frozen_stages()`` block.
         """
         if self.config.toggles.detection:
+            d = self.detector
+            key = ("detector", d.frame_hw, d.channels, d.num_anchors, d.seed)
             stacks = [clips[s : s + STACK_CLIPS] for s in range(0, len(clips), STACK_CLIPS)]
-            return np.concatenate([self.detector.best_box(stack) for stack in stacks])
+            return np.concatenate([_shared(key, stack, d.best_box) for stack in stacks])
         b, _, t, h, w = clips.shape
         return np.tile(full_frame_box((h, w)), (b, t, 1))
 
@@ -228,9 +279,14 @@ class PipelineModel:
         return cropped.reshape(c, b, t, *self.config.crop_hw).swapaxes(0, 1)
 
     def stage_features(self, cropped: np.ndarray, dropout_p: float = 0.0, seeds=None):
-        """[B, F] stage-two features; ``seeds`` holds one dropout seed per clip."""
+        """[B, F] stage-two features; ``seeds`` holds one dropout seed per clip.
+
+        I3D's features are shared within a ``shared_frozen_stages()`` block.
+        """
         if self.config.toggles.spatiotemporal:
-            return self.i3d.forward(cropped, dropout_p=dropout_p, seeds=seeds)
+            net = self.i3d
+            key = ("i3d", net.widths, net.seed, dropout_p, None if seeds is None else tuple(seeds))
+            return _shared(key, cropped, lambda x: net.forward(x, dropout_p, seeds))
         return cropped.mean(axis=(1, 2)).reshape(len(cropped), -1)
 
     def tokens(self, cropped: np.ndarray, feats: np.ndarray) -> TokenSequence:

@@ -29,11 +29,11 @@ import heapq
 import itertools
 import math
 import queue
-import statistics
 import struct
 import threading
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -202,18 +202,26 @@ def median_filter(frames: np.ndarray, window: int) -> np.ndarray:
     return functools.reduce(np.maximum, values)
 
 
-def calibrate_clocks(samples: dict[int, list[tuple[int, int]]]) -> dict[int, float]:
+def calibrate_clocks(samples: dict[int, list[tuple[int, int]]]) -> dict[int, int | Fraction]:
     """Per-camera offset to subtract from sender timestamps.
 
     Each sample is (camera send timestamp, hub receive timestamp).  One-way
     samples cannot separate latency from offset, so the latency is taken as
-    zero, the floor of the in-process transport.
+    zero, the floor of the in-process transport.  The median is exact: the
+    middle difference, or for an even count the ``Fraction`` midway between
+    the two middle ones, so a timestamp near 2^64 loses nothing before the
+    corrected time is rounded once to float.
     """
     offsets = {}
     for camera_id, pairs in samples.items():
         if len(pairs) < 3:
             raise ValueError(f"camera {camera_id}: need >= 3 handshake samples")
-        offsets[camera_id] = float(statistics.median(send - recv for send, recv in pairs))
+        diffs = sorted(send - recv for send, recv in pairs)
+        mid = len(diffs) // 2
+        if len(diffs) % 2:
+            offsets[camera_id] = diffs[mid]
+        else:
+            offsets[camera_id] = Fraction(diffs[mid - 1] + diffs[mid], 2)
     return offsets
 
 
@@ -529,7 +537,7 @@ def run_simulation(
         frames = np.frombuffer(b"".join(p.payload for p in packets), dtype=np.uint8)
         filtered = median_filter(frames.reshape(len(packets), h, w), _MEDIAN_WINDOW)
         for packet, frame in zip(packets, filtered.astype(np.float64)):
-            corrected = packet.timestamp_us - offsets[packet.camera_id]
+            corrected = float(packet.timestamp_us - offsets[packet.camera_id])
             for window in assembler.push(packet.camera_id, corrected, frame):
                 label_window(window)
 

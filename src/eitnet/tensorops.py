@@ -257,9 +257,11 @@ def layer_norm(
     beta = np.asarray(beta, dtype=np.float64)
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"gamma/beta must have shape ({d},)")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return gamma * (x - mean) / np.sqrt(var + eps) + beta
+    # One centering serves the variance and the output: the same sums and
+    # divisions as x.mean and x.var, so bitwise equal to them.
+    c = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(c * c, axis=-1, keepdims=True) / d
+    return gamma * c / np.sqrt(var + eps) + beta
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:

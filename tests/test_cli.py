@@ -274,6 +274,19 @@ class TestSimulate:
         ) == 0
         assert (out / "report.csv").exists()
 
+    def test_offset_past_2_53_shifts_nothing(self, tmp_path):
+        """An offset of 2^60 us is calibrated away exactly: latencies and windows match offset 0."""
+        tails = []
+        for offset in ("0", str(2**60)):
+            out = tmp_path / offset
+            assert dispatch(
+                ["simulate", "--seed", "1", "--cameras", "1", "--offset-us", offset,
+                 "--jitter-us", "5000", "--duration", "1s", "--out", str(out)]
+            ) == 0
+            report = (out / "report.csv").read_text()
+            tails.append(report[report.index("# section=latency"):])
+        assert tails[0] == tails[1]
+
 
 class TestGradcheckAndComplexity:
     def test_gradcheck_reports_small_errors(self, tmp_path):

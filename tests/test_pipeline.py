@@ -287,6 +287,48 @@ class TestStacking:
         assert len(crop_calls) == math.ceil(10 / 4) + math.ceil(2 / 4) + 2 + 1
 
 
+class TestSharedFrozenStages:
+    def test_outside_a_block_nothing_is_hashed(self, samples, monkeypatch):
+        def refuse(stack):
+            raise AssertionError("a stack was hashed outside shared_frozen_stages()")
+
+        monkeypatch.setattr(pipeline, "_digest", refuse)
+        clips = [s.clip for s in samples[:5]]
+        for toggles in TABLE_ROWS:
+            model = PipelineModel(PipelineConfig(toggles=toggles), seed=7)
+            model.extract_batch(clips, 0.05, range(5))
+            model.frame_boxes(np.stack(clips))
+        assert pipeline._SHARED.get() is None
+
+    def test_models_with_other_weights_get_their_own_results(self, samples):
+        clips = [s.clip for s in samples[:5]]
+        seeds = [derive_seed(3, "drop", i) for i in range(5)]
+        models = [
+            PipelineModel(PipelineConfig(), seed=7),
+            PipelineModel(PipelineConfig(), seed=8),
+            PipelineModel(PipelineConfig(detector_channels=3, i3d_widths=(8, 16, 24)), seed=7),
+        ]
+        dropouts = ((0.0, None), (0.05, seeds), (0.05, [1] * 5))
+        calls = [(m, p, s) for m in models for p, s in dropouts]
+        want = [m.extract_batch(clips, p, s) for m, p, s in calls]
+        with pipeline.shared_frozen_stages():
+            for _ in range(2):  # the second pass reads every result from the memo
+                for (m, p, s), (cls_feat, pose_feat) in zip(calls, want):
+                    got_cls, got_pose = m.extract_batch(clips, p, s)
+                    assert got_cls.tobytes() == cls_feat.tobytes()
+                    assert got_pose.tobytes() == pose_feat.tobytes()
+            # two stacks each: boxes per model, I3D features per call
+            assert len(pipeline._SHARED.get()) == 3 * 2 + 9 * 2
+        assert pipeline._SHARED.get() is None
+
+    def test_nested_block_starts_its_own_memo(self):
+        with pipeline.shared_frozen_stages():
+            outer = pipeline._SHARED.get()
+            with pipeline.shared_frozen_stages():
+                assert pipeline._SHARED.get() == {} and pipeline._SHARED.get() is not outer
+            assert pipeline._SHARED.get() is outer
+
+
 class TestComplexity:
     def test_linear_toy_case(self):
         assert count_linear(4, 2) == (10, 8)

@@ -2,6 +2,7 @@ import math
 import threading
 import zlib
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -212,7 +213,15 @@ class TestCalibration:
     def test_exact_offset_with_clean_samples(self):
         samples = {1: [(500, 0), (1500, 1000), (2500, 2000)]}
         offsets = calibrate_clocks(samples)
-        assert offsets[1] == 500 and type(offsets[1]) is float  # the report prints it as 500.0
+        assert offsets[1] == 500 and type(offsets[1]) is int
+
+    def test_offset_past_2_53_stays_exact(self):
+        big = 2**60 + 1  # float64 would round it to 2**60
+        odd = [(big + 3, 3), (big + 10, 0), (big - 4, 0)]
+        even = [(big, 0), (big + 2, 1), (big + 9, 0), (big - 5, 0)]
+        offsets = calibrate_clocks({1: odd, 2: even})
+        assert offsets[1] == big
+        assert offsets[2] == Fraction(2 * big + 1, 2)  # midway between big and big + 1
 
     def test_symmetric_jitter_bounded_error(self):
         rng = Rng(308)
@@ -246,7 +255,7 @@ def assemble(specs, window_period_us, packets, offsets=None):
     assembler = WindowAssembler(specs, window_period_us)
     windows = []
     for packet in packets:
-        corrected = packet.timestamp_us - offsets.get(packet.camera_id, 0.0)
+        corrected = float(packet.timestamp_us - offsets.get(packet.camera_id, 0))
         windows.extend(assembler.push(packet.camera_id, corrected, packet_frame(packet)))
     windows.extend(assembler.flush())
     return windows
@@ -271,7 +280,7 @@ class RescanAssembler:
         self._max_corrected = -math.inf
 
     def corrected_timestamp(self, packet):
-        return packet.timestamp_us - self.offsets.get(packet.camera_id, 0.0)
+        return float(packet.timestamp_us - self.offsets.get(packet.camera_id, 0))
 
     def push(self, packet):
         if packet.camera_id not in self.specs:

@@ -455,6 +455,17 @@ class TestLayerNorm:
         out = layer_norm(x, gamma, beta)
         np.testing.assert_allclose(out, oracles.layer_norm_oracle(x, gamma, beta, 1e-5), atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(1, 73, 32), (4, 73, 32), (3, 5), (2, 3, 7, 33), (6, 1)])
+    def test_bitwise_equal_to_mean_and_var(self, shape):
+        """The one-pass form keeps the bits of x.mean / x.var at every scale and offset."""
+        rng = Rng(17)
+        for scale in (1e-3, 1.0, 1e6):
+            x = (rng.normals(math.prod(shape)).reshape(shape) + 10 * rng.normals(1)) * scale
+            gamma, beta = rng.normals(shape[-1]), rng.normals(shape[-1])
+            mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+            want = gamma * (x - mean) / np.sqrt(var + 1e-5) + beta
+            assert layer_norm(x, gamma, beta).tobytes() == want.tobytes()
+
 
 class TestLinear:
     def test_identity_weight(self):

@@ -110,7 +110,10 @@ def _require_dataset(path_text: str | None):
     path = Path(path_text)
     if not (path / "manifest.csv").exists():
         raise ConfigError(f"dataset not found at {path}")
-    samples = load_dataset(path)
+    try:
+        samples = load_dataset(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     if not samples:
         raise ConfigError(f"dataset at {path} has no samples")
     return samples

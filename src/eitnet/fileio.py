@@ -107,29 +107,39 @@ def save_dataset(directory, samples: list[SyntheticAction], seed: int) -> None:
     write_csv(root / "manifest.csv", MANIFEST_HEADER, rows, seed=seed)
 
 
+def _load_sample(root: Path, row: list[str]) -> SyntheticAction:
+    if len(row) != 6:
+        raise ValueError(f"expected 6 fields, got {len(row)}")
+    _, subject_id, view_id, label, clip_rel, pose_rel = row
+    clip = load_tensor(root / clip_rel)
+    stacked = load_tensor(root / pose_rel)
+    poses = [SkeletonPose(joints=stacked[t]) for t in range(stacked.shape[0])]
+    return SyntheticAction(
+        clip=clip,
+        poses=poses,
+        subject_id=int(subject_id),
+        view_id=int(view_id),
+        label=label,
+    )
+
+
 def load_dataset(directory) -> list[SyntheticAction]:
+    """The samples a manifest lists; a bad row raises ValueError naming the manifest and line."""
     root = Path(directory)
     manifest = root / "manifest.csv"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.csv under {root}")
-    _, rows = read_csv_rows(manifest)
-    if rows and rows[0] == MANIFEST_HEADER.split(","):
-        rows = rows[1:]
     samples = []
-    for row in rows:
-        _, subject_id, view_id, label, clip_rel, pose_rel = row
-        clip = load_tensor(root / clip_rel)
-        stacked = load_tensor(root / pose_rel)
-        poses = [SkeletonPose(joints=stacked[t]) for t in range(stacked.shape[0])]
-        samples.append(
-            SyntheticAction(
-                clip=clip,
-                poses=poses,
-                subject_id=int(subject_id),
-                view_id=int(view_id),
-                label=label,
-            )
-        )
+    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+        if not line or line.startswith("#") or line == MANIFEST_HEADER:
+            continue
+        where = f"{manifest} line {lineno}"
+        try:
+            samples.append(_load_sample(root, line.split(",")))
+        except OSError as exc:
+            raise ValueError(f"{where}: cannot read {exc.filename}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return samples
 
 

@@ -8,6 +8,15 @@ amplitude and phase; each camera view applies a rigid rotation about the
 vertical axis before orthographic rendering to small grayscale frames with
 Gaussian joint blobs and seeded pixel noise.  Ground-truth pose sequences
 are the camera-frame joint coordinates in millimeters.
+
+A clip is rendered in one array pass: the T camera-frame poses are one
+``[T, 5, 3]`` stack, every point's Gaussian over ``[P, T, H, W]`` is one
+``exp``, and the points are added into the frames one at a time in joint
+order, ball last, before the clip to [0, 1].  The pixel noise is one
+``normals(T*H*W)`` draw, which equals T per-frame ``normals(H*W)`` draws
+because Box-Muller takes the raw outputs in pairs and H*W is even.  Every
+step is elementwise or keeps the per-frame renderer's order of summation,
+so clips and poses are byte-identical to rendering frame by frame.
 """
 
 from __future__ import annotations
@@ -40,12 +49,21 @@ _BASE_JOINTS_MM = np.array(
 
 _VIEW_ANGLES_DEG = {1: -40.0, 2: -20.0, 3: 0.0, 4: 20.0, 5: 40.0}
 
+_JOINT_BLOB = (1.0, 1.3)  # (gain, sigma in pixels) of a joint's rendered blob
+_BALL_BLOB = (1.4, 1.6)  # the ball is brighter and wider
+
 
 FRAMES = 8  # per clip
 FRAME_HW = (16, 16)
 NOISE = 0.02  # standard deviation of the Gaussian pixel noise
 FLIP_PROB = 0.5  # augmentation: chance of a horizontal mirror
 MAX_ROTATION_DEG = 15.0  # augmentation: largest rotation either way
+
+# The clip's noise is one draw of T*H*W normals.  Box-Muller turns raw
+# outputs into normals in pairs, so that draw equals T draws of H*W normals
+# only when H*W is even; an odd count would shift every frame after the first.
+if FRAME_HW[0] * FRAME_HW[1] % 2:
+    raise RuntimeError(f"FRAME_HW {FRAME_HW} must have an even pixel count")
 
 
 @dataclass
@@ -67,6 +85,8 @@ class SyntheticAction:
 
     def __post_init__(self):
         self.clip = as_tensor(self.clip)
+        if self.clip.ndim != 4 or self.clip.shape[0] != 1:
+            raise ValueError(f"clip must be [1, T, H, W], got shape {self.clip.shape}")
         if self.label not in ACTION_LABELS:
             raise ValueError(f"label must be one of {ACTION_LABELS}, got {self.label!r}")
         if self.subject_id not in SUBJECT_IDS or self.view_id not in VIEW_IDS:
@@ -127,45 +147,44 @@ def _ball_position(label: str, tau: float, amp: float) -> np.ndarray | None:
     return None
 
 
-def render_pose(
-    pose: SkeletonPose, height: int, width: int, ball_mm: np.ndarray | None = None
-) -> np.ndarray:
-    """Orthographic render: Gaussian blob per joint (and ball) on an [H, W] frame."""
+def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np.ndarray:
+    """Orthographic render of [T, P, 3] points to [1, T, H, W], a (gain, sigma) blob per point."""
     mm_per_px = 1600.0 / min(height, width)
-    frame = np.zeros((height, width))
+    gain = np.array([g for g, _ in blobs])[:, None, None, None]
+    spread = np.array([2.0 * sigma**2 for _, sigma in blobs])[:, None, None, None]
+    px = ((width - 1) / 2.0 + points[..., 0].T / mm_per_px)[..., None, None]  # [P, T, 1, 1]
+    py = ((height - 1) * 0.92 - points[..., 1].T / mm_per_px)[..., None, None]
     rows = np.arange(height)[:, None]
     cols = np.arange(width)[None, :]
-    points = [(x, y, 1.0, 1.3) for x, y, _ in pose.joints]
-    if ball_mm is not None:
-        points.append((ball_mm[0], ball_mm[1], 1.4, 1.6))
-    for x, y, gain, sigma in points:
-        px = (width - 1) / 2.0 + x / mm_per_px
-        py = (height - 1) * 0.92 - y / mm_per_px
-        frame += gain * np.exp(-((rows - py) ** 2 + (cols - px) ** 2) / (2.0 * sigma**2))
-    return np.clip(frame, 0.0, 1.0)
+    gaussians = gain * np.exp(-((rows - py) ** 2 + (cols - px) ** 2) / spread)
+    frames = np.zeros((1,) + gaussians.shape[1:])
+    for gaussian in gaussians:  # one point at a time, in joint order, ball last
+        frames[0] += gaussian
+    return np.clip(frames, 0.0, 1.0)
 
 
 def _make_sample(subject_id: int, view_id: int, label: str, rng: Rng) -> SyntheticAction:
     build = 0.85 + 0.03 * (subject_id - 1)
     amp = 1.0 + 0.12 * (rng.uniform() - 0.5)
     phase = 0.08 * (rng.uniform() - 0.5)
-    rot = _view_rotation(view_id)
-    poses = []
-    h, w = FRAME_HW
-    frames = np.empty((1, FRAMES, h, w))
-    for t in range(FRAMES):
-        tau = t / (FRAMES - 1)
-        world = build * (_BASE_JOINTS_MM + _motion_template(label, tau, amp, phase))
-        camera = world @ rot.T
-        pose = SkeletonPose(joints=camera)
-        poses.append(pose)
-        ball = _ball_position(label, tau, amp)
-        ball_cam = build * ball @ rot.T if ball is not None else None
-        frame = render_pose(pose, h, w, ball_mm=ball_cam)
-        frame = frame + NOISE * rng.normals(frame.size).reshape(frame.shape)
-        frames[0, t] = np.clip(frame, 0.0, 1.0)
+    rot_t = _view_rotation(view_id).T
+    taus = [t / (FRAMES - 1) for t in range(FRAMES)]
+    offsets = np.stack([_motion_template(label, tau, amp, phase) for tau in taus])
+    camera = build * (_BASE_JOINTS_MM + offsets) @ rot_t  # [T, 5, 3]
+    points, blobs = camera, [_JOINT_BLOB] * len(JOINT_NAMES)
+    balls = [_ball_position(label, tau, amp) for tau in taus]
+    if balls[0] is not None:  # [T, 1, 3] rows keep one vector-matrix product per frame
+        points = np.concatenate([camera, build * np.stack(balls)[:, None] @ rot_t], axis=1)
+        blobs.append(_BALL_BLOB)
+    frames = _render_clip(points, blobs, *FRAME_HW)
+    frames = np.clip(frames + NOISE * rng.normals(frames.size).reshape(frames.shape), 0.0, 1.0)
     return SyntheticAction(
-        clip=frames, poses=poses, subject_id=subject_id, view_id=view_id, label=label
+        clip=frames,
+        # each pose owns its joints: views of the stack held more memory per sample
+        poses=[SkeletonPose(joints=joints.copy()) for joints in camera],
+        subject_id=subject_id,
+        view_id=view_id,
+        label=label,
     )
 
 

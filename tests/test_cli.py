@@ -1,6 +1,7 @@
 import filecmp
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import eitnet
 from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset, read_csv_rows
+from eitnet.tensorops import save_tensor
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,37 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert dispatch([command, "--seed", "7", "--dataset", str(empty), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: dataset at {empty} has no samples\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1,1", "expected 6 fields, got 3"),
+            ("1,1,1,pass,clips/missing.bin,poses/sample_0000.bin",
+             "cannot read .*clips/missing.bin: No such file or directory"),
+            ("1,1,1,dunk,clips/sample_0000.bin,poses/sample_0000.bin", "label must be one of"),
+            ("1,1,1,pass,clips/flat.bin,poses/sample_0000.bin",
+             r"clip must be \[1, T, H, W\], got shape \(8,\)"),
+        ],
+        ids=["short-row", "missing-clip", "unknown-label", "rank-1-clip"],
+    )
+    def test_bad_manifest_row_is_config_error_naming_the_line(
+        self, row, message, dataset_dir, tmp_path, capsys
+    ):
+        broken = tmp_path / "broken"
+        for sub in ("clips", "poses"):
+            (broken / sub).mkdir(parents=True)
+            shutil.copy(dataset_dir / sub / "sample_0000.bin", broken / sub)
+        save_tensor(broken / "clips" / "flat.bin", [0.0] * 8)
+        manifest = (dataset_dir / "manifest.csv").read_text().splitlines()
+        (broken / "manifest.csv").write_text("\n".join(manifest[:3] + [row]) + "\n")
+        out = tmp_path / "out"
+        argv = ["run-pipeline", "--seed", "7", "--dataset", str(broken), "--out", str(out)]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            re.escape(f"error: {broken / 'manifest.csv'} line 4: ") + message + ".*\n", err
+        ), err
         assert not out.exists()
 
     def test_bad_camera_count(self, tmp_path, capsys):

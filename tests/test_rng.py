@@ -24,6 +24,24 @@ def test_normals_moments():
     assert abs(z.std() - 1.0) < 0.03
 
 
+def test_normals_split_at_an_even_count_continue_the_stream():
+    for a, b in [(256, 256), (2, 7), (0, 5), (10, 1)]:
+        stream = Rng(11)
+        split = np.concatenate([stream.normals(a), stream.normals(b)])
+        assert split.tobytes() == Rng(11).normals(a + b).tobytes(), (a, b)
+
+
+def test_normals_split_at_an_odd_count_diverge():
+    """Box-Muller draws pairs: an odd first draw discards its pair's second normal."""
+    for a, b in [(255, 257), (1, 6), (7, 3)]:
+        stream = Rng(11)
+        first, second = stream.normals(a), stream.normals(b)
+        joined = Rng(11).normals(a + 1 + b)
+        assert first.tobytes() == joined[:a].tobytes()
+        assert second.tobytes() != joined[a : a + b].tobytes(), (a, b)
+        assert second.tobytes() == joined[a + 1 :].tobytes(), (a, b)  # one normal skipped
+
+
 def test_shuffle_is_permutation_and_seed_sensitive():
     items = list(range(20))
     a = items[:]

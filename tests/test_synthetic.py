@@ -1,13 +1,22 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from eitnet import ACTION_LABELS
-from eitnet.metrics import SkeletonPose
-from eitnet.rng import Rng
+from eitnet.metrics import SUBJECT_IDS, VIEW_IDS, SkeletonPose
+from eitnet.rng import Rng, derive_seed
 from eitnet.synthetic import (
+    _BASE_JOINTS_MM,
+    FRAME_HW,
+    FRAMES,
+    NOISE,
     DatasetConfig,
+    SyntheticAction,
+    _ball_position,
+    _motion_template,
+    _view_rotation,
     augment,
     generate_synthetic_dataset,
     horizontal_flip,
@@ -40,6 +49,45 @@ def per_frame_rotate(clip, angle_deg):
             plane = clip[ci, ti][src_r_safe, src_c_safe]
             out[ci, ti] = np.where(valid, plane, 0.0)
     return out
+
+
+def per_frame_render_pose(pose, height, width, ball_mm=None):
+    """The one-frame renderer that ``_render_clip`` replaced, kept as its reference."""
+    mm_per_px = 1600.0 / min(height, width)
+    frame = np.zeros((height, width))
+    rows = np.arange(height)[:, None]
+    cols = np.arange(width)[None, :]
+    points = [(x, y, 1.0, 1.3) for x, y, _ in pose.joints]
+    if ball_mm is not None:
+        points.append((ball_mm[0], ball_mm[1], 1.4, 1.6))
+    for x, y, gain, sigma in points:
+        px = (width - 1) / 2.0 + x / mm_per_px
+        py = (height - 1) * 0.92 - y / mm_per_px
+        frame += gain * np.exp(-((rows - py) ** 2 + (cols - px) ** 2) / (2.0 * sigma**2))
+    return np.clip(frame, 0.0, 1.0)
+
+
+def per_frame_sample(subject_id, view_id, label, rng):
+    """The frame-by-frame sample loop that the one-pass render replaced, kept as its reference."""
+    build = 0.85 + 0.03 * (subject_id - 1)
+    amp = 1.0 + 0.12 * (rng.uniform() - 0.5)
+    phase = 0.08 * (rng.uniform() - 0.5)
+    rot = _view_rotation(view_id)
+    poses = []
+    h, w = FRAME_HW
+    frames = np.empty((1, FRAMES, h, w))
+    for t in range(FRAMES):
+        tau = t / (FRAMES - 1)
+        world = build * (_BASE_JOINTS_MM + _motion_template(label, tau, amp, phase))
+        camera = world @ rot.T
+        pose = SkeletonPose(joints=camera)
+        poses.append(pose)
+        ball = _ball_position(label, tau, amp)
+        ball_cam = build * ball @ rot.T if ball is not None else None
+        frame = per_frame_render_pose(pose, h, w, ball_mm=ball_cam)
+        frame = frame + NOISE * rng.normals(frame.size).reshape(frame.shape)
+        frames[0, t] = np.clip(frame, 0.0, 1.0)
+    return frames, poses
 
 
 def per_pose_bounding_box(pose, height, width, margin_px=1.5):
@@ -98,6 +146,35 @@ class TestGenerator:
         got = pose_bounding_box(np.stack([p.joints for p in poses]), *hw)
         want = np.array([per_pose_bounding_box(p, *hw) for p in poses])
         assert got.shape == (len(poses), 4) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_clips_and_poses_equal_per_frame_reference_bitwise(self, seed):
+        samples = generate_synthetic_dataset(small_config(), seed=seed)
+        keys = [(s, v, label) for s in SUBJECT_IDS for v in VIEW_IDS for label in ACTION_LABELS]
+        assert [(x.subject_id, x.view_id, x.label) for x in samples] == keys
+        for sample, key in zip(samples, keys):
+            clip, poses = per_frame_sample(*key, Rng(derive_seed(seed, "sample", *key, 0)))
+            assert sample.clip.tobytes() == clip.tobytes(), key
+            got = b"".join(p.joints.tobytes() for p in sample.poses)
+            assert got == b"".join(p.joints.tobytes() for p in poses), key
+
+    def test_dataset_digest_pinned(self):
+        """SHA-256 of the seed-7 dataset (each clip's bytes, then its poses' joint bytes)."""
+        digest = hashlib.sha256()
+        for sample in generate_synthetic_dataset(small_config(), seed=7):
+            digest.update(sample.clip.tobytes())
+            for pose in sample.poses:
+                digest.update(pose.joints.tobytes())
+        assert digest.hexdigest() == (
+            "bf4a65ff496573a595239d0f120687a5c3187947259ddf9808e0a91c33227c3b"
+        )
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 16, 16), (2, 8, 16, 16)])
+    def test_clip_must_be_one_channel_rank_4(self, shape):
+        poses = [SkeletonPose(joints=_BASE_JOINTS_MM)] * 8
+        with pytest.raises(ValueError, match=r"clip must be \[1, T, H, W\]"):
+            SyntheticAction(clip=np.zeros(shape), poses=poses, subject_id=1, view_id=1,
+                            label="pass")
 
     def test_centroid_classifier_separates_classes(self):
         """Generator sanity oracle: nearest centroid on raw pose trajectories."""

@@ -36,19 +36,6 @@ def write_csv(path, header: str, rows, seed: int | None = None, comments=()) -> 
     Path(path).write_text(csv_text(header, rows, seed=seed, comments=comments))
 
 
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Returns (comment lines without '#', data rows split on commas)."""
-    comments, rows = [], []
-    for line in Path(path).read_text().splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-        else:
-            rows.append(line.split(","))
-    return comments, rows
-
-
 def parse_camera_config(text: str) -> list[CameraSpec]:
     specs = []
     id_lines = {}  # camera id -> the line that defined it
@@ -79,15 +66,6 @@ def parse_camera_config(text: str) -> list[CameraSpec]:
     if not specs:
         raise ValueError("camera config defines no cameras")
     return specs
-
-
-def camera_config_text(specs: list[CameraSpec]) -> str:
-    lines = [
-        f"id={s.camera_id} period_us={s.frame_period_us} offset_us={s.clock_offset_us} "
-        f"jitter_us={s.jitter_std_us!r} drop_prob={s.drop_probability!r}"
-        for s in specs
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def save_dataset(directory, samples: list[SyntheticAction], seed: int) -> None:

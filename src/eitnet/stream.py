@@ -9,11 +9,13 @@ the magic through the payload.
 The transport is an in-process channel with injectable loss and jitter; the
 byte format is exact so a socket transport could be slotted in unchanged.
 Each camera is a lazy source that encodes a packet only when it is read.
-Two scheduler modes read the sources: a deterministic single-threaded merge
-(packets arrive in true send-time order) used for reproducible reports, and
-a threaded mode with one producer thread per camera pushing into a bounded
-queue (producers block when it fills) where arrival interleaving is up to
-the scheduler but counting invariants still hold.
+One consumer merges the sources in (send time, camera id) order.  In the
+default mode it reads them itself; in the threaded mode one producer thread
+per camera reads each source into its own queue of ``_QUEUE_CAPACITY``
+packets (the producer blocks when it fills), and the consumer merges the
+queues instead.  A camera's packets keep their order through its queue, so
+the merge, and every report, is the same in both modes whatever the thread
+scheduling.
 
 Clock calibration is a coarse one-way estimator: the offset to subtract from
 a camera's timestamps is the median of (send - receive) over its handshake
@@ -56,7 +58,7 @@ _CRC_RESIDUE = 0x2144DF1C
 _FILTER_BLOCK = 256
 # Largest camera count the threaded mode accepts: one producer thread each.
 MAX_THREADED_CAMERAS = 64
-_QUEUE_CAPACITY = 64  # packets queued before the threaded producers block
+_QUEUE_CAPACITY = 12  # packets a camera queues before its threaded producer blocks
 _HANDSHAKES = 5  # clock samples per camera
 _MEDIAN_WINDOW = 3
 
@@ -464,6 +466,14 @@ def _packets(
             yield true_t, spec.camera_id, encode_packet(packet)
 
 
+def _queued(q: queue.Queue):
+    """Yield one producer's items up to its None; raise the error it forwarded."""
+    while (item := q.get()) is not None:
+        if isinstance(item, Exception):
+            raise item
+        yield item
+
+
 def run_simulation(
     specs: list[CameraSpec],
     duration_us: int,
@@ -477,19 +487,19 @@ def run_simulation(
 ) -> SimulationReport:
     """Camera sources -> decode -> calibrate -> median filter -> windows -> hook.
 
-    ``check_simulation`` runs first.  Both modes read one lazy ``_packets``
-    source per camera, so packets are encoded only as they are consumed.
-    The deterministic mode merges the sources in (send time, camera id)
-    order and decodes and filters them in blocks of at most ``_FILTER_BLOCK``.
+    ``check_simulation`` runs first.  Each camera is one lazy ``_packets``
+    source, so packets are encoded only as they are consumed.  One consumer
+    merges the sources in (send time, camera id) order, decodes each packet
+    as it pulls it and filters them in blocks of at most ``_FILTER_BLOCK``.
     Every decoded frame must have the extents ``frame_hw``.  The hook runs on
     each window as the assembler emits it, so a closed window's frames are
-    released once it is labelled.  The threaded mode runs one producer
-    thread per camera over a queue of ``_QUEUE_CAPACITY``, whose consumer
-    filters what it holds in blocks of at most ``_FILTER_BLOCK``; arrival
-    interleaving (and therefore late/duplicate counts and window
-    completeness) may vary run to run, but packet conservation and emission
-    ordering hold in both modes.  If producing or consuming a packet raises,
-    the producers are stopped and joined before the error reaches the caller.
+    released once it is labelled.  The threaded mode only changes who reads
+    the sources: one producer thread per camera fills that camera's queue
+    of ``_QUEUE_CAPACITY``, and the merge reads the queues.  Each queue keeps
+    its camera's order, so both modes give the same report.  The merge waits
+    only on an empty queue, whose producer is never blocked, so it cannot
+    deadlock.  If producing or consuming a packet raises, the producers are
+    stopped and joined before the error reaches the caller.
     """
     check_simulation(specs, duration_us, window_period_us, feedback_threshold, threaded)
     period = specs[0].frame_period_us if window_period_us is None else window_period_us
@@ -541,52 +551,38 @@ def run_simulation(
             for window in assembler.push(packet.camera_id, corrected, frame):
                 label_window(window)
 
-    if threaded:
-        chan: queue.Queue = queue.Queue(maxsize=_QUEUE_CAPACITY)
-        stop = threading.Event()
+    stop = threading.Event()
+    queues = [queue.Queue(maxsize=_QUEUE_CAPACITY) for _ in sources] if threaded else []
 
-        def produce(source):
-            # Ends by sending None, or its source's error for the consumer to
-            # raise: a thread that died silently would leave it waiting forever.
-            try:
-                for _, _, blob in source:
-                    if stop.is_set():
-                        return
-                    chan.put(blob)  # blocks while the queue is full
-            except Exception as exc:
-                chan.put(exc)
-            else:
-                chan.put(None)
-
-        threads = [threading.Thread(target=produce, args=(src,), daemon=True) for src in sources]
+    def produce(source, out: queue.Queue):
+        # Ends by sending None, or its source's error for the consumer to
+        # raise: a thread that died silently would leave the merge waiting.
         try:
-            for t in threads:
-                t.start()
-            # Each packet is decoded as it is taken, so none waits encoded beside
-            # a refilled queue; a block is filtered when full or the queue is dry.
-            finished, block = 0, []
-            while finished < len(threads) or block:
-                if block and (len(block) == _FILTER_BLOCK or chan.empty()):
-                    consume(block)
-                    block = []
-                elif (item := chan.get()) is None:  # waits only with an empty block: one reader
-                    finished += 1
-                elif isinstance(item, Exception):
-                    raise item
-                else:
-                    block.append(admit(item))
-        finally:
-            # After a failure producers may be blocked in put: stop them and
-            # drain until every one has exited; the error propagates.
-            stop.set()
-            while any(t.is_alive() for t in threads):
-                with contextlib.suppress(queue.Empty):
-                    chan.get(timeout=0.01)
-    else:
+            for item in source:
+                if stop.is_set():
+                    return
+                out.put(item)  # blocks while this camera's queue is full
+        except Exception as exc:
+            out.put(exc)
+        else:
+            out.put(None)
+
+    threads = [threading.Thread(target=produce, args=p, daemon=True) for p in zip(sources, queues)]
+    try:
+        for t in threads:
+            t.start()
         # (send time, camera id) is unique, so the merge never compares bytes
-        merged = heapq.merge(*sources)
-        while block := list(itertools.islice(merged, _FILTER_BLOCK)):
-            consume([admit(blob) for _, _, blob in block])
+        merged = heapq.merge(*(map(_queued, queues) if threaded else sources))
+        while block := [admit(blob) for _, _, blob in itertools.islice(merged, _FILTER_BLOCK)]:
+            consume(block)
+    finally:
+        # After a failure producers may be blocked in put: stop them and
+        # drain each queue until its producer has exited; the error propagates.
+        stop.set()
+        for t, q in zip(threads, queues):
+            while t.is_alive():
+                with contextlib.suppress(queue.Empty):
+                    q.get(timeout=0.01)
 
     for window in assembler.flush():
         label_window(window)

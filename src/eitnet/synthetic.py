@@ -33,10 +33,6 @@ from .tensorops import as_tensor
 
 JOINT_NAMES = ("head", "hand_l", "hand_r", "foot_l", "foot_r")
 
-# Default crop for the augmentation pipeline at full scale; desk-scale
-# callers pass the clip extents instead.
-DEFAULT_CROP_HW = (224, 224)
-
 _BASE_JOINTS_MM = np.array(
     [
         [0.0, 900.0, 0.0],  # head
@@ -232,23 +228,17 @@ def rotate_frames(clip: np.ndarray, angle_deg: float) -> np.ndarray:
     return np.ascontiguousarray(np.where(valid, clip[..., src_r_safe, src_c_safe], 0.0))
 
 
-def random_crop(clip: np.ndarray, crop_hw: tuple[int, int], rng: Rng) -> np.ndarray:
-    _, _, h, w = clip.shape
-    ch, cw = crop_hw
-    if ch > h or cw > w:
-        raise ValueError(f"crop {crop_hw} larger than clip frames {h}x{w}")
-    r0 = rng.below(h - ch + 1)
-    c0 = rng.below(w - cw + 1)
-    return np.ascontiguousarray(clip[:, :, r0 : r0 + ch, c0 : c0 + cw])
+def augment(clip: np.ndarray, seed: int) -> np.ndarray:
+    """Seeded coin-flip horizontal mirror, then rotation within the limit.
 
-
-def augment(clip: np.ndarray, seed: int, crop_hw: tuple[int, int] = DEFAULT_CROP_HW) -> np.ndarray:
-    """Seeded crop, coin-flip horizontal mirror, and rotation within the limit.
-
-    The clip is validated here once; the three steps trust their input.
+    The clip is validated here once; the two steps trust their input.
     """
     rng = Rng(seed)
-    out = random_crop(as_tensor(clip), crop_hw, rng)
+    # Two draws stand where a full-frame crop drew its offsets, so every
+    # augmentation stream, and so every training run, keeps its bits.
+    rng.below(1)
+    rng.below(1)
+    out = as_tensor(clip)
     if rng.uniform() < FLIP_PROB:
         out = horizontal_flip(out)
     angle = (2.0 * rng.uniform() - 1.0) * MAX_ROTATION_DEG

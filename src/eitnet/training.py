@@ -200,7 +200,7 @@ def _extract_batch(model: PipelineModel, samples, indices, epoch, hp, train_mode
     chosen = [samples[idx] for idx in indices]
     if train_mode:
         clips = [
-            augment(s.clip, derive_seed(hp.seed, "aug", epoch, idx), crop_hw=s.clip.shape[2:])
+            augment(s.clip, derive_seed(hp.seed, "aug", epoch, idx))
             for idx, s in zip(indices, chosen)
         ]
         seeds = [derive_seed(hp.seed, "drop", epoch, idx) for idx in indices]

@@ -11,8 +11,10 @@ import pytest
 import eitnet
 from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
-from eitnet.fileio import load_dataset, read_csv_rows
+from eitnet.fileio import load_dataset
 from eitnet.tensorops import save_tensor
+
+from textio import read_csv_rows
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ BUDGET = {
     training.Hyperparams: {"lr", "epochs", "seed"},
     training.Adam: {"params"},
     pipeline.PipelineModel.fit_feature_norm: {"self", "samples"},
-    synthetic.augment: {"clip", "seed", "crop_hw"},
+    synthetic.augment: {"clip", "seed"},
     synthetic.DatasetConfig: {"repetitions"},
     detection.Detector: {"frame_hw", "channels", "num_anchors", "seed"},
     i3d.I3DStack: {"widths", "seed"},

@@ -21,7 +21,6 @@ from eitnet.synthetic import (
     generate_synthetic_dataset,
     horizontal_flip,
     pose_bounding_box,
-    random_crop,
     rotate_frames,
 )
 
@@ -196,17 +195,27 @@ class TestAugment:
         clip = self.clip()
         np.testing.assert_array_equal(horizontal_flip(horizontal_flip(clip)), clip)
 
-    def test_zero_rotation_full_crop_is_identity(self):
+    def test_zero_rotation_is_identity(self):
         clip = self.clip()
-        out = rotate_frames(random_crop(clip, (16, 16), Rng(1)), 0.0)
-        np.testing.assert_array_equal(out, clip)
+        np.testing.assert_array_equal(rotate_frames(clip, 0.0), clip)
 
     def test_fixed_seed_reproducible(self):
         clip = self.clip()
-        a = augment(clip, seed=42, crop_hw=(14, 14))
-        b = augment(clip, seed=42, crop_hw=(14, 14))
+        a = augment(clip, seed=42)
+        b = augment(clip, seed=42)
         np.testing.assert_array_equal(a, b)
-        assert a.shape == (1, 4, 14, 14)
+        assert a.shape == (1, 4, 16, 16)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flip_and_angle_follow_two_leading_draws(self, seed):
+        """The stream opens with the two draws a full-frame crop once took."""
+        clip = self.clip()
+        rng = Rng(seed)
+        rng.next_u64()
+        rng.next_u64()
+        ref = horizontal_flip(clip) if rng.uniform() < 0.5 else clip
+        ref = rotate_frames(ref, (2.0 * rng.uniform() - 1.0) * 15.0)
+        np.testing.assert_array_equal(augment(clip, seed), ref)
 
     def test_clip_validated_once_per_call(self, monkeypatch):
         from eitnet import synthetic
@@ -217,17 +226,8 @@ class TestAugment:
             synthetic, "as_tensor", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
         monkeypatch.setattr(synthetic, "FLIP_PROB", 1.0)  # take every step
-        augment(self.clip(), seed=42, crop_hw=(14, 14))
+        augment(self.clip(), seed=42)
         assert len(calls) == 1
-
-    def test_oversized_crop_raises(self):
-        with pytest.raises(ValueError, match="larger than clip"):
-            random_crop(self.clip(), (32, 32), Rng(1))
-
-    def test_default_crop_constant_retained(self):
-        from eitnet.synthetic import DEFAULT_CROP_HW
-
-        assert DEFAULT_CROP_HW == (224, 224)
 
     def test_rotation_stays_in_range(self):
         clip = self.clip()

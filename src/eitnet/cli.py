@@ -314,7 +314,7 @@ def _window_hook(seed: int, frame_hw: tuple[int, int]):
 def cmd_simulate(args) -> int:
     specs = _config(_default_camera_specs, args)
     duration = parse_duration_us(args.duration)
-    _config(check_simulation, specs, duration, args.window_period_us, args.threshold, args.threaded)
+    _config(check_simulation, specs, duration, args.window_period_us, args.threshold)
     out = _outdir(args)
     report = run_simulation(
         specs,
@@ -323,7 +323,6 @@ def cmd_simulate(args) -> int:
         pipeline_hook=_window_hook(args.seed, (16, 16)),
         window_period_us=args.window_period_us,
         feedback_threshold=args.threshold,
-        threaded=args.threaded,
     )
     if not report.conservation_holds():
         raise RuntimeError("packet conservation violated")
@@ -464,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-prob", type=float, default=0.0)
     p.add_argument("--window-period-us", type=int, default=None)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--threaded", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of trainable layers")

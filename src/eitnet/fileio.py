@@ -59,6 +59,8 @@ def parse_camera_config(text: str) -> list[CameraSpec]:
             )
         except KeyError as exc:
             raise ValueError(f"line {lineno}: missing field {exc.args[0]}") from exc
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
         first = id_lines.setdefault(spec.camera_id, lineno)
         if first != lineno:
             raise ValueError(f"line {lineno}: camera id {spec.camera_id} repeats line {first}")

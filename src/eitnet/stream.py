@@ -9,13 +9,9 @@ the magic through the payload.
 The transport is an in-process channel with injectable loss and jitter; the
 byte format is exact so a socket transport could be slotted in unchanged.
 Each camera is a lazy source that encodes a packet only when it is read.
-One consumer merges the sources in (send time, camera id) order.  In the
-default mode it reads them itself; in the threaded mode one producer thread
-per camera reads each source into its own queue of ``_QUEUE_CAPACITY``
-packets (the producer blocks when it fills), and the consumer merges the
-queues instead.  A camera's packets keep their order through its queue, so
-the merge, and every report, is the same in both modes whatever the thread
-scheduling.
+One consumer merges the sources in (send time, camera id) order.  The
+simulation runs in event time (clock offsets, jitter, drops, a watermark),
+so its reports depend on that order alone, never on a processing schedule.
 
 Clock calibration is a coarse one-way estimator: the offset to subtract from
 a camera's timestamps is the median of (send - receive) over its handshake
@@ -25,14 +21,11 @@ transport.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import heapq
 import itertools
 import math
-import queue
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,9 +49,6 @@ _CRC_RESIDUE = 0x2144DF1C
 # Frames per median_filter call and per block of a camera's draws in
 # run_simulation: bounds their transient memory whatever the duration.
 _FILTER_BLOCK = 256
-# Largest camera count the threaded mode accepts: one producer thread each.
-MAX_THREADED_CAMERAS = 64
-_QUEUE_CAPACITY = 12  # packets a camera queues before its threaded producer blocks
 _HANDSHAKES = 5  # clock samples per camera
 _MEDIAN_WINDOW = 3
 
@@ -395,13 +385,12 @@ def check_simulation(
     duration_us: int,
     window_period_us: int | None,
     feedback_threshold: float,
-    threaded: bool,
 ) -> None:
     """Reject, before anything runs, a simulation that could not run to its end.
 
-    Beyond unique ids, a positive duration and window period (when given), a
-    feedback threshold in [0, 1] and the thread bound, each camera's frames
-    must fit u32 sequence numbers and its last jitter-free timestamp u64.
+    Beyond unique ids, a positive duration and window period (when given) and
+    a feedback threshold in [0, 1], each camera's frames must fit u32
+    sequence numbers and its last jitter-free timestamp u64.
     """
     if not specs:
         raise ValueError("need at least one camera")
@@ -414,11 +403,6 @@ def check_simulation(
         raise ValueError(f"window period must be positive, got {window_period_us}")
     if not 0.0 <= feedback_threshold <= 1.0:
         raise ValueError(f"feedback threshold must be in [0, 1], got {feedback_threshold}")
-    if threaded and len(specs) > MAX_THREADED_CAMERAS:
-        raise ValueError(
-            f"threaded mode starts one thread per camera: at most "
-            f"{MAX_THREADED_CAMERAS} cameras, got {len(specs)}"
-        )
     for s in specs:
         frames = -(-duration_us // s.frame_period_us)
         if frames > 2**32:
@@ -466,14 +450,6 @@ def _packets(
             yield true_t, spec.camera_id, encode_packet(packet)
 
 
-def _queued(q: queue.Queue):
-    """Yield one producer's items up to its None; raise the error it forwarded."""
-    while (item := q.get()) is not None:
-        if isinstance(item, Exception):
-            raise item
-        yield item
-
-
 def run_simulation(
     specs: list[CameraSpec],
     duration_us: int,
@@ -483,7 +459,6 @@ def run_simulation(
     frame_hw: tuple[int, int] = (16, 16),
     window_period_us: int | None = None,
     feedback_threshold: float = 0.5,
-    threaded: bool = False,
 ) -> SimulationReport:
     """Camera sources -> decode -> calibrate -> median filter -> windows -> hook.
 
@@ -493,15 +468,10 @@ def run_simulation(
     as it pulls it and filters them in blocks of at most ``_FILTER_BLOCK``.
     Every decoded frame must have the extents ``frame_hw``.  The hook runs on
     each window as the assembler emits it, so a closed window's frames are
-    released once it is labelled.  The threaded mode only changes who reads
-    the sources: one producer thread per camera fills that camera's queue
-    of ``_QUEUE_CAPACITY``, and the merge reads the queues.  Each queue keeps
-    its camera's order, so both modes give the same report.  The merge waits
-    only on an empty queue, whose producer is never blocked, so it cannot
-    deadlock.  If producing or consuming a packet raises, the producers are
-    stopped and joined before the error reaches the caller.
+    released once it is labelled.  If producing or consuming a packet
+    raises, the error reaches the caller as it is.
     """
-    check_simulation(specs, duration_us, window_period_us, feedback_threshold, threaded)
+    check_simulation(specs, duration_us, window_period_us, feedback_threshold)
     period = specs[0].frame_period_us if window_period_us is None else window_period_us
     h, w = frame_hw
     counts = {s.camera_id: CameraCounts() for s in specs}
@@ -551,38 +521,10 @@ def run_simulation(
             for window in assembler.push(packet.camera_id, corrected, frame):
                 label_window(window)
 
-    stop = threading.Event()
-    queues = [queue.Queue(maxsize=_QUEUE_CAPACITY) for _ in sources] if threaded else []
-
-    def produce(source, out: queue.Queue):
-        # Ends by sending None, or its source's error for the consumer to
-        # raise: a thread that died silently would leave the merge waiting.
-        try:
-            for item in source:
-                if stop.is_set():
-                    return
-                out.put(item)  # blocks while this camera's queue is full
-        except Exception as exc:
-            out.put(exc)
-        else:
-            out.put(None)
-
-    threads = [threading.Thread(target=produce, args=p, daemon=True) for p in zip(sources, queues)]
-    try:
-        for t in threads:
-            t.start()
-        # (send time, camera id) is unique, so the merge never compares bytes
-        merged = heapq.merge(*(map(_queued, queues) if threaded else sources))
-        while block := [admit(blob) for _, _, blob in itertools.islice(merged, _FILTER_BLOCK)]:
-            consume(block)
-    finally:
-        # After a failure producers may be blocked in put: stop them and
-        # drain each queue until its producer has exited; the error propagates.
-        stop.set()
-        for t, q in zip(threads, queues):
-            while t.is_alive():
-                with contextlib.suppress(queue.Empty):
-                    q.get(timeout=0.01)
+    # (send time, camera id) is unique, so the merge never compares bytes
+    merged = heapq.merge(*sources)
+    while block := [admit(blob) for _, _, blob in itertools.islice(merged, _FILTER_BLOCK)]:
+        consume(block)
 
     for window in assembler.flush():
         label_window(window)

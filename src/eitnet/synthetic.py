@@ -81,14 +81,17 @@ class SyntheticAction:
 
     def __post_init__(self):
         self.clip = as_tensor(self.clip)
-        if self.clip.ndim != 4 or self.clip.shape[0] != 1:
-            raise ValueError(f"clip must be [1, T, H, W], got shape {self.clip.shape}")
+        expected = (1, FRAMES, *FRAME_HW)
+        if self.clip.shape != expected:
+            raise ValueError(
+                f"clip must be [1, T, H, W], got shape {self.clip.shape}, expected {expected}"
+            )
         if self.label not in ACTION_LABELS:
             raise ValueError(f"label must be one of {ACTION_LABELS}, got {self.label!r}")
         if self.subject_id not in SUBJECT_IDS or self.view_id not in VIEW_IDS:
             raise ValueError("subject_id must be 1..10 and view_id 1..5")
-        if self.clip.shape[1] != len(self.poses):
-            raise ValueError("frame count must equal pose count")
+        if [pose.count for pose in self.poses] != [len(JOINT_NAMES)] * FRAMES:
+            raise ValueError(f"need {FRAMES} poses of {len(JOINT_NAMES)} joints, one per frame")
 
     @property
     def label_index(self) -> int:

@@ -301,6 +301,8 @@ def load_tensor(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != TENSOR_MAGIC:
         raise ValueError("not a tensor file (bad magic)")
+    if len(blob) < 5 or len(blob) < 5 + 4 * blob[4]:
+        raise ValueError(f"tensor file of {len(blob)} bytes ends inside its header")
     rank = blob[4]
     if rank < 1 or rank > MAX_RANK:
         raise ValueError(f"unsupported tensor rank {rank}")

@@ -12,7 +12,7 @@ import eitnet
 from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset
-from eitnet.tensorops import save_tensor
+from eitnet.tensorops import load_tensor, save_tensor
 
 from textio import read_csv_rows
 
@@ -125,8 +125,20 @@ class TestExitCodes:
             ("1,1,1,dunk,clips/sample_0000.bin,poses/sample_0000.bin", "label must be one of"),
             ("1,1,1,pass,clips/flat.bin,poses/sample_0000.bin",
              r"clip must be \[1, T, H, W\], got shape \(8,\)"),
+            ("1,1,1,pass,clips/magic-only.bin,poses/sample_0000.bin",
+             "tensor file of 4 bytes ends inside its header"),
+            ("1,1,1,pass,clips/short-header.bin,poses/sample_0000.bin",
+             "tensor file of 7 bytes ends inside its header"),
+            ("1,1,1,pass,clips/four-frames.bin,poses/sample_0000.bin",
+             r"clip must be \[1, T, H, W\], got shape \(1, 4, 16, 16\), "
+             r"expected \(1, 8, 16, 16\)"),
+            ("1,1,1,pass,clips/sample_0000.bin,poses/four-joints.bin",
+             "need 8 poses of 5 joints, one per frame"),
+            ("1,1,1,pass,clips/small.bin,poses/sample_0000.bin",
+             r"clip must be \[1, T, H, W\], got shape \(1, 8, 8, 8\)"),
         ],
-        ids=["short-row", "missing-clip", "unknown-label", "rank-1-clip"],
+        ids=["short-row", "missing-clip", "unknown-label", "rank-1-clip", "magic-only-clip",
+             "short-header-clip", "four-frame-clip", "four-joint-poses", "8x8-clip"],
     )
     def test_bad_manifest_row_is_config_error_naming_the_line(
         self, row, message, dataset_dir, tmp_path, capsys
@@ -136,6 +148,13 @@ class TestExitCodes:
             (broken / sub).mkdir(parents=True)
             shutil.copy(dataset_dir / sub / "sample_0000.bin", broken / sub)
         save_tensor(broken / "clips" / "flat.bin", [0.0] * 8)
+        (broken / "clips" / "magic-only.bin").write_bytes(b"EITT")
+        (broken / "clips" / "short-header.bin").write_bytes(b"EITT\x04\x01\x00")
+        clip = load_tensor(dataset_dir / "clips" / "sample_0000.bin")
+        save_tensor(broken / "clips" / "four-frames.bin", clip[:, :4])
+        save_tensor(broken / "clips" / "small.bin", clip[:, :, ::2, ::2])
+        poses = load_tensor(dataset_dir / "poses" / "sample_0000.bin")
+        save_tensor(broken / "poses" / "four-joints.bin", poses[:, :4])
         manifest = (dataset_dir / "manifest.csv").read_text().splitlines()
         (broken / "manifest.csv").write_text("\n".join(manifest[:3] + [row]) + "\n")
         out = tmp_path / "out"

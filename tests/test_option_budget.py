@@ -22,6 +22,11 @@ BUDGET = {
     i3d.I3DStack: {"widths", "seed"},
     stream.calibrate_clocks: {"samples"},
     stream.emit_feedback: {"window", "probs", "threshold"},
+    stream.run_simulation: {
+        "specs", "duration_us", "seed", "pipeline_hook", "frame_hw", "window_period_us",
+        "feedback_threshold",
+    },
+    stream.check_simulation: {"specs", "duration_us", "window_period_us", "feedback_threshold"},
     ablation.run_ablation: {"samples", "plan", "base_config", "hp"},
 }
 

@@ -1,10 +1,7 @@
 import math
-import sys
-import threading
 import zlib
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ from eitnet.cli import _window_hook
 from eitnet.fileio import parse_camera_config
 from eitnet.rng import Rng, derive_seed
 from eitnet.stream import (
-    MAX_THREADED_CAMERAS,
     AssemblerStats,
     CameraCounts,
     CameraSpec,
@@ -476,29 +472,6 @@ def per_packet_simulation(
     )
 
 
-def bounded_simulation(*args, **kwargs):
-    """run_simulation's report or error, once no thread it started is left.
-
-    The run sits in a watchdog thread: a deadlock, or a producer that died
-    without a word, would leave it blocked for good.
-    """
-    before = set(threading.enumerate())
-    outcome = []
-
-    def run():
-        try:
-            outcome.append(run_simulation(*args, **kwargs))
-        except Exception as exc:
-            outcome.append(exc)
-
-    watchdog = threading.Thread(target=run, daemon=True)
-    watchdog.start()
-    watchdog.join(timeout=20)
-    assert not watchdog.is_alive(), "the run never returned"
-    assert [t for t in threading.enumerate() if t not in before] == []
-    return outcome[0]
-
-
 # (cameras, duration_us, seed, frame_hw, window_period_us)
 EQUIVALENCE_CASES = {
     "clamped-at-zero": (
@@ -653,18 +626,15 @@ class TestSimulation:
         corrected = [decode_packet(blob).timestamp_us - offsets[1] for _, _, blob in packets]
         assert all(b > a for a, b in zip(corrected, corrected[1:]))
 
-    @pytest.mark.parametrize("threaded", [False, True])
-    def test_consumer_failure_stops_producers(self, monkeypatch, threaded):
+    def test_consumer_failure_reaches_the_caller(self, monkeypatch):
         def broken(blob):
             raise RuntimeError("decode failed")
 
         monkeypatch.setattr(eitnet.stream, "decode_packet", broken)
-        monkeypatch.setattr(eitnet.stream, "_QUEUE_CAPACITY", 2)
-        error = bounded_simulation([spec(1), spec(2), spec(3)], 30_000, 6, threaded=threaded)
-        assert type(error) is RuntimeError and str(error) == "decode failed"
+        with pytest.raises(RuntimeError, match="^decode failed$"):
+            run_simulation([spec(1), spec(2), spec(3)], 30_000, 6)
 
-    @pytest.mark.parametrize("threaded", [False, True])
-    def test_producer_failure_reaches_the_caller(self, monkeypatch, threaded):
+    def test_producer_failure_reaches_the_caller(self, monkeypatch):
         original = eitnet.stream.encode_packet
 
         def broken(packet):
@@ -673,43 +643,33 @@ class TestSimulation:
             return original(packet)
 
         monkeypatch.setattr(eitnet.stream, "encode_packet", broken)
-        monkeypatch.setattr(eitnet.stream, "_QUEUE_CAPACITY", 2)
-        error = bounded_simulation([spec(1), spec(2), spec(3)], 30_000, 6, threaded=threaded)
-        assert type(error) is RuntimeError and str(error) == "encode failed"
+        with pytest.raises(RuntimeError, match="^encode failed$"):
+            run_simulation([spec(1), spec(2), spec(3)], 30_000, 6)
 
-    @pytest.mark.parametrize("threaded", [False, True])
-    def test_packets_in_flight_stay_bounded(self, monkeypatch, threaded):
+    def test_packets_in_flight_stay_bounded(self, monkeypatch):
         """Packets are encoded as they are consumed, not all before the first is."""
-        lock = threading.Lock()
         in_flight = peak = 0
         encode, decode = eitnet.stream.encode_packet, eitnet.stream.decode_packet
 
         def counting_encode(packet):
             nonlocal in_flight, peak
             blob = encode(packet)
-            with lock:
-                in_flight += 1
-                peak = max(peak, in_flight)
+            in_flight += 1
+            peak = max(peak, in_flight)
             return blob
 
         def counting_decode(blob):
             nonlocal in_flight
-            with lock:
-                in_flight -= 1
+            in_flight -= 1
             return decode(blob)
 
         monkeypatch.setattr(eitnet.stream, "encode_packet", counting_encode)
         monkeypatch.setattr(eitnet.stream, "decode_packet", counting_decode)
         specs = [spec(cid, period=33333, offset=200 * cid, drop=0.05) for cid in range(1, 6)]
-        report = run_simulation(specs, duration_us=20_000_000, seed=27, threaded=threaded)
+        report = run_simulation(specs, duration_us=20_000_000, seed=27)
         assert in_flight == 0 and report.conservation_holds()
-        # The merge holds one head per camera and decodes a packet as it takes
-        # it.  In the threaded mode each camera also has a full queue and one
-        # packet held by its producer, blocked in put.
-        if threaded:
-            assert peak <= len(specs) * (eitnet.stream._QUEUE_CAPACITY + 2)
-        else:
-            assert peak <= len(specs)
+        # The merge holds one head per camera and decodes a packet as it takes it.
+        assert peak <= len(specs)
 
     def test_hook_receives_every_window(self):
         specs = [spec(1), spec(2)]
@@ -759,16 +719,12 @@ class TestSimulation:
             seen.append(decoded)
             return np.full(len(ACTION_LABELS), 1.0 / len(ACTION_LABELS))
 
-        # 600 packets: both modes decode them in 3 blocks
+        # 600 packets, decoded in 3 blocks
         specs = [spec(cid, offset=100 * cid, jitter=300.0) for cid in (1, 2, 3)]
-        for threaded in (False, True):
-            seen.clear()
-            decoded = 0
-            report = run_simulation(specs, duration_us=200_000, seed=8, pipeline_hook=hook,
-                                    threaded=threaded)
-            assert len(seen) == len(report.window_rows)
-            assert seen == sorted(seen) and seen[-1] == decoded == 600
-            assert len(set(seen)) >= 3
+        report = run_simulation(specs, duration_us=200_000, seed=8, pipeline_hook=hook)
+        assert len(seen) == len(report.window_rows)
+        assert seen == sorted(seen) and seen[-1] == decoded == 600
+        assert len(set(seen)) >= 3
 
     def test_two_packet_objects_per_delivered_packet(self, monkeypatch):
         built = 0
@@ -785,8 +741,7 @@ class TestSimulation:
         delivered = sum(c.delivered for c in report.counts.values())
         assert delivered > 0 and built == 2 * delivered
 
-    @pytest.mark.parametrize("threaded", [False, True])
-    def test_frame_of_wrong_extents_rejected(self, monkeypatch, threaded):
+    def test_frame_of_wrong_extents_rejected(self, monkeypatch):
         original = eitnet.stream._packets
 
         def one_wide_camera(spec, rng, n, frame_hw, counts):
@@ -797,7 +752,7 @@ class TestSimulation:
         monkeypatch.setattr(eitnet.stream, "_packets", one_wide_camera)
         specs = [spec(1), spec(2), spec(3)]
         with pytest.raises(ValueError, match="camera 2 sent a 8x32 frame, expected 16x16"):
-            run_simulation(specs, duration_us=10_000, seed=3, threaded=threaded)
+            run_simulation(specs, duration_us=10_000, seed=3)
 
     def test_window_hook_mean_equals_np_mean(self):
         """The hook's running sum gives the probabilities of np.mean's mean frame, bitwise."""
@@ -831,34 +786,6 @@ class TestBlockEquivalence:
         assert report_csv_text(new, seed) == report_csv_text(ref, seed)
         assert [m.csv_row() for m in new.feedback] == [m.csv_row() for m in ref.feedback]
         assert new.feedback
-
-    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-    def test_threaded_report_and_feedback_bytes_match_deterministic(self, monkeypatch, case):
-        """Each camera's queue keeps its order, so the merge is the same in both modes."""
-        monkeypatch.setattr(eitnet.stream, "_QUEUE_CAPACITY", 2)  # the queues fill
-        specs, duration, seed, frame_hw, window_period = EQUIVALENCE_CASES[case]
-        kwargs = dict(frame_hw=frame_hw, window_period_us=window_period, feedback_threshold=0.3)
-        hook = _window_hook(seed, frame_hw)
-        det, threaded = (
-            run_simulation(specs, duration, seed, hook, threaded=mode, **kwargs)
-            for mode in (False, True)
-        )
-        assert threaded.conservation_holds()
-        assert report_csv_text(threaded, seed) == report_csv_text(det, seed)
-        assert [m.csv_row() for m in threaded.feedback] == [m.csv_row() for m in det.feedback]
-
-    def test_threaded_merge_holds_under_forced_thread_switches(self, monkeypatch):
-        """More producers than cores, one-packet queues, a switch every few bytecodes."""
-        monkeypatch.setattr(eitnet.stream, "_QUEUE_CAPACITY", 1)
-        specs = [spec(cid, offset=100 * cid, jitter=400.0, drop=0.05) for cid in range(1, 9)]
-        det = run_simulation(specs, 100_000, 29, frame_hw=(4, 4))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = bounded_simulation(specs, 100_000, 29, frame_hw=(4, 4), threaded=True)
-        finally:
-            sys.setswitchinterval(interval)
-        assert report_csv_text(threaded, 29) == report_csv_text(det, 29)
 
     def test_cases_reach_the_conditions_they_name(self):
         specs, duration, seed, frame_hw, _ = EQUIVALENCE_CASES["clamped-at-zero"]
@@ -896,42 +823,6 @@ class TestBlockEquivalence:
         assert max(shape[0] for shape in shapes) <= eitnet.stream._FILTER_BLOCK
         assert sum(shape[0] for shape in shapes) == delivered
         assert len(shapes) > 1
-
-
-class TestThreadBound:
-    """More cameras than the cap is refused before any producer thread starts."""
-
-    @pytest.fixture
-    def no_threads(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise RuntimeError("a producer thread was started")
-
-        monkeypatch.setattr(threading, "Thread", refuse)
-
-    def test_run_simulation_rejects_before_starting_threads(self, no_threads):
-        specs = [spec(cid) for cid in range(1, MAX_THREADED_CAMERAS + 2)]
-        with pytest.raises(ValueError, match="one thread per camera"):
-            run_simulation(specs, duration_us=1000, seed=1, threaded=True)
-
-    def test_cli_cameras_over_the_cap_exit_3(self, no_threads, tmp_path, capsys):
-        from eitnet.cli import dispatch
-
-        argv = ["simulate", "--seed", "1", "--cameras", str(MAX_THREADED_CAMERAS + 1),
-                "--threaded", "--duration", "1ms", "--out", str(tmp_path / "out")]
-        assert dispatch(argv) == 3
-        assert "one thread per camera" in capsys.readouterr().err
-
-    def test_cli_camera_config_over_the_cap_exit_3(self, no_threads, tmp_path, capsys):
-        from eitnet.cli import dispatch
-
-        config = tmp_path / "cams.txt"
-        config.write_text(
-            camera_config_text([spec(cid) for cid in range(1, MAX_THREADED_CAMERAS + 2)])
-        )
-        argv = ["simulate", "--seed", "1", "--camera-config", str(config), "--threaded",
-                "--duration", "1ms", "--out", str(tmp_path / "out")]
-        assert dispatch(argv) == 3
-        assert "one thread per camera" in capsys.readouterr().err
 
 
 def identified_packet(frame_id, camera_id, ts):
@@ -1034,12 +925,7 @@ class TestAssemblerProperties:
             spec(cid, offset=offset, jitter=jitter, drop=drop)
             for cid, (drop, jitter, offset) in enumerate(cameras, start=1)
         ]
-        with mock.patch.object(eitnet.stream, "_QUEUE_CAPACITY", 2):  # the queues fill
-            report, threaded = (
-                run_simulation(specs, duration, seed, frame_hw=(4, 4), threaded=mode)
-                for mode in (False, True)
-            )
-        assert report_csv_text(threaded, seed) == report_csv_text(report, seed)
+        report = run_simulation(specs, duration, seed, frame_hw=(4, 4))
         for c in report.counts.values():
             assert c.produced == -(-duration // 1000)
             assert c.produced == c.delivered + c.dropped_link
@@ -1080,12 +966,27 @@ class TestCameraConfig:
         assert parsed == specs
 
     def test_parse_errors(self):
-        with pytest.raises(ValueError, match="key=value"):
+        with pytest.raises(ValueError, match="^line 1: expected key=value"):
             parse_camera_config("id 1\n")
-        with pytest.raises(ValueError, match="missing field"):
+        with pytest.raises(ValueError, match="^line 1: missing field"):
             parse_camera_config("id=1\n")
         with pytest.raises(ValueError, match="no cameras"):
             parse_camera_config("# only a comment\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("id=x period_us=1000", "invalid literal for int"),
+            ("id=1 period_us=0", "frame_period must be positive"),
+            ("id=70000 period_us=1000", "camera_id must fit u16"),
+            ("id=1 period_us=1000 jitter_us=nan", "jitter must be nonnegative and finite"),
+            ("id=1 period_us=1000 drop_prob=1.5", r"drop_probability must be in \[0, 1\)"),
+        ],
+        ids=["non-integer-id", "zero-period", "id-over-u16", "nan-jitter", "drop-over-one"],
+    )
+    def test_bad_value_names_its_line(self, line, message):
+        with pytest.raises(ValueError, match=f"^line 3: {message}"):
+            parse_camera_config(f"id=9 period_us=1000\n# spare\n{line}\n")
 
     def test_repeated_id_names_both_lines(self):
         text = "id=4 period_us=1000\n# spare\nid=4 period_us=2000\n"

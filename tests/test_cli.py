@@ -319,6 +319,30 @@ class TestSimulate:
         ) == 0
         assert (out / "report.csv").exists()
 
+    def test_threaded_option_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert dispatch(["simulate", "--seed", "1", "--threaded", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --threaded" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["cameras", "camera-config"])
+    def test_sixty_five_cameras_run(self, source, tmp_path):
+        if source == "cameras":
+            cameras = ["--cameras", "65"]
+        else:
+            config = tmp_path / "cams.txt"
+            config.write_text("".join(f"id={cid} period_us=1000\n" for cid in range(1, 66)))
+            cameras = ["--camera-config", str(config)]
+        out = tmp_path / "out"
+        assert dispatch(
+            ["simulate", "--seed", "1", *cameras, "--duration", "1ms", "--out", str(out)]
+        ) == 0
+        report = (out / "report.csv").read_text()
+        counts = report[report.index("# section=counts"):report.index("# section=latency")]
+        assert [row.split(",")[0] for row in counts.splitlines()[2:-1]] == [
+            str(cid) for cid in range(1, 66)
+        ]
+
     def test_jitter_past_the_u64_end_is_clamped(self, tmp_path):
         """The last frame is sent 2 us before the u64 end; 5 ms of jitter pushes stamps past it."""
         out = tmp_path / "out"

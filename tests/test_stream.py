@@ -1,4 +1,5 @@
 import math
+import threading
 import zlib
 from collections import Counter
 from fractions import Fraction
@@ -753,6 +754,30 @@ class TestSimulation:
         specs = [spec(1), spec(2), spec(3)]
         with pytest.raises(ValueError, match="camera 2 sent a 8x32 frame, expected 16x16"):
             run_simulation(specs, duration_us=10_000, seed=3)
+
+    def test_camera_order_does_not_change_the_report(self):
+        """The merge takes packets in (send time, camera id) order, not in listing order."""
+        specs = [spec(cid, offset=100 * cid, jitter=400.0, drop=0.05) for cid in range(1, 9)]
+        hook = _window_hook(29, (4, 4))
+        runs = [
+            run_simulation(order, 100_000, 29, hook, frame_hw=(4, 4), feedback_threshold=0.3)
+            for order in (specs, specs[::-1])
+        ]
+        assert runs[0].duplicates > 0 and runs[0].dropped_late > 0 and runs[0].feedback
+        assert report_csv_text(runs[1], 29) == report_csv_text(runs[0], 29)
+        assert [m.csv_row() for m in runs[1].feedback] == [m.csv_row() for m in runs[0].feedback]
+
+    def test_many_cameras_run_on_the_calling_thread(self, monkeypatch):
+        """65 cameras need no thread of their own, and no camera count is refused."""
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        specs = [spec(cid, offset=10 * cid) for cid in range(1, 66)]
+        report = run_simulation(specs, duration_us=3_000, seed=1, frame_hw=(4, 4))
+        assert sorted(report.counts) == list(range(1, 66))
+        assert all(c.delivered == 3 for c in report.counts.values())
+        assert report.conservation_holds()
 
     def test_window_hook_mean_equals_np_mean(self):
         """The hook's running sum gives the probabilities of np.mean's mean frame, bitwise."""

@@ -221,6 +221,7 @@ PYRAMID_CONVS = (("conv1", SAME_CONV), ("conv2", DOWN_CONV), ("conv3", DOWN_CONV
 IN_CHANNELS = 1  # grayscale clips
 IOU_THRESHOLD = 0.5  # NMS drops a box overlapping a kept one by more than this
 FUSION_EPS = 1e-4  # keeps the fusion weights' normalizing sum positive
+MAX_ANCHORS = 4  # anchor layouts _make_anchors defines
 
 
 @dataclass
@@ -240,6 +241,8 @@ class Detector:
     _weights: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 1 <= self.num_anchors <= MAX_ANCHORS:
+            raise ValueError(f"num_anchors must be 1..{MAX_ANCHORS}, got {self.num_anchors}")
         rng = Rng(self.seed)
         c = self.channels
         h, w = self.frame_hw
@@ -274,7 +277,7 @@ class Detector:
             (w / 3, h / 3, 0.6 * w, 0.6 * h),
             (2 * w / 3, 2 * h / 3, 0.6 * w, 0.6 * h),
         ]
-        return np.array(base[: self.num_anchors], dtype=np.float64).reshape(-1, 4)
+        return np.array(base[: self.num_anchors], dtype=np.float64)
 
     def pyramid(self, clip: np.ndarray) -> list[np.ndarray]:
         """[C,T,H,W] clip to coarse-to-fine [C,T,h,w] levels; the kt=1 convs keep frames apart."""
@@ -303,16 +306,16 @@ class Detector:
         return [f[keep] for f, keep in zip(found, nms(boxes, scores, IOU_THRESHOLD))]
 
     def best_box(self, clips: np.ndarray) -> np.ndarray:
-        """[B, T, 5] rows: each frame's top surviving box, or the full frame where none survives.
+        """[B, T, 5] rows: each frame's top surviving box.
 
-        The [B,C,T,H,W] stack runs as one clip of B*T frames: the convs have
-        kt=1 and every later stage works frame by frame, so no frame sees
+        Greedy NMS always keeps a frame's first-ranked box, so every frame has
+        one.  The [B,C,T,H,W] stack runs as one clip of B*T frames: the convs
+        have kt=1 and every later stage works frame by frame, so no frame sees
         another clip's.
         """
         b, c, t, h, w = clips.shape
-        full = full_frame_box(self.frame_hw)
         kept = self.detect(clips.swapaxes(0, 1).reshape(c, b * t, h, w))
-        return np.array([k[0] if len(k) else full for k in kept]).reshape(b, t, 5)
+        return np.array([k[0] for k in kept]).reshape(b, t, 5)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Every weight array by name; the three fusion weights are one array."""

@@ -91,12 +91,9 @@ def _load_sample(root: Path, row: list[str]) -> SyntheticAction:
     if len(row) != 6:
         raise ValueError(f"expected 6 fields, got {len(row)}")
     _, subject_id, view_id, label, clip_rel, pose_rel = row
-    clip = load_tensor(root / clip_rel)
-    stacked = load_tensor(root / pose_rel)
-    poses = [SkeletonPose(joints=stacked[t]) for t in range(stacked.shape[0])]
     return SyntheticAction(
-        clip=clip,
-        poses=poses,
+        clip=load_tensor(root / clip_rel),
+        poses=SkeletonPose.from_stack(load_tensor(root / pose_rel)),
         subject_id=int(subject_id),
         view_id=int(view_id),
         label=label,

@@ -101,6 +101,10 @@ class I3DStack:
     blocks: list[I3DBlockParams] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if len(self.widths) != len(DEFAULT_POOLS):
+            raise ValueError(
+                f"need {len(DEFAULT_POOLS)} block widths, one per pool, got {len(self.widths)}"
+            )
         rng = Rng(self.seed)
         self.blocks = []
         c_prev = 1  # single-channel clips

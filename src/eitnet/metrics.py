@@ -34,16 +34,33 @@ class SkeletonPose:
 
     def __post_init__(self):
         self.joints = np.asarray(self.joints, dtype=np.float64)
-        if self.joints.ndim != 2 or self.joints.shape[1] != 3:
-            raise ValueError(f"joints must be [N, 3], got {self.joints.shape}")
-        if self.joints.shape[0] < 1:
-            raise ValueError("pose needs at least one joint")
-        if not np.all(np.isfinite(self.joints)):
-            raise ValueError("joint coordinates must be finite")
+        _check_joints(self.joints, self.joints.shape)
+
+    @classmethod
+    def from_stack(cls, joints) -> list[SkeletonPose]:
+        """The T poses of a [T, N, 3] stack, checked once as a whole; each owns its row."""
+        joints = np.asarray(joints, dtype=np.float64)
+        _check_joints(joints, joints.shape[1:])
+        poses = []
+        for row in joints:
+            pose = cls.__new__(cls)
+            pose.joints = row.copy()
+            poses.append(pose)
+        return poses
 
     @property
     def count(self) -> int:
         return self.joints.shape[0]
+
+
+def _check_joints(joints: np.ndarray, pose_shape: tuple) -> None:
+    """Raise unless every pose of ``joints`` is [N, 3] with N >= 1 and finite."""
+    if len(pose_shape) != 2 or pose_shape[1] != 3:
+        raise ValueError(f"joints must be [N, 3], got {pose_shape}")
+    if pose_shape[0] < 1:
+        raise ValueError("pose needs at least one joint")
+    if not np.all(np.isfinite(joints)):
+        raise ValueError("joint coordinates must be finite")
 
 
 @dataclass

@@ -386,7 +386,7 @@ class PipelineModel:
         c = self.config
         meters = linear(pose_feats[:, None, :], self.pose_weight, self.pose_bias)[:, 0]
         mm = 1000.0 * meters.reshape(-1, c.frames, c.joints, 3)
-        return [[SkeletonPose(joints=frame) for frame in clip] for clip in mm]
+        return [SkeletonPose.from_stack(clip) for clip in mm]
 
     def forward(self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0) -> PipelineOutput:
         cls_feat, pose_feat = self.extract(clip, dropout_p=dropout_p, seed=seed)

@@ -83,15 +83,7 @@ class Rng:
 
     def raw(self, n: int) -> np.ndarray:
         """n consecutive outputs, vectorised; advances the state by n."""
-        if n < 0:
-            raise ValueError("draw count must be nonnegative")
-        with np.errstate(over="ignore"):
-            base = np.uint64(self._state) + np.uint64(_INCREMENT) * np.arange(
-                1, n + 1, dtype=np.uint64
-            )
-            out = _mix_array(base)
-        self._state = (self._state + n * _INCREMENT) & _MASK64
-        return out
+        return _raw_rows([self], n)[0]
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) / float(1 << 53)
@@ -100,11 +92,7 @@ class Rng:
         return unit_floats(self.raw(n))
 
     def normals(self, n: int) -> np.ndarray:
-        pairs = (n + 1) // 2
-        bits = self.raw(2 * pairs)
-        out = np.empty(2 * pairs)
-        out[0::2], out[1::2] = box_muller(bits[0::2], bits[1::2])
-        return out[:n]
+        return normals_rows([self], n)[0]
 
     def below(self, n: int) -> int:
         """Integer in [0, n) as next_u64() % n; the modulo draw is part of the documented stream."""
@@ -116,6 +104,32 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def _raw_rows(rngs: list[Rng], n: int) -> np.ndarray:
+    """[len(rngs), n]: row i is the next n outputs of ``rngs[i]``; advances each by n."""
+    if n < 0:
+        raise ValueError("draw count must be nonnegative")
+    states = np.array([rng._state for rng in rngs], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        counters = states[:, None] + np.uint64(_INCREMENT) * np.arange(1, n + 1, dtype=np.uint64)
+        out = _mix_array(counters)
+    for rng in rngs:
+        rng._state = (rng._state + n * _INCREMENT) & _MASK64
+    return out
+
+
+def normals_rows(rngs: list[Rng], n: int) -> np.ndarray:
+    """[len(rngs), n]: row i equals ``rngs[i].normals(n)``, all drawn in one array pass.
+
+    Output k of a stream is ``mix(state + (k+1)*INCREMENT)``, so one counter
+    array covers every stream, and Box-Muller is elementwise on the pairs.
+    """
+    pairs = (n + 1) // 2
+    bits = _raw_rows(rngs, 2 * pairs)
+    out = np.empty((len(rngs), 2 * pairs))
+    out[:, 0::2], out[:, 1::2] = box_muller(bits[:, 0::2], bits[:, 1::2])
+    return out[:, :n]
 
 
 def derive_seed(root: int, *labels) -> int:

@@ -9,14 +9,24 @@ vertical axis before orthographic rendering to small grayscale frames with
 Gaussian joint blobs and seeded pixel noise.  Ground-truth pose sequences
 are the camera-frame joint coordinates in millimeters.
 
-A clip is rendered in one array pass: the T camera-frame poses are one
-``[T, 5, 3]`` stack, every point's Gaussian over ``[P, T, H, W]`` is one
-``exp``, and the points are added into the frames one at a time in joint
-order, ball last, before the clip to [0, 1].  The pixel noise is one
-``normals(T*H*W)`` draw, which equals T per-frame ``normals(H*W)`` draws
-because Box-Muller takes the raw outputs in pairs and H*W is even.  Every
-step is elementwise or keeps the per-frame renderer's order of summation,
-so clips and poses are byte-identical to rendering frame by frame.
+The samples of one (subject, view, class) form a group: they share the
+build, the view rotation and the point count (a ball or none), and they are
+consecutive in the output.  Each keeps its own seeded stream for its
+amplitude and phase, its scalar motion templates and its own camera
+product, so its poses are bitwise those of a sample built alone.  The group
+is rendered in one pass: its camera-frame points are one ``[G, T, P, 3]``
+stack, every point's Gaussian over ``[P, G, T, H, W]`` is one ``exp``, and
+the points are added into the frames one at a time in joint order, ball
+last, before the clips are clipped to [0, 1].  The pixel noise is one
+``[G, T*H*W]`` draw.  SplitMix64 is counter-based (output k of a stream is
+``mix(state + (k+1)*INCREMENT)``), so one counter array gives every stream's
+next T*H*W outputs, and Box-Muller is elementwise on their pairs: row g
+equals stream g's own ``normals(T*H*W)``.  That draw equals T per-frame
+``normals(H*W)`` draws because Box-Muller takes the raw outputs in pairs and
+H*W is even.  Every step is elementwise or keeps the per-frame renderer's
+order of summation, so clips and poses are byte-identical to rendering each
+sample frame by frame.  The pose checks run once per sample on its
+``[T, 5, 3]`` stack (``SkeletonPose.from_stack``).
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 
 from . import ACTION_LABELS
 from .metrics import SUBJECT_IDS, VIEW_IDS, SkeletonPose
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, normals_rows
 from .tensorops import as_tensor
 
 JOINT_NAMES = ("head", "hand_l", "hand_r", "foot_l", "foot_r")
@@ -147,44 +157,63 @@ def _ball_position(label: str, tau: float, amp: float) -> np.ndarray | None:
 
 
 def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np.ndarray:
-    """Orthographic render of [T, P, 3] points to [1, T, H, W], a (gain, sigma) blob per point."""
+    """Orthographic render of [G, T, P, 3] points to [G, 1, T, H, W], a (gain, sigma) blob each."""
     mm_per_px = 1600.0 / min(height, width)
-    gain = np.array([g for g, _ in blobs])[:, None, None, None]
-    spread = np.array([2.0 * sigma**2 for _, sigma in blobs])[:, None, None, None]
-    px = ((width - 1) / 2.0 + points[..., 0].T / mm_per_px)[..., None, None]  # [P, T, 1, 1]
-    py = ((height - 1) * 0.92 - points[..., 1].T / mm_per_px)[..., None, None]
+    gain = np.array([g for g, _ in blobs])[:, None, None, None, None]
+    spread = np.array([2.0 * sigma**2 for _, sigma in blobs])[:, None, None, None, None]
+    x, y = np.moveaxis(points[..., :2], (3, 2), (0, 1))  # [P, G, T] each
+    px = ((width - 1) / 2.0 + x / mm_per_px)[..., None, None]  # [P, G, T, 1, 1]
+    py = ((height - 1) * 0.92 - y / mm_per_px)[..., None, None]
+    # The frames outlive the call as the group's clips.  Allocating them before
+    # the [P, G, T, H, W] temporaries, and computing those in place, keeps the
+    # heap from fragmenting across datasets (peak RSS of repeated generation).
+    frames = np.zeros((*points.shape[:2], height, width))
     rows = np.arange(height)[:, None]
     cols = np.arange(width)[None, :]
-    gaussians = gain * np.exp(-((rows - py) ** 2 + (cols - px) ** 2) / spread)
-    frames = np.zeros((1,) + gaussians.shape[1:])
+    # gain * exp(-d2 / spread), each step in place
+    gaussians = (rows - py) ** 2 + (cols - px) ** 2
+    np.negative(gaussians, out=gaussians)
+    np.divide(gaussians, spread, out=gaussians)
+    np.exp(gaussians, out=gaussians)
+    np.multiply(gain, gaussians, out=gaussians)
     for gaussian in gaussians:  # one point at a time, in joint order, ball last
-        frames[0] += gaussian
-    return np.clip(frames, 0.0, 1.0)
+        frames += gaussian
+    return np.clip(frames, 0.0, 1.0, out=frames)[:, None]
 
 
-def _make_sample(subject_id: int, view_id: int, label: str, rng: Rng) -> SyntheticAction:
+def _make_group(
+    subject_id: int, view_id: int, label: str, rngs: list[Rng]
+) -> list[SyntheticAction]:
+    """One sample per stream of one (subject, view, class), rendered and noised in one pass."""
     build = 0.85 + 0.03 * (subject_id - 1)
-    amp = 1.0 + 0.12 * (rng.uniform() - 0.5)
-    phase = 0.08 * (rng.uniform() - 0.5)
     rot_t = _view_rotation(view_id).T
     taus = [t / (FRAMES - 1) for t in range(FRAMES)]
-    offsets = np.stack([_motion_template(label, tau, amp, phase) for tau in taus])
-    camera = build * (_BASE_JOINTS_MM + offsets) @ rot_t  # [T, 5, 3]
-    points, blobs = camera, [_JOINT_BLOB] * len(JOINT_NAMES)
-    balls = [_ball_position(label, tau, amp) for tau in taus]
-    if balls[0] is not None:  # [T, 1, 3] rows keep one vector-matrix product per frame
-        points = np.concatenate([camera, build * np.stack(balls)[:, None] @ rot_t], axis=1)
-        blobs.append(_BALL_BLOB)
+    cameras, points = [], []
+    for rng in rngs:
+        amp = 1.0 + 0.12 * (rng.uniform() - 0.5)
+        phase = 0.08 * (rng.uniform() - 0.5)
+        offsets = np.stack([_motion_template(label, tau, amp, phase) for tau in taus])
+        camera = build * (_BASE_JOINTS_MM + offsets) @ rot_t  # [T, 5, 3]
+        cameras.append(camera)
+        balls = [_ball_position(label, tau, amp) for tau in taus]
+        if balls[0] is not None:  # [T, 1, 3] rows keep one vector-matrix product per frame
+            camera = np.concatenate([camera, build * np.stack(balls)[:, None] @ rot_t], axis=1)
+        points.append(camera)
+    points = np.stack(points)  # [G, T, P, 3]
+    blobs = [_JOINT_BLOB] * len(JOINT_NAMES) + [_BALL_BLOB] * (points.shape[2] - len(JOINT_NAMES))
     frames = _render_clip(points, blobs, *FRAME_HW)
-    frames = np.clip(frames + NOISE * rng.normals(frames.size).reshape(frames.shape), 0.0, 1.0)
-    return SyntheticAction(
-        clip=frames,
-        # each pose owns its joints: views of the stack held more memory per sample
-        poses=[SkeletonPose(joints=joints.copy()) for joints in camera],
-        subject_id=subject_id,
-        view_id=view_id,
-        label=label,
-    )
+    frames += NOISE * normals_rows(rngs, frames[0].size).reshape(frames.shape)
+    clips = np.clip(frames, 0.0, 1.0, out=frames)
+    return [
+        SyntheticAction(
+            clip=clip,
+            poses=SkeletonPose.from_stack(camera),
+            subject_id=subject_id,
+            view_id=view_id,
+            label=label,
+        )
+        for clip, camera in zip(clips, cameras)
+    ]
 
 
 def generate_synthetic_dataset(config: DatasetConfig, seed: int) -> list[SyntheticAction]:
@@ -193,9 +222,11 @@ def generate_synthetic_dataset(config: DatasetConfig, seed: int) -> list[Synthet
     for subject_id in SUBJECT_IDS:
         for view_id in VIEW_IDS:
             for label in ACTION_LABELS:
-                for rep in range(config.repetitions):
-                    rng = Rng(derive_seed(seed, "sample", subject_id, view_id, label, rep))
-                    samples.append(_make_sample(subject_id, view_id, label, rng))
+                rngs = [
+                    Rng(derive_seed(seed, "sample", subject_id, view_id, label, rep))
+                    for rep in range(config.repetitions)
+                ]
+                samples += _make_group(subject_id, view_id, label, rngs)
     return samples
 
 

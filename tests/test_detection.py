@@ -562,14 +562,33 @@ class TestDetector:
             want = np.stack([det.best_box(clip[None])[0] for clip in stack])
             assert det.best_box(stack).tobytes() == want.tobytes()
 
-    def test_frame_without_survivor_gets_full_frame(self, monkeypatch):
-        det = Detector(frame_hw=(16, 12), seed=5)
-        clip = np.ones((1, 3, 16, 12))
-        found = np.array([[3.0, 4.0, 5.0, 6.0, 0.75], [1.0, 1.0, 1.0, 1.0, 0.5]])
-        survivors = [np.zeros((0, 5)), found, np.zeros((0, 5))]
-        monkeypatch.setattr(Detector, "detect", lambda self, clip: survivors)
+    def test_detection_off_boxes_are_the_full_frame(self):
         full = [6.0, 8.0, 12.0, 16.0, 1.0]  # (w/2, h/2, w, h, score) of the 16x12 frame
-        assert det.best_box(clip[None]).tolist() == [[full, found[0].tolist(), full]]
         assert detection.full_frame_box((16, 12)).tolist() == full
         off = PipelineModel(PipelineConfig(toggles=StageToggles(detection=False)), seed=5)
         assert off.frame_boxes(np.ones((2, 1, 3, 16, 12))).tolist() == [[full] * 3] * 2
+
+    @pytest.mark.parametrize("num_anchors", [0, -1, 5, 6])
+    def test_anchor_count_outside_layouts_rejected(self, num_anchors):
+        with pytest.raises(ValueError, match=r"num_anchors must be 1\.\.4"):
+            Detector(frame_hw=(16, 16), num_anchors=num_anchors)
+
+    @pytest.mark.parametrize("num_anchors", [1, 2, 3, 4])
+    def test_every_anchor_count_gives_each_frame_a_box(self, num_anchors):
+        det = Detector(frame_hw=(16, 16), num_anchors=num_anchors, seed=5)
+        assert det.anchors.shape == (num_anchors, 4)
+        clips = np.abs(Rng(34).normals(2 * 8 * 16 * 16)).reshape(2, 1, 8, 16, 16)
+        kept = det.detect(clips[0])
+        assert all(1 <= len(k) <= num_anchors for k in kept)
+        boxes = det.best_box(clips)
+        assert boxes.shape == (2, 8, 5)
+        assert boxes[0].tobytes() == np.stack([k[0] for k in kept]).tobytes()
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.5, 1.0])
+    def test_nms_keeps_each_frames_top_ranked_box(self, threshold):
+        rng = Rng(35)
+        boxes = np.abs(rng.normals(6 * 4 * 4)).reshape(6, 4, 4) * 5.0 + 0.5
+        scores = rng.uniforms(6 * 4).reshape(6, 4)
+        top = np.lexsort((boxes[..., 0], -scores))[:, 0]
+        kept = nms(boxes, scores, threshold)
+        assert [k[0] for k in kept] == top.tolist()

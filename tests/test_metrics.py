@@ -86,6 +86,40 @@ def random_similarity(rng):
     )
 
 
+class TestSkeletonPose:
+    def test_stack_gives_one_owned_pose_per_frame(self):
+        stack = np.arange(8 * 5 * 3).reshape(8, 5, 3)
+        poses = SkeletonPose.from_stack(stack)
+        assert [p.count for p in poses] == [5] * 8
+        for pose, row in zip(poses, stack):
+            assert pose.joints.dtype == np.float64 and pose.joints.flags.owndata
+            assert pose.joints.tobytes() == SkeletonPose(joints=row).joints.tobytes()
+        assert SkeletonPose.from_stack(np.zeros((0, 5, 3))) == []
+
+    @pytest.mark.parametrize(
+        "shape, bad, value",
+        [
+            ((8, 5, 3), (7, 4, 2), np.nan),  # the last frame only
+            ((8, 5, 3), (0, 0, 0), np.inf),
+            ((8, 5, 3), (3, 1, 1), -np.inf),
+            ((8, 5, 2), None, None),
+            ((8, 0, 3), None, None),
+            ((8, 5), None, None),
+            ((8,), None, None),
+            ((8, 5, 3, 1), None, None),
+        ],
+    )
+    def test_stack_raises_what_one_pose_per_frame_raises(self, shape, bad, value):
+        stack = np.zeros(shape)
+        if bad is not None:
+            stack[bad] = value
+        with pytest.raises(ValueError) as per_pose:
+            [SkeletonPose(joints=row) for row in stack]
+        with pytest.raises(ValueError) as stacked:
+            SkeletonPose.from_stack(stack)
+        assert str(stacked.value) == str(per_pose.value)
+
+
 class TestMpjpe:
     def test_exact_match_is_zero(self):
         rng = Rng(70)

@@ -230,6 +230,15 @@ class TestStacking:
             assert row.tobytes() == out.probs.tobytes()
             assert [p.joints.tobytes() for p in pose] == [p.joints.tobytes() for p in out.pose]
 
+    def test_head_pose_rejects_a_non_finite_head(self, samples):
+        model = PipelineModel(PipelineConfig(), seed=7)
+        _, pose_feats = model.extract_batch([s.clip for s in samples[:3]])
+        assert [len(poses) for poses in model.head_pose(pose_feats)] == [8, 8, 8]
+        model.pose_bias = model.pose_bias.copy()
+        model.pose_bias[-1] = np.inf  # the last coordinate of the last frame
+        with pytest.raises(ValueError, match="joint coordinates must be finite"):
+            model.head_pose(pose_feats)
+
     def test_frame_boxes_runs_the_detector_per_stack(self, samples, monkeypatch):
         model = PipelineModel(PipelineConfig(), seed=7)
         clips = np.stack([s.clip for s in samples[:9]])
@@ -386,6 +395,19 @@ class TestComplexity:
         with pytest.raises(ValueError, match="yields empty output"):
             PipelineModel(config, seed=0).forward(clip)
         with pytest.raises(ValueError, match="yields empty output"):
+            count_params_flops(config)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (PipelineConfig(num_anchors=0), "num_anchors must be 1..4"),
+            (PipelineConfig(num_anchors=6), "num_anchors must be 1..4"),
+            (PipelineConfig(i3d_widths=(8, 16, 32, 64)), "need 3 block widths"),
+        ],
+        ids=["0-anchors", "6-anchors", "4-widths"],
+    )
+    def test_config_the_model_cannot_build_is_rejected(self, config, message):
+        with pytest.raises(ValueError, match=message):
             count_params_flops(config)
 
     @pytest.mark.parametrize("toggles", ALL_TOGGLES, ids=StageToggles.tag)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from eitnet.rng import Rng, derive_seed
+from eitnet.rng import Rng, box_muller, derive_seed, normals_rows
 
 
 def test_sequential_and_vectorised_draws_agree():
@@ -40,6 +40,28 @@ def test_normals_split_at_an_odd_count_diverge():
         assert first.tobytes() == joined[:a].tobytes()
         assert second.tobytes() != joined[a : a + b].tobytes(), (a, b)
         assert second.tobytes() == joined[a + 1 :].tobytes(), (a, b)  # one normal skipped
+
+
+def one_stream_normals(rng, n):
+    """n normals from one stream's next_u64 outputs, Box-Muller on each pair."""
+    pairs = (n + 1) // 2
+    bits = np.array([rng.next_u64() for _ in range(2 * pairs)], dtype=np.uint64)
+    out = np.empty(2 * pairs)
+    out[0::2], out[1::2] = box_muller(bits[0::2], bits[1::2])
+    return out[:n]
+
+
+def test_normals_rows_equal_each_streams_own_draw_bitwise():
+    seeds = [3, 2**64 - 5, derive_seed(7, "sample"), 0]  # one state wraps past 2**64
+    for n in (0, 1, 7, 2048):
+        rows, alone = [Rng(seed) for seed in seeds], [Rng(seed) for seed in seeds]
+        for k, (a, b) in enumerate(zip(rows, alone)):  # streams at different positions
+            for _ in range(k):
+                a.uniform(), b.uniform()
+        got = normals_rows(rows, n)
+        want = np.stack([one_stream_normals(rng, n) for rng in alone])
+        assert got.shape == (len(seeds), n) and got.tobytes() == want.tobytes(), n
+        assert [a.next_u64() for a in rows] == [b.next_u64() for b in alone], n
 
 
 def test_shuffle_is_permutation_and_seed_sensitive():

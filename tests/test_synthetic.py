@@ -67,7 +67,7 @@ def per_frame_render_pose(pose, height, width, ball_mm=None):
 
 
 def per_frame_sample(subject_id, view_id, label, rng):
-    """The frame-by-frame sample loop that the one-pass render replaced, kept as its reference."""
+    """The frame-by-frame, sample-by-sample loop the group render replaced, kept as its reference."""
     build = 0.85 + 0.03 * (subject_id - 1)
     amp = 1.0 + 0.12 * (rng.uniform() - 0.5)
     phase = 0.08 * (rng.uniform() - 0.5)
@@ -99,6 +99,24 @@ def per_pose_bounding_box(pose, height, width, margin_px=1.5):
     y0 = max(py.min() - margin_px, 0.0)
     y1 = min(py.max() + margin_px, float(height))
     return ((x0 + x1) / 2.0, (y0 + y1) / 2.0, max(x1 - x0, 1.0), max(y1 - y0, 1.0))
+
+
+def assert_equal_per_frame_reference(config, seed):
+    """Every sample, in order, byte-equal to ``per_frame_sample`` on its own stream."""
+    samples = generate_synthetic_dataset(config, seed=seed)
+    keys = [
+        (s, v, label, rep)
+        for s in SUBJECT_IDS
+        for v in VIEW_IDS
+        for label in ACTION_LABELS
+        for rep in range(config.repetitions)
+    ]
+    assert [(x.subject_id, x.view_id, x.label) for x in samples] == [k[:3] for k in keys]
+    for sample, key in zip(samples, keys):
+        clip, poses = per_frame_sample(*key[:3], Rng(derive_seed(seed, "sample", *key)))
+        assert sample.clip.tobytes() == clip.tobytes(), key
+        got = b"".join(p.joints.tobytes() for p in sample.poses)
+        assert got == b"".join(p.joints.tobytes() for p in poses), key
 
 
 def flatten_trajectory(sample):
@@ -148,14 +166,11 @@ class TestGenerator:
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_clips_and_poses_equal_per_frame_reference_bitwise(self, seed):
-        samples = generate_synthetic_dataset(small_config(), seed=seed)
-        keys = [(s, v, label) for s in SUBJECT_IDS for v in VIEW_IDS for label in ACTION_LABELS]
-        assert [(x.subject_id, x.view_id, x.label) for x in samples] == keys
-        for sample, key in zip(samples, keys):
-            clip, poses = per_frame_sample(*key, Rng(derive_seed(seed, "sample", *key, 0)))
-            assert sample.clip.tobytes() == clip.tobytes(), key
-            got = b"".join(p.joints.tobytes() for p in sample.poses)
-            assert got == b"".join(p.joints.tobytes() for p in poses), key
+        assert_equal_per_frame_reference(small_config(), seed)
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_groups_of_three_equal_per_frame_reference_bitwise(self, seed):
+        assert_equal_per_frame_reference(DatasetConfig(repetitions=3), seed)
 
     def test_dataset_digest_pinned(self):
         """SHA-256 of the seed-7 dataset (each clip's bytes, then its poses' joint bytes)."""

@@ -24,7 +24,6 @@ from .pipeline import (
     StageToggles,
     evaluate_pipeline,
     shared_frozen_stages,
-    with_toggles,
 )
 from .training import Hyperparams, train_toy
 
@@ -63,12 +62,16 @@ def split_samples(samples, plan: SplitPlan):
 def run_ablation(
     samples, plan: SplitPlan, base_config: PipelineConfig, hp: Hyperparams
 ) -> list[AblationRow]:
-    """One row per ``TABLE_ROWS`` configuration, in that order."""
+    """One row per ``TABLE_ROWS`` configuration, in that order.
+
+    Each row's config is ``PipelineConfig(toggles=...)``: the toggles are a
+    config's only field, so ``base_config`` has nothing the rows keep.
+    """
     train, test = split_samples(samples, plan)
     out = []
     with shared_frozen_stages():
         for toggles in TABLE_ROWS:
-            model = PipelineModel(with_toggles(base_config, toggles), seed=hp.seed)
+            model = PipelineModel(PipelineConfig(toggles=toggles), seed=hp.seed)
             train_toy(model, train, hp)
             metrics = evaluate_pipeline(model, test)
             out.append(

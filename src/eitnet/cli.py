@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ACTION_LABELS, __version__
+from . import ACTION_LABELS, FRAME_HW, __version__
 from .ablation import ABLATION_CSV_HEADER, run_ablation, split_samples
 from .detection import DETECTION_CSV_HEADER, detection_csv_row, detection_loss
 from .encoder import CLASSIFICATION_CSV_HEADER
@@ -56,7 +56,7 @@ COMPLEXITY_CSV_HEADER = "config,parameters,macs"
 
 
 class ConfigError(Exception):
-    """Unresolvable paths or invalid option values (exit code 3)."""
+    """Unresolvable paths, invalid option values or a split with a short side (exit code 3)."""
 
 
 def _config(build, *args, **kwargs):
@@ -119,9 +119,34 @@ def _require_dataset(path_text: str | None):
     return samples
 
 
+def _split(args, samples, need_test: bool):
+    """The --axis/--seed split plan and its (train, test) samples.
+
+    Training needs at least 2 samples, and evaluation at least 1 test
+    sample; a dataset whose split leaves less is an invalid config.
+    """
+    plan = make_split(args.axis, args.seed)
+    train, test = split_samples(samples, plan)
+    for side, ids, got, need in (
+        ("train", plan.train_ids, train, 2),
+        ("test", plan.test_ids, test, int(need_test)),
+    ):
+        if len(got) < need:
+            present = {getattr(sample, f"{plan.axis}_id") for sample in got}
+            missing = [i for i in ids if i not in present]
+            raise ConfigError(
+                f"the {plan.axis} split has {len(got)} {side} samples, need at least {need}; "
+                f"the dataset has none for {side} {plan.axis} ids {missing}"
+            )
+    return plan, train, test
+
+
 def _outdir(args) -> Path:
     out = default_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -197,9 +222,8 @@ def cmd_train(args) -> int:
     hp = _hyperparams(args)
     config = PipelineConfig(toggles=parse_toggles(args.toggles))
     samples = _require_dataset(args.dataset)
+    plan, train_samples, _ = _split(args, samples, need_test=False)
     out = _outdir(args)
-    plan = make_split(args.axis, args.seed)
-    train_samples, _ = split_samples(samples, plan)
     model = PipelineModel(config, seed=args.seed)
     result = train_toy(model, train_samples, hp)
     write_csv(
@@ -224,9 +248,8 @@ def cmd_eval(args) -> int:
     hp = _hyperparams(args)
     config = PipelineConfig(toggles=parse_toggles(args.toggles))
     samples = _require_dataset(args.dataset)
+    plan, train_samples, test_samples = _split(args, samples, need_test=True)
     out = _outdir(args)
-    plan = make_split(args.axis, args.seed)
-    train_samples, test_samples = split_samples(samples, plan)
     model = PipelineModel(config, seed=args.seed)
     train_toy(model, train_samples, hp)
     metrics = evaluate_pipeline(model, test_samples)
@@ -251,8 +274,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     hp = _hyperparams(args)
     samples = _require_dataset(args.dataset)
+    plan, _, _ = _split(args, samples, need_test=True)
     out = _outdir(args)
-    plan = make_split(args.axis, args.seed)
     rows = run_ablation(samples, plan, PipelineConfig(), hp)
     full = rows[0]
     observations = []
@@ -320,7 +343,7 @@ def cmd_simulate(args) -> int:
         specs,
         duration_us=duration,
         seed=args.seed,
-        pipeline_hook=_window_hook(args.seed, (16, 16)),
+        pipeline_hook=_window_hook(args.seed, FRAME_HW),
         window_period_us=args.window_period_us,
         feedback_threshold=args.threshold,
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import FRAME_HW
 from .rng import Rng
 from .tensorops import ConvSpec, as_tensor, conv3d, linear, relu, sigmoid
 
@@ -219,35 +220,40 @@ DOWN_CONV = ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1), bias
 # Backbone convs, fine to coarse: the weight each level reads and the spec it runs with.
 PYRAMID_CONVS = (("conv1", SAME_CONV), ("conv2", DOWN_CONV), ("conv3", DOWN_CONV))
 IN_CHANNELS = 1  # grayscale clips
+CHANNELS = 4  # of every backbone level
+FUSED_HW = (FRAME_HW[0] // 4, FRAME_HW[1] // 4)  # the levels meet at the coarsest extent
 IOU_THRESHOLD = 0.5  # NMS drops a box overlapping a kept one by more than this
 FUSION_EPS = 1e-4  # keeps the fusion weights' normalizing sum positive
-MAX_ANCHORS = 4  # anchor layouts _make_anchors defines
 
 
 @dataclass
 class Detector:
-    """Toy three-level backbone with fusion, score and box heads.
+    """Toy three-level backbone with fusion, score and box heads for ``FRAME_HW`` frames.
 
     Weights are drawn from the seeded stream at construction; nothing here is
-    trained. Clips enter as [C,T,H,W] and every stage runs on all T frames at
-    once; detect() returns each frame's NMS survivors.  best_box() takes a
-    [B,C,T,H,W] stack and joins its clips on the T axis.
+    trained, and the seed alone identifies them. Clips enter as [C,T,H,W] and
+    every stage runs on all T frames at once; detect() returns each frame's
+    NMS survivors.  best_box() takes a [B,C,T,H,W] stack and joins its clips
+    on the T axis.
     """
 
-    frame_hw: tuple[int, int]
-    channels: int = 4
-    num_anchors: int = 4
     seed: int = 0
     _weights: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.num_anchors <= MAX_ANCHORS:
-            raise ValueError(f"num_anchors must be 1..{MAX_ANCHORS}, got {self.num_anchors}")
+        h, w = FRAME_HW
+        self.anchors = np.array(  # [A, 4] rows of (cx, cy, w, h)
+            [
+                (w / 2, h / 2, w, h),
+                (w / 2, h / 2, 0.75 * w, 0.75 * h),
+                (w / 3, h / 3, 0.6 * w, 0.6 * h),
+                (2 * w / 3, 2 * h / 3, 0.6 * w, 0.6 * h),
+            ],
+            dtype=np.float64,
+        )
         rng = Rng(self.seed)
-        c = self.channels
-        h, w = self.frame_hw
-        self.fused_hw = (max(h // 4, 1), max(w // 4, 1))
-        feat_dim = c * self.fused_hw[0] * self.fused_hw[1]
+        c, a = CHANNELS, len(self.anchors)
+        feat_dim = c * FUSED_HW[0] * FUSED_HW[1]
         scale = 1.0 / math.sqrt(9 * max(IN_CHANNELS, c))
         self._weights = {
             "conv1": rng.normals(c * IN_CHANNELS * 9).reshape(c, IN_CHANNELS, 1, 3, 3)
@@ -255,29 +261,11 @@ class Detector:
             "conv2": rng.normals(c * c * 9).reshape(c, c, 1, 3, 3) * scale,
             "conv3": rng.normals(c * c * 9).reshape(c, c, 1, 3, 3) * scale,
             "fusion": np.ones(3),
-            "reg_w": rng.normals(feat_dim * 4 * self.num_anchors).reshape(
-                feat_dim, 4 * self.num_anchors
-            )
-            / math.sqrt(feat_dim),
-            "reg_b": np.zeros(4 * self.num_anchors),
-            "score_w": rng.normals(feat_dim * self.num_anchors).reshape(
-                feat_dim, self.num_anchors
-            )
-            / math.sqrt(feat_dim),
-            "score_b": np.zeros(self.num_anchors),
+            "reg_w": rng.normals(feat_dim * 4 * a).reshape(feat_dim, 4 * a) / math.sqrt(feat_dim),
+            "reg_b": np.zeros(4 * a),
+            "score_w": rng.normals(feat_dim * a).reshape(feat_dim, a) / math.sqrt(feat_dim),
+            "score_b": np.zeros(a),
         }
-        self.anchors = self._make_anchors()
-
-    def _make_anchors(self) -> np.ndarray:
-        """[A, 4] anchor rows of (cx, cy, w, h)."""
-        h, w = self.frame_hw
-        base = [
-            (w / 2, h / 2, w, h),
-            (w / 2, h / 2, 0.75 * w, 0.75 * h),
-            (w / 3, h / 3, 0.6 * w, 0.6 * h),
-            (2 * w / 3, 2 * h / 3, 0.6 * w, 0.6 * h),
-        ]
-        return np.array(base[: self.num_anchors], dtype=np.float64)
 
     def pyramid(self, clip: np.ndarray) -> list[np.ndarray]:
         """[C,T,H,W] clip to coarse-to-fine [C,T,h,w] levels; the kt=1 convs keep frames apart."""
@@ -290,7 +278,7 @@ class Detector:
 
     def fuse(self, levels: list[np.ndarray]) -> np.ndarray:
         common = [
-            lv if lv.shape[-2:] == self.fused_hw else resample_nearest(lv, self.fused_hw)
+            lv if lv.shape[-2:] == FUSED_HW else resample_nearest(lv, FUSED_HW)
             for lv in levels
         ]
         return bifpn_fuse(common, self._weights["fusion"], FUSION_EPS)

@@ -84,31 +84,28 @@ def i3d_forward(
     return global_avg_pool(out)
 
 
-DEFAULT_POOLS = ((2, 2, 2), (2, 2, 2), (2, 3, 3))
+WIDTHS = (8, 16, 32)  # each block's output channels
+POOLS = ((2, 2, 2), (2, 2, 2), (2, 3, 3))  # each block's max-pool kernel and stride
 
 
 @dataclass
 class I3DStack:
-    """Desk-scale three-block stack (channels 8 -> 16 -> 32) with seeded weights.
+    """Desk-scale three-block stack (``WIDTHS`` channels, ``POOLS``) with seeded weights.
 
-    Normalization statistics are fixed at identity (mean 0, var 1) since no
-    running statistics are learned here; dropout stays 0 except under the
-    trainer, which passes per-epoch probabilities and seeds.
+    The seed alone identifies the weights.  Normalization statistics are
+    fixed at identity (mean 0, var 1) since no running statistics are
+    learned here; dropout stays 0 except under the trainer, which passes
+    per-epoch probabilities and seeds.
     """
 
-    widths: tuple[int, ...] = (8, 16, 32)
     seed: int = 0
     blocks: list[I3DBlockParams] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.widths) != len(DEFAULT_POOLS):
-            raise ValueError(
-                f"need {len(DEFAULT_POOLS)} block widths, one per pool, got {len(self.widths)}"
-            )
         rng = Rng(self.seed)
         self.blocks = []
         c_prev = 1  # single-channel clips
-        for width, pool in zip(self.widths, DEFAULT_POOLS):
+        for width, pool in zip(WIDTHS, POOLS):
             fan_in = c_prev * 27
             w = rng.normals(width * fan_in).reshape(width, c_prev, 3, 3, 3) * math.sqrt(
                 2.0 / fan_in

@@ -8,6 +8,12 @@ heads are trainable: the action classifier over the mean-pooled token and
 the pose regressor over the stage-two features (joint trajectories are
 predicted in meters and reported in millimeters).
 
+The architecture is fixed: the toggles are a ``PipelineConfig``'s only
+field, its sizes are class constants, and the clip format it is built for
+(``FRAMES`` frames of ``FRAME_HW`` pixels, ``JOINT_NAMES`` joints) lives in
+the ``eitnet`` package.  A model is therefore rebuilt from its seed and
+toggles alone.
+
 The frozen stages run on a [B, C, T, H, W] stack of clips, and
 ``extract_batch`` is their one entry: ``extract`` and ``forward`` are its
 one-clip case, and every other caller passes it all its clips.  It, and
@@ -20,10 +26,10 @@ those of a one-clip call.
 Inside a ``shared_frozen_stages()`` block, models share the frozen stages'
 outputs: a stack the detector or I3D has already run on, under the same
 frozen weights (and, for I3D, the same dropout probability and seeds), takes
-its [B, T, 5] boxes or [B, F] features from a memo keyed by the weights'
-constructor values and a digest of the stack.  ``run_ablation`` opens one
-block around its rows, whose models share a seed and see the same clips.
-Outside a block nothing is hashed or kept.
+its [B, T, 5] boxes or [B, F] features from a memo keyed by the stage's
+seed, which alone identifies its weights, and a digest of the stack.
+``run_ablation`` opens one block around its rows, whose models share a seed
+and see the same clips.  Outside a block nothing is hashed or kept.
 
 Complexity accounting reads a live model: parameters are the arrays the
 enabled stages use, and multiply-accumulates follow a fixed convention in
@@ -39,12 +45,14 @@ import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
-from . import ACTION_LABELS
+from . import ACTION_LABELS, FRAME_HW, FRAMES, JOINT_NAMES
 from .detection import PYRAMID_CONVS, Detector, crop_region, full_frame_box
 from .encoder import EncoderParams, TokenSequence, encoder_block, patch_embed
+from .i3d import WIDTHS as I3D_WIDTHS
 from .i3d import I3DStack
 from .metrics import SkeletonPose, accuracy, mpjpe, pa_mpjpe
 from .rng import Rng, derive_seed
@@ -66,9 +74,9 @@ _SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared", 
 def shared_frozen_stages():
     """Share detector boxes and I3D features between models within the block.
 
-    Each result is kept read-only under its stage's constructor values, the
-    input stack's shape and a 128-bit digest of its bytes (and, for I3D, the
-    dropout probability and seeds), so a stack seen again skips the stage.
+    Each result is kept read-only under its stage's seed, the input stack's
+    shape and a 128-bit digest of its bytes (and, for I3D, the dropout
+    probability and seeds), so a stack seen again skips the stage.
     Only the outputs are kept, never the stacks.  The memo lives until the
     block exits; a nested block starts its own.
     """
@@ -121,48 +129,30 @@ class StageToggles:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    frames: int = 8
-    frame_hw: tuple[int, int] = (16, 16)
-    crop_hw: tuple[int, int] = (12, 12)
-    patch: int = 4
-    d_model: int = 32
-    d_ff: int = 64
-    encoder_blocks: int = 2
-    num_classes: int = len(ACTION_LABELS)
-    joints: int = 5
-    i3d_widths: tuple[int, ...] = (8, 16, 32)
-    detector_channels: int = 4
-    num_anchors: int = 4
-    summary_token: bool = True
+    """Which stages run.  The architecture is fixed: its sizes are readable
+    from an instance but are class constants, not fields."""
+
     toggles: StageToggles = StageToggles()
 
-    def __post_init__(self):
-        ch, cw = self.crop_hw
-        if ch % self.patch or cw % self.patch:
-            raise ValueError(f"patch {self.patch} must divide crop extents {self.crop_hw}")
-
-    @property
-    def grid_hw(self) -> tuple[int, int]:
-        return (self.crop_hw[0] // self.patch, self.crop_hw[1] // self.patch)
-
-    @property
-    def patch_tokens(self) -> int:
-        gh, gw = self.grid_hw
-        return self.frames * gh * gw
-
-    @property
-    def has_summary(self) -> bool:
-        return self.summary_token and self.toggles.spatiotemporal
+    frames: ClassVar[int] = FRAMES
+    frame_hw: ClassVar[tuple[int, int]] = FRAME_HW
+    crop_hw: ClassVar[tuple[int, int]] = (12, 12)
+    patch: ClassVar[int] = 4  # divides both crop extents
+    grid_hw: ClassVar[tuple[int, int]] = (crop_hw[0] // patch, crop_hw[1] // patch)
+    patch_tokens: ClassVar[int] = frames * grid_hw[0] * grid_hw[1]
+    d_model: ClassVar[int] = 32
+    d_ff: ClassVar[int] = 64
+    encoder_blocks: ClassVar[int] = 2
+    num_classes: ClassVar[int] = len(ACTION_LABELS)
+    joints: ClassVar[int] = len(JOINT_NAMES)
+    pose_out_dim: ClassVar[int] = frames * joints * 3
+    i3d_widths: ClassVar[tuple[int, ...]] = I3D_WIDTHS
 
     @property
     def pose_feat_dim(self) -> int:
         if self.toggles.spatiotemporal:
             return self.i3d_widths[-1]
         return self.crop_hw[0] * self.crop_hw[1]
-
-    @property
-    def pose_out_dim(self) -> int:
-        return self.frames * self.joints * 3
 
 
 @dataclass
@@ -203,13 +193,8 @@ class PipelineModel:
         self.config = config
         self.seed = seed
         c = config
-        self.detector = Detector(
-            frame_hw=c.frame_hw,
-            channels=c.detector_channels,
-            num_anchors=c.num_anchors,
-            seed=derive_seed(seed, "detector"),
-        )
-        self.i3d = I3DStack(widths=c.i3d_widths, seed=derive_seed(seed, "i3d"))
+        self.detector = Detector(seed=derive_seed(seed, "detector"))
+        self.i3d = I3DStack(seed=derive_seed(seed, "i3d"))
         rng = Rng(derive_seed(seed, "encoder"))
         patch_dim = c.patch * c.patch  # single-channel clips
         self.patch_weight = rng.normals(patch_dim * c.d_model).reshape(
@@ -257,7 +242,7 @@ class PipelineModel:
         """
         if self.config.toggles.detection:
             d = self.detector
-            key = ("detector", d.frame_hw, d.channels, d.num_anchors, d.seed)
+            key = ("detector", d.seed)
             stacks = [clips[s : s + STACK_CLIPS] for s in range(0, len(clips), STACK_CLIPS)]
             return np.concatenate([_shared(key, stack, d.best_box) for stack in stacks])
         b, _, t, h, w = clips.shape
@@ -272,8 +257,6 @@ class PipelineModel:
         if boxes is None:
             boxes = self.frame_boxes(clips)
         b, c, t, h, w = clips.shape
-        if np.shape(boxes)[:2] != (b, t):
-            raise ValueError(f"boxes of shape {np.shape(boxes)}, need [{b}, {t}, 5] for this stack")
         frames = clips.swapaxes(0, 1).reshape(c, b * t, h, w)
         cropped = crop_region(frames, np.reshape(boxes, (b * t, -1)), self.config.crop_hw)
         return cropped.reshape(c, b, t, *self.config.crop_hw).swapaxes(0, 1)
@@ -285,7 +268,7 @@ class PipelineModel:
         """
         if self.config.toggles.spatiotemporal:
             net = self.i3d
-            key = ("i3d", net.widths, net.seed, dropout_p, None if seeds is None else tuple(seeds))
+            key = ("i3d", net.seed, dropout_p, None if seeds is None else tuple(seeds))
             return _shared(key, cropped, lambda x: net.forward(x, dropout_p, seeds))
         return cropped.mean(axis=(1, 2)).reshape(len(cropped), -1)
 
@@ -293,7 +276,7 @@ class PipelineModel:
         """[B, S, d_model] tokens: the summary token (when on), then the patches."""
         c = self.config
         seq = patch_embed(cropped, c.patch, self.patch_weight, self.patch_bias, self.pos_enc)
-        if c.has_summary:
+        if c.toggles.spatiotemporal:
             # one [1, feat] row per clip: it rounds as a one-clip product does
             summary = feats[:, None, :] @ self.summary_weight + self.summary_bias
             tokens = np.concatenate([summary, seq.tokens], axis=1)
@@ -331,6 +314,10 @@ class PipelineModel:
         seeds = [0] * len(clips) if seeds is None else list(seeds)
         if len(seeds) != len(clips):
             raise ValueError(f"{len(seeds)} dropout seeds for {len(clips)} clips")
+        if boxes is not None and np.shape(boxes) != (len(clips), clips.shape[2], 5):
+            raise ValueError(
+                f"boxes of shape {np.shape(boxes)}, need [{len(clips)}, {clips.shape[2]}, 5]"
+            )
         pooled, feats = [], []
         for start in range(0, len(clips), STACK_CLIPS):
             part = slice(start, start + STACK_CLIPS)
@@ -407,7 +394,7 @@ class PipelineModel:
             for b in self.i3d.blocks:
                 arrays += [b.conv_weight, b.conv_bias, b.bn_gamma, b.bn_beta]
         arrays += [self.patch_weight, self.patch_bias, self.pos_enc]
-        if c.has_summary:
+        if c.toggles.spatiotemporal:
             arrays += [self.summary_weight, self.summary_bias]
         if c.toggles.temporal:
             for blk in self.blocks:
@@ -473,9 +460,9 @@ def count_attention_projections(d_model: int) -> int:
 def count_params_flops(config: PipelineConfig) -> tuple[int, int]:
     """Exact parameter and multiply-accumulate counts for one clip forward.
 
-    Both are read off a live model: the parameters are ``parameters()``, and
-    the MACs walk the same weights through the extents their specs produce,
-    so a config whose forward cannot run raises ``ValueError`` here too.
+    Both are read off a live model with the config's toggles: the parameters
+    are ``parameters()``, and the MACs walk the same weights through the
+    extents their specs produce.
     """
     c = config
     model = PipelineModel(c, seed=0)
@@ -495,11 +482,11 @@ def count_params_flops(config: PipelineConfig) -> tuple[int, int]:
             macs += block.conv_weight.size * math.prod(extents)
             extents = block.pool_spec.output_extents(extents)
     macs += c.patch_tokens * model.patch_weight.size
-    if c.has_summary:
+    if c.toggles.spatiotemporal:
         macs += model.summary_weight.size
     if c.toggles.temporal:
         positions = c.grid_hw[0] * c.grid_hw[1]
-        rows = c.patch_tokens + int(c.has_summary)
+        rows = c.patch_tokens + int(c.toggles.spatiotemporal)
         for blk in model.blocks:
             qkv = blk.w_q.size + blk.w_k.size + blk.w_v.size
             # temporal then spatial pass; a group of one skips attention
@@ -510,6 +497,3 @@ def count_params_flops(config: PipelineConfig) -> tuple[int, int]:
     macs += model.cls_weight.size + model.pose_weight.size
     return sum(a.size for a in model.parameters()), macs
 
-
-def with_toggles(config: PipelineConfig, toggles: StageToggles) -> PipelineConfig:
-    return replace(config, toggles=toggles)

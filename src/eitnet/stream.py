@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ACTION_LABELS
+from . import ACTION_LABELS, FRAME_HW
 from .rng import Rng, box_muller, derive_seed, unit_floats
 
 PACKET_MAGIC = b"EITP"
@@ -456,7 +456,7 @@ def run_simulation(
     seed: int,
     pipeline_hook=None,
     *,
-    frame_hw: tuple[int, int] = (16, 16),
+    frame_hw: tuple[int, int] = FRAME_HW,
     window_period_us: int | None = None,
     feedback_threshold: float = 0.5,
 ) -> SimulationReport:

@@ -36,12 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ACTION_LABELS
+from . import ACTION_LABELS, FRAME_HW, FRAMES, JOINT_NAMES
 from .metrics import SUBJECT_IDS, VIEW_IDS, SkeletonPose
 from .rng import Rng, derive_seed, normals_rows
 from .tensorops import as_tensor
-
-JOINT_NAMES = ("head", "hand_l", "hand_r", "foot_l", "foot_r")
 
 _BASE_JOINTS_MM = np.array(
     [
@@ -59,8 +57,6 @@ _JOINT_BLOB = (1.0, 1.3)  # (gain, sigma in pixels) of a joint's rendered blob
 _BALL_BLOB = (1.4, 1.6)  # the ball is brighter and wider
 
 
-FRAMES = 8  # per clip
-FRAME_HW = (16, 16)
 NOISE = 0.02  # standard deviation of the Gaussian pixel noise
 FLIP_PROB = 0.5  # augmentation: chance of a horizontal mirror
 MAX_ROTATION_DEG = 15.0  # augmentation: largest rotation either way

@@ -16,7 +16,6 @@ from eitnet.pipeline import (
     PipelineModel,
     StageToggles,
     evaluate_pipeline,
-    with_toggles,
 )
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
 from eitnet.training import Hyperparams
@@ -100,7 +99,7 @@ class TestSharedFrozenStages:
             train, test = split_samples(subset, plan)
             reference = []
             for toggles in TABLE_ROWS:  # the rows one by one, nothing shared
-                model = PipelineModel(with_toggles(PipelineConfig(), toggles), seed=hp.seed)
+                model = PipelineModel(PipelineConfig(toggles=toggles), seed=hp.seed)
                 ablation.train_toy(model, train, hp)
                 metrics = evaluate_pipeline(model, test)
                 reference.append(AblationRow(toggles, **metrics).csv_row())

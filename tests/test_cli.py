@@ -12,6 +12,7 @@ import eitnet
 from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset
+from eitnet.metrics import make_split
 from eitnet.tensorops import load_tensor, save_tensor
 
 from textio import read_csv_rows
@@ -165,6 +166,62 @@ class TestExitCodes:
             re.escape(f"error: {broken / 'manifest.csv'} line 4: ") + message + ".*\n", err
         ), err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, kept, side",
+        [
+            ("train", "test", "train"),
+            ("eval", "test", "train"),
+            ("ablate", "test", "train"),
+            ("train", "one-train", "train"),
+            ("eval", "train", "test"),
+            ("ablate", "train", "test"),
+        ],
+    )
+    def test_split_with_a_short_side_is_config_error(
+        self, command, kept, side, dataset_dir, tmp_path, capsys
+    ):
+        plan = make_split("subject", 7)
+        kept_ids = plan.test_ids if kept == "test" else plan.train_ids
+        header, *rows = (dataset_dir / "manifest.csv").read_text().splitlines()[1:]
+        rows = [r.split(",") for r in rows if int(r.split(",")[1]) in kept_ids]
+        rows = rows[:1] if kept == "one-train" else rows
+        part = tmp_path / "part"
+        part.mkdir()
+        lines = [",".join(r[:4] + [str(dataset_dir / r[4]), str(dataset_dir / r[5])]) for r in rows]
+        (part / "manifest.csv").write_text("\n".join([header, *lines]) + "\n")
+        out = tmp_path / "out"
+        assert dispatch([command, "--seed", "7", "--dataset", str(part), "--out", str(out)]) == 3
+        got = len(rows) if side in kept else 0  # "train" is in "one-train"
+        need = 2 if side == "train" else 1
+        present = {int(r[1]) for r in rows}
+        missing = [i for i in getattr(plan, f"{side}_ids") if i not in present]
+        assert capsys.readouterr().err == (
+            f"error: the subject split has {got} {side} samples, need at least {need}; "
+            f"the dataset has none for {side} subject ids {missing}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize(
+        "command",
+        ["gen-data", "run-pipeline", "train", "eval", "ablate", "simulate", "gradcheck",
+         "complexity"],
+    )
+    def test_out_that_cannot_be_a_directory_is_config_error(
+        self, command, under, dataset_dir, tmp_path, capsys
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "out" if under else blocker
+        argv = [command, "--out", str(out)]
+        argv += [] if command == "complexity" else ["--seed", "7"]
+        if command in ("run-pipeline", "train", "eval", "ablate"):
+            argv += ["--dataset", str(dataset_dir)]
+        assert dispatch(argv) == 3
+        reason = "Not a directory" if under else "File exists"
+        assert capsys.readouterr().err == f"error: cannot create output directory {out}: {reason}\n"
+        assert blocker.read_text() == "kept"
 
     def test_bad_camera_count(self, tmp_path, capsys):
         code = dispatch(

@@ -512,7 +512,7 @@ class TestCropRegion:
 
 class TestDetector:
     def test_detect_is_deterministic_and_in_frame(self):
-        det = Detector(frame_hw=(16, 16), seed=5)
+        det = Detector(seed=5)
         rng = Rng(31)
         frame = np.abs(rng.normals(16 * 16)).reshape(1, 16, 16)
         first = det.detect(frame[:, None])[0]
@@ -522,7 +522,7 @@ class TestDetector:
         assert np.all((first[:, 2:4] > 0.0) & (first[:, 2:4] <= 16.0))
 
     def test_best_box_crop_shape(self):
-        det = Detector(frame_hw=(16, 16), seed=5)
+        det = Detector(seed=5)
         rng = Rng(32)
         frame = np.abs(rng.normals(16 * 16)).reshape(1, 16, 16)
         boxes = det.best_box(frame[None, :, None])
@@ -531,7 +531,7 @@ class TestDetector:
         assert crop.shape == (1, 1, 12, 12)
 
     def test_clip_detect_equals_frame_by_frame_bitwise(self):
-        det = Detector(frame_hw=(16, 16), seed=5)
+        det = Detector(seed=5)
         rng = Rng(33)
         clip = np.abs(rng.normals(8 * 16 * 16)).reshape(1, 8, 16, 16)
         batched = det.detect(clip)
@@ -568,18 +568,12 @@ class TestDetector:
         off = PipelineModel(PipelineConfig(toggles=StageToggles(detection=False)), seed=5)
         assert off.frame_boxes(np.ones((2, 1, 3, 16, 12))).tolist() == [[full] * 3] * 2
 
-    @pytest.mark.parametrize("num_anchors", [0, -1, 5, 6])
-    def test_anchor_count_outside_layouts_rejected(self, num_anchors):
-        with pytest.raises(ValueError, match=r"num_anchors must be 1\.\.4"):
-            Detector(frame_hw=(16, 16), num_anchors=num_anchors)
-
-    @pytest.mark.parametrize("num_anchors", [1, 2, 3, 4])
-    def test_every_anchor_count_gives_each_frame_a_box(self, num_anchors):
-        det = Detector(frame_hw=(16, 16), num_anchors=num_anchors, seed=5)
-        assert det.anchors.shape == (num_anchors, 4)
+    def test_every_frame_gets_a_box(self):
+        det = Detector(seed=5)
+        assert det.anchors.shape == (4, 4)
         clips = np.abs(Rng(34).normals(2 * 8 * 16 * 16)).reshape(2, 1, 8, 16, 16)
         kept = det.detect(clips[0])
-        assert all(1 <= len(k) <= num_anchors for k in kept)
+        assert all(1 <= len(k) <= 4 for k in kept)
         boxes = det.best_box(clips)
         assert boxes.shape == (2, 8, 5)
         assert boxes[0].tobytes() == np.stack([k[0] for k in kept]).tobytes()

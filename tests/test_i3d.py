@@ -162,8 +162,3 @@ class TestStack:
         for clip, seed, row in zip(clips, seeds, got):
             one = stack.forward(clip[None], dropout_p=0.3, seeds=[seed])[0]
             assert row.tobytes() == one.tobytes()
-
-    @pytest.mark.parametrize("widths", [(), (8, 16), (8, 16, 32, 64)])
-    def test_width_count_must_match_pools(self, widths):
-        with pytest.raises(ValueError, match=r"need 3 block widths, one per pool, got"):
-            I3DStack(widths=widths)

@@ -1,4 +1,4 @@
-"""The settable values of the fixed training regimen and of the untrained stages.
+"""The settable values of the fixed training regimen, the architecture and the untrained stages.
 
 Each owner's set is every field of its config object or every parameter of
 its function; the fixed values live in module constants.  A change that adds
@@ -18,8 +18,9 @@ BUDGET = {
     pipeline.PipelineModel.fit_feature_norm: {"self", "samples"},
     synthetic.augment: {"clip", "seed"},
     synthetic.DatasetConfig: {"repetitions"},
-    detection.Detector: {"frame_hw", "channels", "num_anchors", "seed"},
-    i3d.I3DStack: {"widths", "seed"},
+    pipeline.PipelineConfig: {"toggles"},
+    detection.Detector: {"seed"},
+    i3d.I3DStack: {"seed"},
     stream.calibrate_clocks: {"samples"},
     stream.emit_feedback: {"window", "probs", "threshold"},
     stream.run_simulation: {
@@ -46,3 +47,9 @@ def test_patience_is_readable_but_not_settable():
     assert training.Hyperparams().patience == training.PATIENCE == 5
     with pytest.raises(TypeError):
         training.Hyperparams(patience=3)
+
+
+def test_architecture_is_readable_but_not_settable():
+    assert pipeline.PipelineConfig().i3d_widths == i3d.WIDTHS == (8, 16, 32)
+    with pytest.raises(TypeError):
+        pipeline.PipelineConfig(d_model=16)

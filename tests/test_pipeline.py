@@ -15,7 +15,6 @@ from eitnet.pipeline import (
     count_linear,
     count_params_flops,
     evaluate_pipeline,
-    with_toggles,
 )
 from eitnet.rng import derive_seed
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
@@ -44,23 +43,6 @@ PINNED_COUNTS = {
              (40636, 2676608), (25660, 1037184), (35356, 1685504)],
         )
     },
-    "frame_hw": (PipelineConfig(frame_hw=(24, 20)), (43383, 3006848)),
-    "encoder": (PipelineConfig(d_model=16, d_ff=24, encoder_blocks=3), (30335, 1811776)),
-    "no-summary": (PipelineConfig(summary_token=False), (41207, 2843520)),
-    "i3d_widths": (PipelineConfig(i3d_widths=(4, 8, 16)), (26679, 2166016)),
-    "anchors": (PipelineConfig(num_anchors=2, detector_channels=3), (41318, 2787584)),
-    "large": (
-        PipelineConfig(frames=16, crop_hw=(24, 24), patch=6, frame_hw=(32, 32)),
-        (56591, 15975040),
-    ),
-    "heads-no-i3d": (
-        PipelineConfig(joints=7, num_classes=6, toggles=StageToggles(spatiotemporal=False)),
-        (44009, 1868608),
-    ),
-    "4-frames-no-i3d": (
-        PipelineConfig(frames=4, toggles=StageToggles(spatiotemporal=False)),
-        (27131, 912448),
-    ),
 }
 
 
@@ -139,7 +121,7 @@ class TestForward:
         given, computed = model.extract_batch(clips, boxes=boxes), model.extract_batch(clips)
         for a, b in zip(given, computed):
             assert a.tobytes() == b.tobytes()
-        with pytest.raises(ValueError, match=r"boxes of shape \(4, 7, 5\), need \[4, 8, 5\]"):
+        with pytest.raises(ValueError, match=r"boxes of shape \(5, 7, 5\), need \[5, 8, 5\]"):
             model.extract_batch(clips, boxes=boxes[:, :7])
 
     @pytest.mark.parametrize("detection", [True, False])
@@ -262,6 +244,14 @@ class TestStacking:
         with pytest.raises(ValueError, match="must be \\[N,C,T,H,W\\], got rank 4"):
             model.extract_batch(clips[0])
 
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_extract_batch_rejects_a_box_row_count_other_than_the_clips(self, samples, rows):
+        model = PipelineModel(PipelineConfig(), seed=7)
+        clips = np.stack([s.clip for s in samples[:5]])
+        boxes = model.frame_boxes(clips)[:rows]  # each clip's own rows, plus or minus one
+        with pytest.raises(ValueError, match=rf"boxes of shape \({rows}, 8, 5\), need \[4, 8, 5\]"):
+            model.extract_batch(clips[:4], boxes=boxes)
+
     @pytest.fixture
     def crop_calls(self, monkeypatch):
         calls = []
@@ -315,7 +305,6 @@ class TestSharedFrozenStages:
         models = [
             PipelineModel(PipelineConfig(), seed=7),
             PipelineModel(PipelineConfig(), seed=8),
-            PipelineModel(PipelineConfig(detector_channels=3, i3d_widths=(8, 16, 24)), seed=7),
         ]
         dropouts = ((0.0, None), (0.05, seeds), (0.05, [1] * 5))
         calls = [(m, p, s) for m in models for p, s in dropouts]
@@ -327,7 +316,7 @@ class TestSharedFrozenStages:
                     assert got_cls.tobytes() == cls_feat.tobytes()
                     assert got_pose.tobytes() == pose_feat.tobytes()
             # two stacks each: boxes per model, I3D features per call
-            assert len(pipeline._SHARED.get()) == 3 * 2 + 9 * 2
+            assert len(pipeline._SHARED.get()) == 2 * 2 + 6 * 2
         assert pipeline._SHARED.get() is None
 
     def test_nested_block_starts_its_own_memo(self):
@@ -367,7 +356,7 @@ class TestComplexity:
         ],
     )
     def test_parameter_count_matches_live_arrays(self, toggles):
-        config = with_toggles(PipelineConfig(), toggles)
+        config = PipelineConfig(toggles=toggles)
         model = PipelineModel(config, seed=5)
         listed = {id(a) for a in model.parameters()}
         # a disabled stage keeps its arrays on the model but lists none of them
@@ -385,34 +374,9 @@ class TestComplexity:
     def test_counts_pinned(self, config, counts):
         assert count_params_flops(config) == counts
 
-    @pytest.mark.parametrize(
-        "config",
-        [PipelineConfig(frames=4), PipelineConfig(crop_hw=(8, 8))],
-        ids=["4-frames", "8x8-crop"],
-    )
-    def test_config_the_forward_cannot_run_is_rejected(self, samples, config):
-        clip = samples[0].clip[:, : config.frames]
-        with pytest.raises(ValueError, match="yields empty output"):
-            PipelineModel(config, seed=0).forward(clip)
-        with pytest.raises(ValueError, match="yields empty output"):
-            count_params_flops(config)
-
-    @pytest.mark.parametrize(
-        "config, message",
-        [
-            (PipelineConfig(num_anchors=0), "num_anchors must be 1..4"),
-            (PipelineConfig(num_anchors=6), "num_anchors must be 1..4"),
-            (PipelineConfig(i3d_widths=(8, 16, 32, 64)), "need 3 block widths"),
-        ],
-        ids=["0-anchors", "6-anchors", "4-widths"],
-    )
-    def test_config_the_model_cannot_build_is_rejected(self, config, message):
-        with pytest.raises(ValueError, match=message):
-            count_params_flops(config)
-
     @pytest.mark.parametrize("toggles", ALL_TOGGLES, ids=StageToggles.tag)
     def test_traced_macs_equal_count(self, samples, monkeypatch, toggles):
-        config = with_toggles(PipelineConfig(), toggles)
+        config = PipelineConfig(toggles=toggles)
         model = PipelineModel(config, seed=0)
         macs = []
 
@@ -440,7 +404,7 @@ class TestComplexity:
         ]:
             monkeypatch.setattr(module, name, fn)
         model.forward(samples[0].clip)
-        if config.has_summary:  # a plain matrix product in PipelineModel.tokens
+        if toggles.spatiotemporal:  # the summary token, a plain matrix product in tokens()
             macs.append(model.summary_weight.size)
         assert sum(macs) == count_params_flops(config)[1]
 

@@ -141,12 +141,14 @@ def _split(args, samples, need_test: bool):
     return plan, train, test
 
 
-def _outdir(args) -> Path:
+def _outdir(args, *subdirs: str) -> Path:
+    """Create ``--out`` and the named subdirectories under it, before any work."""
     out = default_out_dir(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    for path in (out, *(out / name for name in subdirs)):
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
     return out
 
 
@@ -164,7 +166,7 @@ def cmd_run_pipeline(args) -> int:
         raise ConfigError(f"--lambda must be nonnegative and finite, got {args.lam}")
     config = PipelineConfig(toggles=parse_toggles(args.toggles))
     samples = _require_dataset(args.dataset)
-    out = _outdir(args)
+    out = _outdir(args, "features")
     model = PipelineModel(config, seed=args.seed)
     clips = np.stack([sample.clip for sample in samples])  # the dataset load validated them
     boxes = model.frame_boxes(clips)  # [N, T, 5]
@@ -202,10 +204,8 @@ def cmd_run_pipeline(args) -> int:
         for k, p in enumerate(clip_probs)
     ]
     write_csv(out / "classifications.csv", CLASSIFICATION_CSV_HEADER, class_rows, seed=args.seed)
-    features_dir = out / "features"
-    features_dir.mkdir(exist_ok=True)
     for i, feat in enumerate(pose_feats):
-        save_tensor(features_dir / f"sample_{i:04d}.bin", feat)
+        save_tensor(out / "features" / f"sample_{i:04d}.bin", feat)
     print(f"processed {len(samples)} clips into {out} (detection loss {parts.total:.3f})")
     return 0
 
@@ -223,7 +223,7 @@ def cmd_train(args) -> int:
     config = PipelineConfig(toggles=parse_toggles(args.toggles))
     samples = _require_dataset(args.dataset)
     plan, train_samples, _ = _split(args, samples, need_test=False)
-    out = _outdir(args)
+    out = _outdir(args, "weights")
     model = PipelineModel(config, seed=args.seed)
     result = train_toy(model, train_samples, hp)
     write_csv(
@@ -233,10 +233,8 @@ def cmd_train(args) -> int:
         seed=args.seed,
         comments=_split_comments(plan) + (f"stopped_early={result.stopped_early}",),
     )
-    weights_dir = out / "weights"
-    weights_dir.mkdir(exist_ok=True)
     for name, value in model.head_parameters().items():
-        save_tensor(weights_dir / f"{name}.bin", value)
+        save_tensor(out / "weights" / f"{name}.bin", value)
     print(
         f"trained {len(result.history)} epochs "
         f"(early stop: {result.stopped_early}) -> {out}"

@@ -215,9 +215,10 @@ def crop_region(clip: np.ndarray, boxes: np.ndarray, out_hw: tuple[int, int]) ->
     return np.take(clip.reshape(c, -1), flat, axis=1)
 
 
-SAME_CONV = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1), bias_enabled=False)
-DOWN_CONV = ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1), bias_enabled=False)
-# Backbone convs, fine to coarse: the weight each level reads and the spec it runs with.
+SAME_CONV = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1))
+DOWN_CONV = ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1))
+# Backbone convs, fine to coarse and without bias: the weight each level reads
+# and the spec it runs with.
 PYRAMID_CONVS = (("conv1", SAME_CONV), ("conv2", DOWN_CONV), ("conv3", DOWN_CONV))
 IN_CHANNELS = 1  # grayscale clips
 CHANNELS = 4  # of every backbone level

@@ -25,11 +25,12 @@ group), so each clip's tokens keep the bits they get on their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .tensorops import (
+    MACS,
     as_tensor,  # noqa: F401  (unused here; perfbench counts as_tensor calls through this name)
     layer_norm,
     linear,
@@ -68,16 +69,6 @@ class TokenSequence:
     @property
     def width(self) -> int:
         return self.tokens.shape[-1]
-
-    def with_tokens(self, tokens: np.ndarray) -> "TokenSequence":
-        return TokenSequence(
-            tokens=tokens,
-            frames=self.frames,
-            grid_h=self.grid_h,
-            grid_w=self.grid_w,
-            patch=self.patch,
-            has_summary=self.has_summary,
-        )
 
 
 @dataclass
@@ -147,7 +138,8 @@ def self_attention(tokens: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Scaled dot-product attention with single-head QKV projections.
 
     Takes one [S, d] sequence or a [..., G, S, d] stack of groups attended
-    independently (at most two leading axes).
+    independently (at most two leading axes).  In a ``count_macs()`` block the
+    score and value products count 2*G*S*S*d MACs; Q, K and V count in ``linear``.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim not in (2, 3, 4):
@@ -160,6 +152,8 @@ def self_attention(tokens: np.ndarray, params: EncoderParams) -> np.ndarray:
     k = linear(tokens, params.w_k, params.b_k)
     v = linear(tokens, params.w_v, params.b_v)
     scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(params.d_model)
+    if (count := MACS.get()) is not None:
+        count.total += 2 * tokens.size * tokens.shape[-2]
     return softmax(scores, axis=-1) @ v
 
 
@@ -185,7 +179,7 @@ def encoder_block(seq: TokenSequence, params: EncoderParams, mode: str) -> Token
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "divided":
-        after_time = seq.with_tokens(_grouped_attention(seq, params, "temporal"))
+        after_time = replace(seq, tokens=_grouped_attention(seq, params, "temporal"))
         z = _grouped_attention(after_time, params, "spatial")
     else:
         z = _grouped_attention(seq, params, mode)
@@ -194,7 +188,7 @@ def encoder_block(seq: TokenSequence, params: EncoderParams, mode: str) -> Token
     h = layer_norm(z + x, params.norm1_gamma, params.norm1_beta, params.eps)
     f = linear(relu(linear(h, params.w_ffn1, params.b_ffn1)), params.w_ffn2, params.b_ffn2)
     y = layer_norm(f + h, params.norm2_gamma, params.norm2_beta, params.eps)
-    return seq.with_tokens(y)
+    return replace(seq, tokens=y)
 
 
 CLASSIFICATION_CSV_HEADER = "clip_id,class_id,probability"

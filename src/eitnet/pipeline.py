@@ -32,10 +32,11 @@ seed, which alone identifies its weights, and a digest of the stack.
 and see the same clips.  Outside a block nothing is hashed or kept.
 
 Complexity accounting reads a live model: parameters are the arrays the
-enabled stages use, and multiply-accumulates follow a fixed convention in
-which only matrix products contribute (convolutions, linear layers,
-attention score and value products); pooling, activations, residuals,
-normalizations and resampling count zero.
+enabled stages use, and multiply-accumulates are those the kernels count
+during one forward inside a ``tensorops.count_macs()`` block.  Only matrix
+products contribute (convolutions, linear layers, attention score and value
+products); pooling, activations, residuals, normalizations and resampling
+count zero.  The forward is thus the one description of the architecture.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ from typing import ClassVar
 import numpy as np
 
 from . import ACTION_LABELS, FRAME_HW, FRAMES, JOINT_NAMES
-from .detection import PYRAMID_CONVS, Detector, crop_region, full_frame_box
+from .detection import Detector, crop_region, full_frame_box
 from .encoder import EncoderParams, TokenSequence, encoder_block, patch_embed
 from .i3d import WIDTHS as I3D_WIDTHS
 from .i3d import I3DStack
 from .metrics import SkeletonPose, accuracy, mpjpe, pa_mpjpe
 from .rng import Rng, derive_seed
-from .tensorops import ConvSpec, as_tensor, linear, softmax
+from .tensorops import ConvSpec, as_tensor, count_macs, linear, softmax
 
 # Clips per stack of the frozen stages.  A stack saves per-call overhead but
 # holds its intermediate arrays at once: against one-clip calls, stacks of 4
@@ -135,7 +136,6 @@ class PipelineConfig:
     toggles: StageToggles = StageToggles()
 
     frames: ClassVar[int] = FRAMES
-    frame_hw: ClassVar[tuple[int, int]] = FRAME_HW
     crop_hw: ClassVar[tuple[int, int]] = (12, 12)
     patch: ClassVar[int] = 4  # divides both crop extents
     grid_hw: ClassVar[tuple[int, int]] = (crop_hw[0] // patch, crop_hw[1] // patch)
@@ -278,7 +278,7 @@ class PipelineModel:
         seq = patch_embed(cropped, c.patch, self.patch_weight, self.patch_bias, self.pos_enc)
         if c.toggles.spatiotemporal:
             # one [1, feat] row per clip: it rounds as a one-clip product does
-            summary = feats[:, None, :] @ self.summary_weight + self.summary_bias
+            summary = linear(feats[:, None, :], self.summary_weight, self.summary_bias)
             tokens = np.concatenate([summary, seq.tokens], axis=1)
             seq = replace(seq, tokens=tokens, has_summary=True)
         return seq
@@ -309,8 +309,11 @@ class PipelineModel:
         for them.
         """
         clips = as_tensor(clips)
-        if clips.ndim != 5:
-            raise ValueError(f"clips must be [N,C,T,H,W], got rank {clips.ndim}")
+        if clips.shape[1:] != (1, FRAMES, *FRAME_HW):
+            raise ValueError(
+                f"clips must be [N,C,T,H,W], got rank {clips.ndim} of shape {clips.shape}; "
+                f"need [N, 1, {FRAMES}, {FRAME_HW[0]}, {FRAME_HW[1]}]"
+            )
         seeds = [0] * len(clips) if seeds is None else list(seeds)
         if len(seeds) != len(clips):
             raise ValueError(f"{len(seeds)} dropout seeds for {len(clips)} clips")
@@ -460,40 +463,11 @@ def count_attention_projections(d_model: int) -> int:
 def count_params_flops(config: PipelineConfig) -> tuple[int, int]:
     """Exact parameter and multiply-accumulate counts for one clip forward.
 
-    Both are read off a live model with the config's toggles: the parameters
-    are ``parameters()``, and the MACs walk the same weights through the
-    extents their specs produce.
+    Both are read off a live model with the config's toggles: ``parameters()``,
+    and the MACs its kernels count in one forward of a zero clip.  That runs
+    in its own memo block, so an enclosing block's memo cannot skip a stage.
     """
-    c = config
-    model = PipelineModel(c, seed=0)
-    t = c.frames
-    macs = 0
-    if c.toggles.detection:
-        weights = model.detector.parameters()
-        extents = (t, *c.frame_hw)
-        for name, spec in PYRAMID_CONVS:
-            extents = spec.output_extents(extents)
-            macs += weights[name].size * math.prod(extents)
-        macs += t * (weights["reg_w"].size + weights["score_w"].size)
-    if c.toggles.spatiotemporal:
-        extents = (t, *c.crop_hw)
-        for block in model.i3d.blocks:
-            extents = block.conv_spec.output_extents(extents)
-            macs += block.conv_weight.size * math.prod(extents)
-            extents = block.pool_spec.output_extents(extents)
-    macs += c.patch_tokens * model.patch_weight.size
-    if c.toggles.spatiotemporal:
-        macs += model.summary_weight.size
-    if c.toggles.temporal:
-        positions = c.grid_hw[0] * c.grid_hw[1]
-        rows = c.patch_tokens + int(c.toggles.spatiotemporal)
-        for blk in model.blocks:
-            qkv = blk.w_q.size + blk.w_k.size + blk.w_v.size
-            # temporal then spatial pass; a group of one skips attention
-            for groups, size in ((positions, t), (t, positions)):
-                if size > 1:
-                    macs += groups * size * (qkv + 2 * size * c.d_model)
-            macs += rows * (blk.w_ffn1.size + blk.w_ffn2.size)
-    macs += model.cls_weight.size + model.pose_weight.size
-    return sum(a.size for a in model.parameters()), macs
-
+    model = PipelineModel(config, seed=0)
+    with shared_frozen_stages(), count_macs() as macs:
+        model.forward(np.zeros((1, FRAMES, *FRAME_HW)))
+    return sum(a.size for a in model.parameters()), macs.total

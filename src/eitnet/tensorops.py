@@ -30,16 +30,23 @@ one at a time.  The index depends only on the input extents and the
 and returned read-only, so a cached value is never mutated and the kernels
 stay pure.
 
+Inside a ``count_macs()`` block, ``conv3d`` (weights x output positions x
+stacked inputs) and ``linear`` (rows x d_in x d_out) add their matrix
+products' multiply-accumulates to the block's total, the EfficientDet
+convention; outside one, a kernel pays one ``ContextVar`` lookup.
+
 Serialization uses a little-endian binary layout: magic ``EITT``, u8 rank,
 rank x u32 extents, then the row-major float64 payload.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import operator
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +59,33 @@ MAX_RANK = 5
 Triple = tuple[int, int, int]
 
 
-def as_tensor(data, shape=None) -> np.ndarray:
+@dataclass
+class MacCount:
+    """The multiply-accumulates counted so far in a ``count_macs()`` block."""
+
+    total: int = 0
+
+
+# The open count_macs() block's total, or None outside one.
+MACS: contextvars.ContextVar[MacCount | None] = contextvars.ContextVar("macs", default=None)
+
+
+@contextmanager
+def count_macs():
+    """Yield a ``MacCount`` that the counted kernels called within the block add to.
+
+    A nested block starts its own total; the enclosing block's does not see it.
+    """
+    token = MACS.set(count := MacCount())
+    try:
+        yield count
+    finally:
+        MACS.reset(token)
+
+
+def as_tensor(data) -> np.ndarray:
     """Validate and return a float64 C-order tensor (1..5 axes, finite values)."""
     arr = np.asarray(data, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
     arr = np.ascontiguousarray(arr) if arr.ndim else arr
     if arr.ndim < 1 or arr.ndim > MAX_RANK:
         raise ValueError(f"tensor rank must be 1..{MAX_RANK}, got {arr.ndim}")
@@ -74,7 +103,6 @@ class ConvSpec:
     kernel: Triple
     stride: Triple = (1, 1, 1)
     padding: Triple = (0, 0, 0)
-    bias_enabled: bool = True
 
     def __post_init__(self):
         for name in ("kernel", "stride", "padding"):
@@ -140,7 +168,7 @@ def _gather_windows(x: np.ndarray, index: np.ndarray, fill: float) -> np.ndarray
 def conv3d(
     x: np.ndarray, weights: np.ndarray, spec: ConvSpec, bias: np.ndarray | None = None
 ) -> np.ndarray:
-    """3D cross-correlation of [(B,) C_in,T,H,W] with [C_out,C_in,kt,kh,kw] plus bias."""
+    """3D cross-correlation of [(B,) C_in,T,H,W] with [C_out,C_in,kt,kh,kw], plus bias if given."""
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if x.ndim not in (4, 5):
@@ -155,9 +183,7 @@ def conv3d(
         raise ValueError(f"weights kernel {weights.shape[2:]} != spec kernel {spec.kernel}")
     out_extents = spec.output_extents(x.shape[-3:])
     c_out = weights.shape[0]
-    if spec.bias_enabled:
-        if bias is None:
-            raise ValueError("spec enables bias but none was given")
+    if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (c_out,):
             raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
@@ -166,7 +192,9 @@ def conv3d(
     lead = x.shape[:-4]
     cols = _gather_windows(x, index, 0.0).reshape(lead + (-1, index.shape[1]))  # [C_in*K, M]
     out = (weights.reshape(c_out, -1) @ cols).reshape(lead + (c_out,) + out_extents)
-    if spec.bias_enabled:
+    if (count := MACS.get()) is not None:
+        count.total += c_out * cols.size
+    if bias is not None:
         out = out + bias[:, None, None, None]
     return out
 
@@ -275,6 +303,8 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
             f"inner dimensions disagree: input has {x.shape[-1]}, weight expects {weight.shape[0]}"
         )
     out = x @ weight
+    if (count := MACS.get()) is not None:
+        count.total += x.size * weight.shape[1]
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (weight.shape[1],):

@@ -223,6 +223,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: cannot create output directory {out}: {reason}\n"
         assert blocker.read_text() == "kept"
 
+    @pytest.mark.parametrize(
+        "command, subdir", [("run-pipeline", "features"), ("train", "weights")]
+    )
+    def test_out_subdirectory_that_is_a_file_is_config_error(
+        self, command, subdir, dataset_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / subdir).write_text("kept")
+        argv = [command, "--seed", "7", "--dataset", str(dataset_dir), "--out", str(out)]
+        assert dispatch(argv + (["--epochs", "1"] if command == "train" else [])) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot create output directory {out / subdir}: File exists\n"
+        )
+        assert [p.name for p in out.iterdir()] == [subdir]  # no CSV was written
+        assert (out / subdir).read_text() == "kept"
+
     def test_bad_camera_count(self, tmp_path, capsys):
         code = dispatch(
             ["simulate", "--seed", "1", "--cameras", "0", "--out", str(tmp_path / "out")]

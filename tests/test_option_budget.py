@@ -10,7 +10,7 @@ import inspect
 
 import pytest
 
-from eitnet import ablation, detection, i3d, pipeline, stream, synthetic, training
+from eitnet import ablation, detection, i3d, pipeline, stream, synthetic, tensorops, training
 
 BUDGET = {
     training.Hyperparams: {"lr", "epochs", "seed"},
@@ -21,6 +21,7 @@ BUDGET = {
     pipeline.PipelineConfig: {"toggles"},
     detection.Detector: {"seed"},
     i3d.I3DStack: {"seed"},
+    tensorops.ConvSpec: {"kernel", "stride", "padding"},
     stream.calibrate_clocks: {"samples"},
     stream.emit_feedback: {"window", "probs", "threshold"},
     stream.run_simulation: {

@@ -16,9 +16,9 @@ from eitnet.pipeline import (
     count_params_flops,
     evaluate_pipeline,
 )
-from eitnet.rng import derive_seed
+from eitnet.rng import Rng, derive_seed
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
-from eitnet.tensorops import conv3d, linear
+from eitnet.tensorops import conv3d, count_macs, linear
 from eitnet.training import Hyperparams, train_toy
 
 from test_tensorops import np_pad_conv3d, np_pad_pool3d_max
@@ -33,7 +33,7 @@ ALL_TOGGLES = [
     StageToggles(detection=False, spatiotemporal=False),
 ]
 
-# (params, MACs) from the hand-written accounting that the live walk replaced.
+# (params, MACs) from the hand-written accounting that the counted forward replaced.
 PINNED_COUNTS = {
     **{
         t.tag(): (PipelineConfig(toggles=t), counts)
@@ -243,6 +243,11 @@ class TestStacking:
             model.extract_batch(clips, 0.05, [1, 2])
         with pytest.raises(ValueError, match="must be \\[N,C,T,H,W\\], got rank 4"):
             model.extract_batch(clips[0])
+        wide = Rng(5).uniforms(2 * 8 * 32 * 32).reshape(2, 1, 8, 32, 32)  # 32x32 frames
+        with pytest.raises(
+            ValueError, match=r"shape \(2, 1, 8, 32, 32\); need \[N, 1, 8, 16, 16\]"
+        ):
+            model.extract_batch(wide)
 
     @pytest.mark.parametrize("rows", [3, 5])
     def test_extract_batch_rejects_a_box_row_count_other_than_the_clips(self, samples, rows):
@@ -404,9 +409,21 @@ class TestComplexity:
         ]:
             monkeypatch.setattr(module, name, fn)
         model.forward(samples[0].clip)
-        if toggles.spatiotemporal:  # the summary token, a plain matrix product in tokens()
-            macs.append(model.summary_weight.size)
         assert sum(macs) == count_params_flops(config)[1]
+
+    @pytest.mark.parametrize("toggles", ALL_TOGGLES, ids=StageToggles.tag)
+    def test_counted_macs_scale_with_the_stack(self, samples, toggles):
+        config = PipelineConfig(toggles=toggles)
+        model = PipelineModel(config, seed=0)
+        clips = np.stack([s.clip for s in samples[:4]])
+        counts = []
+        for stack in (clips[:1], clips):
+            with count_macs() as macs:
+                model.extract_batch(stack)
+            counts.append(macs.total)
+        assert counts[1] == 4 * counts[0]
+        heads = model.cls_weight.size + model.pose_weight.size
+        assert counts[0] + heads == count_params_flops(config)[1]
 
     def test_macs_positive_and_monotone_in_stages(self):
         full = count_params_flops(PipelineConfig())[1]

@@ -12,6 +12,7 @@ from eitnet.tensorops import (
     as_tensor,
     batch_norm,
     conv3d,
+    count_macs,
     dropout,
     global_avg_pool,
     layer_norm,
@@ -105,11 +106,20 @@ class TestConv3d:
         x = rng.normals(2 * 3 * 3 * 3).reshape(2, 3, 3, 3)
         y = rng.normals(2 * 3 * 3 * 3).reshape(2, 3, 3, 3)
         w = rng.normals(2 * 2 * 8).reshape(2, 2, 2, 2, 2)
-        spec = ConvSpec(kernel=(2, 2, 2), bias_enabled=False)
+        spec = ConvSpec(kernel=(2, 2, 2))
         a, b = 1.7, -0.4
         lhs = conv3d(a * x + b * y, w, spec)
         rhs = a * conv3d(x, w, spec) + b * conv3d(y, w, spec)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+    def test_bias_is_added_exactly_when_given(self):
+        rng = Rng(4)
+        x = rng.normals(2 * 3 * 3 * 3).reshape(2, 3, 3, 3)
+        w = rng.normals(2 * 2 * 8).reshape(2, 2, 2, 2, 2)
+        b = rng.normals(2)
+        spec = ConvSpec(kernel=(2, 2, 2))
+        want = conv3d(x, w, spec) + b[:, None, None, None]
+        assert conv3d(x, w, spec, bias=b).tobytes() == want.tobytes()
 
 
 def np_pad_conv3d(x, w, spec, bias):
@@ -119,7 +129,7 @@ def np_pad_conv3d(x, w, spec, bias):
     st, sh, sw = spec.stride
     win = np.lib.stride_tricks.sliding_window_view(padded, spec.kernel, axis=(-3, -2, -1))
     out = np.einsum("cthwijk,ocijk->othw", win[..., ::st, ::sh, ::sw, :, :, :], w, optimize=True)
-    return out + bias[:, None, None, None] if spec.bias_enabled else out
+    return out if bias is None else out + bias[:, None, None, None]
 
 
 def np_pad_pool3d_max(x, spec):
@@ -130,10 +140,8 @@ def np_pad_pool3d_max(x, spec):
     return win[..., ::st, ::sh, ::sw, :, :, :].max(axis=(-3, -2, -1))
 
 
-DETECTOR_SAME = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1), bias_enabled=False)
-DETECTOR_DOWN = ConvSpec(
-    kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1), bias_enabled=False
-)
+DETECTOR_SAME = ConvSpec(kernel=(1, 3, 3), padding=(0, 1, 1))
+DETECTOR_DOWN = ConvSpec(kernel=(1, 3, 3), stride=(1, 2, 2), padding=(0, 1, 1))
 I3D_CONV = ConvSpec(kernel=(3, 3, 3), padding=(1, 1, 1))
 
 # (input [C,T,H,W], c_out, spec) of the detector's three convs and the I3D blocks
@@ -489,6 +497,29 @@ class TestLinear:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="inner dimensions"):
             linear(np.ones((2, 3)), np.ones((4, 2)))
+
+
+class TestCountMacs:
+    def test_only_a_block_counts_and_a_nested_block_starts_its_own_total(self):
+        x, w = np.ones((3, 4)), np.ones((4, 2))  # 3 rows x 4 x 2 = 24 MACs a call
+        linear(x, w)
+        assert tensorops.MACS.get() is None
+        with count_macs() as outer:
+            linear(x, w, np.zeros(2))
+            with count_macs() as inner:
+                linear(x, w)
+                linear(x, w)
+            assert tensorops.MACS.get() is outer
+        linear(x, w)
+        assert (outer.total, inner.total) == (24, 48)
+        assert tensorops.MACS.get() is None
+
+    def test_conv3d_counts_its_weights_times_outputs_per_stacked_input(self):
+        spec = ConvSpec(kernel=(3, 3, 3))
+        with count_macs() as macs:
+            conv3d(np.ones((2, 1, 4, 4, 4)), np.ones((1, 1, 3, 3, 3)), spec)
+            pool3d_max(np.ones((1, 4, 4, 4)), spec)  # not a matrix product: counts zero
+        assert macs.total == 2 * 216
 
 
 class TestRandomizedOracleSweep:

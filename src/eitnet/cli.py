@@ -301,7 +301,11 @@ def _default_camera_specs(args) -> list[CameraSpec]:
         path = Path(args.camera_config)
         if not path.exists():
             raise ConfigError(f"camera config not found at {path}")
-        return parse_camera_config(path.read_text())
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read camera config {path}: {exc.strerror}") from exc
+        return parse_camera_config(text)
     return [
         CameraSpec(
             camera_id=i,

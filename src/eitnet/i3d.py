@@ -8,7 +8,9 @@ branch topology, whose per-branch widths are not part of this build.
 
 Every stage runs on a [B, C, T, H, W] stack of B clips and gives each clip
 the bits it gets on its own: the convolution is one matrix product per clip,
-and dropout draws each clip's mask from that clip's seed.
+and dropout draws each clip's mask from that clip's seed.  Dropout, at the
+fixed probability ``DROPOUT``, runs exactly when the caller passes one seed
+per clip, as the trainer does; without seeds the blocks are deterministic.
 """
 
 from __future__ import annotations
@@ -44,46 +46,42 @@ class I3DBlockParams:
     bn_eps: float = 1e-5
 
 
-def i3d_block(
-    x: np.ndarray, params: I3DBlockParams, dropout_p: float = 0.0, seeds=None
-) -> np.ndarray:
+def i3d_block(x: np.ndarray, params: I3DBlockParams, seeds=None) -> np.ndarray:
     """conv3d -> relu -> pool3d_max -> batch_norm -> dropout on [B,C,T,H,W], exactly in order.
 
-    ``seeds`` holds one dropout seed per clip; only dropout reads them.
+    ``seeds`` holds one dropout seed per clip; without them dropout is skipped.
     """
     out = relu(conv3d(x, params.conv_weight, params.conv_spec, bias=params.conv_bias))
     out = pool3d_max(out, params.pool_spec)
     out = batch_norm(
         out, params.bn_mean, params.bn_var, params.bn_gamma, params.bn_beta, params.bn_eps, axis=1
     )
-    if not dropout_p:
+    if seeds is None:
         return out
-    return np.stack([dropout(clip, dropout_p, seed) for clip, seed in zip(out, seeds)])
+    return np.stack([dropout(clip, DROPOUT, seed) for clip, seed in zip(out, seeds)])
 
 
-def i3d_forward(
-    clips: np.ndarray, blocks: list[I3DBlockParams], dropout_p: float = 0.0, seeds=None
-) -> np.ndarray:
+def i3d_forward(clips: np.ndarray, blocks: list[I3DBlockParams], seeds=None) -> np.ndarray:
     """Run the block stack on [B,C,T,H,W] and globally average to [B, C_final].
 
-    ``seeds`` holds one seed per clip (default 0); block i of a clip draws its
-    dropout mask from ``derive_seed(seed, "i3d-block", i)``.
+    ``seeds``, when given, holds one dropout seed per clip; block i of a clip
+    draws its dropout mask from ``derive_seed(seed, "i3d-block", i)``.
     """
     if not blocks:
         raise ValueError("i3d_forward needs at least one block")
     out = np.asarray(clips, dtype=np.float64)
     if out.ndim != 5:
         raise ValueError(f"i3d_forward input must be [B,C,T,H,W], got rank {out.ndim}")
-    seeds = [0] * len(out) if seeds is None else seeds
     for i, params in enumerate(blocks):
-        block_seeds = [derive_seed(seed, "i3d-block", i) for seed in seeds] if dropout_p else None
+        block_seeds = None if seeds is None else [derive_seed(s, "i3d-block", i) for s in seeds]
         try:
-            out = i3d_block(out, params, dropout_p, block_seeds)
+            out = i3d_block(out, params, block_seeds)
         except ValueError as exc:
             raise ValueError(f"block {i}: {exc}") from exc
     return global_avg_pool(out)
 
 
+DROPOUT = 0.05  # each block's dropout probability, applied when seeds are given
 WIDTHS = (8, 16, 32)  # each block's output channels
 POOLS = ((2, 2, 2), (2, 2, 2), (2, 3, 3))  # each block's max-pool kernel and stride
 
@@ -94,8 +92,8 @@ class I3DStack:
 
     The seed alone identifies the weights.  Normalization statistics are
     fixed at identity (mean 0, var 1) since no running statistics are
-    learned here; dropout stays 0 except under the trainer, which passes
-    per-epoch probabilities and seeds.
+    learned here; dropout runs only under the trainer, which passes
+    per-epoch seeds.
     """
 
     seed: int = 0
@@ -124,6 +122,6 @@ class I3DStack:
             )
             c_prev = width
 
-    def forward(self, clips: np.ndarray, dropout_p: float = 0.0, seeds=None) -> np.ndarray:
-        """[B, C_final] features of a [B,C,T,H,W] stack; ``seeds`` one per clip."""
-        return i3d_forward(clips, self.blocks, dropout_p, seeds)
+    def forward(self, clips: np.ndarray, seeds=None) -> np.ndarray:
+        """[B, C_final] features of a [B,C,T,H,W] stack; ``seeds`` one per clip, for dropout."""
+        return i3d_forward(clips, self.blocks, seeds)

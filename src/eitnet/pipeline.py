@@ -21,11 +21,12 @@ one-clip case, and every other caller passes it all its clips.  It, and
 detector and the crop join a stack's clips on the frame axis, I3D runs one
 matrix product per clip, the tokens are [B, S, d], and the summary projection
 and heads multiply [B, 1, feat] rows, so each clip's outputs are bitwise
-those of a one-clip call.
+those of a one-clip call.  I3D's dropout runs exactly when ``extract_batch``
+is given one seed per clip, which only the trainer does.
 
 Inside a ``shared_frozen_stages()`` block, models share the frozen stages'
 outputs: a stack the detector or I3D has already run on, under the same
-frozen weights (and, for I3D, the same dropout probability and seeds), takes
+frozen weights (and, for I3D, the same dropout seeds or none), takes
 its [B, T, 5] boxes or [B, F] features from a memo keyed by the stage's
 seed, which alone identifies its weights, and a digest of the stack.
 ``run_ablation`` opens one block around its rows, whose models share a seed
@@ -77,7 +78,7 @@ def shared_frozen_stages():
 
     Each result is kept read-only under its stage's seed, the input stack's
     shape and a 128-bit digest of its bytes (and, for I3D, the dropout
-    probability and seeds), so a stack seen again skips the stage.
+    seeds or None), so a stack seen again skips the stage.
     Only the outputs are kept, never the stacks.  The memo lives until the
     block exits; a nested block starts its own.
     """
@@ -248,28 +249,25 @@ class PipelineModel:
         b, _, t, h, w = clips.shape
         return np.tile(full_frame_box((h, w)), (b, t, 1))
 
-    def crop_clip(self, clips: np.ndarray, boxes: np.ndarray | None = None) -> np.ndarray:
+    def crop_clip(self, clips: np.ndarray, boxes: np.ndarray) -> np.ndarray:
         """Crop each frame of a trusted [B,C,T,H,W] stack to its [B, T, 5] box row.
 
-        The boxes default to ``frame_boxes``.  The stack is cropped as one
-        clip of B*T frames, in one ``crop_region`` call.
+        The stack is cropped as one clip of B*T frames, in one ``crop_region`` call.
         """
-        if boxes is None:
-            boxes = self.frame_boxes(clips)
         b, c, t, h, w = clips.shape
         frames = clips.swapaxes(0, 1).reshape(c, b * t, h, w)
         cropped = crop_region(frames, np.reshape(boxes, (b * t, -1)), self.config.crop_hw)
         return cropped.reshape(c, b, t, *self.config.crop_hw).swapaxes(0, 1)
 
-    def stage_features(self, cropped: np.ndarray, dropout_p: float = 0.0, seeds=None):
-        """[B, F] stage-two features; ``seeds`` holds one dropout seed per clip.
+    def stage_features(self, cropped: np.ndarray, seeds=None):
+        """[B, F] stage-two features; ``seeds``, when given, one dropout seed per clip.
 
         I3D's features are shared within a ``shared_frozen_stages()`` block.
         """
         if self.config.toggles.spatiotemporal:
             net = self.i3d
-            key = ("i3d", net.seed, dropout_p, None if seeds is None else tuple(seeds))
-            return _shared(key, cropped, lambda x: net.forward(x, dropout_p, seeds))
+            key = ("i3d", net.seed, None if seeds is None else tuple(seeds))
+            return _shared(key, cropped, lambda x: net.forward(x, seeds))
         return cropped.mean(axis=(1, 2)).reshape(len(cropped), -1)
 
     def tokens(self, cropped: np.ndarray, feats: np.ndarray) -> TokenSequence:
@@ -291,17 +289,14 @@ class PipelineModel:
         return seq
 
     def extract_batch(
-        self,
-        clips,
-        dropout_p: float = 0.0,
-        seeds=None,
-        boxes: np.ndarray | None = None,
+        self, clips, seeds=None, boxes: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Frozen-stage forward of N clips: [N, d_model] classifier and [N, F] pose features.
 
-        ``clips`` is an [N,C,T,H,W] array or a sequence of [C,T,H,W] clips,
-        ``seeds`` one dropout seed per clip (default 0), and ``boxes`` the
-        clips' [N, T, 5] ``frame_boxes``, for a caller that already has them.
+        ``clips`` is an [N,C,T,H,W] array or a sequence of [C,T,H,W] clips.
+        ``seeds``, when given, holds one dropout seed per clip and switches
+        I3D's dropout on.  ``boxes`` are the clips' [N, T, 5] ``frame_boxes``,
+        computed here unless the caller already has them.
         The stages run on stacks of at most ``STACK_CLIPS`` clips, and each
         clip's features are bitwise those of a one-clip call.  Both features
         are standardized by ``norm_stats``.  The stages do not scan their
@@ -314,18 +309,21 @@ class PipelineModel:
                 f"clips must be [N,C,T,H,W], got rank {clips.ndim} of shape {clips.shape}; "
                 f"need [N, 1, {FRAMES}, {FRAME_HW[0]}, {FRAME_HW[1]}]"
             )
-        seeds = [0] * len(clips) if seeds is None else list(seeds)
-        if len(seeds) != len(clips):
-            raise ValueError(f"{len(seeds)} dropout seeds for {len(clips)} clips")
-        if boxes is not None and np.shape(boxes) != (len(clips), clips.shape[2], 5):
+        if seeds is not None:
+            seeds = list(seeds)
+            if len(seeds) != len(clips):
+                raise ValueError(f"{len(seeds)} dropout seeds for {len(clips)} clips")
+        if boxes is None:
+            boxes = self.frame_boxes(clips)
+        elif np.shape(boxes) != (len(clips), clips.shape[2], 5):
             raise ValueError(
                 f"boxes of shape {np.shape(boxes)}, need [{len(clips)}, {clips.shape[2]}, 5]"
             )
         pooled, feats = [], []
         for start in range(0, len(clips), STACK_CLIPS):
             part = slice(start, start + STACK_CLIPS)
-            cropped = self.crop_clip(clips[part], None if boxes is None else boxes[part])
-            stack_feats = self.stage_features(cropped, dropout_p=dropout_p, seeds=seeds[part])
+            cropped = self.crop_clip(clips[part], boxes[part])
+            stack_feats = self.stage_features(cropped, None if seeds is None else seeds[part])
             pooled.append(self.encode(self.tokens(cropped, stack_feats)).tokens.mean(axis=1))
             feats.append(stack_feats)
         ns = self.norm_stats
@@ -335,11 +333,9 @@ class PipelineModel:
             raise ValueError("extracted features are not finite")
         return cls_feat, pose_feat
 
-    def extract(
-        self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def extract(self, clip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One [C,T,H,W] clip's ``extract_batch``: (classifier feature, pose feature)."""
-        cls_feat, pose_feat = self.extract_batch(np.asarray(clip)[None], dropout_p, [seed])
+        cls_feat, pose_feat = self.extract_batch(np.asarray(clip)[None])
         return cls_feat[0], pose_feat[0]
 
     def fit_feature_norm(self, samples) -> None:
@@ -378,8 +374,8 @@ class PipelineModel:
         mm = 1000.0 * meters.reshape(-1, c.frames, c.joints, 3)
         return [SkeletonPose.from_stack(clip) for clip in mm]
 
-    def forward(self, clip: np.ndarray, dropout_p: float = 0.0, seed: int = 0) -> PipelineOutput:
-        cls_feat, pose_feat = self.extract(clip, dropout_p=dropout_p, seed=seed)
+    def forward(self, clip: np.ndarray) -> PipelineOutput:
+        cls_feat, pose_feat = self.extract(clip)
         return PipelineOutput(
             probs=self.head_probs(cls_feat[None])[0],
             pose=self.head_pose(pose_feat[None])[0],
@@ -405,18 +401,13 @@ class PipelineModel:
         return arrays + list(self.head_parameters().values())
 
     def head_parameters(self) -> dict[str, np.ndarray]:
+        """The heads' own arrays, by name: training updates them in place."""
         return {
             "cls_weight": self.cls_weight,
             "cls_bias": self.cls_bias,
             "pose_weight": self.pose_weight,
             "pose_bias": self.pose_bias,
         }
-
-    def set_head_parameters(self, params: dict[str, np.ndarray]) -> None:
-        self.cls_weight = np.array(params["cls_weight"], dtype=np.float64)
-        self.cls_bias = np.array(params["cls_bias"], dtype=np.float64)
-        self.pose_weight = np.array(params["pose_weight"], dtype=np.float64)
-        self.pose_bias = np.array(params["pose_bias"], dtype=np.float64)
 
 
 def evaluate_pipeline(model: PipelineModel, samples) -> dict[str, float]:

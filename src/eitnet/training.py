@@ -6,7 +6,8 @@ epochs; training stops early once the validation loss has failed to improve
 on its best value for 5 consecutive epochs.  Every clip is re-augmented each
 epoch before the frozen stages run: a batch's clips are all augmented first,
 then run through the frozen stages in stacks (``PipelineModel.extract_batch``),
-each clip with its own dropout seed.  Only the classification and pose heads
+each clip with its own dropout seed, which switches I3D's dropout
+(``i3d.DROPOUT``) on.  Only the classification and pose heads
 receive gradients, which are analytic for the linear+softmax and
 linear+squared-error forms; everything upstream stays frozen.
 """
@@ -34,7 +35,6 @@ LR_DECAY = 0.1
 DECAY_EVERY = 10
 BATCH_SIZE = 8
 PATIENCE = 5
-DROPOUT = 0.05
 VAL_FRACTION = 0.2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -195,7 +195,8 @@ def _extract_batch(model: PipelineModel, samples, indices, epoch, hp, train_mode
     """Features of the indexed samples, extracted as one ``extract_batch`` call.
 
     In train mode every clip is augmented first, each with its own seed, and
-    then the stack runs with dropout, each clip masked from its own seed.
+    then the stack runs with dropout, each clip masked from its own seed;
+    otherwise no seeds are passed and dropout stays off.
     """
     chosen = [samples[idx] for idx in indices]
     if train_mode:
@@ -204,7 +205,7 @@ def _extract_batch(model: PipelineModel, samples, indices, epoch, hp, train_mode
             for idx, s in zip(indices, chosen)
         ]
         seeds = [derive_seed(hp.seed, "drop", epoch, idx) for idx in indices]
-        cls_feats, pose_feats = model.extract_batch(clips, DROPOUT, seeds)
+        cls_feats, pose_feats = model.extract_batch(clips, seeds)
     else:
         cls_feats, pose_feats = model.extract_batch([s.clip for s in chosen])
     return FeatureBatch(
@@ -219,7 +220,8 @@ def train_toy(model: PipelineModel, samples, hp: Hyperparams) -> TrainResult:
     """Train the heads on the given samples under the fixed regimen.
 
     A seeded fraction of the samples is held out for validation (never
-    augmented, dropout off, features cached).  Mutates the model's heads.
+    augmented, dropout off, features cached).  Adam updates the model's
+    head arrays in place.
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples to carve out validation data")
@@ -273,5 +275,4 @@ def train_toy(model: PipelineModel, samples, hp: Hyperparams) -> TrainResult:
         if stopper.update(val_loss):
             stopped = True
             break
-    model.set_head_parameters(params)
     return TrainResult(history=history, stopped_early=stopped)

@@ -246,6 +246,15 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_camera_config_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["simulate", "--seed", "1", "--camera-config", str(tmp_path), "--out", str(out)]
+        assert dispatch(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot read camera config {tmp_path}: Is a directory\n"
+        )
+        assert not out.exists()
+
 
 INVALID_CONFIG_ARGV = [
     ["simulate", "--duration", "abc"],

@@ -443,7 +443,7 @@ class TestCropRegion:
         for sample in samples:
             boxes = model.frame_boxes(sample.clip[None])[0]
             ref = np.stack(frame_by_frame_crops(sample.clip, boxes, (12, 12)), axis=1)
-            got = model.crop_clip(sample.clip[None])[0]
+            got = model.crop_clip(sample.clip[None], boxes[None])[0]
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
             assert got.flags.c_contiguous
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eitnet.i3d import I3DBlockParams, I3DStack, i3d_block, i3d_forward
+from eitnet.i3d import DROPOUT, I3DBlockParams, I3DStack, i3d_block, i3d_forward
 from eitnet.rng import Rng, derive_seed
 from eitnet.tensorops import (
     ConvSpec,
@@ -64,15 +64,9 @@ class TestBlock:
         ref = batch_norm(
             ref, params.bn_mean, params.bn_var, params.bn_gamma, params.bn_beta, params.bn_eps
         )
-        ref = dropout(ref, 0.0, 9)
-        np.testing.assert_array_equal(out, ref)
-
-    def test_dropout_one_zeroes_everything(self):
-        rng = Rng(42)
-        params = random_block(rng, 1, 2)
-        x = rng.normals(1 * 4 * 4 * 4).reshape(1, 4, 4, 4)
-        out = i3d_block(x[None], params, 1.0, seeds=[3])
-        np.testing.assert_array_equal(out, np.zeros_like(out))
+        assert not np.array_equal(out, ref)  # the seed switched dropout on
+        np.testing.assert_array_equal(out, dropout(ref, DROPOUT, 9))
+        np.testing.assert_array_equal(i3d_block(x[None], params)[0], ref)
 
 
 class TestForward:
@@ -101,13 +95,21 @@ class TestForward:
         with pytest.raises(ValueError, match="block 1"):
             i3d_forward(np.ones((1, 1, 2, 3, 3)), blocks)
 
-    def test_seed_independent_without_dropout(self):
+    def test_dropout_runs_exactly_when_seeds_are_given(self):
         rng = Rng(45)
         blocks = [random_block(rng, 1, 2)]
         clip = rng.normals(1 * 4 * 4 * 4).reshape(1, 4, 4, 4)
-        np.testing.assert_array_equal(
-            i3d_forward(clip[None], blocks, seeds=[1]), i3d_forward(clip[None], blocks, seeds=[2])
-        )
+        plain = i3d_forward(clip[None], blocks)
+        assert plain.tobytes() == i3d_forward(clip[None], blocks).tobytes()
+        b = blocks[0]
+        out = relu(conv3d(clip, b.conv_weight, b.conv_spec, bias=b.conv_bias))
+        out = pool3d_max(out, b.pool_spec)
+        out = batch_norm(out, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta, b.bn_eps)
+        assert plain[0].tobytes() == global_avg_pool(out).tobytes()
+        out = dropout(out, DROPOUT, derive_seed(1, "i3d-block", 0))
+        got = i3d_forward(clip[None], blocks, seeds=[1])
+        assert got[0].tobytes() == global_avg_pool(out).tobytes()
+        assert not np.array_equal(got, plain)
 
     def test_positive_homogeneity(self):
         rng = Rng(46)
@@ -136,13 +138,13 @@ class TestStack:
     def test_dropout_seed_changes_features(self):
         stack = I3DStack(seed=3)
         clip = Rng(49).normals(1 * 8 * 12 * 12).reshape(1, 8, 12, 12)
-        a = stack.forward(clip[None], dropout_p=0.3, seeds=[1])
-        b = stack.forward(clip[None], dropout_p=0.3, seeds=[2])
+        a = stack.forward(clip[None], seeds=[1])
+        b = stack.forward(clip[None], seeds=[2])
         assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(a, stack.forward(clip[None], dropout_p=0.3, seeds=[1]))
+        np.testing.assert_array_equal(a, stack.forward(clip[None], seeds=[1]))
 
-    @pytest.mark.parametrize("p", [0.0, 0.3])
-    def test_forward_matches_hand_composition_bitwise(self, p):
+    @pytest.mark.parametrize("seeds", [None, [4]], ids=["no-dropout", "dropout"])
+    def test_forward_matches_hand_composition_bitwise(self, seeds):
         stack = I3DStack(seed=3)
         clip = Rng(50).normals(1 * 8 * 12 * 12).reshape(1, 8, 12, 12)
         out = clip
@@ -150,15 +152,16 @@ class TestStack:
             out = relu(conv3d(out, b.conv_weight, b.conv_spec, bias=b.conv_bias))
             out = pool3d_max(out, b.pool_spec)
             out = batch_norm(out, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta, b.bn_eps)
-            out = dropout(out, p, derive_seed(4, "i3d-block", i))
+            if seeds:
+                out = dropout(out, DROPOUT, derive_seed(4, "i3d-block", i))
         ref = global_avg_pool(out)
-        assert stack.forward(clip[None], dropout_p=p, seeds=[4])[0].tobytes() == ref.tobytes()
+        assert stack.forward(clip[None], seeds)[0].tobytes() == ref.tobytes()
 
     def test_stack_equals_one_clip_calls_bitwise(self):
         stack = I3DStack(seed=3)
         clips = Rng(51).normals(5 * 8 * 12 * 12).reshape(5, 1, 8, 12, 12)
         seeds = [11, 12, 13, 14, 15]
-        got = stack.forward(clips, dropout_p=0.3, seeds=seeds)
+        got = stack.forward(clips, seeds)
         for clip, seed, row in zip(clips, seeds, got):
-            one = stack.forward(clip[None], dropout_p=0.3, seeds=[seed])[0]
+            one = stack.forward(clip[None], [seed])[0]
             assert row.tobytes() == one.tobytes()

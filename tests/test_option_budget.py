@@ -16,11 +16,19 @@ BUDGET = {
     training.Hyperparams: {"lr", "epochs", "seed"},
     training.Adam: {"params"},
     pipeline.PipelineModel.fit_feature_norm: {"self", "samples"},
+    pipeline.PipelineModel.extract_batch: {"self", "clips", "seeds", "boxes"},
+    pipeline.PipelineModel.extract: {"self", "clip"},
+    pipeline.PipelineModel.forward: {"self", "clip"},
+    pipeline.PipelineModel.stage_features: {"self", "cropped", "seeds"},
+    pipeline.PipelineModel.crop_clip: {"self", "clips", "boxes"},
     synthetic.augment: {"clip", "seed"},
     synthetic.DatasetConfig: {"repetitions"},
     pipeline.PipelineConfig: {"toggles"},
     detection.Detector: {"seed"},
     i3d.I3DStack: {"seed"},
+    i3d.I3DStack.forward: {"self", "clips", "seeds"},
+    i3d.i3d_forward: {"clips", "blocks", "seeds"},
+    i3d.i3d_block: {"x", "params", "seeds"},
     tensorops.ConvSpec: {"kernel", "stride", "padding"},
     stream.calibrate_clocks: {"samples"},
     stream.emit_feedback: {"window", "probs", "threshold"},

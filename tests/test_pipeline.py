@@ -80,7 +80,8 @@ class TestForward:
             PipelineConfig(toggles=StageToggles(detection=False)), seed=3
         )
         stack = clip[None]
-        assert on.crop_clip(stack).shape == off.crop_clip(stack).shape == (1, 1, 8, 12, 12)
+        crops = [m.crop_clip(stack, m.frame_boxes(stack)) for m in (on, off)]
+        assert crops[0].shape == crops[1].shape == (1, 1, 8, 12, 12)
 
     def test_i3d_off_uses_mean_frame_features(self, samples):
         config = PipelineConfig(toggles=StageToggles(spatiotemporal=False))
@@ -93,7 +94,7 @@ class TestForward:
         config = PipelineConfig(toggles=StageToggles(temporal=False))
         model = PipelineModel(config, seed=3)
         clip = samples[0].clip
-        cropped = model.crop_clip(clip[None])
+        cropped = model.crop_clip(clip[None], model.frame_boxes(clip[None]))
         feats = model.stage_features(cropped)
         seq = model.tokens(cropped, feats)
         z, _ = model.extract(clip)
@@ -150,8 +151,8 @@ class TestForward:
             for i, clip in enumerate(clips[:50]):
                 out = model.forward(clip)
                 rows.append((out.probs, out.cls_feat, out.pose_feat))
-                rows.append(model.extract(clip, dropout_p=0.05, seed=i))
-            rows.extend(zip(*model.extract_batch(clips[:50], dropout_p=0.05, seeds=range(50))))
+                rows.append(model.extract_batch([clip], seeds=[i]))
+            rows.extend(zip(*model.extract_batch(clips[:50], seeds=range(50))))
             return [b"".join(a.tobytes() for a in row) for row in rows]
 
         got = run()
@@ -186,16 +187,21 @@ class TestForward:
 class TestStacking:
     """Stacks of clips: each clip gets the bytes of a one-clip call, one crop per stack."""
 
-    @pytest.mark.parametrize("dropout_p", [0.0, 0.05])
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
     @pytest.mark.parametrize("toggles", TABLE_ROWS, ids=StageToggles.tag)
-    def test_stacked_rows_equal_one_clip_extract_bitwise(self, samples, toggles, dropout_p):
+    def test_stacked_rows_equal_one_clip_extract_bitwise(self, samples, toggles, dropout):
         model = PipelineModel(PipelineConfig(toggles=toggles), seed=7)
         model.fit_feature_norm(samples[:6])
         clips = [s.clip for s in samples[:9]]
-        seeds = [derive_seed(3, "drop", i) for i in range(9)]
-        ones = [model.extract(c, dropout_p=dropout_p, seed=s) for c, s in zip(clips, seeds)]
+        if dropout:
+            seeds = [derive_seed(3, "drop", i) for i in range(9)]
+            ones = [[f[0] for f in model.extract_batch([c], [s])] for c, s in zip(clips, seeds)]
+        else:
+            seeds = None
+            ones = [model.extract(c) for c in clips]
         for b in (1, 2, 3, 4, 5, 9):  # 5 and 9 cross the stack cap
-            cls_feats, pose_feats = model.extract_batch(clips[:b], dropout_p, seeds[:b])
+            part = None if seeds is None else seeds[:b]
+            cls_feats, pose_feats = model.extract_batch(clips[:b], part)
             assert cls_feats.shape[0] == pose_feats.shape[0] == b
             for (z, f), cls_feat, pose_feat in zip(ones, cls_feats, pose_feats):
                 assert cls_feat.tobytes() == z.tobytes()
@@ -240,7 +246,7 @@ class TestStacking:
         model = PipelineModel(PipelineConfig(), seed=7)
         clips = [s.clip for s in samples[:3]]
         with pytest.raises(ValueError, match="2 dropout seeds for 3 clips"):
-            model.extract_batch(clips, 0.05, [1, 2])
+            model.extract_batch(clips, [1, 2])
         with pytest.raises(ValueError, match="must be \\[N,C,T,H,W\\], got rank 4"):
             model.extract_batch(clips[0])
         wide = Rng(5).uniforms(2 * 8 * 32 * 32).reshape(2, 1, 8, 32, 32)  # 32x32 frames
@@ -300,7 +306,7 @@ class TestSharedFrozenStages:
         clips = [s.clip for s in samples[:5]]
         for toggles in TABLE_ROWS:
             model = PipelineModel(PipelineConfig(toggles=toggles), seed=7)
-            model.extract_batch(clips, 0.05, range(5))
+            model.extract_batch(clips, seeds=range(5))
             model.frame_boxes(np.stack(clips))
         assert pipeline._SHARED.get() is None
 
@@ -311,13 +317,12 @@ class TestSharedFrozenStages:
             PipelineModel(PipelineConfig(), seed=7),
             PipelineModel(PipelineConfig(), seed=8),
         ]
-        dropouts = ((0.0, None), (0.05, seeds), (0.05, [1] * 5))
-        calls = [(m, p, s) for m in models for p, s in dropouts]
-        want = [m.extract_batch(clips, p, s) for m, p, s in calls]
+        calls = [(m, s) for m in models for s in (None, seeds, [1] * 5)]
+        want = [m.extract_batch(clips, s) for m, s in calls]
         with pipeline.shared_frozen_stages():
             for _ in range(2):  # the second pass reads every result from the memo
-                for (m, p, s), (cls_feat, pose_feat) in zip(calls, want):
-                    got_cls, got_pose = m.extract_batch(clips, p, s)
+                for (m, s), (cls_feat, pose_feat) in zip(calls, want):
+                    got_cls, got_pose = m.extract_batch(clips, s)
                     assert got_cls.tobytes() == cls_feat.tobytes()
                     assert got_pose.tobytes() == pose_feat.tobytes()
             # two stacks each: boxes per model, I3D features per call

@@ -20,6 +20,7 @@ from .synthetic import SyntheticAction
 from .tensorops import load_tensor, save_tensor
 
 MANIFEST_HEADER = "sample_id,subject_id,view_id,label,clip_path,pose_path"
+_CAMERA_KEYS = ("id", "period_us", "offset_us", "jitter_us", "drop_prob")
 
 
 def csv_text(header: str, rows, seed: int | None = None, comments: tuple[str, ...] = ()) -> str:
@@ -48,6 +49,12 @@ def parse_camera_config(text: str) -> list[CameraSpec]:
             if "=" not in token:
                 raise ValueError(f"line {lineno}: expected key=value, got {token!r}")
             key, value = token.split("=", 1)
+            if key not in _CAMERA_KEYS:
+                raise ValueError(
+                    f"line {lineno}: unknown key {key!r}; valid keys: {', '.join(_CAMERA_KEYS)}"
+                )
+            if key in fields:
+                raise ValueError(f"line {lineno}: key {key!r} repeats")
             fields[key] = value
         try:
             spec = CameraSpec(

@@ -10,9 +10,11 @@ The generator is SplitMix64.  State advances by the golden-ratio increment
 
 with all arithmetic modulo 2**64.  The k-th output after seeding with ``s``
 is ``mix(s + (k+1)*INCREMENT)``, so bulk draws can be vectorised without
-changing the stream.  Derived conventions, fixed so that any implementation
-of this generator reproduces identical dropout masks, weight tables,
-datasets, splits and simulations from the same root seed:
+changing the stream: ``_raw_rows`` builds one counter array for every stream
+it draws from and runs the finalizer over it in place.  Derived conventions,
+fixed so that any implementation of this generator reproduces identical
+dropout masks, weight tables, datasets, splits and simulations from the
+same root seed:
 
 * ``uniform``: top 53 bits of one output, divided by 2**53 (range [0, 1)).
 * ``normal``: Box-Muller on pairs of outputs; the first uniform is mapped
@@ -43,9 +45,13 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The finalizer run in place on ``z``, an array the caller owns; returns ``z``."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def unit_floats(bits: np.ndarray) -> np.ndarray:
@@ -54,11 +60,19 @@ def unit_floats(bits: np.ndarray) -> np.ndarray:
 
 
 def box_muller(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``normal`` convention applied to raw output pairs: (r cos, r sin)."""
-    u1 = ((first >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * unit_floats(second)
-    return r * np.cos(theta), r * np.sin(theta)
+    """The ``normal`` convention on raw output pairs: (r cos, r sin); inputs left unchanged."""
+    r = (first >> np.uint64(11)).astype(np.float64)
+    r += 1.0
+    r /= float(1 << 53)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = unit_floats(second)
+    theta *= 2.0 * np.pi
+    cos, sin = np.cos(theta), np.sin(theta, out=theta)
+    cos *= r
+    sin *= r
+    return cos, sin
 
 
 def _fnv1a(seed: int, parts: tuple) -> int:
@@ -113,7 +127,7 @@ def _raw_rows(rngs: list[Rng], n: int) -> np.ndarray:
     states = np.array([rng._state for rng in rngs], dtype=np.uint64)
     with np.errstate(over="ignore"):
         counters = states[:, None] + np.uint64(_INCREMENT) * np.arange(1, n + 1, dtype=np.uint64)
-        out = _mix_array(counters)
+        out = _mix_array(counters)  # in place: the counters are this call's own
     for rng in rngs:
         rng._state = (rng._state + n * _INCREMENT) & _MASK64
     return out

@@ -11,28 +11,25 @@ are the camera-frame joint coordinates in millimeters.
 
 The samples of one (subject, view, class) form a group: they share the
 build, the view rotation and the point count (a ball or none), and they are
-consecutive in the output.  Each keeps its own seeded stream for its
-amplitude and phase, its scalar motion templates and its own camera
-product, so its poses are bitwise those of a sample built alone.  The group
-is rendered in one pass: its camera-frame points are one ``[G, T, P, 3]``
-stack, every point's Gaussian over ``[P, G, T, H, W]`` is one ``exp``, and
-the points are added into the frames one at a time in joint order, ball
-last, before the clips are clipped to [0, 1].  The pixel noise is one
-``[G, T*H*W]`` draw.  SplitMix64 is counter-based (output k of a stream is
-``mix(state + (k+1)*INCREMENT)``), so one counter array gives every stream's
-next T*H*W outputs, and Box-Muller is elementwise on their pairs: row g
-equals stream g's own ``normals(T*H*W)``.  That draw equals T per-frame
-``normals(H*W)`` draws because Box-Muller takes the raw outputs in pairs and
-H*W is even.  Every step is elementwise or keeps the per-frame renderer's
-order of summation, so clips and poses are byte-identical to rendering each
-sample frame by frame.  The pose checks run once per sample on its
-``[T, 5, 3]`` stack (``SkeletonPose.from_stack``).
+consecutive in the output.  Each draws its amplitude, then its phase, from
+its own seeded stream.  The group's poses are one ``[G, T, 5, 3]`` array and
+its ball rows one ``[G, T, 1, 3]`` array; only the motion scalars that need
+``math.sin`` or ``**`` are Python floats, every other step is elementwise in
+the per-frame template's order, and one ``@`` each runs the per-pose and
+per-row camera products.  Every point's Gaussian over ``[P, G, T, H, W]`` is
+one ``exp``, added into the frames in joint order, ball last, then clipped.
+The pixel noise is one ``[G, T*H*W]`` draw: SplitMix64 is counter-based, so
+row g is stream g's own ``normals(T*H*W)``, which equals T ``normals(H*W)``
+draws because Box-Muller takes outputs in pairs and H*W is even.  So clips
+and poses are byte-identical to building and rendering each sample frame by
+frame.  Each sample's ``[T, 5, 3]`` poses are checked once (``from_stack``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +47,28 @@ _BASE_JOINTS_MM = np.array(
         [150.0, 0.0, 0.0],  # right foot
     ]
 )
+
+# Per class: the motion scalar of (tau, phase) each frame, and the joint
+# coordinates it drives, {(joint, axis): mm at unit amplitude}.
+_MOTIONS = {
+    "dribble": (lambda tau, phase: abs(math.sin(2.0 * math.pi * (2.0 * tau + phase))),
+                {(1, 1): -380.0, (2, 1): -380.0}),  # both hands pump downward
+    "shoot": (lambda tau, phase: max(tau + phase, 0.0) ** 1.5,  # hands rise and meet overhead
+              {(1, 1): 540.0, (2, 1): 540.0, (1, 0): 150.0, (2, 0): -150.0, (0, 1): 60.0}),
+    "pass": (lambda tau, phase: math.sin(math.pi * (tau + phase)),  # hands spread and return
+             {(1, 0): -440.0, (2, 0): 440.0, (1, 1): 80.0, (2, 1): 80.0}),
+    "jump": (lambda tau, phase: math.sin(math.pi * (tau + phase)),  # the body rises and lands
+             {(joint, 1): 430.0 for joint in range(5)}),
+}
+# Per class: the ball's scalar of tau, its world position at rest, and the axes
+# it moves, [(axis, mm, whether that scales with amplitude)].  A jump has no ball.
+_BALL_MOTIONS = {
+    "dribble": (lambda tau: abs(math.sin(2.0 * math.pi * 2.0 * tau)), (0.0, 400.0, 80.0),
+                [(1, -360.0, True)]),
+    "shoot": (lambda tau: tau**1.5, (0.0, 560.0, 60.0), [(1, 840.0, True)]),
+    "pass": (lambda tau: math.sin(math.pi * tau), (0.0, 520.0, 60.0),
+             [(1, 90.0, False), (2, 500.0, True)]),
+}
 
 _VIEW_ANGLES_DEG = {1: -40.0, 2: -20.0, 3: 0.0, 4: 20.0, 5: 40.0}
 
@@ -73,6 +92,10 @@ class DatasetConfig:
     repetitions: int = 2
 
     def __post_init__(self):
+        try:
+            self.repetitions = operator.index(self.repetitions)
+        except TypeError:
+            raise ValueError(f"repetitions must be an integer, got {self.repetitions!r}") from None
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
@@ -104,52 +127,10 @@ class SyntheticAction:
         return ACTION_LABELS.index(self.label)
 
 
-def _motion_template(label: str, tau: float, amp: float, phase: float) -> np.ndarray:
-    """Joint offsets (mm) at normalized time tau in [0, 1]."""
-    offsets = np.zeros((5, 3))
-    if label == "dribble":
-        bounce = abs(math.sin(2.0 * math.pi * (2.0 * tau + phase)))
-        offsets[1, 1] = -380.0 * amp * bounce  # both hands pump downward
-        offsets[2, 1] = -380.0 * amp * bounce
-    elif label == "shoot":
-        rise = (max(tau + phase, 0.0)) ** 1.5
-        offsets[1, 1] = 540.0 * amp * rise
-        offsets[2, 1] = 540.0 * amp * rise
-        offsets[1, 0] = 150.0 * amp * rise  # hands come together overhead
-        offsets[2, 0] = -150.0 * amp * rise
-        offsets[0, 1] = 60.0 * amp * rise
-    elif label == "pass":
-        spread = math.sin(math.pi * (tau + phase))
-        offsets[1, 0] = -440.0 * amp * spread  # hands spread apart and return
-        offsets[2, 0] = 440.0 * amp * spread
-        offsets[1, 1] = 80.0 * amp * spread
-        offsets[2, 1] = 80.0 * amp * spread
-    elif label == "jump":
-        lift = math.sin(math.pi * (tau + phase))
-        offsets[:, 1] += 430.0 * amp * lift  # whole body rises and lands
-    else:
-        raise ValueError(f"unknown label {label!r}")
-    return offsets
-
-
 def _view_rotation(view_id: int) -> np.ndarray:
     theta = math.radians(_VIEW_ANGLES_DEG[view_id])
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _ball_position(label: str, tau: float, amp: float) -> np.ndarray | None:
-    """World-space ball center per class; a jump carries no ball."""
-    if label == "dribble":
-        bounce = abs(math.sin(2.0 * math.pi * 2.0 * tau))
-        return np.array([0.0, 400.0 - 360.0 * amp * bounce, 80.0])
-    if label == "shoot":
-        rise = tau**1.5
-        return np.array([0.0, 560.0 + 840.0 * amp * rise, 60.0])
-    if label == "pass":
-        spread = math.sin(math.pi * tau)
-        return np.array([0.0, 520.0 + 90.0 * spread, 60.0 + 500.0 * amp * spread])
-    return None
 
 
 def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np.ndarray:
@@ -157,7 +138,7 @@ def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np
     mm_per_px = 1600.0 / min(height, width)
     gain = np.array([g for g, _ in blobs])[:, None, None, None, None]
     spread = np.array([2.0 * sigma**2 for _, sigma in blobs])[:, None, None, None, None]
-    x, y = np.moveaxis(points[..., :2], (3, 2), (0, 1))  # [P, G, T] each
+    x, y = points[..., :2].transpose(3, 2, 0, 1)  # [P, G, T] each
     px = ((width - 1) / 2.0 + x / mm_per_px)[..., None, None]  # [P, G, T, 1, 1]
     py = ((height - 1) * 0.92 - y / mm_per_px)[..., None, None]
     # The frames outlive the call as the group's clips.  Allocating them before
@@ -168,8 +149,7 @@ def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np
     cols = np.arange(width)[None, :]
     # gain * exp(-d2 / spread), each step in place
     gaussians = (rows - py) ** 2 + (cols - px) ** 2
-    np.negative(gaussians, out=gaussians)
-    np.divide(gaussians, spread, out=gaussians)
+    np.divide(gaussians, -spread, out=gaussians)  # bitwise -(d2 / spread)
     np.exp(gaussians, out=gaussians)
     np.multiply(gain, gaussians, out=gaussians)
     for gaussian in gaussians:  # one point at a time, in joint order, ball last
@@ -180,34 +160,33 @@ def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np
 def _make_group(
     subject_id: int, view_id: int, label: str, rngs: list[Rng]
 ) -> list[SyntheticAction]:
-    """One sample per stream of one (subject, view, class), rendered and noised in one pass."""
+    """One sample per stream of one (subject, view, class), built, rendered and noised at once."""
     build = 0.85 + 0.03 * (subject_id - 1)
     rot_t = _view_rotation(view_id).T
     taus = [t / (FRAMES - 1) for t in range(FRAMES)]
-    cameras, points = [], []
-    for rng in rngs:
-        amp = 1.0 + 0.12 * (rng.uniform() - 0.5)
-        phase = 0.08 * (rng.uniform() - 0.5)
-        offsets = np.stack([_motion_template(label, tau, amp, phase) for tau in taus])
-        camera = build * (_BASE_JOINTS_MM + offsets) @ rot_t  # [T, 5, 3]
-        cameras.append(camera)
-        balls = [_ball_position(label, tau, amp) for tau in taus]
-        if balls[0] is not None:  # [T, 1, 3] rows keep one vector-matrix product per frame
-            camera = np.concatenate([camera, build * np.stack(balls)[:, None] @ rot_t], axis=1)
-        points.append(camera)
-    points = np.stack(points)  # [G, T, P, 3]
+    draws = [(1.0 + 0.12 * (rng.uniform() - 0.5), 0.08 * (rng.uniform() - 0.5)) for rng in rngs]
+    amp = np.array([a for a, _ in draws])[:, None]  # [G, 1]
+    scalar, moves = _MOTIONS[label]
+    motion = np.array([[scalar(tau, phase) for tau in taus] for _, phase in draws])  # [G, T]
+    world = np.full((len(rngs), FRAMES, *_BASE_JOINTS_MM.shape), _BASE_JOINTS_MM)
+    for (joint, axis), mm in moves.items():  # rest + offset, the per-frame template's sum
+        world[:, :, joint, axis] += (mm * amp) * motion
+    cameras = build * world @ rot_t  # [G, T, 5, 3]: one product per [5, 3] pose
+    points = cameras
+    if label in _BALL_MOTIONS:
+        scalar, rest, moves = _BALL_MOTIONS[label]
+        motion = np.array([scalar(tau) for tau in taus])  # [T]
+        balls = np.full((len(rngs), FRAMES, 1, 3), rest)  # [G, T, 1, 3]: one product per row
+        for axis, mm, scaled in moves:
+            balls[:, :, 0, axis] += (mm * amp if scaled else mm) * motion
+        points = np.concatenate([cameras, build * balls @ rot_t], axis=2)
     blobs = [_JOINT_BLOB] * len(JOINT_NAMES) + [_BALL_BLOB] * (points.shape[2] - len(JOINT_NAMES))
     frames = _render_clip(points, blobs, *FRAME_HW)
-    frames += NOISE * normals_rows(rngs, frames[0].size).reshape(frames.shape)
+    noise = normals_rows(rngs, frames[0].size)
+    frames += np.multiply(noise, NOISE, out=noise).reshape(frames.shape)
     clips = np.clip(frames, 0.0, 1.0, out=frames)
     return [
-        SyntheticAction(
-            clip=clip,
-            poses=SkeletonPose.from_stack(camera),
-            subject_id=subject_id,
-            view_id=view_id,
-            label=label,
-        )
+        SyntheticAction(clip, SkeletonPose.from_stack(camera), subject_id, view_id, label)
         for clip, camera in zip(clips, cameras)
     ]
 

@@ -255,6 +255,18 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    def test_camera_config_key_typo_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "cameras.txt"
+        config.write_text("id=1 period_us=33333 jiter_us=20000\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--seed", "1", "--camera-config", str(config), "--out", str(out)]
+        assert dispatch(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: line 1: unknown key 'jiter_us'; "
+            "valid keys: id, period_us, offset_us, jitter_us, drop_prob\n"
+        )
+        assert not out.exists()
+
 
 INVALID_CONFIG_ARGV = [
     ["simulate", "--duration", "abc"],

@@ -1006,8 +1006,14 @@ class TestCameraConfig:
             ("id=70000 period_us=1000", "camera_id must fit u16"),
             ("id=1 period_us=1000 jitter_us=nan", "jitter must be nonnegative and finite"),
             ("id=1 period_us=1000 drop_prob=1.5", r"drop_probability must be in \[0, 1\)"),
+            ("id=1 period_us=33333 jiter_us=20000",
+             "unknown key 'jiter_us'; valid keys: id, period_us, offset_us, jitter_us, drop_prob$"),
+            ("id=1 period_us=33333 drop=0.5", "unknown key 'drop'"),
+            ("id=2 period_us=33333 period_us=5", "key 'period_us' repeats$"),
+            ("id=2 id=2 period_us=33333", "key 'id' repeats$"),
         ],
-        ids=["non-integer-id", "zero-period", "id-over-u16", "nan-jitter", "drop-over-one"],
+        ids=["non-integer-id", "zero-period", "id-over-u16", "nan-jitter", "drop-over-one",
+             "misspelt-key", "unknown-key", "repeated-period", "repeated-id"],
     )
     def test_bad_value_names_its_line(self, line, message):
         with pytest.raises(ValueError, match=f"^line 3: {message}"):

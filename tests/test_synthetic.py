@@ -14,8 +14,6 @@ from eitnet.synthetic import (
     NOISE,
     DatasetConfig,
     SyntheticAction,
-    _ball_position,
-    _motion_template,
     _view_rotation,
     augment,
     generate_synthetic_dataset,
@@ -66,8 +64,51 @@ def per_frame_render_pose(pose, height, width, ball_mm=None):
     return np.clip(frame, 0.0, 1.0)
 
 
+def _motion_template(label, tau, amp, phase):
+    """Joint offsets (mm) at normalized time tau in [0, 1], one frame of one sample."""
+    offsets = np.zeros((5, 3))
+    if label == "dribble":
+        bounce = abs(math.sin(2.0 * math.pi * (2.0 * tau + phase)))
+        offsets[1, 1] = -380.0 * amp * bounce  # both hands pump downward
+        offsets[2, 1] = -380.0 * amp * bounce
+    elif label == "shoot":
+        rise = (max(tau + phase, 0.0)) ** 1.5
+        offsets[1, 1] = 540.0 * amp * rise
+        offsets[2, 1] = 540.0 * amp * rise
+        offsets[1, 0] = 150.0 * amp * rise  # hands come together overhead
+        offsets[2, 0] = -150.0 * amp * rise
+        offsets[0, 1] = 60.0 * amp * rise
+    elif label == "pass":
+        spread = math.sin(math.pi * (tau + phase))
+        offsets[1, 0] = -440.0 * amp * spread  # hands spread apart and return
+        offsets[2, 0] = 440.0 * amp * spread
+        offsets[1, 1] = 80.0 * amp * spread
+        offsets[2, 1] = 80.0 * amp * spread
+    elif label == "jump":
+        lift = math.sin(math.pi * (tau + phase))
+        offsets[:, 1] += 430.0 * amp * lift  # whole body rises and lands
+    else:
+        raise ValueError(f"unknown label {label!r}")
+    return offsets
+
+
+def _ball_position(label, tau, amp):
+    """World-space ball center per class at one frame; a jump carries no ball."""
+    if label == "dribble":
+        bounce = abs(math.sin(2.0 * math.pi * 2.0 * tau))
+        return np.array([0.0, 400.0 - 360.0 * amp * bounce, 80.0])
+    if label == "shoot":
+        rise = tau**1.5
+        return np.array([0.0, 560.0 + 840.0 * amp * rise, 60.0])
+    if label == "pass":
+        spread = math.sin(math.pi * tau)
+        return np.array([0.0, 520.0 + 90.0 * spread, 60.0 + 500.0 * amp * spread])
+    return None
+
+
 def per_frame_sample(subject_id, view_id, label, rng):
-    """The frame-by-frame, sample-by-sample loop the group render replaced, kept as its reference."""
+    """The frame-by-frame, sample-by-sample loop the group build and render replaced, kept as its
+    reference: scalar motion templates, one camera product per frame, one render per frame."""
     build = 0.85 + 0.03 * (subject_id - 1)
     amp = 1.0 + 0.12 * (rng.uniform() - 0.5)
     phase = 0.08 * (rng.uniform() - 0.5)
@@ -262,3 +303,6 @@ class TestAugment:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DatasetConfig(repetitions=0)
+        for repetitions in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="repetitions must be an integer"):
+                DatasetConfig(repetitions=repetitions)

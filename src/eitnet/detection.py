@@ -1,8 +1,11 @@
 """Detection stage: multi-scale feature fusion, box regression, loss, NMS, crops.
 
-A fixed three-level stride-2 convolution stack stands in for the backbone;
-its pyramid levels are fused with normalized nonnegative weights, a small
-fully-connected head regresses per-anchor boxes through a sigmoid gate
+A fixed three-level convolution stack stands in for the backbone.  Its
+pyramid levels, 16, 8 and 4 pixels wide for 16x16 frames, meet at the
+coarsest extent by strided selection (every 4th, 2nd and 1st cell: the
+nearest-neighbour center rule at those integer ratios) and are summed with
+fast normalized fusion weights, raw_i / (sum_j raw_j + eps).  A
+fully-connected head scales the module's four anchors through a sigmoid gate
 (predicted extents can never exceed the anchor, a documented limitation of
 the gating form), and greedy NMS picks the surviving boxes.
 
@@ -10,12 +13,12 @@ Between stages everything is a plain array over the whole clip: pyramid
 levels are [C,T,h,w], anchors [A, 4] and predicted boxes [T, A, 4] rows of
 (cx, cy, w, h) with [T, A] scores, and one NMS call covers every frame.  The
 crop boxes are one [T, 5] array of (cx, cy, w, h, score) rows, and one gather
-crops the whole clip to them.  ``BoundingBox`` checks one box's extents and score.
+crops the whole clip to them; ``crop_region`` checks those boxes, since its
+callers pass them in.  ``BoundingBox`` checks one box's extents and score.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,81 +67,6 @@ def _center_index(n, out: int) -> np.ndarray:
     """Center rule, [..., out]: sample i of n cells reads min(floor((i + 0.5) * n / out), n - 1)."""
     n = np.asarray(n)[..., None]
     return np.minimum(((np.arange(out) + 0.5) * n / out).astype(int), n - 1)
-
-
-@functools.lru_cache(maxsize=256)
-def _nearest_index(in_h: int, in_w: int, out_h: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only [out_h, 1] source rows and [1, out_w] source columns (center rule)."""
-    rows = _center_index(in_h, out_h)[:, None]
-    cols = _center_index(in_w, out_w)[None, :]
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-def resample_nearest(feature: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor resample of [..., H, W] to [..., out_h, out_w] (center rule)."""
-    feature = np.asarray(feature, dtype=np.float64)
-    in_h, in_w = feature.shape[-2:]
-    out_h, out_w = out_hw
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output extents must be positive")
-    rows, cols = _nearest_index(in_h, in_w, out_h, out_w)
-    return np.ascontiguousarray(feature[..., rows, cols])
-
-
-def bifpn_fuse(levels: list[np.ndarray], raw: np.ndarray, eps: float) -> np.ndarray:
-    """Weighted sum of same-extent levels with weights raw_i / (sum_j raw_j + eps)."""
-    if len(levels) < 2:
-        raise ValueError("pyramid needs at least two levels")
-    channels = {lv.shape[0] for lv in levels}
-    if len(channels) != 1:
-        raise ValueError(f"pyramid levels must share a channel count, got {channels}")
-    shapes = {lv.shape for lv in levels}
-    if len(shapes) != 1:
-        raise ValueError(f"levels must be resampled to a common extent, got {shapes}")
-    if len(raw) != len(levels):
-        raise ValueError(f"{len(raw)} weights for {len(levels)} levels")
-    if (raw < 0).any():
-        raise ValueError("fusion weights must be nonnegative")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    alpha = raw / (raw.sum() + eps)
-    out = np.zeros_like(levels[0])
-    for a, level in zip(alpha, levels):
-        out += a * level
-    return out
-
-
-def predict_boxes(
-    fused: np.ndarray,
-    reg_weight: np.ndarray,
-    reg_bias: np.ndarray,
-    anchors: np.ndarray,
-    scores: np.ndarray,
-) -> np.ndarray:
-    """Sigmoid-gated regression rescaling each [A, 4] anchor coordinatewise: [T, A, 4].
-
-    ``fused`` is [T, ...] with one frame per row, ``scores`` the [T, A] box
-    scores.  Each row is its own [1, feat] product, so it rounds exactly as a
-    one-frame call would (a [T, feat] matrix product does not).
-    """
-    fused = np.asarray(fused, dtype=np.float64)
-    logits = linear(fused.reshape(fused.shape[0], 1, -1), reg_weight, reg_bias)[:, 0]
-    if logits.shape[1] != 4 * len(anchors):
-        raise ValueError(
-            f"regression head emits {logits.shape[1]} values, need 4 per anchor "
-            f"for {len(anchors)} anchors"
-        )
-    if np.shape(scores) != (len(logits), len(anchors)):
-        raise ValueError(f"scores must be [{len(logits)}, {len(anchors)}], got {np.shape(scores)}")
-    gates = np.clip(sigmoid(logits.reshape(-1, len(anchors), 4)), 1e-12, 1.0)
-    boxes = gates * anchors
-    bad = (boxes[..., 2] <= 0) | (boxes[..., 3] <= 0) | ~((scores >= 0.0) & (scores <= 1.0))
-    if bad.any():
-        t, a = np.argwhere(bad)[0]
-        BoundingBox(*boxes[t, a], scores[t, a])  # raises with the first bad box's message
-    return boxes
 
 
 def detection_loss(
@@ -225,6 +153,17 @@ CHANNELS = 4  # of every backbone level
 FUSED_HW = (FRAME_HW[0] // 4, FRAME_HW[1] // 4)  # the levels meet at the coarsest extent
 IOU_THRESHOLD = 0.5  # NMS drops a box overlapping a kept one by more than this
 FUSION_EPS = 1e-4  # keeps the fusion weights' normalizing sum positive
+_H, _W = FRAME_HW
+ANCHORS = np.array(  # [A, 4] rows of (cx, cy, w, h), read-only and shared by every Detector
+    [
+        (_W / 2, _H / 2, _W, _H),
+        (_W / 2, _H / 2, 0.75 * _W, 0.75 * _H),
+        (_W / 3, _H / 3, 0.6 * _W, 0.6 * _H),
+        (2 * _W / 3, 2 * _H / 3, 0.6 * _W, 0.6 * _H),
+    ],
+    dtype=np.float64,
+)
+ANCHORS.setflags(write=False)
 
 
 @dataclass
@@ -240,20 +179,11 @@ class Detector:
 
     seed: int = 0
     _weights: dict = field(init=False, repr=False)
+    anchors = ANCHORS  # a class attribute, not a field
 
     def __post_init__(self):
-        h, w = FRAME_HW
-        self.anchors = np.array(  # [A, 4] rows of (cx, cy, w, h)
-            [
-                (w / 2, h / 2, w, h),
-                (w / 2, h / 2, 0.75 * w, 0.75 * h),
-                (w / 3, h / 3, 0.6 * w, 0.6 * h),
-                (2 * w / 3, 2 * h / 3, 0.6 * w, 0.6 * h),
-            ],
-            dtype=np.float64,
-        )
         rng = Rng(self.seed)
-        c, a = CHANNELS, len(self.anchors)
+        c, a = CHANNELS, len(ANCHORS)
         feat_dim = c * FUSED_HW[0] * FUSED_HW[1]
         scale = 1.0 / math.sqrt(9 * max(IN_CHANNELS, c))
         self._weights = {
@@ -278,11 +208,20 @@ class Detector:
         return levels
 
     def fuse(self, levels: list[np.ndarray]) -> np.ndarray:
-        common = [
-            lv if lv.shape[-2:] == FUSED_HW else resample_nearest(lv, FUSED_HW)
-            for lv in levels
-        ]
-        return bifpn_fuse(common, self._weights["fusion"], FUSION_EPS)
+        """Coarse-to-fine [C,T,h,w] levels to their [C,T,*FUSED_HW] weighted sum.
+
+        A level s times finer than ``FUSED_HW`` contributes every s-th cell
+        from s // 2 on, the center rule's pick at an integer ratio.  The sum
+        starts from zeros and adds the levels coarse to fine, so the sign of
+        every zero is that of the level-by-level sum.
+        """
+        raw = self._weights["fusion"]
+        alpha = raw / (raw.sum() + FUSION_EPS)
+        out = np.zeros_like(levels[0])
+        for a, lv in zip(alpha, levels):
+            s = lv.shape[-1] // FUSED_HW[1]
+            out += a * lv[..., s // 2 :: s, s // 2 :: s]
+        return out
 
     def detect(self, clip: np.ndarray) -> list[np.ndarray]:
         """Each frame's NMS survivors of a [C,T,H,W] clip: [K, 5] rows of (cx, cy, w, h, score)."""
@@ -290,7 +229,8 @@ class Detector:
         rows = fused.transpose(1, 0, 2, 3).reshape(fused.shape[1], 1, -1)  # [T, 1, feat]
         w = self._weights
         scores = sigmoid(linear(rows, w["score_w"], w["score_b"])[:, 0])
-        boxes = predict_boxes(rows, w["reg_w"], w["reg_b"], self.anchors, scores)
+        logits = linear(rows, w["reg_w"], w["reg_b"])[:, 0].reshape(-1, len(ANCHORS), 4)
+        boxes = np.clip(sigmoid(logits), 1e-12, 1.0) * ANCHORS  # gates in (0, 1] scale anchors
         found = np.concatenate([boxes, scores[..., None]], axis=-1)  # [T, A, 5]
         return [f[keep] for f, keep in zip(found, nms(boxes, scores, IOU_THRESHOLD))]
 

@@ -390,7 +390,8 @@ def check_simulation(
 
     Beyond unique ids, a positive duration and window period (when given) and
     a feedback threshold in [0, 1], each camera's frames must fit u32
-    sequence numbers and its last jitter-free timestamp u64.
+    sequence numbers and its last jitter-free timestamp u64 (a negative one
+    would clamp every stamp to 0).
     """
     if not specs:
         raise ValueError("need at least one camera")
@@ -408,7 +409,7 @@ def check_simulation(
         if frames > 2**32:
             raise ValueError(f"camera {s.camera_id}: {frames} frames overflow u32 sequence_no")
         last = (frames - 1) * s.frame_period_us + s.clock_offset_us
-        if last >= 2**64:
+        if not 0 <= last < 2**64:
             raise ValueError(f"camera {s.camera_id}: last timestamp {last} does not fit u64")
 
 

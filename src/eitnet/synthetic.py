@@ -133,14 +133,18 @@ def _view_rotation(view_id: int) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
+def _pixels(x, y, height: int, width: int):
+    """Camera-plane millimetres to pixel (column, row): the shorter side spans 1600 mm."""
+    mm_per_px = 1600.0 / min(height, width)
+    return (width - 1) / 2.0 + x / mm_per_px, (height - 1) * 0.92 - y / mm_per_px
+
+
 def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np.ndarray:
     """Orthographic render of [G, T, P, 3] points to [G, 1, T, H, W], a (gain, sigma) blob each."""
-    mm_per_px = 1600.0 / min(height, width)
     gain = np.array([g for g, _ in blobs])[:, None, None, None, None]
     spread = np.array([2.0 * sigma**2 for _, sigma in blobs])[:, None, None, None, None]
     x, y = points[..., :2].transpose(3, 2, 0, 1)  # [P, G, T] each
-    px = ((width - 1) / 2.0 + x / mm_per_px)[..., None, None]  # [P, G, T, 1, 1]
-    py = ((height - 1) * 0.92 - y / mm_per_px)[..., None, None]
+    px, py = (p[..., None, None] for p in _pixels(x, y, height, width))  # [P, G, T, 1, 1]
     # The frames outlive the call as the group's clips.  Allocating them before
     # the [P, G, T, H, W] temporaries, and computing those in place, keeps the
     # heap from fragmenting across datasets (peak RSS of repeated generation).
@@ -207,9 +211,7 @@ def generate_synthetic_dataset(config: DatasetConfig, seed: int) -> list[Synthet
 
 def pose_bounding_box(joints: np.ndarray, height: int, width: int, margin_px=1.5) -> np.ndarray:
     """[..., 4] (cx, cy, w, h) of the tight pixel box around each [J, 3] pose's rendered joints."""
-    mm_per_px = 1600.0 / min(height, width)
-    px = (width - 1) / 2.0 + joints[..., 0] / mm_per_px
-    py = (height - 1) * 0.92 - joints[..., 1] / mm_per_px
+    px, py = _pixels(joints[..., 0], joints[..., 1], height, width)
     lo = np.maximum(np.stack([px.min(-1), py.min(-1)], axis=-1) - margin_px, 0.0)
     hi = np.minimum(np.stack([px.max(-1), py.max(-1)], axis=-1) + margin_px, (width, height))
     return np.concatenate([(lo + hi) / 2.0, np.maximum(hi - lo, 1.0)], axis=-1)

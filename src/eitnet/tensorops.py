@@ -338,7 +338,7 @@ def load_tensor(path) -> np.ndarray:
         raise ValueError(f"unsupported tensor rank {rank}")
     header_len = 5 + 4 * rank
     shape = struct.unpack(f"<{rank}I", blob[5:header_len])
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # unbounded, so a huge header fails the length check below
     expected = header_len + 8 * count
     if len(blob) != expected:
         raise ValueError(f"tensor file length {len(blob)} != expected {expected}")

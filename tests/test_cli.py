@@ -447,6 +447,18 @@ class TestSimulate:
         ) == 0
         assert (out / "report.csv").exists()
 
+    def test_negative_last_timestamp_exits_3(self, tmp_path, capsys):
+        """Offsets of -1e12 and -2e12 us would clamp every stamp to 0 and merge the windows."""
+        out = tmp_path / "out"
+        assert dispatch(
+            ["simulate", "--seed", "1", "--cameras", "2", "--offset-us", "-1000000000000",
+             "--out", str(out)]
+        ) == 3
+        last = 30 * 33333 - 10**12
+        err = capsys.readouterr().err
+        assert err == f"error: camera 1: last timestamp {last} does not fit u64\n"
+        assert not out.exists()
+
     def test_offset_past_2_53_shifts_nothing(self, tmp_path):
         """An offset of 2^60 us is calibrated away exactly: latencies and windows match offset 0."""
         tails = []

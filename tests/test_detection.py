@@ -5,16 +5,16 @@ import pytest
 
 from eitnet import detection
 from eitnet.detection import (
+    ANCHORS,
+    FUSED_HW,
+    FUSION_EPS,
     IOU_THRESHOLD,
     BoundingBox,
     DetectionLossParts,
     Detector,
-    bifpn_fuse,
     crop_region,
     detection_loss,
     nms,
-    predict_boxes,
-    resample_nearest,
 )
 from eitnet.pipeline import PipelineConfig, PipelineModel, StageToggles
 from eitnet.rng import Rng
@@ -24,8 +24,31 @@ from eitnet.tensorops import linear, sigmoid
 import oracles
 
 
-def rand_level(rng, c=2, h=4, w=4):
-    return rng.normals(c * h * w).reshape(c, h, w)
+def rand_levels(rng, c=2, t=3):
+    """Coarse-to-fine [C,T,h,w] levels of the detector's pyramid extents."""
+    return [rng.normals(c * t * n * n).reshape(c, t, n, n) for n in (4, 8, 16)]
+
+
+def oracle_resample(level: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
+    """[..., H, W] to [..., out_h, out_w], one oracle call per plane."""
+    planes = level.reshape(-1, *level.shape[-2:])
+    out = [oracles.nearest_resample_oracle(p, *out_hw) for p in planes]
+    return np.array(out).reshape(*level.shape[:-2], *out_hw)
+
+
+def reference_fuse(det: Detector, levels: list[np.ndarray]) -> np.ndarray:
+    """The general fusion that the detector's strided one replaced.
+
+    Each level is resampled to ``FUSED_HW`` by the center rule, then the
+    levels are summed from zeros, coarse to fine, with weights
+    raw_i / (sum_j raw_j + eps).
+    """
+    raw = det.parameters()["fusion"]
+    alpha = raw / (raw.sum() + FUSION_EPS)
+    out = np.zeros(levels[0].shape)
+    for a, level in zip(alpha, levels):
+        out += a * oracle_resample(level, FUSED_HW)
+    return out
 
 
 def corners(box: BoundingBox) -> tuple[float, float, float, float]:
@@ -60,8 +83,8 @@ def list_nms(boxes: list[BoundingBox], iou_threshold: float) -> list[BoundingBox
 
 
 def reference_detect(det: Detector, clip: np.ndarray) -> list[list[BoundingBox]]:
-    """Per-anchor box objects and per-frame list NMS over the detector's own heads."""
-    fused = det.fuse(det.pyramid(clip))
+    """Per-anchor box objects and per-frame list NMS over the reference fusion and heads."""
+    fused = reference_fuse(det, det.pyramid(clip))
     rows = fused.transpose(1, 0, 2, 3).reshape(fused.shape[1], 1, -1)
     w = det.parameters()
     scores = sigmoid(linear(rows, w["score_w"], w["score_b"])[:, 0])
@@ -97,7 +120,7 @@ def frame_crop_region(frame: np.ndarray, box: BoundingBox, out_hw: tuple[int, in
     r1 = min(int(math.ceil(y1)), h)
     if c1 <= c0 or r1 <= r0:
         raise ValueError(f"box {box} does not intersect a {h}x{w} frame")
-    return resample_nearest(frame[:, r0:r1, c0:c1], out_hw)
+    return oracle_resample(frame[:, r0:r1, c0:c1], out_hw)
 
 
 def frame_by_frame_crops(clip, boxes, out_hw) -> list:
@@ -111,125 +134,89 @@ def frame_by_frame_crops(clip, boxes, out_hw) -> list:
     return crops
 
 
-class TestBifpnFuse:
-    def test_identical_levels_equal_weights(self):
-        rng = Rng(20)
-        lv = rand_level(rng)
-        fused = bifpn_fuse([lv, lv.copy()], np.array([3.0, 3.0]), 1e-12)
-        np.testing.assert_allclose(fused, lv, atol=1e-10)
+class TestFuse:
+    def fuse(self, levels, raw):
+        det = Detector(seed=0)
+        det._weights["fusion"] = np.array(raw)
+        return det.fuse(levels)
 
-    def test_one_hot_weights_select_level(self):
-        rng = Rng(21)
-        a, b = rand_level(rng), rand_level(rng)
-        fused = bifpn_fuse([a, b], np.array([1.0, 0.0]), 1e-12)
-        np.testing.assert_allclose(fused, a, atol=1e-10)
+    def test_identical_levels_equal_weights(self):
+        coarse = rand_levels(Rng(20))[0]
+        levels = [coarse, coarse.repeat(2, -1).repeat(2, -2), coarse.repeat(4, -1).repeat(4, -2)]
+        fused = self.fuse(levels, [3.0, 3.0, 3.0])
+        np.testing.assert_allclose(fused, coarse * 9.0 / (9.0 + FUSION_EPS), rtol=1e-15)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_one_hot_weights_select_level(self, k):
+        levels = rand_levels(Rng(21))
+        fused = self.fuse(levels, np.eye(3)[k])
+        want = oracle_resample(levels[k], FUSED_HW) / (1.0 + FUSION_EPS)
+        np.testing.assert_allclose(fused, want, rtol=1e-15)
 
     def test_three_level_weighted_sum_oracle(self):
-        rng = Rng(22)
-        levels = [rand_level(rng) for _ in range(3)]
+        levels = rand_levels(Rng(22))
         raw = (0.7, 1.3, 0.2)
-        eps = 1e-4
-        fused = bifpn_fuse(levels, np.array(raw), eps)
-        total = sum(raw) + eps
-        ref = sum((w / total) * lv for w, lv in zip(raw, levels))
+        fused = self.fuse(levels, raw)
+        total = sum(raw) + FUSION_EPS
+        ref = sum((w / total) * oracle_resample(lv, FUSED_HW) for w, lv in zip(raw, levels))
         np.testing.assert_allclose(fused, ref, atol=1e-12)
 
     def test_convexity_bound(self):
-        rng = Rng(23)
-        levels = [rand_level(rng) for _ in range(3)]
-        fused = bifpn_fuse(levels, np.array([1.0, 2.0, 3.0]), 1e-15)
-        lo = np.minimum.reduce(levels)
-        hi = np.maximum.reduce(levels)
+        levels = rand_levels(Rng(23))
+        raw = np.array([1.0, 2.0, 3.0])
+        fused = self.fuse(levels, raw) * (raw.sum() + FUSION_EPS) / raw.sum()
+        common = [oracle_resample(lv, FUSED_HW) for lv in levels]
+        lo, hi = np.minimum.reduce(common), np.maximum.reduce(common)
         assert np.all(fused >= lo - 1e-12) and np.all(fused <= hi + 1e-12)
 
-    def test_channel_mismatch_raises(self):
-        with pytest.raises(ValueError, match="channel"):
-            bifpn_fuse([np.ones((2, 4, 4)), np.ones((3, 4, 4))], np.ones(2), 1e-4)
 
-    def test_extent_mismatch_raises(self):
-        with pytest.raises(ValueError, match="common extent"):
-            bifpn_fuse([np.ones((2, 4, 4)), np.ones((2, 2, 2))], np.ones(2), 1e-4)
+class TestBoxGating:
+    """The sigmoid gate of ``Detector.detect`` under chosen head weights."""
 
-    @pytest.mark.parametrize(
-        "levels, raw, eps, message",
-        [
-            (1, [1.0], 1e-4, "pyramid needs at least two levels"),
-            (2, [1.0, 1.0, 1.0], 1e-4, "3 weights for 2 levels"),
-            (2, [1.0, -0.5], 1e-4, "fusion weights must be nonnegative"),
-            (2, [1.0, 1.0], 0.0, "eps must be positive"),
-        ],
-    )
-    def test_checks_keep_their_messages(self, levels, raw, eps, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            bifpn_fuse([np.ones((2, 4, 4))] * levels, np.array(raw), eps)
+    def detect(self, monkeypatch, reg_w, reg_b, seed=5):
+        det = Detector(seed=0)
+        det._weights["reg_w"] = reg_w
+        det._weights["reg_b"] = reg_b
+        det._weights["score_w"] = np.zeros((64, 4))
+        det._weights["score_b"] = np.array([4.0, 3.0, 2.0, 1.0])  # rank the anchors in order
+        monkeypatch.setattr(detection, "IOU_THRESHOLD", 1.0)  # NMS keeps every box
+        clip = np.abs(Rng(seed).normals(3 * 16 * 16)).reshape(1, 3, 16, 16)
+        kept = det.detect(clip)
+        assert all(len(k) == len(ANCHORS) for k in kept)
+        return det, clip, np.stack(kept)[..., :4]  # [T, A, 4] boxes in anchor order
 
+    def test_zero_logits_halve_anchor(self, monkeypatch):
+        _, _, boxes = self.detect(monkeypatch, np.zeros((64, 16)), np.zeros(16))
+        assert boxes.tobytes() == np.broadcast_to(0.5 * ANCHORS, boxes.shape).tobytes()
 
-ONE_FRAME_SCORES = np.ones((1, 2))
+    def test_saturated_logits_recover_anchor(self, monkeypatch):
+        _, _, boxes = self.detect(monkeypatch, np.zeros((64, 16)), np.full(16, 50.0))
+        assert np.abs(boxes - ANCHORS).max() <= 1e-9
 
-
-class TestPredictBoxes:
-    def anchors(self):
-        return np.array([[8.0, 8.0, 16.0, 16.0], [4.0, 12.0, 8.0, 6.0]])
-
-    def test_zero_logits_halve_anchor(self):
-        fused = np.zeros((1, 2, 2))
-        w = np.zeros((4, 8))
-        out = predict_boxes(fused, w, np.zeros(8), self.anchors(), ONE_FRAME_SCORES)
-        assert out.shape == (1, 2, 4)
-        np.testing.assert_allclose(out[0], 0.5 * self.anchors())
-
-    def test_saturated_logits_recover_anchor(self):
-        fused = np.ones((1, 1, 1))
-        w = np.zeros((1, 8))
-        out = predict_boxes(fused, w, np.full(8, 50.0), self.anchors(), ONE_FRAME_SCORES)[0]
-        assert np.abs(out - self.anchors()).max() <= 1e-9
-
-    def test_random_logits_scalar_oracle(self):
+    def test_random_logits_scalar_oracle(self, monkeypatch):
         rng = Rng(26)
-        fused = rng.normals(8).reshape(2, 2, 2)
-        w = rng.normals(8 * 8).reshape(8, 8)
-        b = rng.normals(8)
-        out = predict_boxes(fused[None], w, b, self.anchors(), ONE_FRAME_SCORES)[0]
-        logits = fused.reshape(-1) @ w + b
-        for i, (box, anchor) in enumerate(zip(out, self.anchors())):
-            for j, (got, base) in enumerate(zip(box, anchor)):
-                gate = 1.0 / (1.0 + math.exp(-logits[4 * i + j]))
-                assert abs(got - gate * base) <= 1e-12
+        reg_w = rng.normals(64 * 16).reshape(64, 16)
+        det, clip, boxes = self.detect(monkeypatch, reg_w, rng.normals(16))
+        fused = det.fuse(det.pyramid(clip))
+        w = det.parameters()
+        for t, frame_boxes in enumerate(boxes):
+            logits = fused[:, t].reshape(-1) @ w["reg_w"] + w["reg_b"]
+            for i, (box, anchor) in enumerate(zip(frame_boxes, ANCHORS)):
+                for j, (got, base) in enumerate(zip(box, anchor)):
+                    gate = 1.0 / (1.0 + math.exp(-logits[4 * i + j]))
+                    assert abs(got - gate * base) <= 1e-12
 
-    def test_predictions_bounded_by_anchor(self):
-        rng = Rng(27)
-        fused = rng.normals(4).reshape(1, 2, 2)
-        w = rng.normals(4 * 8).reshape(4, 8) * 3.0
-        out = predict_boxes(fused, w, rng.normals(8), self.anchors(), ONE_FRAME_SCORES)[0]
-        extents = out[:, 2:]
-        assert np.all(extents > 0.0) and np.all(extents <= self.anchors()[:, 2:])
+    @pytest.mark.parametrize("seed", [27, 28, 29])
+    def test_predictions_bounded_by_anchor(self, monkeypatch, seed):
+        rng = Rng(seed)
+        reg_w = rng.normals(64 * 16).reshape(64, 16) * 3.0
+        _, _, boxes = self.detect(monkeypatch, reg_w, rng.normals(16), seed=seed)
+        extents = boxes[..., 2:]
+        assert np.all(extents > 0.0) and np.all(extents <= ANCHORS[:, 2:])
 
-    def test_anchor_count_mismatch(self):
-        with pytest.raises(ValueError, match="4 per anchor"):
-            predict_boxes(
-                np.ones((1, 1, 2)), np.ones((2, 4)), np.zeros(4), self.anchors(), ONE_FRAME_SCORES
-            )
-
-    def test_score_rows_must_match_frames(self):
-        with pytest.raises(ValueError, match="scores must be"):
-            predict_boxes(
-                np.ones((2, 1, 1)), np.ones((1, 8)), np.zeros(8), self.anchors(), ONE_FRAME_SCORES
-            )
-
-    @pytest.mark.parametrize(
-        "score, anchor_w, message",
-        [
-            (float("nan"), 8.0, r"score must be in \[0, 1\], got nan"),
-            (1.5, 8.0, r"score must be in \[0, 1\], got 1.5"),
-            (0.5, -8.0, r"box extents must be positive, got w=-4.0, h=3.0"),
-        ],
-    )
-    def test_invalid_box_keeps_box_message(self, score, anchor_w, message):
-        anchors = self.anchors()
-        anchors[1, 2] = anchor_w
-        scores = np.array([[0.5, 0.5], [0.5, score]])
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            predict_boxes(np.zeros((2, 1, 1)), np.zeros((1, 8)), np.zeros(8), anchors, scores)
+    def test_anchors_are_one_read_only_constant(self):
+        assert Detector(seed=1).anchors is Detector(seed=2).anchors is ANCHORS
+        assert ANCHORS.shape == (4, 4) and not ANCHORS.flags.writeable
 
 
 def reference_detection_loss(pred_scores, true_labels, pred_boxes, true_boxes, lam=1.0):
@@ -490,23 +477,18 @@ class TestCropRegion:
             plane = np.arange(float(n))[:, None]
             np.testing.assert_array_equal(row, oracles.nearest_resample_oracle(plane, out, 1)[:, 0])
 
-    def test_resample_matches_oracle_on_random(self):
+    def test_full_frame_crop_matches_oracle_on_random(self):
         rng = Rng(30)
         plane = rng.normals(5 * 7).reshape(5, 7)
-        out = resample_nearest(plane[None], (3, 4))[0]
+        out = crop_region(plane[None, None], np.array([[3.5, 2.5, 7.0, 5.0]]), (3, 4))[0, 0]
         np.testing.assert_array_equal(out, oracles.nearest_resample_oracle(plane, 3, 4))
 
-    def test_resample_index_cache_is_read_only_and_bounded(self):
-        rows, cols = detection._nearest_index(5, 7, 3, 4)
-        assert rows.shape == (3, 1) and cols.shape == (1, 4)
-        assert not rows.flags.writeable and not cols.flags.writeable
-        assert detection._nearest_index.cache_info().maxsize is not None
-
-    def test_resample_input_extents_each_match_oracle(self):
+    def test_full_frame_crop_of_each_extent_matches_oracle(self):
         rng = Rng(31)
         for in_hw in [(5, 7), (7, 5), (5, 7), (2, 9)]:
             plane = rng.normals(in_hw[0] * in_hw[1]).reshape(in_hw)
-            out = resample_nearest(plane[None], (3, 4))[0]
+            box = np.array([[in_hw[1] / 2, in_hw[0] / 2, in_hw[1], in_hw[0]]])
+            out = crop_region(plane[None, None], box, (3, 4))[0, 0]
             np.testing.assert_array_equal(out, oracles.nearest_resample_oracle(plane, 3, 4))
 
 
@@ -553,6 +535,28 @@ class TestDetector:
             best = det.best_box(sample.clip[None])[0]
             assert best.tobytes() == box_rows([kept[0] for kept in ref]).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_fuse_detect_and_best_box_match_reference(self, seed):
+        """64 seed-7 clips and 40 uniform-random ones, in stacks of 1 and of 4."""
+        samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)[:64]
+        noise = Rng(36).uniforms(40 * 8 * 16 * 16).reshape(40, 1, 8, 16, 16)
+        clips = np.concatenate([np.stack([s.clip for s in samples]), noise])
+        det = Detector(seed=seed)
+        refs = []
+        for clip in clips:
+            levels = det.pyramid(clip)
+            assert det.fuse(levels).tobytes() == reference_fuse(det, levels).tobytes()
+            ref = reference_detect(det, clip)
+            got = det.detect(clip)
+            assert len(got) == len(ref)
+            for survivors, kept in zip(got, ref):
+                assert survivors.tobytes() == box_rows(kept).tobytes()
+            refs.append(box_rows([kept[0] for kept in ref]))
+        want = np.stack(refs)
+        for b in (1, 4):
+            got = np.concatenate([det.best_box(clips[i : i + b]) for i in range(0, len(clips), b)])
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("b", [2, 5, 9])
     def test_best_box_of_a_stack_equals_one_clip_calls_bitwise(self, b):
         samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)[: 2 * b]
@@ -570,7 +574,6 @@ class TestDetector:
 
     def test_every_frame_gets_a_box(self):
         det = Detector(seed=5)
-        assert det.anchors.shape == (4, 4)
         clips = np.abs(Rng(34).normals(2 * 8 * 16 * 16)).reshape(2, 1, 8, 16, 16)
         kept = det.detect(clips[0])
         assert all(1 <= len(k) <= 4 for k in kept)

@@ -597,6 +597,21 @@ class TestSimulation:
         with pytest.raises(ValueError, match=r"^camera ids must be unique, got \[1, 2, 1\]$"):
             run_simulation([spec(1), spec(2), spec(1, offset=50)], duration_us=5_000, seed=1)
 
+    @pytest.mark.parametrize(
+        "offset, last",
+        [(-10**12, 19_000 - 10**12), (-19_001, -1), (2**64 - 19_000, 2**64)],
+    )
+    def test_last_timestamp_outside_u64_is_rejected(self, offset, last):
+        specs = [spec(1), spec(2, offset=offset), spec(3, offset=-2 * 10**12)]
+        message = f"^camera 2: last timestamp {last} does not fit u64$"
+        with pytest.raises(ValueError, match=message):
+            run_simulation(specs, duration_us=20_000, seed=1)
+
+    def test_last_timestamp_zero_runs(self):
+        """Every stamp but the last clamps to 0, and the run still ends."""
+        report = run_simulation([spec(1), spec(2, offset=-19_000)], duration_us=20_000, seed=1)
+        assert report.conservation_holds()
+
     def test_window_period_zero_is_rejected_not_defaulted(self):
         with pytest.raises(ValueError, match="window period must be positive"):
             run_simulation([spec(1)], duration_us=5_000, seed=1, window_period_us=0)
@@ -950,9 +965,15 @@ class TestAssemblerProperties:
             spec(cid, offset=offset, jitter=jitter, drop=drop)
             for cid, (drop, jitter, offset) in enumerate(cameras, start=1)
         ]
+        frames = -(-duration // 1000)
+        early = [s.camera_id for s in specs if (frames - 1) * 1000 + s.clock_offset_us < 0]
+        if early:  # a negative last timestamp would clamp every stamp to 0
+            with pytest.raises(ValueError, match=f"^camera {early[0]}: last timestamp -"):
+                run_simulation(specs, duration, seed, frame_hw=(4, 4))
+            return
         report = run_simulation(specs, duration, seed, frame_hw=(4, 4))
         for c in report.counts.values():
-            assert c.produced == -(-duration // 1000)
+            assert c.produced == frames
             assert c.produced == c.delivered + c.dropped_link
         indices = [row[0] for row in report.window_rows]
         assert all(a < b for a, b in zip(indices, indices[1:]))

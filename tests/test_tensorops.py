@@ -60,6 +60,15 @@ class TestTensorValidation:
         assert blob[5:13] == (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
         assert len(blob) == 13 + 16
 
+    def test_element_count_past_2_63_fails_the_length_check(self, tmp_path):
+        """65536**4 elements wrap to 0 in int64; the exact count names the real length."""
+        path = tmp_path / "huge.bin"
+        extents = b"".join(n.to_bytes(4, "little") for n in (65536, 65536, 65536, 65536, 1))
+        path.write_bytes(b"EITT\x05" + extents)
+        message = f"^tensor file length 25 != expected {25 + 8 * 2**64}$"
+        with pytest.raises(ValueError, match=message):
+            load_tensor(path)
+
 
 class TestConv3d:
     def test_delta_kernel_is_identity(self):

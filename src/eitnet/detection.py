@@ -200,7 +200,7 @@ class Detector:
 
     def pyramid(self, clip: np.ndarray) -> list[np.ndarray]:
         """[C,T,H,W] clip to coarse-to-fine [C,T,h,w] levels; the kt=1 convs keep frames apart."""
-        x = np.asarray(clip, dtype=np.float64)
+        x = clip
         levels = []
         for name, spec in PYRAMID_CONVS:
             x = relu(conv3d(x, self._weights[name], spec))

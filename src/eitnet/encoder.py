@@ -52,20 +52,6 @@ class TokenSequence:
     patch: int
     has_summary: bool = False
 
-    def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.float64)
-        if self.tokens.ndim not in (2, 3):
-            raise ValueError(f"tokens must be [S, d] or [B, S, d], got rank {self.tokens.ndim}")
-        if min(self.frames, self.grid_h, self.grid_w, self.patch) < 1:
-            raise ValueError("layout extents must be >= 1")
-        expected = self.frames * self.grid_h * self.grid_w + (1 if self.has_summary else 0)
-        if self.tokens.shape[-2] != expected:
-            raise ValueError(
-                f"{self.tokens.shape[-2]} tokens inconsistent with layout "
-                f"{self.frames}x{self.grid_h}x{self.grid_w}"
-                f"{' + summary' if self.has_summary else ''}"
-            )
-
     @property
     def width(self) -> int:
         return self.tokens.shape[-1]
@@ -106,26 +92,13 @@ def patch_embed(
     """Flatten P x P x C patches, project to d_model, and add positional rows.
 
     ``clip`` is one [C,T,H,W] clip or a [B,C,T,H,W] stack, whose tokens are [B, S, d].
+    The caller keeps the shapes: ``patch_size`` divides H and W, ``proj_weight``
+    is [C*P*P, d] and ``pos_enc`` is [T*(H/P)*(W/P), d].
     """
-    clip = np.asarray(clip, dtype=np.float64)
-    if clip.ndim not in (4, 5):
-        raise ValueError(f"clip must be [C,T,H,W] or [B,C,T,H,W], got rank {clip.ndim}")
     *lead, c, t, h, w = clip.shape
     p = patch_size
-    if p < 1 or h % p or w % p:
-        raise ValueError(f"patch size {p} must divide frame extents {h}x{w}")
     gh, gw = h // p, w // p
     count = t * gh * gw
-    proj_weight = np.asarray(proj_weight, dtype=np.float64)
-    if proj_weight.shape[0] != c * p * p:
-        raise ValueError(
-            f"projection expects rows of {proj_weight.shape[0]}, patches have {c * p * p}"
-        )
-    pos_enc = np.asarray(pos_enc, dtype=np.float64)
-    if pos_enc.shape != (count, proj_weight.shape[1]):
-        raise ValueError(
-            f"positional table must be [{count}, {proj_weight.shape[1]}], got {pos_enc.shape}"
-        )
     # [C,T,gh,P,gw,P] -> [T,gh,gw,C,P,P]: frame-major tokens, each patch flattened C,row,col
     n = len(lead)
     axes = [*range(n), *(n + a for a in (1, 2, 4, 0, 3, 5))]
@@ -141,13 +114,6 @@ def self_attention(tokens: np.ndarray, params: EncoderParams) -> np.ndarray:
     independently (at most two leading axes).  In a ``count_macs()`` block the
     score and value products count 2*G*S*S*d MACs; Q, K and V count in ``linear``.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim not in (2, 3, 4):
-        raise ValueError(f"tokens must be [S, d] or [..., G, S, d], got rank {tokens.ndim}")
-    if tokens.shape[-1] != params.d_model:
-        raise ValueError(
-            f"token width {tokens.shape[-1]} != projection width {params.d_model}"
-        )
     q = linear(tokens, params.w_q, params.b_q)
     k = linear(tokens, params.w_k, params.b_k)
     v = linear(tokens, params.w_v, params.b_v)

@@ -66,18 +66,15 @@ def i3d_forward(clips: np.ndarray, blocks: list[I3DBlockParams], seeds=None) -> 
 
     ``seeds``, when given, holds one dropout seed per clip; block i of a clip
     draws its dropout mask from ``derive_seed(seed, "i3d-block", i)``.
+    Preconditions the caller keeps: ``clips`` is a float64 [B,C,T,H,W] array,
+    ``blocks`` is not empty, and each block's weights take the channels the
+    one before it gives.  A block whose window leaves an empty output raises
+    ``ValueError`` from ``ConvSpec.output_extents``.
     """
-    if not blocks:
-        raise ValueError("i3d_forward needs at least one block")
-    out = np.asarray(clips, dtype=np.float64)
-    if out.ndim != 5:
-        raise ValueError(f"i3d_forward input must be [B,C,T,H,W], got rank {out.ndim}")
+    out = clips
     for i, params in enumerate(blocks):
         block_seeds = None if seeds is None else [derive_seed(s, "i3d-block", i) for s in seeds]
-        try:
-            out = i3d_block(out, params, block_seeds)
-        except ValueError as exc:
-            raise ValueError(f"block {i}: {exc}") from exc
+        out = i3d_block(out, params, block_seeds)
     return global_avg_pool(out)
 
 

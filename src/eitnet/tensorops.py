@@ -10,9 +10,11 @@ Validation happens at the program's edges, not in every kernel:
 ``as_tensor`` runs where clips enter the pipeline
 (``PipelineModel.extract_batch``), on file loads (``load_tensor``) and on
 each synthetic sample, and ``PipelineModel.extract_batch`` rejects features
-that are not finite.  The kernels take their arrays with
-``np.asarray(x, dtype=np.float64)``, which copies nothing for a float64 array
-and scans nothing; they check only ranks and shapes.
+that are not finite.  Behind those edges every array is one the program built
+itself, so the kernels trust their callers: they neither check nor convert
+their arguments, which must be float64 arrays of the documented shapes.  The
+one check left inside is ``ConvSpec.output_extents``, which raises for a
+window that leaves an empty output.
 
 ``conv3d`` and ``pool3d_max`` take one ``[C, T, H, W]`` input or a
 ``[B, C, T, H, W]`` stack of B, and are lowered to one gather and one
@@ -168,26 +170,15 @@ def _gather_windows(x: np.ndarray, index: np.ndarray, fill: float) -> np.ndarray
 def conv3d(
     x: np.ndarray, weights: np.ndarray, spec: ConvSpec, bias: np.ndarray | None = None
 ) -> np.ndarray:
-    """3D cross-correlation of [(B,) C_in,T,H,W] with [C_out,C_in,kt,kh,kw], plus bias if given."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if x.ndim not in (4, 5):
-        raise ValueError(f"conv3d input must be [C,T,H,W] or [B,C,T,H,W], got rank {x.ndim}")
-    if weights.ndim != 5:
-        raise ValueError(f"conv3d weights must be [C_out,C_in,kt,kh,kw], got rank {weights.ndim}")
-    if weights.shape[1] != x.shape[-4]:
-        raise ValueError(
-            f"channel mismatch: input has {x.shape[-4]}, weights expect {weights.shape[1]}"
-        )
-    if tuple(weights.shape[2:]) != tuple(spec.kernel):
-        raise ValueError(f"weights kernel {weights.shape[2:]} != spec kernel {spec.kernel}")
+    """3D cross-correlation of [(B,) C_in,T,H,W] with [C_out,C_in,kt,kh,kw], plus bias if given.
+
+    Preconditions the caller keeps: ``x`` is a float64 array of rank 4 or 5,
+    ``weights`` a float64 [C_out, C_in, *spec.kernel] array whose C_in is
+    ``x``'s channel count, and ``bias``, if given, a float64 [C_out] array.
+    A window that leaves an empty output still raises ``ValueError``.
+    """
     out_extents = spec.output_extents(x.shape[-3:])
     c_out = weights.shape[0]
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (c_out,):
-            raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
-
     index = _window_index(x.shape[-3:], spec)
     lead = x.shape[:-4]
     cols = _gather_windows(x, index, 0.0).reshape(lead + (-1, index.shape[1]))  # [C_in*K, M]
@@ -203,21 +194,18 @@ def pool3d_max(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Max over each window of the last three axes; padded cells never win.
 
     Padding cells are excluded from the max (not treated as zeros), which
-    keeps outputs members of the input value multiset. Requires pad < kernel
-    per axis so every window covers at least one real cell.
+    keeps outputs members of the input value multiset.  Preconditions the
+    caller keeps: ``x`` is a float64 [C,T,H,W] or [B,C,T,H,W] array, and
+    ``spec`` pads less than its kernel on every axis, so every window covers
+    at least one real cell (a window of padding alone would give -inf).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (4, 5):
-        raise ValueError(f"pool3d_max input must be [C,T,H,W] or [B,C,T,H,W], got rank {x.ndim}")
     out_extents = spec.output_extents(x.shape[-3:])
-    if any(p >= k for p, k in zip(spec.padding, spec.kernel)):
-        raise ValueError(f"padding {spec.padding} must be < kernel {spec.kernel}")
     cells = _gather_windows(x, _window_index(x.shape[-3:], spec), -np.inf)
     return cells.max(axis=-2).reshape(x.shape[:-3] + out_extents)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def batch_norm(
@@ -230,23 +218,12 @@ def batch_norm(
     axis: int = 0,
 ) -> np.ndarray:
     """Inference-mode normalization of the channels on ``axis`` with supplied statistics."""
-    x = np.asarray(x, dtype=np.float64)
-    c = x.shape[axis]
-    mean, var, gamma, beta = (np.asarray(a, dtype=np.float64) for a in (mean, var, gamma, beta))
-    for name, a in (("mean", mean), ("var", var), ("gamma", gamma), ("beta", beta)):
-        if a.shape != (c,):
-            raise ValueError(f"{name} must have shape ({c},), got {a.shape}")
-    if np.any(var < 0):
-        raise ValueError("variance must be nonnegative")
     expand = (slice(None),) + (None,) * (x.ndim - 1 - axis % x.ndim)
     return gamma[expand] * (x - mean[expand]) / np.sqrt(var[expand] + eps) + beta[expand]
 
 
 def dropout(x: np.ndarray, p: float, seed: int) -> np.ndarray:
-    """Zero each element with probability p (seeded), scaling survivors by 1/(1-p)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1], got {p}")
+    """Zero each element with probability p in [0, 1] (seeded), scaling survivors by 1/(1-p)."""
     if p == 0.0:
         return x.copy()
     if p == 1.0:
@@ -258,18 +235,10 @@ def dropout(x: np.ndarray, p: float, seed: int) -> np.ndarray:
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Per-channel mean over all temporal-spatial cells of [(B,) C,T,H,W]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (4, 5):
-        raise ValueError(
-            f"global_avg_pool input must be [C,T,H,W] or [B,C,T,H,W], got rank {x.ndim}"
-        )
     return x.mean(axis=(-3, -2, -1))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"axis {axis} out of range for rank {x.ndim}")
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
@@ -279,12 +248,7 @@ def layer_norm(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
-    x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
-    gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ValueError(f"gamma/beta must have shape ({d},)")
     # One centering serves the variance and the output: the same sums and
     # divisions as x.mean and x.var, so bitwise equal to them.
     c = x - np.add.reduce(x, axis=-1, keepdims=True) / d
@@ -294,27 +258,16 @@ def layer_norm(
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Matrix product over the last axis plus broadcast bias."""
-    x = np.asarray(x, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.ndim != 2:
-        raise ValueError(f"weight must be [d_in, d_out], got rank {weight.ndim}")
-    if x.shape[-1] != weight.shape[0]:
-        raise ValueError(
-            f"inner dimensions disagree: input has {x.shape[-1]}, weight expects {weight.shape[0]}"
-        )
     out = x @ weight
     if (count := MACS.get()) is not None:
         count.total += x.size * weight.shape[1]
     if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (weight.shape[1],):
-            raise ValueError(f"bias must have shape ({weight.shape[1]},), got {bias.shape}")
         out = out + bias
     return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(np.asarray(x, dtype=np.float64) / 2.0))
+    return 0.5 * (1.0 + np.tanh(x / 2.0))
 
 
 def save_tensor(path, x: np.ndarray) -> None:

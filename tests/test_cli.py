@@ -2,6 +2,7 @@ import filecmp
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -137,9 +138,10 @@ class TestExitCodes:
              "need 8 poses of 5 joints, one per frame"),
             ("1,1,1,pass,clips/small.bin,poses/sample_0000.bin",
              r"clip must be \[1, T, H, W\], got shape \(1, 8, 8, 8\)"),
+            ("1,1,1,pass,clips/nan.bin,poses/sample_0000.bin", "tensor values must be finite"),
         ],
         ids=["short-row", "missing-clip", "unknown-label", "rank-1-clip", "magic-only-clip",
-             "short-header-clip", "four-frame-clip", "four-joint-poses", "8x8-clip"],
+             "short-header-clip", "four-frame-clip", "four-joint-poses", "8x8-clip", "nan-clip"],
     )
     def test_bad_manifest_row_is_config_error_naming_the_line(
         self, row, message, dataset_dir, tmp_path, capsys
@@ -154,6 +156,8 @@ class TestExitCodes:
         clip = load_tensor(dataset_dir / "clips" / "sample_0000.bin")
         save_tensor(broken / "clips" / "four-frames.bin", clip[:, :4])
         save_tensor(broken / "clips" / "small.bin", clip[:, :, ::2, ::2])
+        blob = (dataset_dir / "clips" / "sample_0000.bin").read_bytes()
+        (broken / "clips" / "nan.bin").write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
         poses = load_tensor(dataset_dir / "poses" / "sample_0000.bin")
         save_tensor(broken / "poses" / "four-joints.bin", poses[:, :4])
         manifest = (dataset_dir / "manifest.csv").read_text().splitlines()

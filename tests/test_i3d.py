@@ -85,16 +85,6 @@ class TestForward:
         ref = step.mean(axis=(1, 2, 3))
         np.testing.assert_allclose(feats, ref, atol=1e-10)
 
-    def test_empty_block_list_raises(self):
-        with pytest.raises(ValueError, match="at least one block"):
-            i3d_forward(np.ones((1, 1, 2, 2, 2)), [])
-
-    def test_shrinking_extent_names_block(self):
-        rng = Rng(44)
-        blocks = [random_block(rng, 1, 2), random_block(rng, 2, 2)]
-        with pytest.raises(ValueError, match="block 1"):
-            i3d_forward(np.ones((1, 1, 2, 3, 3)), blocks)
-
     def test_dropout_runs_exactly_when_seeds_are_given(self):
         rng = Rng(45)
         blocks = [random_block(rng, 1, 2)]

@@ -18,7 +18,7 @@ from eitnet.pipeline import (
 )
 from eitnet.rng import Rng, derive_seed
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
-from eitnet.tensorops import conv3d, count_macs, linear
+from eitnet.tensorops import as_tensor, conv3d, count_macs, linear
 from eitnet.training import Hyperparams, train_toy
 
 from test_tensorops import np_pad_conv3d, np_pad_pool3d_max
@@ -254,6 +254,34 @@ class TestStacking:
             ValueError, match=r"shape \(2, 1, 8, 32, 32\); need \[N, 1, 8, 16, 16\]"
         ):
             model.extract_batch(wide)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda stack: stack.astype(np.float32),
+            list,  # a Python list of [C,T,H,W] clips
+            np.asfortranarray,
+            lambda stack: np.repeat(stack, 2, axis=-1)[..., ::2],
+        ],
+        ids=["float32", "list-of-clips", "fortran-order", "strided"],
+    )
+    def test_extract_batch_converts_at_its_edge(self, samples, convert, monkeypatch):
+        """The kernels do not convert: extract_batch's as_tensor is the one place that does."""
+        model = PipelineModel(PipelineConfig(), seed=7)
+        clips = convert(np.stack([s.clip for s in samples[:5]]))
+        assert isinstance(clips, list) or not (
+            clips.dtype == np.float64 and clips.flags.c_contiguous
+        )
+        ref = as_tensor(clips)
+        assert ref.dtype == np.float64 and ref.flags.c_contiguous
+        want = model.extract_batch(ref)
+        staged = []
+        frame_boxes = model.frame_boxes
+        monkeypatch.setattr(model, "frame_boxes", lambda x: staged.append(x) or frame_boxes(x))
+        got = model.extract_batch(clips)
+        assert [(x.dtype, x.flags.c_contiguous) for x in staged] == [(np.float64, True)]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("rows", [3, 5])
     def test_extract_batch_rejects_a_box_row_count_other_than_the_clips(self, samples, rows):

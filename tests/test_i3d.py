@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eitnet.i3d import DROPOUT, I3DBlockParams, I3DStack, i3d_block, i3d_forward
+from eitnet.i3d import DROPOUT, WIDTHS, I3DBlockParams, I3DStack, i3d_block, i3d_forward
 from eitnet.rng import Rng, derive_seed
 from eitnet.tensorops import (
     ConvSpec,
@@ -124,6 +124,22 @@ class TestStack:
         feats = stack.forward(clip[None])
         assert feats.shape == (1, 32)
         assert np.all(np.isfinite(feats))
+
+    def test_blocks_keep_the_kernels_preconditions(self):
+        """i3d_forward, conv3d, pool3d_max, batch_norm and dropout check none of these."""
+        stack = I3DStack(seed=3)
+        assert len(stack.blocks) == len(WIDTHS) > 0
+        assert 0.0 <= DROPOUT <= 1.0
+        c_prev = 1  # single-channel clips
+        for b, width in zip(stack.blocks, WIDTHS):
+            assert b.conv_weight.shape == (width, c_prev, *b.conv_spec.kernel)
+            for array in (b.conv_bias, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta):
+                assert array.shape == (width,)
+            for array in (b.conv_weight, b.conv_bias, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta):
+                assert array.dtype == np.float64
+            assert np.all(b.bn_var >= 0.0)
+            assert all(p < k for p, k in zip(b.pool_spec.padding, b.pool_spec.kernel))
+            c_prev = width
 
     def test_dropout_seed_changes_features(self):
         stack = I3DStack(seed=3)

@@ -283,6 +283,21 @@ class TestStacking:
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize(
+        "shape,message",
+        [
+            ((2, 8, 16), r"got rank 3 of shape \(2, 8, 16\); need \[N, 1, 8, 16, 16\]"),
+            ((2, 1, 1, 8, 16, 16), "tensor rank must be 1..5, got 6"),
+            ((2, 2, 8, 16, 16), r"shape \(2, 2, 8, 16, 16\); need \[N, 1, 8, 16, 16\]"),
+        ],
+        ids=["rank-3", "rank-6", "two-channels"],
+    )
+    def test_extract_batch_rejects_what_the_kernels_no_longer_check(self, shape, message):
+        """conv3d checks neither rank nor channels; extract_batch's as_tensor and shape check do."""
+        model = PipelineModel(PipelineConfig(), seed=7)
+        with pytest.raises(ValueError, match=message):
+            model.extract_batch(np.zeros(shape))
+
     @pytest.mark.parametrize("rows", [3, 5])
     def test_extract_batch_rejects_a_box_row_count_other_than_the_clips(self, samples, rows):
         model = PipelineModel(PipelineConfig(), seed=7)
@@ -363,6 +378,46 @@ class TestSharedFrozenStages:
             with pipeline.shared_frozen_stages():
                 assert pipeline._SHARED.get() == {} and pipeline._SHARED.get() is not outer
             assert pipeline._SHARED.get() is outer
+
+
+class TestKernelPreconditions:
+    """The kernels trust their arguments; the model builds weights that keep their preconditions."""
+
+    @pytest.mark.parametrize("toggles", ALL_TOGGLES, ids=[t.tag() for t in ALL_TOGGLES])
+    def test_model_weights_chain_the_linear_widths(self, toggles):
+        c = PipelineConfig(toggles=toggles)
+        model = PipelineModel(c, seed=7)
+        # patch_embed: the patch divides the crop, and its table takes one patch of one channel
+        assert all(side % c.patch == 0 for side in c.crop_hw)
+        assert c.grid_hw == (c.crop_hw[0] // c.patch, c.crop_hw[1] // c.patch)
+        d = c.d_model
+        shapes = {
+            "patch_weight": (c.patch * c.patch, d),
+            "patch_bias": (d,),
+            "pos_enc": (c.patch_tokens, d),
+            "summary_weight": (c.i3d_widths[-1], d),
+            "summary_bias": (d,),
+            "cls_weight": (d, c.num_classes),
+            "cls_bias": (c.num_classes,),
+            "pose_weight": (c.pose_feat_dim, c.pose_out_dim),
+            "pose_bias": (c.pose_out_dim,),
+        }
+        for name, shape in shapes.items():
+            array = getattr(model, name)
+            assert (name, array.shape, array.dtype) == (name, shape, np.float64)
+        block_shapes = {
+            "w_q": (d, d), "w_k": (d, d), "w_v": (d, d),
+            "b_q": (d,), "b_k": (d,), "b_v": (d,),
+            "w_ffn1": (d, c.d_ff), "b_ffn1": (c.d_ff,),
+            "w_ffn2": (c.d_ff, d), "b_ffn2": (d,),
+            "norm1_gamma": (d,), "norm1_beta": (d,),
+            "norm2_gamma": (d,), "norm2_beta": (d,),
+        }
+        assert len(model.blocks) == c.encoder_blocks
+        for params in model.blocks:
+            for name, shape in block_shapes.items():
+                array = getattr(params, name)
+                assert (name, array.shape, array.dtype) == (name, shape, np.float64)
 
 
 class TestComplexity:

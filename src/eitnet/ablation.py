@@ -18,20 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metrics import SplitPlan
-from .pipeline import (
-    PipelineConfig,
-    PipelineModel,
-    StageToggles,
-    evaluate_pipeline,
-    shared_frozen_stages,
-)
+from .pipeline import PipelineConfig, PipelineModel, evaluate_pipeline, shared_frozen_stages
 from .training import Hyperparams, train_toy
 
 TABLE_ROWS = (
-    StageToggles(),
-    StageToggles(detection=False),
-    StageToggles(spatiotemporal=False),
-    StageToggles(temporal=False),
+    PipelineConfig(),
+    PipelineConfig(detection=False),
+    PipelineConfig(spatiotemporal=False),
+    PipelineConfig(temporal=False),
 )
 
 ABLATION_CSV_HEADER = "configuration,detection,i3d,timesformer,accuracy,mpjpe,pa_mpjpe"
@@ -39,7 +33,7 @@ ABLATION_CSV_HEADER = "configuration,detection,i3d,timesformer,accuracy,mpjpe,pa
 
 @dataclass
 class AblationRow:
-    toggles: StageToggles
+    toggles: PipelineConfig
     accuracy: float
     mpjpe: float
     pa_mpjpe: float
@@ -64,19 +58,19 @@ def run_ablation(
 ) -> list[AblationRow]:
     """One row per ``TABLE_ROWS`` configuration, in that order.
 
-    Each row's config is ``PipelineConfig(toggles=...)``: the toggles are a
-    config's only field, so ``base_config`` has nothing the rows keep.
+    The rows are whole configs: a config holds only the stage toggles, so
+    ``base_config`` has nothing the rows keep.
     """
     train, test = split_samples(samples, plan)
     out = []
     with shared_frozen_stages():
-        for toggles in TABLE_ROWS:
-            model = PipelineModel(PipelineConfig(toggles=toggles), seed=hp.seed)
+        for config in TABLE_ROWS:
+            model = PipelineModel(config, seed=hp.seed)
             train_toy(model, train, hp)
             metrics = evaluate_pipeline(model, test)
             out.append(
                 AblationRow(
-                    toggles=toggles,
+                    toggles=config,
                     accuracy=metrics["accuracy"],
                     mpjpe=metrics["mpjpe"],
                     pa_mpjpe=metrics["pa_mpjpe"],

@@ -31,7 +31,6 @@ from .metrics import make_split
 from .pipeline import (
     PipelineConfig,
     PipelineModel,
-    StageToggles,
     count_attention_projections,
     count_conv3d,
     count_linear,
@@ -81,14 +80,14 @@ def parse_duration_us(text: str) -> int:
     return duration
 
 
-def parse_toggles(text: str) -> StageToggles:
+def parse_toggles(text: str) -> PipelineConfig:
     valid = {"det", "i3d", "tsf"}
     parts = {p.strip() for p in text.split(",") if p.strip()}
     unknown = parts - valid
     if unknown:
         raise ConfigError(f"unknown stage toggles {sorted(unknown)}; choose from det,i3d,tsf")
     return _config(
-        StageToggles,
+        PipelineConfig,
         detection="det" in parts,
         spatiotemporal="i3d" in parts,
         temporal="tsf" in parts,
@@ -164,7 +163,7 @@ def cmd_gen_data(args) -> int:
 def cmd_run_pipeline(args) -> int:
     if not 0.0 <= args.lam < float("inf"):
         raise ConfigError(f"--lambda must be nonnegative and finite, got {args.lam}")
-    config = PipelineConfig(toggles=parse_toggles(args.toggles))
+    config = parse_toggles(args.toggles)
     samples = _require_dataset(args.dataset)
     out = _outdir(args, "features")
     model = PipelineModel(config, seed=args.seed)
@@ -220,7 +219,7 @@ def _split_comments(plan) -> tuple[str, ...]:
 
 def cmd_train(args) -> int:
     hp = _hyperparams(args)
-    config = PipelineConfig(toggles=parse_toggles(args.toggles))
+    config = parse_toggles(args.toggles)
     samples = _require_dataset(args.dataset)
     plan, train_samples, _ = _split(args, samples, need_test=False)
     out = _outdir(args, "weights")
@@ -244,7 +243,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     hp = _hyperparams(args)
-    config = PipelineConfig(toggles=parse_toggles(args.toggles))
+    config = parse_toggles(args.toggles)
     samples = _require_dataset(args.dataset)
     plan, train_samples, test_samples = _split(args, samples, need_test=True)
     out = _outdir(args)
@@ -409,7 +408,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    config = PipelineConfig(toggles=parse_toggles(args.toggles))
+    config = parse_toggles(args.toggles)
     out = _outdir(args)
     rows = []
     params, macs = count_params_flops(config)

@@ -179,7 +179,6 @@ class Detector:
 
     seed: int = 0
     _weights: dict = field(init=False, repr=False)
-    anchors = ANCHORS  # a class attribute, not a field
 
     def __post_init__(self):
         rng = Rng(self.seed)

@@ -75,7 +75,6 @@ class EncoderParams:
     norm1_beta: np.ndarray
     norm2_gamma: np.ndarray
     norm2_beta: np.ndarray
-    eps: float = 1e-5
 
     @property
     def d_model(self) -> int:
@@ -151,9 +150,9 @@ def encoder_block(seq: TokenSequence, params: EncoderParams, mode: str) -> Token
         z = _grouped_attention(seq, params, mode)
 
     x = seq.tokens
-    h = layer_norm(z + x, params.norm1_gamma, params.norm1_beta, params.eps)
+    h = layer_norm(z + x, params.norm1_gamma, params.norm1_beta)
     f = linear(relu(linear(h, params.w_ffn1, params.b_ffn1)), params.w_ffn2, params.b_ffn2)
-    y = layer_norm(f + h, params.norm2_gamma, params.norm2_beta, params.eps)
+    y = layer_norm(f + h, params.norm2_gamma, params.norm2_beta)
     return replace(seq, tokens=y)
 
 

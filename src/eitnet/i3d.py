@@ -37,25 +37,21 @@ from .tensorops import (
 class I3DBlockParams:
     conv_weight: np.ndarray
     conv_bias: np.ndarray
-    conv_spec: ConvSpec
     pool_spec: ConvSpec
-    bn_mean: np.ndarray
-    bn_var: np.ndarray
     bn_gamma: np.ndarray
     bn_beta: np.ndarray
-    bn_eps: float = 1e-5
 
 
 def i3d_block(x: np.ndarray, params: I3DBlockParams, seeds=None) -> np.ndarray:
     """conv3d -> relu -> pool3d_max -> batch_norm -> dropout on [B,C,T,H,W], exactly in order.
 
+    The convolution is ``CONV`` and the normalization uses the identity
+    statistics ``BN_MEAN`` and ``BN_VAR`` with ``batch_norm``'s default eps.
     ``seeds`` holds one dropout seed per clip; without them dropout is skipped.
     """
-    out = relu(conv3d(x, params.conv_weight, params.conv_spec, bias=params.conv_bias))
+    out = relu(conv3d(x, params.conv_weight, CONV, bias=params.conv_bias))
     out = pool3d_max(out, params.pool_spec)
-    out = batch_norm(
-        out, params.bn_mean, params.bn_var, params.bn_gamma, params.bn_beta, params.bn_eps, axis=1
-    )
+    out = batch_norm(out, BN_MEAN, BN_VAR, params.bn_gamma, params.bn_beta, axis=1)
     if seeds is None:
         return out
     return np.stack([dropout(clip, DROPOUT, seed) for clip, seed in zip(out, seeds)])
@@ -81,15 +77,22 @@ def i3d_forward(clips: np.ndarray, blocks: list[I3DBlockParams], seeds=None) -> 
 DROPOUT = 0.05  # each block's dropout probability, applied when seeds are given
 WIDTHS = (8, 16, 32)  # each block's output channels
 POOLS = ((2, 2, 2), (2, 2, 2), (2, 3, 3))  # each block's max-pool kernel and stride
+CONV = ConvSpec(kernel=(3, 3, 3), padding=(1, 1, 1))  # every block's convolution
+# Identity normalization statistics, broadcast over every block's channels:
+# no running statistics are learned here.
+BN_MEAN = np.zeros(1)
+BN_VAR = np.ones(1)
+BN_MEAN.setflags(write=False)
+BN_VAR.setflags(write=False)
 
 
 @dataclass
 class I3DStack:
     """Desk-scale three-block stack (``WIDTHS`` channels, ``POOLS``) with seeded weights.
 
-    The seed alone identifies the weights.  Normalization statistics are
-    fixed at identity (mean 0, var 1) since no running statistics are
-    learned here; dropout runs only under the trainer, which passes
+    The seed alone identifies the weights.  The convolution spec ``CONV`` and
+    the identity statistics ``BN_MEAN`` and ``BN_VAR`` are module constants
+    shared by every block; dropout runs only under the trainer, which passes
     per-epoch seeds.
     """
 
@@ -101,18 +104,14 @@ class I3DStack:
         self.blocks = []
         c_prev = 1  # single-channel clips
         for width, pool in zip(WIDTHS, POOLS):
-            fan_in = c_prev * 27
-            w = rng.normals(width * fan_in).reshape(width, c_prev, 3, 3, 3) * math.sqrt(
-                2.0 / fan_in
-            )
+            fan_in = c_prev * math.prod(CONV.kernel)
+            w = rng.normals(width * fan_in).reshape(width, c_prev, *CONV.kernel)
+            w *= math.sqrt(2.0 / fan_in)
             self.blocks.append(
                 I3DBlockParams(
                     conv_weight=w,
                     conv_bias=np.zeros(width),
-                    conv_spec=ConvSpec(kernel=(3, 3, 3), padding=(1, 1, 1)),
                     pool_spec=ConvSpec(kernel=pool, stride=pool),
-                    bn_mean=np.zeros(width),
-                    bn_var=np.ones(width),
                     bn_gamma=np.ones(width),
                     bn_beta=np.zeros(width),
                 )

@@ -183,7 +183,6 @@ class SplitPlan:
     train_ids: tuple[int, ...]
     test_ids: tuple[int, ...]
     axis: str
-    seed: int
 
     def __post_init__(self):
         if set(self.train_ids) & set(self.test_ids):
@@ -205,5 +204,4 @@ def make_split(axis: str, seed: int) -> SplitPlan:
         train_ids=tuple(sorted(ids[:n_train])),
         test_ids=tuple(sorted(ids[n_train:])),
         axis=axis,
-        seed=seed,
     )

@@ -8,11 +8,11 @@ heads are trainable: the action classifier over the mean-pooled token and
 the pose regressor over the stage-two features (joint trajectories are
 predicted in meters and reported in millimeters).
 
-The architecture is fixed: the toggles are a ``PipelineConfig``'s only
-field, its sizes are class constants, and the clip format it is built for
-(``FRAMES`` frames of ``FRAME_HW`` pixels, ``JOINT_NAMES`` joints) lives in
-the ``eitnet`` package.  A model is therefore rebuilt from its seed and
-toggles alone.
+The architecture is fixed: a ``PipelineConfig``'s only fields are the three
+stage toggles, its sizes are class constants, and the clip format it is built
+for (``FRAMES`` frames of ``FRAME_HW`` pixels, ``JOINT_NAMES`` joints) lives
+in the ``eitnet`` package.  A model is therefore rebuilt from its seed and
+config alone.
 
 The frozen stages run on a [B, C, T, H, W] stack of clips, and
 ``extract_batch`` is their one entry: ``extract`` and ``forward`` are its
@@ -107,10 +107,26 @@ def _shared(key: tuple, stack: np.ndarray, compute) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StageToggles:
+class PipelineConfig:
+    """Which stages run.  The architecture is fixed: its sizes are readable
+    from an instance but are class constants, not fields."""
+
     detection: bool = True
     spatiotemporal: bool = True
     temporal: bool = True
+
+    frames: ClassVar[int] = FRAMES
+    crop_hw: ClassVar[tuple[int, int]] = (12, 12)
+    patch: ClassVar[int] = 4  # divides both crop extents
+    grid_hw: ClassVar[tuple[int, int]] = (crop_hw[0] // patch, crop_hw[1] // patch)
+    patch_tokens: ClassVar[int] = frames * grid_hw[0] * grid_hw[1]
+    d_model: ClassVar[int] = 32
+    d_ff: ClassVar[int] = 64
+    encoder_blocks: ClassVar[int] = 2
+    num_classes: ClassVar[int] = len(ACTION_LABELS)
+    joints: ClassVar[int] = len(JOINT_NAMES)
+    pose_out_dim: ClassVar[int] = frames * joints * 3
+    i3d_widths: ClassVar[tuple[int, ...]] = I3D_WIDTHS
 
     def __post_init__(self):
         if not (self.detection or self.spatiotemporal or self.temporal):
@@ -128,30 +144,9 @@ class StageToggles:
             off.append("timesformer")
         return "no-" + "+".join(off)
 
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Which stages run.  The architecture is fixed: its sizes are readable
-    from an instance but are class constants, not fields."""
-
-    toggles: StageToggles = StageToggles()
-
-    frames: ClassVar[int] = FRAMES
-    crop_hw: ClassVar[tuple[int, int]] = (12, 12)
-    patch: ClassVar[int] = 4  # divides both crop extents
-    grid_hw: ClassVar[tuple[int, int]] = (crop_hw[0] // patch, crop_hw[1] // patch)
-    patch_tokens: ClassVar[int] = frames * grid_hw[0] * grid_hw[1]
-    d_model: ClassVar[int] = 32
-    d_ff: ClassVar[int] = 64
-    encoder_blocks: ClassVar[int] = 2
-    num_classes: ClassVar[int] = len(ACTION_LABELS)
-    joints: ClassVar[int] = len(JOINT_NAMES)
-    pose_out_dim: ClassVar[int] = frames * joints * 3
-    i3d_widths: ClassVar[tuple[int, ...]] = I3D_WIDTHS
-
     @property
     def pose_feat_dim(self) -> int:
-        if self.toggles.spatiotemporal:
+        if self.spatiotemporal:
             return self.i3d_widths[-1]
         return self.crop_hw[0] * self.crop_hw[1]
 
@@ -241,7 +236,7 @@ class PipelineModel:
         detector runs on stacks of at most ``STACK_CLIPS`` of them, each
         shared within a ``shared_frozen_stages()`` block.
         """
-        if self.config.toggles.detection:
+        if self.config.detection:
             d = self.detector
             key = ("detector", d.seed)
             stacks = [clips[s : s + STACK_CLIPS] for s in range(0, len(clips), STACK_CLIPS)]
@@ -264,7 +259,7 @@ class PipelineModel:
 
         I3D's features are shared within a ``shared_frozen_stages()`` block.
         """
-        if self.config.toggles.spatiotemporal:
+        if self.config.spatiotemporal:
             net = self.i3d
             key = ("i3d", net.seed, None if seeds is None else tuple(seeds))
             return _shared(key, cropped, lambda x: net.forward(x, seeds))
@@ -274,7 +269,7 @@ class PipelineModel:
         """[B, S, d_model] tokens: the summary token (when on), then the patches."""
         c = self.config
         seq = patch_embed(cropped, c.patch, self.patch_weight, self.patch_bias, self.pos_enc)
-        if c.toggles.spatiotemporal:
+        if c.spatiotemporal:
             # one [1, feat] row per clip: it rounds as a one-clip product does
             summary = linear(feats[:, None, :], self.summary_weight, self.summary_bias)
             tokens = np.concatenate([summary, seq.tokens], axis=1)
@@ -282,7 +277,7 @@ class PipelineModel:
         return seq
 
     def encode(self, seq: TokenSequence) -> TokenSequence:
-        if not self.config.toggles.temporal:
+        if not self.config.temporal:
             return seq
         for params in self.blocks:
             seq = encoder_block(seq, params, "divided")
@@ -387,17 +382,17 @@ class PipelineModel:
         """Every weight array the enabled stages use, heads included."""
         c = self.config
         arrays = []
-        if c.toggles.detection:
+        if c.detection:
             arrays += self.detector.parameters().values()
-        if c.toggles.spatiotemporal:
+        if c.spatiotemporal:
             for b in self.i3d.blocks:
                 arrays += [b.conv_weight, b.conv_bias, b.bn_gamma, b.bn_beta]
         arrays += [self.patch_weight, self.patch_bias, self.pos_enc]
-        if c.toggles.spatiotemporal:
+        if c.spatiotemporal:
             arrays += [self.summary_weight, self.summary_bias]
-        if c.toggles.temporal:
+        if c.temporal:
             for blk in self.blocks:
-                arrays += [a for a in vars(blk).values() if isinstance(a, np.ndarray)]
+                arrays += vars(blk).values()
         return arrays + list(self.head_parameters().values())
 
     def head_parameters(self) -> dict[str, np.ndarray]:

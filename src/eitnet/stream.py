@@ -220,7 +220,6 @@ def calibrate_clocks(samples: dict[int, list[tuple[int, int]]]) -> dict[int, int
 @dataclass
 class SyncWindow:
     window_index: int
-    reference_time_us: float
     frames: dict[int, np.ndarray]
     completeness: float
     close_latency_us: float = 0.0
@@ -291,7 +290,6 @@ class WindowAssembler:
         frames = self._pending.pop(index)
         return SyncWindow(
             window_index=index,
-            reference_time_us=index * self.period,
             frames=frames,
             completeness=len(frames) / len(self.specs),
             close_latency_us=max(self._max_corrected - index * self.period, 0.0),

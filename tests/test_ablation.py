@@ -11,12 +11,7 @@ from eitnet.ablation import (
 from eitnet.detection import Detector
 from eitnet.i3d import I3DStack
 from eitnet.metrics import make_split
-from eitnet.pipeline import (
-    PipelineConfig,
-    PipelineModel,
-    StageToggles,
-    evaluate_pipeline,
-)
+from eitnet.pipeline import PipelineConfig, PipelineModel, evaluate_pipeline
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
 from eitnet.training import Hyperparams
 
@@ -48,10 +43,10 @@ class TestRunAblation:
         assert first[0] == "full" and first[1:4] == ["1", "1", "1"]
 
     def test_rows_config_matches_table5_design(self):
-        assert TABLE_ROWS[0] == StageToggles()
-        assert TABLE_ROWS[1] == StageToggles(detection=False)
-        assert TABLE_ROWS[2] == StageToggles(spatiotemporal=False)
-        assert TABLE_ROWS[3] == StageToggles(temporal=False)
+        assert TABLE_ROWS[0] == PipelineConfig()
+        assert TABLE_ROWS[1] == PipelineConfig(detection=False)
+        assert TABLE_ROWS[2] == PipelineConfig(spatiotemporal=False)
+        assert TABLE_ROWS[3] == PipelineConfig(temporal=False)
 
     def test_split_samples_partition(self):
         samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=17)
@@ -88,7 +83,7 @@ class TestSharedFrozenStages:
             memos = []
 
             def probe(model, train, hp):
-                row[0] = model.config.toggles.tag()
+                row[0] = model.config.tag()
                 memos.append(pipeline._SHARED.get())
                 return train_toy(model, train, hp)
 
@@ -98,11 +93,11 @@ class TestSharedFrozenStages:
 
             train, test = split_samples(subset, plan)
             reference = []
-            for toggles in TABLE_ROWS:  # the rows one by one, nothing shared
-                model = PipelineModel(PipelineConfig(toggles=toggles), seed=hp.seed)
+            for config in TABLE_ROWS:  # the rows one by one, nothing shared
+                model = PipelineModel(config, seed=hp.seed)
                 ablation.train_toy(model, train, hp)
                 metrics = evaluate_pipeline(model, test)
-                reference.append(AblationRow(toggles, **metrics).csv_row())
+                reference.append(AblationRow(config, **metrics).csv_row())
             alone = {k: list(v) for k, v in calls.items()}
             for v in calls.values():
                 v.clear()

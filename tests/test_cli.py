@@ -14,6 +14,7 @@ from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, p
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset
 from eitnet.metrics import make_split
+from eitnet.pipeline import PipelineConfig
 from eitnet.tensorops import load_tensor, save_tensor
 
 from textio import read_csv_rows
@@ -50,7 +51,7 @@ class TestParsing:
 
     def test_toggles(self):
         t = parse_toggles("det,i3d,tsf")
-        assert t.detection and t.spatiotemporal and t.temporal
+        assert t.detection and t.spatiotemporal and t.temporal and t == PipelineConfig()
         t = parse_toggles("i3d")
         assert not t.detection and t.spatiotemporal and not t.temporal
         with pytest.raises(ConfigError, match="unknown"):

@@ -16,7 +16,7 @@ from eitnet.detection import (
     detection_loss,
     nms,
 )
-from eitnet.pipeline import PipelineConfig, PipelineModel, StageToggles
+from eitnet.pipeline import PipelineConfig, PipelineModel
 from eitnet.rng import Rng
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset, pose_bounding_box
 from eitnet.tensorops import linear, sigmoid
@@ -89,8 +89,8 @@ def reference_detect(det: Detector, clip: np.ndarray) -> list[list[BoundingBox]]
     w = det.parameters()
     scores = sigmoid(linear(rows, w["score_w"], w["score_b"])[:, 0])
     logits = linear(rows, w["reg_w"], w["reg_b"])[:, 0]
-    gates = np.clip(sigmoid(logits.reshape(-1, len(det.anchors), 4)), 1e-12, 1.0)
-    anchors = [BoundingBox(*a) for a in det.anchors.tolist()]
+    gates = np.clip(sigmoid(logits.reshape(-1, len(ANCHORS), 4)), 1e-12, 1.0)
+    anchors = [BoundingBox(*a) for a in ANCHORS.tolist()]
     return [
         list_nms(
             [
@@ -215,7 +215,6 @@ class TestBoxGating:
         assert np.all(extents > 0.0) and np.all(extents <= ANCHORS[:, 2:])
 
     def test_anchors_are_one_read_only_constant(self):
-        assert Detector(seed=1).anchors is Detector(seed=2).anchors is ANCHORS
         assert ANCHORS.shape == (4, 4) and not ANCHORS.flags.writeable
 
 
@@ -240,7 +239,7 @@ def reference_detection_loss(pred_scores, true_labels, pred_boxes, true_boxes, l
 def seed7_loss_inputs(detection: bool):
     """run-pipeline's loss inputs on the seed-7 dataset: scores, labels, predicted, true boxes."""
     samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
-    model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=7)
+    model = PipelineModel(PipelineConfig(detection=detection), seed=7)
     clips = np.stack([s.clip for s in samples])
     boxes = model.frame_boxes(clips).reshape(-1, 5)
     joints = np.stack([[p.joints for p in s.poses] for s in samples])
@@ -426,7 +425,7 @@ class TestCropRegion:
     @pytest.mark.parametrize("detection", [True, False])
     def test_equals_frame_by_frame_crop_on_seed7_clips(self, detection):
         samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
-        model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=7)
+        model = PipelineModel(PipelineConfig(detection=detection), seed=7)
         for sample in samples:
             boxes = model.frame_boxes(sample.clip[None])[0]
             ref = np.stack(frame_by_frame_crops(sample.clip, boxes, (12, 12)), axis=1)
@@ -569,7 +568,7 @@ class TestDetector:
     def test_detection_off_boxes_are_the_full_frame(self):
         full = [6.0, 8.0, 12.0, 16.0, 1.0]  # (w/2, h/2, w, h, score) of the 16x12 frame
         assert detection.full_frame_box((16, 12)).tolist() == full
-        off = PipelineModel(PipelineConfig(toggles=StageToggles(detection=False)), seed=5)
+        off = PipelineModel(PipelineConfig(detection=False), seed=5)
         assert off.frame_boxes(np.ones((2, 1, 3, 16, 12))).tolist() == [[full] * 3] * 2
 
     def test_every_frame_gets_a_box(self):

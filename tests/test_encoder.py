@@ -70,9 +70,9 @@ def per_group_divided_block(seq, params):
 
     x = seq.tokens
     z = grouped(grouped(x, "temporal"), "spatial")
-    h = layer_norm(z + x, params.norm1_gamma, params.norm1_beta, params.eps)
+    h = layer_norm(z + x, params.norm1_gamma, params.norm1_beta, 1e-5)
     f = linear(relu(linear(h, params.w_ffn1, params.b_ffn1)), params.w_ffn2, params.b_ffn2)
-    return layer_norm(f + h, params.norm2_gamma, params.norm2_beta, params.eps)
+    return layer_norm(f + h, params.norm2_gamma, params.norm2_beta, 1e-5)
 
 
 class TestPatchEmbed:

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from eitnet.i3d import DROPOUT, WIDTHS, I3DBlockParams, I3DStack, i3d_block, i3d_forward
+from eitnet.i3d import (
+    BN_MEAN,
+    BN_VAR,
+    CONV,
+    DROPOUT,
+    WIDTHS,
+    I3DBlockParams,
+    I3DStack,
+    i3d_block,
+    i3d_forward,
+)
 from eitnet.rng import Rng, derive_seed
 from eitnet.tensorops import (
     ConvSpec,
@@ -21,13 +31,9 @@ def identity_block(c=2):
     return I3DBlockParams(
         conv_weight=w,
         conv_bias=np.zeros(c),
-        conv_spec=ConvSpec(kernel=(3, 3, 3), padding=(1, 1, 1)),
         pool_spec=ConvSpec(kernel=(1, 1, 1)),
-        bn_mean=np.zeros(c),
-        bn_var=np.ones(c),
         bn_gamma=np.ones(c),
         bn_beta=np.zeros(c),
-        bn_eps=0.0,
     )
 
 
@@ -35,20 +41,25 @@ def random_block(rng, c_in, c_out, pool=(2, 2, 2)):
     return I3DBlockParams(
         conv_weight=rng.normals(c_out * c_in * 27).reshape(c_out, c_in, 3, 3, 3),
         conv_bias=rng.normals(c_out),
-        conv_spec=ConvSpec(kernel=(3, 3, 3), padding=(1, 1, 1)),
         pool_spec=ConvSpec(kernel=pool, stride=pool),
-        bn_mean=rng.normals(c_out),
-        bn_var=np.abs(rng.normals(c_out)) + 0.1,
         bn_gamma=rng.normals(c_out),
         bn_beta=rng.normals(c_out),
     )
+
+
+def composed_block(x, b, axis=0):
+    """conv3d -> relu -> pool3d_max -> batch_norm with per-channel identity statistics."""
+    c = len(b.conv_bias)
+    spec = ConvSpec(kernel=(3, 3, 3), padding=(1, 1, 1))
+    out = relu(conv3d(x, b.conv_weight, spec, bias=b.conv_bias))
+    out = pool3d_max(out, b.pool_spec)
+    return batch_norm(out, np.zeros(c), np.ones(c), b.bn_gamma, b.bn_beta, 1e-5, axis=axis)
 
 
 class TestBlock:
     def test_zero_input_zero_output(self):
         rng = Rng(40)
         params = random_block(rng, 2, 3)
-        params.bn_mean = np.zeros(3)
         params.bn_beta = np.zeros(3)
         params.conv_bias = np.zeros(3)
         out = i3d_block(np.zeros((1, 2, 4, 4, 4)), params, seeds=[1])
@@ -59,11 +70,7 @@ class TestBlock:
         params = random_block(rng, 2, 3)
         x = rng.normals(2 * 4 * 4 * 4).reshape(2, 4, 4, 4)
         out = i3d_block(x[None], params, seeds=[9])[0]
-        ref = relu(conv3d(x, params.conv_weight, params.conv_spec, bias=params.conv_bias))
-        ref = pool3d_max(ref, params.pool_spec)
-        ref = batch_norm(
-            ref, params.bn_mean, params.bn_var, params.bn_gamma, params.bn_beta, params.bn_eps
-        )
+        ref = composed_block(x, params)
         assert not np.array_equal(out, ref)  # the seed switched dropout on
         np.testing.assert_array_equal(out, dropout(ref, DROPOUT, 9))
         np.testing.assert_array_equal(i3d_block(x[None], params)[0], ref)
@@ -73,7 +80,7 @@ class TestForward:
     def test_identity_config_preserves_constant(self):
         clip = np.full((2, 3, 3, 3), 1.75)
         feats = i3d_forward(clip[None], [identity_block(c=2)])[0]
-        np.testing.assert_allclose(feats, [1.75, 1.75], atol=1e-12)
+        np.testing.assert_allclose(feats, [1.75 / np.sqrt(1 + 1e-5)] * 2, atol=1e-12)
 
     def test_two_block_composition_oracle(self):
         rng = Rng(43)
@@ -91,10 +98,7 @@ class TestForward:
         clip = rng.normals(1 * 4 * 4 * 4).reshape(1, 4, 4, 4)
         plain = i3d_forward(clip[None], blocks)
         assert plain.tobytes() == i3d_forward(clip[None], blocks).tobytes()
-        b = blocks[0]
-        out = relu(conv3d(clip, b.conv_weight, b.conv_spec, bias=b.conv_bias))
-        out = pool3d_max(out, b.pool_spec)
-        out = batch_norm(out, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta, b.bn_eps)
+        out = composed_block(clip, blocks[0])
         assert plain[0].tobytes() == global_avg_pool(out).tobytes()
         out = dropout(out, DROPOUT, derive_seed(1, "i3d-block", 0))
         got = i3d_forward(clip[None], blocks, seeds=[1])
@@ -105,11 +109,8 @@ class TestForward:
         rng = Rng(46)
         block = random_block(rng, 1, 2)
         block.conv_bias = np.zeros(2)
-        block.bn_mean = np.zeros(2)
         block.bn_beta = np.zeros(2)
-        block.bn_var = np.ones(2)
         block.bn_gamma = np.ones(2)
-        block.bn_eps = 0.0
         clip = np.abs(rng.normals(1 * 4 * 4 * 4)).reshape(1, 4, 4, 4)
         a = 2.5
         np.testing.assert_allclose(
@@ -132,14 +133,25 @@ class TestStack:
         assert 0.0 <= DROPOUT <= 1.0
         c_prev = 1  # single-channel clips
         for b, width in zip(stack.blocks, WIDTHS):
-            assert b.conv_weight.shape == (width, c_prev, *b.conv_spec.kernel)
-            for array in (b.conv_bias, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta):
+            assert b.conv_weight.shape == (width, c_prev, *CONV.kernel)
+            for array in (b.conv_bias, b.bn_gamma, b.bn_beta):
                 assert array.shape == (width,)
-            for array in (b.conv_weight, b.conv_bias, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta):
+            for array in (b.conv_weight, b.conv_bias, b.bn_gamma, b.bn_beta):
                 assert array.dtype == np.float64
-            assert np.all(b.bn_var >= 0.0)
             assert all(p < k for p, k in zip(b.pool_spec.padding, b.pool_spec.kernel))
             c_prev = width
+
+    def test_identity_statistics_equal_per_channel_ones_bitwise(self):
+        """The shared [1] statistics give each block the bytes of per-channel zeros and ones."""
+        assert not BN_MEAN.flags.writeable and not BN_VAR.flags.writeable
+        assert BN_MEAN.dtype == BN_VAR.dtype == np.float64
+        assert np.all(BN_VAR >= 0.0)
+        stack = I3DStack(seed=3)
+        x = Rng(52).normals(2 * 8 * 12 * 12).reshape(2, 1, 8, 12, 12)
+        for b in stack.blocks:
+            got = i3d_block(x, b)
+            assert got.tobytes() == composed_block(x, b, axis=1).tobytes()
+            x = got
 
     def test_dropout_seed_changes_features(self):
         stack = I3DStack(seed=3)
@@ -155,9 +167,7 @@ class TestStack:
         clip = Rng(50).normals(1 * 8 * 12 * 12).reshape(1, 8, 12, 12)
         out = clip
         for i, b in enumerate(stack.blocks):
-            out = relu(conv3d(out, b.conv_weight, b.conv_spec, bias=b.conv_bias))
-            out = pool3d_max(out, b.pool_spec)
-            out = batch_norm(out, b.bn_mean, b.bn_var, b.bn_gamma, b.bn_beta, b.bn_eps)
+            out = composed_block(out, b)
             if seeds:
                 out = dropout(out, DROPOUT, derive_seed(4, "i3d-block", i))
         ref = global_avg_pool(out)

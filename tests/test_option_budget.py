@@ -10,7 +10,18 @@ import inspect
 
 import pytest
 
-from eitnet import ablation, detection, i3d, pipeline, stream, synthetic, tensorops, training
+from eitnet import (
+    ablation,
+    detection,
+    encoder,
+    i3d,
+    metrics,
+    pipeline,
+    stream,
+    synthetic,
+    tensorops,
+    training,
+)
 
 BUDGET = {
     training.Hyperparams: {"lr", "epochs", "seed"},
@@ -23,12 +34,19 @@ BUDGET = {
     pipeline.PipelineModel.crop_clip: {"self", "clips", "boxes"},
     synthetic.augment: {"clip", "seed"},
     synthetic.DatasetConfig: {"repetitions"},
-    pipeline.PipelineConfig: {"toggles"},
+    pipeline.PipelineConfig: {"detection", "spatiotemporal", "temporal"},
     detection.Detector: {"seed"},
     i3d.I3DStack: {"seed"},
     i3d.I3DStack.forward: {"self", "clips", "seeds"},
     i3d.i3d_forward: {"clips", "blocks", "seeds"},
     i3d.i3d_block: {"x", "params", "seeds"},
+    i3d.I3DBlockParams: {"conv_weight", "conv_bias", "pool_spec", "bn_gamma", "bn_beta"},
+    encoder.EncoderParams: {
+        "w_q", "w_k", "w_v", "b_q", "b_k", "b_v", "w_ffn1", "b_ffn1", "w_ffn2", "b_ffn2",
+        "norm1_gamma", "norm1_beta", "norm2_gamma", "norm2_beta",
+    },
+    metrics.SplitPlan: {"train_ids", "test_ids", "axis"},
+    stream.SyncWindow: {"window_index", "frames", "completeness", "close_latency_us"},
     tensorops.ConvSpec: {"kernel", "stride", "padding"},
     stream.calibrate_clocks: {"samples"},
     stream.emit_feedback: {"window", "probs", "threshold"},

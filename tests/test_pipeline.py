@@ -9,7 +9,6 @@ from eitnet.encoder import self_attention
 from eitnet.pipeline import (
     PipelineConfig,
     PipelineModel,
-    StageToggles,
     count_attention_projections,
     count_conv3d,
     count_linear,
@@ -24,19 +23,19 @@ from eitnet.training import Hyperparams, train_toy
 from test_tensorops import np_pad_conv3d, np_pad_pool3d_max
 
 ALL_TOGGLES = [
-    StageToggles(),
-    StageToggles(temporal=False),
-    StageToggles(spatiotemporal=False),
-    StageToggles(spatiotemporal=False, temporal=False),
-    StageToggles(detection=False),
-    StageToggles(detection=False, temporal=False),
-    StageToggles(detection=False, spatiotemporal=False),
+    PipelineConfig(),
+    PipelineConfig(temporal=False),
+    PipelineConfig(spatiotemporal=False),
+    PipelineConfig(spatiotemporal=False, temporal=False),
+    PipelineConfig(detection=False),
+    PipelineConfig(detection=False, temporal=False),
+    PipelineConfig(detection=False, spatiotemporal=False),
 ]
 
 # (params, MACs) from the hand-written accounting that the counted forward replaced.
 PINNED_COUNTS = {
     **{
-        t.tag(): (PipelineConfig(toggles=t), counts)
+        t.tag(): (t, counts)
         for t, counts in zip(
             ALL_TOGGLES,
             [(42263, 2852736), (27287, 1213312), (36983, 1861632), (22007, 230400),
@@ -54,13 +53,13 @@ def samples():
 class TestToggles:
     def test_all_off_rejected(self):
         with pytest.raises(ValueError, match="at least one stage"):
-            StageToggles(detection=False, spatiotemporal=False, temporal=False)
+            PipelineConfig(detection=False, spatiotemporal=False, temporal=False)
 
     def test_tags(self):
-        assert StageToggles().tag() == "full"
-        assert StageToggles(detection=False).tag() == "no-detection"
-        assert StageToggles(spatiotemporal=False).tag() == "no-i3d"
-        assert StageToggles(temporal=False).tag() == "no-timesformer"
+        assert PipelineConfig().tag() == "full"
+        assert PipelineConfig(detection=False).tag() == "no-detection"
+        assert PipelineConfig(spatiotemporal=False).tag() == "no-i3d"
+        assert PipelineConfig(temporal=False).tag() == "no-timesformer"
 
 
 class TestForward:
@@ -77,21 +76,21 @@ class TestForward:
         clip = samples[0].clip
         on = PipelineModel(PipelineConfig(), seed=3)
         off = PipelineModel(
-            PipelineConfig(toggles=StageToggles(detection=False)), seed=3
+            PipelineConfig(detection=False), seed=3
         )
         stack = clip[None]
         crops = [m.crop_clip(stack, m.frame_boxes(stack)) for m in (on, off)]
         assert crops[0].shape == crops[1].shape == (1, 1, 8, 12, 12)
 
     def test_i3d_off_uses_mean_frame_features(self, samples):
-        config = PipelineConfig(toggles=StageToggles(spatiotemporal=False))
+        config = PipelineConfig(spatiotemporal=False)
         model = PipelineModel(config, seed=3)
         out = model.forward(samples[0].clip)
         assert out.pose_feat.shape == (144,)
         assert out.probs.shape == (4,)
 
     def test_temporal_off_skips_encoder(self, samples):
-        config = PipelineConfig(toggles=StageToggles(temporal=False))
+        config = PipelineConfig(temporal=False)
         model = PipelineModel(config, seed=3)
         clip = samples[0].clip
         cropped = model.crop_clip(clip[None], model.frame_boxes(clip[None]))
@@ -115,7 +114,7 @@ class TestForward:
 
     @pytest.mark.parametrize("detection", [True, False])
     def test_given_frame_boxes_equal_computed_ones(self, samples, detection):
-        model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=3)
+        model = PipelineModel(PipelineConfig(detection=detection), seed=3)
         clips = np.stack([s.clip for s in samples[:5]])
         boxes = model.frame_boxes(clips)
         assert boxes.shape == (5, 8, 5) and boxes.dtype == np.float64
@@ -135,7 +134,7 @@ class TestForward:
             return crop_region(clip, boxes, out_hw)
 
         monkeypatch.setattr(pipeline, "crop_region", counted)
-        model = PipelineModel(PipelineConfig(toggles=StageToggles(detection=detection)), seed=3)
+        model = PipelineModel(PipelineConfig(detection=detection), seed=3)
         for sample in samples[:3]:
             model.forward(sample.clip)
         clip = samples[0].clip[None]
@@ -188,9 +187,9 @@ class TestStacking:
     """Stacks of clips: each clip gets the bytes of a one-clip call, one crop per stack."""
 
     @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
-    @pytest.mark.parametrize("toggles", TABLE_ROWS, ids=StageToggles.tag)
-    def test_stacked_rows_equal_one_clip_extract_bitwise(self, samples, toggles, dropout):
-        model = PipelineModel(PipelineConfig(toggles=toggles), seed=7)
+    @pytest.mark.parametrize("config", TABLE_ROWS, ids=PipelineConfig.tag)
+    def test_stacked_rows_equal_one_clip_extract_bitwise(self, samples, config, dropout):
+        model = PipelineModel(config, seed=7)
         model.fit_feature_norm(samples[:6])
         clips = [s.clip for s in samples[:9]]
         if dropout:
@@ -207,9 +206,9 @@ class TestStacking:
                 assert cls_feat.tobytes() == z.tobytes()
                 assert pose_feat.tobytes() == f.tobytes()
 
-    @pytest.mark.parametrize("toggles", TABLE_ROWS, ids=StageToggles.tag)
-    def test_stacked_heads_equal_forward_bitwise(self, samples, toggles):
-        model = PipelineModel(PipelineConfig(toggles=toggles), seed=7)
+    @pytest.mark.parametrize("config", TABLE_ROWS, ids=PipelineConfig.tag)
+    def test_stacked_heads_equal_forward_bitwise(self, samples, config):
+        model = PipelineModel(config, seed=7)
         model.fit_feature_norm(samples)
         cls_feats, pose_feats = model.extract_batch([s.clip for s in samples])
         probs, poses = model.head_probs(cls_feats), model.head_pose(pose_feats)
@@ -347,8 +346,8 @@ class TestSharedFrozenStages:
 
         monkeypatch.setattr(pipeline, "_digest", refuse)
         clips = [s.clip for s in samples[:5]]
-        for toggles in TABLE_ROWS:
-            model = PipelineModel(PipelineConfig(toggles=toggles), seed=7)
+        for config in TABLE_ROWS:
+            model = PipelineModel(config, seed=7)
             model.extract_batch(clips, seeds=range(5))
             model.frame_boxes(np.stack(clips))
         assert pipeline._SHARED.get() is None
@@ -383,9 +382,8 @@ class TestSharedFrozenStages:
 class TestKernelPreconditions:
     """The kernels trust their arguments; the model builds weights that keep their preconditions."""
 
-    @pytest.mark.parametrize("toggles", ALL_TOGGLES, ids=[t.tag() for t in ALL_TOGGLES])
-    def test_model_weights_chain_the_linear_widths(self, toggles):
-        c = PipelineConfig(toggles=toggles)
+    @pytest.mark.parametrize("c", ALL_TOGGLES, ids=[t.tag() for t in ALL_TOGGLES])
+    def test_model_weights_chain_the_linear_widths(self, c):
         model = PipelineModel(c, seed=7)
         # patch_embed: the patch divides the crop, and its table takes one patch of one channel
         assert all(side % c.patch == 0 for side in c.crop_hw)
@@ -442,15 +440,14 @@ class TestComplexity:
     @pytest.mark.parametrize(
         "toggles",
         [
-            StageToggles(),
-            StageToggles(detection=False),
-            StageToggles(spatiotemporal=False),
-            StageToggles(temporal=False),
+            PipelineConfig(),
+            PipelineConfig(detection=False),
+            PipelineConfig(spatiotemporal=False),
+            PipelineConfig(temporal=False),
         ],
     )
     def test_parameter_count_matches_live_arrays(self, toggles):
-        config = PipelineConfig(toggles=toggles)
-        model = PipelineModel(config, seed=5)
+        model = PipelineModel(toggles, seed=5)
         listed = {id(a) for a in model.parameters()}
         # a disabled stage keeps its arrays on the model but lists none of them
         stage_arrays = {
@@ -461,15 +458,14 @@ class TestComplexity:
         for stage, arrays in stage_arrays.items():
             assert all((id(a) in listed) == getattr(toggles, stage) for a in arrays), stage
         live = sum(a.size for a in model.parameters())
-        assert live == count_params_flops(config)[0]
+        assert live == count_params_flops(toggles)[0]
 
     @pytest.mark.parametrize("config, counts", PINNED_COUNTS.values(), ids=PINNED_COUNTS)
     def test_counts_pinned(self, config, counts):
         assert count_params_flops(config) == counts
 
-    @pytest.mark.parametrize("toggles", ALL_TOGGLES, ids=StageToggles.tag)
-    def test_traced_macs_equal_count(self, samples, monkeypatch, toggles):
-        config = PipelineConfig(toggles=toggles)
+    @pytest.mark.parametrize("config", ALL_TOGGLES, ids=PipelineConfig.tag)
+    def test_traced_macs_equal_count(self, samples, monkeypatch, config):
         model = PipelineModel(config, seed=0)
         macs = []
 
@@ -499,9 +495,8 @@ class TestComplexity:
         model.forward(samples[0].clip)
         assert sum(macs) == count_params_flops(config)[1]
 
-    @pytest.mark.parametrize("toggles", ALL_TOGGLES, ids=StageToggles.tag)
-    def test_counted_macs_scale_with_the_stack(self, samples, toggles):
-        config = PipelineConfig(toggles=toggles)
+    @pytest.mark.parametrize("config", ALL_TOGGLES, ids=PipelineConfig.tag)
+    def test_counted_macs_scale_with_the_stack(self, samples, config):
         model = PipelineModel(config, seed=0)
         clips = np.stack([s.clip for s in samples[:4]])
         counts = []
@@ -516,6 +511,6 @@ class TestComplexity:
     def test_macs_positive_and_monotone_in_stages(self):
         full = count_params_flops(PipelineConfig())[1]
         reduced = count_params_flops(
-            PipelineConfig(toggles=StageToggles(temporal=False))
+            PipelineConfig(temporal=False)
         )[1]
         assert 0 < reduced < full

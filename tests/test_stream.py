@@ -319,7 +319,6 @@ class RescanAssembler:
         frames = self._pending.pop(index)
         return SyncWindow(
             window_index=index,
-            reference_time_us=index * self.period,
             frames=frames,
             completeness=len(frames) / len(self.specs),
             close_latency_us=max(self._max_corrected - index * self.period, 0.0),
@@ -801,8 +800,8 @@ class TestSimulation:
         for trial in range(200):
             frames = {cid: rng.uniforms(16).reshape(4, 4) * 255 for cid in range(1 + trial % 5)}
             mean_frame = np.mean(list(frames.values()), axis=0)
-            got = hook(SyncWindow(trial, 0.0, frames, 1.0))
-            ref = hook(SyncWindow(trial, 0.0, {0: mean_frame}, 1.0))
+            got = hook(SyncWindow(trial, frames, 1.0))
+            ref = hook(SyncWindow(trial, {0: mean_frame}, 1.0))
             np.testing.assert_array_equal(got, ref)
 
 
@@ -981,10 +980,7 @@ class TestAssemblerProperties:
 
 class TestFeedback:
     def window(self):
-        return SyncWindow(
-            window_index=3, reference_time_us=3000.0, frames={}, completeness=1.0,
-            close_latency_us=250.0,
-        )
+        return SyncWindow(window_index=3, frames={}, completeness=1.0, close_latency_us=250.0)
 
     def test_confident_probability_emits(self):
         msg = emit_feedback(self.window(), np.array([0.9, 0.04, 0.03, 0.03]), 0.5)

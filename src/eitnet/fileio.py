@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import SkeletonPose
+from . import ACTION_LABELS, FRAME_HW, FRAMES, JOINT_NAMES
+from .metrics import SUBJECT_IDS, VIEW_IDS, SkeletonPose
 from .stream import CameraSpec
 from .synthetic import SyntheticAction
 from .tensorops import load_tensor, save_tensor
@@ -95,16 +96,27 @@ def save_dataset(directory, samples: list[SyntheticAction], seed: int) -> None:
 
 
 def _load_sample(root: Path, row: list[str]) -> SyntheticAction:
+    """One manifest row's sample, checked here, where samples enter the program.
+
+    Beyond ``load_tensor``'s checks of each file, the clip's shape, the label,
+    the ids and the pose count must be what the generator makes.
+    """
     if len(row) != 6:
         raise ValueError(f"expected 6 fields, got {len(row)}")
     _, subject_id, view_id, label, clip_rel, pose_rel = row
-    return SyntheticAction(
-        clip=load_tensor(root / clip_rel),
-        poses=SkeletonPose.from_stack(load_tensor(root / pose_rel)),
-        subject_id=int(subject_id),
-        view_id=int(view_id),
-        label=label,
-    )
+    clip, joints = load_tensor(root / clip_rel), load_tensor(root / pose_rel)
+    poses = SkeletonPose.from_stack(joints)
+    subject_id, view_id = int(subject_id), int(view_id)
+    expected = (1, FRAMES, *FRAME_HW)
+    if clip.shape != expected:
+        raise ValueError(f"clip must be [1, T, H, W], got shape {clip.shape}, expected {expected}")
+    if label not in ACTION_LABELS:
+        raise ValueError(f"label must be one of {ACTION_LABELS}, got {label!r}")
+    if subject_id not in SUBJECT_IDS or view_id not in VIEW_IDS:
+        raise ValueError("subject_id must be 1..10 and view_id 1..5")
+    if joints.shape[:2] != (FRAMES, len(JOINT_NAMES)):
+        raise ValueError(f"need {FRAMES} poses of {len(JOINT_NAMES)} joints, one per frame")
+    return SyntheticAction(clip, poses, subject_id, view_id, label)
 
 
 def load_dataset(directory) -> list[SyntheticAction]:

@@ -28,7 +28,6 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,8 +48,8 @@ _CRC_RESIDUE = 0x2144DF1C
 # Frames per median_filter call and per block of a camera's draws in
 # run_simulation: bounds their transient memory whatever the duration.
 _FILTER_BLOCK = 256
-_HANDSHAKES = 5  # clock samples per camera
-_MEDIAN_WINDOW = 3
+_HANDSHAKES = 5  # clock samples per camera (calibrate_clocks takes an odd count)
+_MEDIAN_WINDOW = 3  # median_filter's neighborhood side
 
 
 class StreamError(Exception):
@@ -157,30 +156,21 @@ def decode_packet(blob: bytes) -> StreamPacket:
     )
 
 
-def median_filter(frames: np.ndarray, window: int) -> np.ndarray:
-    """k x k neighborhood median with replicated borders over [..., H, W].
+def median_filter(frames: np.ndarray) -> np.ndarray:
+    """3 x 3 neighborhood median with replicated borders over [..., H, W].
 
-    k must be odd and no larger than either extent.  uint8 frames keep their
-    dtype; anything else is filtered in float64 and must be finite.  The
-    median of each neighborhood is selected by min/max exchanges over the
-    k*k shifted views of one edge-padded copy, so a whole stack of frames
-    costs a fixed number of array operations.
+    Runs in the frames' own dtype (``run_simulation`` passes its uint8
+    ``[n, H, W]`` blocks); both extents must be at least 3.  The median of
+    each neighborhood is selected by min/max exchanges over the 9 shifted
+    views of one edge-padded copy, so a whole stack of frames costs a fixed
+    number of array operations.
     """
-    frames = np.asarray(frames)
-    if frames.dtype != np.uint8:
-        frames = frames.astype(np.float64, copy=False)
-        if not np.isfinite(frames).all():
-            raise ValueError("frames must be finite")
-    if frames.ndim < 2:
-        raise ValueError(f"frames must be [..., H, W], got rank {frames.ndim}")
+    k = _MEDIAN_WINDOW
     h, w = frames.shape[-2:]
-    if window % 2 == 0 or window < 1:
-        raise ValueError(f"window must be odd, got {window}")
-    if window > min(h, w):
-        raise ValueError(f"window {window} exceeds frame extents {h}x{w}")
-    r = window // 2
-    padded = np.pad(frames, [(0, 0)] * (frames.ndim - 2) + [(r, r), (r, r)], mode="edge")
-    values = [padded[..., i : i + h, j : j + w] for i in range(window) for j in range(window)]
+    if k > min(h, w):
+        raise ValueError(f"window {k} exceeds frame extents {h}x{w}")
+    padded = np.pad(frames, [(0, 0)] * (frames.ndim - 2) + [(k // 2, k // 2)] * 2, mode="edge")
+    values = [padded[..., i : i + h, j : j + w] for i in range(k) for j in range(k)]
     # Each bubble pass carries the largest remaining value to the end and
     # drops it; once the values above the median are gone, the median is the
     # largest of what is left.
@@ -194,26 +184,21 @@ def median_filter(frames: np.ndarray, window: int) -> np.ndarray:
     return functools.reduce(np.maximum, values)
 
 
-def calibrate_clocks(samples: dict[int, list[tuple[int, int]]]) -> dict[int, int | Fraction]:
+def calibrate_clocks(samples: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
     """Per-camera offset to subtract from sender timestamps.
 
-    Each sample is (camera send timestamp, hub receive timestamp).  One-way
-    samples cannot separate latency from offset, so the latency is taken as
-    zero, the floor of the in-process transport.  The median is exact: the
-    middle difference, or for an even count the ``Fraction`` midway between
-    the two middle ones, so a timestamp near 2^64 loses nothing before the
-    corrected time is rounded once to float.
+    Each sample is (camera send timestamp, hub receive timestamp), an odd
+    count of at least 3 per camera.  One-way samples cannot separate latency
+    from offset, so the latency is taken as zero, the floor of the in-process
+    transport.  The median is the middle difference, an exact ``int``, so a
+    timestamp near 2^64 loses nothing before the corrected time is rounded
+    once to float.
     """
     offsets = {}
     for camera_id, pairs in samples.items():
-        if len(pairs) < 3:
-            raise ValueError(f"camera {camera_id}: need >= 3 handshake samples")
-        diffs = sorted(send - recv for send, recv in pairs)
-        mid = len(diffs) // 2
-        if len(diffs) % 2:
-            offsets[camera_id] = diffs[mid]
-        else:
-            offsets[camera_id] = Fraction(diffs[mid - 1] + diffs[mid], 2)
+        if len(pairs) < 3 or len(pairs) % 2 == 0:
+            raise ValueError(f"camera {camera_id}: need an odd count >= 3 of handshake samples")
+        offsets[camera_id] = sorted(send - recv for send, recv in pairs)[len(pairs) // 2]
     return offsets
 
 
@@ -223,10 +208,6 @@ class SyncWindow:
     frames: dict[int, np.ndarray]
     completeness: float
     close_latency_us: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.completeness <= 1.0:
-            raise ValueError("completeness must be in [0, 1]")
 
 
 @dataclass
@@ -252,10 +233,6 @@ class WindowAssembler:
     """
 
     def __init__(self, specs: list[CameraSpec], window_period_us: int):
-        if window_period_us <= 0:
-            raise ValueError("window period must be positive")
-        if not specs:
-            raise ValueError("need at least one camera")
         self.specs = {s.camera_id: s for s in specs}
         self.period = window_period_us
         self.stats = AssemblerStats()
@@ -326,24 +303,6 @@ class FeedbackMessage:
 
 
 FEEDBACK_CSV_HEADER = "window_index,label,confidence,latency_us"
-
-
-def emit_feedback(
-    window: SyncWindow, probs: np.ndarray, threshold: float
-) -> FeedbackMessage | None:
-    """A message when the top class probability (one per ``ACTION_LABELS``) clears the threshold."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or len(ACTION_LABELS) != probs.size:
-        raise ValueError("need one label per probability")
-    best = int(probs.argmax())
-    if probs[best] < threshold:
-        return None
-    return FeedbackMessage(
-        window_index=window.window_index,
-        label=ACTION_LABELS[best],
-        confidence=float(probs[best]),
-        latency_us=window.close_latency_us,
-    )
 
 
 @dataclass
@@ -467,8 +426,12 @@ def run_simulation(
     as it pulls it and filters them in blocks of at most ``_FILTER_BLOCK``.
     Every decoded frame must have the extents ``frame_hw``.  The hook runs on
     each window as the assembler emits it, so a closed window's frames are
-    released once it is labelled.  If producing or consuming a packet
-    raises, the error reaches the caller as it is.
+    released once it is labelled.  The hook must return one finite
+    probability per ``ACTION_LABELS`` entry; a hook that raises or returns
+    anything else fails that window alone (a ``hook-error`` row and a
+    ``hook_failures`` entry).  A window whose top probability reaches
+    ``feedback_threshold`` also gives a ``FeedbackMessage``.  If producing
+    or consuming a packet raises, the error reaches the caller as it is.
     """
     check_simulation(specs, duration_us, window_period_us, feedback_threshold)
     period = specs[0].frame_period_us if window_period_us is None else window_period_us
@@ -492,15 +455,22 @@ def run_simulation(
         if pipeline_hook is not None:
             try:
                 probs = np.asarray(pipeline_hook(window), dtype=np.float64)
+                if probs.shape != (len(ACTION_LABELS),) or not np.isfinite(probs).all():
+                    raise ValueError(
+                        f"hook must return {len(ACTION_LABELS)} finite probabilities, "
+                        f"got shape {probs.shape}"
+                    )
             except Exception as exc:  # failures are recorded per window, never fatal
                 hook_failures.append((window.window_index, str(exc)))
                 window_rows.append((window.window_index, window.completeness, "hook-error", 0.0))
                 return
-        name = ACTION_LABELS[int(probs.argmax())]
-        window_rows.append((window.window_index, window.completeness, name, float(probs.max())))
-        message = emit_feedback(window, probs, feedback_threshold)
-        if message is not None:
-            feedback.append(message)
+        best = int(probs.argmax())
+        label, confidence = ACTION_LABELS[best], float(probs[best])
+        window_rows.append((window.window_index, window.completeness, label, confidence))
+        if confidence >= feedback_threshold:
+            feedback.append(
+                FeedbackMessage(window.window_index, label, confidence, window.close_latency_us)
+            )
 
     def admit(blob: bytes) -> StreamPacket:
         packet = decode_packet(blob)
@@ -514,7 +484,7 @@ def run_simulation(
 
     def consume(packets: list[StreamPacket]):
         frames = np.frombuffer(b"".join(p.payload for p in packets), dtype=np.uint8)
-        filtered = median_filter(frames.reshape(len(packets), h, w), _MEDIAN_WINDOW)
+        filtered = median_filter(frames.reshape(len(packets), h, w))
         for packet, frame in zip(packets, filtered.astype(np.float64)):
             corrected = float(packet.timestamp_us - offsets[packet.camera_id])
             for window in assembler.push(packet.camera_id, corrected, frame):

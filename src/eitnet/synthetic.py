@@ -102,25 +102,13 @@ class DatasetConfig:
 
 @dataclass
 class SyntheticAction:
-    clip: np.ndarray  # [1, T, H, W] grayscale in [0, 1]
+    """A plain record: the generator builds valid samples; the loader checks read ones."""
+
+    clip: np.ndarray  # [1, T, H, W] float64 grayscale in [0, 1]
     poses: list[SkeletonPose]  # camera-frame joints, mm, one per frame
     subject_id: int
     view_id: int
     label: str
-
-    def __post_init__(self):
-        self.clip = as_tensor(self.clip)
-        expected = (1, FRAMES, *FRAME_HW)
-        if self.clip.shape != expected:
-            raise ValueError(
-                f"clip must be [1, T, H, W], got shape {self.clip.shape}, expected {expected}"
-            )
-        if self.label not in ACTION_LABELS:
-            raise ValueError(f"label must be one of {ACTION_LABELS}, got {self.label!r}")
-        if self.subject_id not in SUBJECT_IDS or self.view_id not in VIEW_IDS:
-            raise ValueError("subject_id must be 1..10 and view_id 1..5")
-        if [pose.count for pose in self.poses] != [len(JOINT_NAMES)] * FRAMES:
-            raise ValueError(f"need {FRAMES} poses of {len(JOINT_NAMES)} joints, one per frame")
 
     @property
     def label_index(self) -> int:

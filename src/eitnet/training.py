@@ -241,38 +241,40 @@ def train_toy(model: PipelineModel, samples, hp: Hyperparams) -> TrainResult:
 
     history: list[EpochStats] = []
     stopped = False
-    for epoch in range(1, hp.epochs + 1):
-        lr = hp.learning_rate(epoch)
-        shuffled = train_idx[:]
-        Rng(derive_seed(hp.seed, "order", epoch)).shuffle(shuffled)
-        losses, accs = [], []
-        for start in range(0, len(shuffled), BATCH_SIZE):
-            batch_idx = shuffled[start : start + BATCH_SIZE]
-            batch = _extract_batch(model, samples, batch_idx, epoch, hp, train_mode=True)
-            ce, pose_mse, grads = heads_loss_and_grads(params, batch)
-            loss = ce + pose_mse
-            if not math.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss {loss} at epoch {epoch} (ce={ce}, pose={pose_mse})"
+    # Divergence overflows to inf/nan, which the finiteness checks raise for.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, hp.epochs + 1):
+            lr = hp.learning_rate(epoch)
+            shuffled = train_idx[:]
+            Rng(derive_seed(hp.seed, "order", epoch)).shuffle(shuffled)
+            losses, accs = [], []
+            for start in range(0, len(shuffled), BATCH_SIZE):
+                batch_idx = shuffled[start : start + BATCH_SIZE]
+                batch = _extract_batch(model, samples, batch_idx, epoch, hp, train_mode=True)
+                ce, pose_mse, grads = heads_loss_and_grads(params, batch)
+                loss = ce + pose_mse
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss {loss} at epoch {epoch} (ce={ce}, pose={pose_mse})"
+                    )
+                optimizer.step(grads, lr)
+                losses.append(loss)
+                accs.append(_label_accuracy(params, batch.cls_feats, batch.labels))
+            val_ce, val_mse, _ = heads_loss_and_grads(params, val_batch)
+            val_loss = val_ce + val_mse
+            if not math.isfinite(val_loss):
+                raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
+            history.append(
+                EpochStats(
+                    epoch=epoch,
+                    lr=lr,
+                    train_loss=float(np.mean(losses)),
+                    train_acc=float(np.mean(accs)),
+                    val_loss=val_loss,
+                    val_acc=_label_accuracy(params, val_batch.cls_feats, val_batch.labels),
                 )
-            optimizer.step(grads, lr)
-            losses.append(loss)
-            accs.append(_label_accuracy(params, batch.cls_feats, batch.labels))
-        val_ce, val_mse, _ = heads_loss_and_grads(params, val_batch)
-        val_loss = val_ce + val_mse
-        if not math.isfinite(val_loss):
-            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                lr=lr,
-                train_loss=float(np.mean(losses)),
-                train_acc=float(np.mean(accs)),
-                val_loss=val_loss,
-                val_acc=_label_accuracy(params, val_batch.cls_feats, val_batch.labels),
             )
-        )
-        if stopper.update(val_loss):
-            stopped = True
-            break
+            if stopper.update(val_loss):
+                stopped = True
+                break
     return TrainResult(history=history, stopped_early=stopped)

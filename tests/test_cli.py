@@ -15,6 +15,7 @@ from eitnet.detection import Detector
 from eitnet.fileio import load_dataset
 from eitnet.metrics import make_split
 from eitnet.pipeline import PipelineConfig
+from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
 from eitnet.tensorops import load_tensor, save_tensor
 
 from textio import read_csv_rows
@@ -93,6 +94,18 @@ class TestExitCodes:
     def test_python_m_eitnet_cli_runs_the_cli(self):
         self.python_m_version("eitnet.cli")
 
+    def test_diverging_run_prints_one_error_line(self, dataset_dir, tmp_path):
+        """numpy's overflow warnings stay quiet even when shown: stderr is the error alone."""
+        src = Path(eitnet.__file__).resolve().parents[1]
+        argv = ["train", "--seed", "1", "--epochs", "1", "--lr", "1e308",
+                "--dataset", str(dataset_dir), "--out", str(tmp_path / "out")]
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "eitnet", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "error: non-finite loss nan at epoch 1 (ce=nan, pose=nan)\n"
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert dispatch([]) == 2
         assert "usage" in capsys.readouterr().err.lower()
@@ -126,6 +139,10 @@ class TestExitCodes:
             ("1,1,1,pass,clips/missing.bin,poses/sample_0000.bin",
              "cannot read .*clips/missing.bin: No such file or directory"),
             ("1,1,1,dunk,clips/sample_0000.bin,poses/sample_0000.bin", "label must be one of"),
+            ("1,11,1,pass,clips/sample_0000.bin,poses/sample_0000.bin",
+             "subject_id must be 1..10"),
+            ("1,1,6,pass,clips/sample_0000.bin,poses/sample_0000.bin",
+             "subject_id must be 1..10 and view_id 1..5"),
             ("1,1,1,pass,clips/flat.bin,poses/sample_0000.bin",
              r"clip must be \[1, T, H, W\], got shape \(8,\)"),
             ("1,1,1,pass,clips/magic-only.bin,poses/sample_0000.bin",
@@ -141,8 +158,9 @@ class TestExitCodes:
              r"clip must be \[1, T, H, W\], got shape \(1, 8, 8, 8\)"),
             ("1,1,1,pass,clips/nan.bin,poses/sample_0000.bin", "tensor values must be finite"),
         ],
-        ids=["short-row", "missing-clip", "unknown-label", "rank-1-clip", "magic-only-clip",
-             "short-header-clip", "four-frame-clip", "four-joint-poses", "8x8-clip", "nan-clip"],
+        ids=["short-row", "missing-clip", "unknown-label", "subject-11", "view-6",
+             "rank-1-clip", "magic-only-clip", "short-header-clip", "four-frame-clip",
+             "four-joint-poses", "8x8-clip", "nan-clip"],
     )
     def test_bad_manifest_row_is_config_error_naming_the_line(
         self, row, message, dataset_dir, tmp_path, capsys
@@ -324,6 +342,14 @@ class TestGenData:
         assert comments[0] == "seed=7"
         assert rows[0] == "sample_id,subject_id,view_id,label,clip_path,pose_path".split(",")
         assert len(rows) == 201
+
+    def test_loaded_samples_equal_the_generated_ones(self, dataset_dir):
+        def record(s):
+            poses = [p.joints.tobytes() for p in s.poses]
+            return s.subject_id, s.view_id, s.label, s.clip.shape, s.clip.tobytes(), poses
+
+        generated = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
+        assert [record(s) for s in load_dataset(dataset_dir)] == [record(s) for s in generated]
 
     def test_deterministic(self, tmp_path):
         run_twice(

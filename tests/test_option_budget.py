@@ -34,6 +34,7 @@ BUDGET = {
     pipeline.PipelineModel.crop_clip: {"self", "clips", "boxes"},
     synthetic.augment: {"clip", "seed"},
     synthetic.DatasetConfig: {"repetitions"},
+    synthetic.SyntheticAction: {"clip", "poses", "subject_id", "view_id", "label"},
     pipeline.PipelineConfig: {"detection", "spatiotemporal", "temporal"},
     detection.Detector: {"seed"},
     i3d.I3DStack: {"seed"},
@@ -49,7 +50,8 @@ BUDGET = {
     stream.SyncWindow: {"window_index", "frames", "completeness", "close_latency_us"},
     tensorops.ConvSpec: {"kernel", "stride", "padding"},
     stream.calibrate_clocks: {"samples"},
-    stream.emit_feedback: {"window", "probs", "threshold"},
+    stream.median_filter: {"frames"},
+    stream.WindowAssembler: {"specs", "window_period_us"},
     stream.run_simulation: {
         "specs", "duration_us", "seed", "pipeline_hook", "frame_hw", "window_period_us",
         "feedback_threshold",

@@ -1,8 +1,8 @@
 import math
+import re
 import threading
 import zlib
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from eitnet.stream import (
     AssemblerStats,
     CameraCounts,
     CameraSpec,
+    FeedbackMessage,
     IntegrityError,
     ProtocolError,
     SimulationReport,
@@ -31,7 +32,6 @@ from eitnet.stream import (
     _percentile,
     calibrate_clocks,
     decode_packet,
-    emit_feedback,
     encode_packet,
     median_filter,
     run_simulation,
@@ -151,12 +151,12 @@ class TestCodec:
 class TestMedianFilter:
     def test_constant_frame_unchanged(self):
         frame = np.full((5, 5), 9.0)
-        np.testing.assert_array_equal(median_filter(frame, 3), frame)
+        np.testing.assert_array_equal(median_filter(frame), frame)
 
     def test_isolated_speck_removed(self):
         frame = np.zeros((3, 3))
         frame[1, 1] = 255.0
-        out = median_filter(frame, 3)
+        out = median_filter(frame)
         ref = oracles.median_filter_oracle(frame, 3)
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(out, np.zeros((3, 3)))
@@ -164,48 +164,37 @@ class TestMedianFilter:
     def test_matches_sort_oracle_on_random(self):
         rng = Rng(306)
         frame = rng.uniforms(7 * 6).reshape(7, 6) * 255
-        np.testing.assert_array_equal(median_filter(frame, 3), oracles.median_filter_oracle(frame, 3))
-        np.testing.assert_array_equal(median_filter(frame, 5), oracles.median_filter_oracle(frame, 5))
+        np.testing.assert_array_equal(median_filter(frame), oracles.median_filter_oracle(frame, 3))
 
     def test_output_values_from_input_multiset(self):
         rng = Rng(307)
         frame = rng.uniforms(6 * 6).reshape(6, 6)
-        out = median_filter(frame, 3)
+        out = median_filter(frame)
         values = set(frame.ravel().tolist())
         assert all(v in values for v in out.ravel().tolist())
 
-    def test_rejects_even_or_oversized_window(self):
-        frame = np.zeros((4, 4))
-        with pytest.raises(ValueError, match="odd"):
-            median_filter(frame, 2)
-        with pytest.raises(ValueError, match="exceeds"):
-            median_filter(frame, 5)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_frames(self, bad):
-        frame = np.arange(25, dtype=np.float64).reshape(5, 5)
-        frame[2, 2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            median_filter(frame, 3)
+    @pytest.mark.parametrize("hw", [(2, 5), (5, 2), (1, 1)])
+    def test_rejects_frames_smaller_than_the_window(self, hw):
+        with pytest.raises(ValueError, match=rf"^window 3 exceeds frame extents {hw[0]}x{hw[1]}$"):
+            median_filter(np.zeros((4, *hw), dtype=np.uint8))
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
-    @pytest.mark.parametrize("hw", [(5, 7), (7, 5), (6, 6)])
-    @pytest.mark.parametrize("window", [1, 3, 5])
-    def test_stack_matches_sort_oracle_frame_by_frame(self, dtype, hw, window):
-        rng = Rng(310 + window)
+    @pytest.mark.parametrize("hw", [(5, 7), (7, 5), (6, 6), (3, 3)])
+    def test_stack_matches_sort_oracle_frame_by_frame(self, dtype, hw):
+        rng = Rng(313)
         frames = (rng.uniforms(4 * hw[0] * hw[1]) * 256).astype(dtype).reshape(4, *hw)
-        out = median_filter(frames, window)
+        out = median_filter(frames)
         assert out.dtype == dtype and out.shape == frames.shape
         for frame, got in zip(frames, out):
-            ref = oracles.median_filter_oracle(frame.astype(np.float64), window)
+            ref = oracles.median_filter_oracle(frame.astype(np.float64), 3)
             np.testing.assert_array_equal(got, ref)
 
     def test_leading_axes_are_independent_frames(self):
         frames = (Rng(313).uniforms(2 * 3 * 5 * 4) * 256).astype(np.uint8).reshape(2, 3, 5, 4)
-        out = median_filter(frames, 3)
+        out = median_filter(frames)
         for a in range(2):
             for b in range(3):
-                np.testing.assert_array_equal(out[a, b], median_filter(frames[a, b], 3))
+                np.testing.assert_array_equal(out[a, b], median_filter(frames[a, b]))
 
 
 class TestCalibration:
@@ -216,11 +205,8 @@ class TestCalibration:
 
     def test_offset_past_2_53_stays_exact(self):
         big = 2**60 + 1  # float64 would round it to 2**60
-        odd = [(big + 3, 3), (big + 10, 0), (big - 4, 0)]
-        even = [(big, 0), (big + 2, 1), (big + 9, 0), (big - 5, 0)]
-        offsets = calibrate_clocks({1: odd, 2: even})
-        assert offsets[1] == big
-        assert offsets[2] == Fraction(2 * big + 1, 2)  # midway between big and big + 1
+        offsets = calibrate_clocks({1: [(big + 3, 3), (big + 10, 0), (big - 4, 0)]})
+        assert offsets[1] == big and type(offsets[1]) is int
 
     def test_symmetric_jitter_bounded_error(self):
         rng = Rng(308)
@@ -240,6 +226,10 @@ class TestCalibration:
     def test_insufficient_samples(self):
         with pytest.raises(ValueError, match=">= 3"):
             calibrate_clocks({1: [(0, 0), (1, 1)]})
+
+    def test_even_sample_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^camera 2: need an odd count >= 3 of handshake"):
+            calibrate_clocks({1: [(0, 0)] * 5, 2: [(0, 0)] * 4})
 
 
 def packet_frame(packet):
@@ -453,11 +443,11 @@ def per_packet_simulation(
     feedback = []
     for window in windows:
         probs = np.asarray(pipeline_hook(window), dtype=np.float64)
-        label = ACTION_LABELS[int(probs.argmax())]
-        window_rows.append((window.window_index, window.completeness, label, float(probs.max())))
-        message = emit_feedback(window, probs, feedback_threshold)
-        if message is not None:
-            feedback.append(message)
+        label, top = ACTION_LABELS[int(probs.argmax())], float(probs.max())
+        window_rows.append((window.window_index, window.completeness, label, top))
+        if top >= feedback_threshold:
+            latency = window.close_latency_us
+            feedback.append(FeedbackMessage(window.window_index, label, top, latency))
     latencies = [w.close_latency_us for w in windows]
     return SimulationReport(
         counts=counts,
@@ -718,6 +708,34 @@ class TestSimulation:
                 assert label == "dribble"
         assert all(m.window_index not in failed for m in report.feedback)
 
+    @pytest.mark.parametrize(
+        "probs, error",
+        [
+            ([0.1, 0.1, 0.1, 0.1, 0.6], r"got shape \(5,\)"),
+            ([0.6, 0.1, 0.1, 0.1, 0.1], r"got shape \(5,\)"),
+            ([0.2, 0.5, 0.3], r"got shape \(3,\)"),
+            ([[0.9, 0.1], [0.0, 0.0]], r"got shape \(2, 2\)"),
+            ([np.nan, 0.5, 0.25, 0.25], r"got shape \(4,\)"),
+            ([np.nan] * 4, r"got shape \(4,\)"),
+        ],
+        ids=["five-top-last", "five-top-first", "three", "2x2", "one-nan", "all-nan"],
+    )
+    def test_bad_hook_output_is_a_hook_failure(self, probs, error):
+        specs = [spec(1), spec(2)]
+        report = run_simulation(
+            specs, duration_us=6_000, seed=2, pipeline_hook=lambda window: np.array(probs)
+        )
+        assert report.conservation_holds()
+        assert [row[2:] for row in report.window_rows] == [("hook-error", 0.0)] * 6
+        assert [idx for idx, _ in report.hook_failures] == [row[0] for row in report.window_rows]
+        assert not report.feedback
+        lines = report_csv_text(report, 2).splitlines()
+        failures = [line for line in lines if line.startswith("# hook_failure")]
+        assert len(failures) == 6
+        prefix = r"# hook_failure window=\d+: hook must return 4 finite probabilities, "
+        assert all(re.fullmatch(prefix + error, f) for f in failures)
+        assert "nan" not in "".join(lines)
+
     def test_hook_runs_as_each_window_is_emitted(self, monkeypatch):
         decoded = 0
         original = eitnet.stream.decode_packet
@@ -851,9 +869,9 @@ class TestBlockEquivalence:
         shapes = []
         original = eitnet.stream.median_filter
 
-        def recording(frames, window):
+        def recording(frames):
             shapes.append(np.shape(frames))
-            return original(frames, window)
+            return original(frames)
 
         monkeypatch.setattr(eitnet.stream, "median_filter", recording)
         specs = [spec(cid, period=33333, offset=200 * cid, drop=0.05) for cid in range(1, 6)]
@@ -979,18 +997,34 @@ class TestAssemblerProperties:
 
 
 class TestFeedback:
-    def window(self):
-        return SyncWindow(window_index=3, frames={}, completeness=1.0, close_latency_us=250.0)
+    @staticmethod
+    def constant_run(probs):
+        """A two-camera run whose hook returns probs for every window, and each window's latency."""
+        latencies = {}
+
+        def hook(window):
+            latencies[window.window_index] = window.close_latency_us
+            return probs
+
+        report = run_simulation([spec(1), spec(2)], duration_us=8_000, seed=2, pipeline_hook=hook)
+        return report, latencies
 
     def test_confident_probability_emits(self):
-        msg = emit_feedback(self.window(), np.array([0.9, 0.04, 0.03, 0.03]), 0.5)
-        assert msg is not None
-        assert msg.label == "dribble" and msg.confidence == 0.9
-        assert msg.csv_row().startswith("3,dribble,0.9,")
+        report, latencies = self.constant_run(np.array([0.9, 0.04, 0.03, 0.03]))
+        assert len(report.feedback) == len(report.window_rows) == 8
+        assert [(m.window_index, m.latency_us) for m in report.feedback] == list(latencies.items())
+        for message in report.feedback:
+            assert message.label == "dribble" and message.confidence == 0.9
+            assert message.csv_row().startswith(f"{message.window_index},dribble,0.9,")
+
+    def test_threshold_is_inclusive_and_a_list_is_accepted(self):
+        report, _ = self.constant_run([0.5, 0.2, 0.2, 0.1])
+        assert not report.hook_failures
+        assert [(m.label, m.confidence) for m in report.feedback] == [("dribble", 0.5)] * 8
 
     def test_uniform_probabilities_suppressed(self):
-        msg = emit_feedback(self.window(), np.full(4, 0.25), 0.5)
-        assert msg is None
+        report, latencies = self.constant_run(np.full(4, 0.25))
+        assert len(report.window_rows) == len(latencies) == 8 and not report.feedback
 
     def test_zero_threshold_always_emits(self):
         specs = [spec(1), spec(2)]

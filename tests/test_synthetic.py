@@ -13,7 +13,6 @@ from eitnet.synthetic import (
     FRAMES,
     NOISE,
     DatasetConfig,
-    SyntheticAction,
     _view_rotation,
     augment,
     generate_synthetic_dataset,
@@ -223,13 +222,6 @@ class TestGenerator:
         assert digest.hexdigest() == (
             "bf4a65ff496573a595239d0f120687a5c3187947259ddf9808e0a91c33227c3b"
         )
-
-    @pytest.mark.parametrize("shape", [(8,), (8, 16, 16), (2, 8, 16, 16)])
-    def test_clip_must_be_one_channel_rank_4(self, shape):
-        poses = [SkeletonPose(joints=_BASE_JOINTS_MM)] * 8
-        with pytest.raises(ValueError, match=r"clip must be \[1, T, H, W\]"):
-            SyntheticAction(clip=np.zeros(shape), poses=poses, subject_id=1, view_id=1,
-                            label="pass")
 
     def test_centroid_classifier_separates_classes(self):
         """Generator sanity oracle: nearest centroid on raw pose trajectories."""

@@ -173,7 +173,7 @@ def cmd_run_pipeline(args) -> int:
     probs = model.head_probs(cls_feats)
     n, t = boxes.shape[:2]
     boxes = boxes.reshape(n * t, 5)
-    joints = np.stack([[pose.joints for pose in sample.poses] for sample in samples])
+    joints = np.stack([sample.joints for sample in samples])
     true_boxes = pose_bounding_box(joints, *clips.shape[-2:]).reshape(n * t, 4)
     scores = boxes[:, 4:]
     parts = detection_loss(
@@ -222,9 +222,13 @@ def cmd_train(args) -> int:
     config = parse_toggles(args.toggles)
     samples = _require_dataset(args.dataset)
     plan, train_samples, _ = _split(args, samples, need_test=False)
-    out = _outdir(args, "weights")
+    out = _outdir(args)
+    if not (out / "weights").is_dir():
+        _outdir(args, "weights")  # exits 3 now, before training, if it cannot be made,
+        (out / "weights").rmdir()  # and is made again once training succeeds
     model = PipelineModel(config, seed=args.seed)
     result = train_toy(model, train_samples, hp)
+    _outdir(args, "weights")
     write_csv(
         out / "learning_curves.csv",
         LEARNING_CURVE_HEADER,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-import numpy as np
-
 from . import ACTION_LABELS, FRAME_HW, FRAMES, JOINT_NAMES
 from .metrics import SUBJECT_IDS, VIEW_IDS, SkeletonPose
 from .stream import CameraSpec
@@ -87,8 +85,7 @@ def save_dataset(directory, samples: list[SyntheticAction], seed: int) -> None:
         clip_rel = f"clips/sample_{i:04d}.bin"
         pose_rel = f"poses/sample_{i:04d}.bin"
         save_tensor(root / clip_rel, sample.clip)
-        stacked = np.stack([p.joints for p in sample.poses])
-        save_tensor(root / pose_rel, stacked)
+        save_tensor(root / pose_rel, sample.joints)
         rows.append(
             f"{i},{sample.subject_id},{sample.view_id},{sample.label},{clip_rel},{pose_rel}"
         )
@@ -105,7 +102,8 @@ def _load_sample(root: Path, row: list[str]) -> SyntheticAction:
         raise ValueError(f"expected 6 fields, got {len(row)}")
     _, subject_id, view_id, label, clip_rel, pose_rel = row
     clip, joints = load_tensor(root / clip_rel), load_tensor(root / pose_rel)
-    poses = SkeletonPose.from_stack(joints)
+    joints.flags.writeable = False
+    SkeletonPose.from_stack(joints)  # checks every pose at once; a read-only stack is not copied
     subject_id, view_id = int(subject_id), int(view_id)
     expected = (1, FRAMES, *FRAME_HW)
     if clip.shape != expected:
@@ -116,7 +114,7 @@ def _load_sample(root: Path, row: list[str]) -> SyntheticAction:
         raise ValueError("subject_id must be 1..10 and view_id 1..5")
     if joints.shape[:2] != (FRAMES, len(JOINT_NAMES)):
         raise ValueError(f"need {FRAMES} poses of {len(JOINT_NAMES)} joints, one per frame")
-    return SyntheticAction(clip, poses, subject_id, view_id, label)
+    return SyntheticAction(clip, joints, subject_id, view_id, label)
 
 
 def load_dataset(directory) -> list[SyntheticAction]:

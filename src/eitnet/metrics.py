@@ -26,7 +26,7 @@ VIEW_IDS = tuple(range(1, 6))
 SPLIT_SIZES = {"subject": (6, 4), "view": (3, 2)}
 
 
-@dataclass
+@dataclass(slots=True)
 class SkeletonPose:
     """N joint positions in millimeters, rows of (x, y, z)."""
 
@@ -38,13 +38,17 @@ class SkeletonPose:
 
     @classmethod
     def from_stack(cls, joints) -> list[SkeletonPose]:
-        """The T poses of a [T, N, 3] stack, checked once as a whole; each owns its row."""
-        joints = np.asarray(joints, dtype=np.float64)
+        """The T poses of a [T, N, 3] stack, checked once as a whole: read-only row views
+        of the stack if it is read-only float64, else of one float64 copy of it."""
+        if not (isinstance(joints, np.ndarray) and joints.dtype == np.float64
+                and not joints.flags.writeable):
+            joints = np.array(joints, dtype=np.float64)
+            joints.flags.writeable = False
         _check_joints(joints, joints.shape[1:])
         poses = []
         for row in joints:
             pose = cls.__new__(cls)
-            pose.joints = row.copy()
+            pose.joints = row
             poses.append(pose)
         return poses
 

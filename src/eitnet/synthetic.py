@@ -16,13 +16,15 @@ its own seeded stream.  The group's poses are one ``[G, T, 5, 3]`` array and
 its ball rows one ``[G, T, 1, 3]`` array; only the motion scalars that need
 ``math.sin`` or ``**`` are Python floats, every other step is elementwise in
 the per-frame template's order, and one ``@`` each runs the per-pose and
-per-row camera products.  Every point's Gaussian over ``[P, G, T, H, W]`` is
-one ``exp``, added into the frames in joint order, ball last, then clipped.
+per-row camera products.  The points are rendered one at a time, in joint
+order, ball last: each Gaussian over the ``[G, T, H, W]`` frames is computed
+in place in one reused buffer and added in; the sum is then clipped.
 The pixel noise is one ``[G, T*H*W]`` draw: SplitMix64 is counter-based, so
 row g is stream g's own ``normals(T*H*W)``, which equals T ``normals(H*W)``
 draws because Box-Muller takes outputs in pairs and H*W is even.  So clips
 and poses are byte-identical to building and rendering each sample frame by
-frame.  Each sample's ``[T, 5, 3]`` poses are checked once (``from_stack``).
+frame.  Each sample's ``joints`` are a read-only ``[T, 5, 3]`` view of the
+group's pose array; its ``poses`` are their rows as ``SkeletonPose``s.
 """
 
 from __future__ import annotations
@@ -105,10 +107,14 @@ class SyntheticAction:
     """A plain record: the generator builds valid samples; the loader checks read ones."""
 
     clip: np.ndarray  # [1, T, H, W] float64 grayscale in [0, 1]
-    poses: list[SkeletonPose]  # camera-frame joints, mm, one per frame
+    joints: np.ndarray  # [T, 5, 3] read-only camera-frame joints, mm
     subject_id: int
     view_id: int
     label: str
+
+    @property
+    def poses(self) -> list[SkeletonPose]:
+        return SkeletonPose.from_stack(self.joints)
 
     @property
     def label_index(self) -> int:
@@ -129,22 +135,21 @@ def _pixels(x, y, height: int, width: int):
 
 def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np.ndarray:
     """Orthographic render of [G, T, P, 3] points to [G, 1, T, H, W], a (gain, sigma) blob each."""
-    gain = np.array([g for g, _ in blobs])[:, None, None, None, None]
-    spread = np.array([2.0 * sigma**2 for _, sigma in blobs])[:, None, None, None, None]
     x, y = points[..., :2].transpose(3, 2, 0, 1)  # [P, G, T] each
     px, py = (p[..., None, None] for p in _pixels(x, y, height, width))  # [P, G, T, 1, 1]
     # The frames outlive the call as the group's clips.  Allocating them before
-    # the [P, G, T, H, W] temporaries, and computing those in place, keeps the
-    # heap from fragmenting across datasets (peak RSS of repeated generation).
+    # the buffer, and computing in place, keeps the heap from fragmenting
+    # across datasets (peak RSS of repeated generation).
     frames = np.zeros((*points.shape[:2], height, width))
+    gaussian = np.empty_like(frames)  # one point's blob in every frame, reused point by point
     rows = np.arange(height)[:, None]
     cols = np.arange(width)[None, :]
-    # gain * exp(-d2 / spread), each step in place
-    gaussians = (rows - py) ** 2 + (cols - px) ** 2
-    np.divide(gaussians, -spread, out=gaussians)  # bitwise -(d2 / spread)
-    np.exp(gaussians, out=gaussians)
-    np.multiply(gain, gaussians, out=gaussians)
-    for gaussian in gaussians:  # one point at a time, in joint order, ball last
+    for (gain, sigma), qx, qy in zip(blobs, px, py):  # in joint order, ball last
+        # gain * exp(-d2 / spread), each step in place
+        np.add((rows - qy) ** 2, (cols - qx) ** 2, out=gaussian)
+        np.divide(gaussian, -(2.0 * sigma**2), out=gaussian)  # bitwise -(d2 / spread)
+        np.exp(gaussian, out=gaussian)
+        np.multiply(gain, gaussian, out=gaussian)
         frames += gaussian
     return np.clip(frames, 0.0, 1.0, out=frames)[:, None]
 
@@ -164,6 +169,7 @@ def _make_group(
     for (joint, axis), mm in moves.items():  # rest + offset, the per-frame template's sum
         world[:, :, joint, axis] += (mm * amp) * motion
     cameras = build * world @ rot_t  # [G, T, 5, 3]: one product per [5, 3] pose
+    cameras.flags.writeable = False  # each sample's joints are a view of it
     points = cameras
     if label in _BALL_MOTIONS:
         scalar, rest, moves = _BALL_MOTIONS[label]
@@ -178,8 +184,8 @@ def _make_group(
     frames += np.multiply(noise, NOISE, out=noise).reshape(frames.shape)
     clips = np.clip(frames, 0.0, 1.0, out=frames)
     return [
-        SyntheticAction(clip, SkeletonPose.from_stack(camera), subject_id, view_id, label)
-        for clip, camera in zip(clips, cameras)
+        SyntheticAction(clip, joints, subject_id, view_id, label)
+        for clip, joints in zip(clips, cameras)
     ]
 
 

@@ -188,7 +188,7 @@ def _label_accuracy(params, cls_feats, labels) -> float:
 
 def _pose_target(sample) -> np.ndarray:
     """The sample's joint trajectories flattened to meters, the pose head's target."""
-    return np.concatenate([p.joints.ravel() for p in sample.poses]) / 1000.0
+    return sample.joints.ravel() / 1000.0
 
 
 def _extract_batch(model: PipelineModel, samples, indices, epoch, hp, train_mode) -> FeatureBatch:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eitnet
@@ -105,6 +106,7 @@ class TestExitCodes:
         )
         assert done.returncode == 1
         assert done.stderr == "error: non-finite loss nan at epoch 1 (ce=nan, pose=nan)\n"
+        assert not (tmp_path / "out" / "weights").exists()
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert dispatch([]) == 2
@@ -349,7 +351,11 @@ class TestGenData:
             return s.subject_id, s.view_id, s.label, s.clip.shape, s.clip.tobytes(), poses
 
         generated = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
-        assert [record(s) for s in load_dataset(dataset_dir)] == [record(s) for s in generated]
+        loaded = load_dataset(dataset_dir)
+        assert [record(s) for s in loaded] == [record(s) for s in generated]
+        for s in loaded:
+            assert s.joints.shape == (8, 5, 3) and not s.joints.flags.writeable
+            assert all(np.shares_memory(p.joints, s.joints) for p in s.poses)  # no copy
 
     def test_deterministic(self, tmp_path):
         run_twice(

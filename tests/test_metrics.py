@@ -87,14 +87,34 @@ def random_similarity(rng):
 
 
 class TestSkeletonPose:
-    def test_stack_gives_one_owned_pose_per_frame(self):
+    def test_stack_rows_are_read_only_views_of_one_array(self):
         stack = np.arange(8 * 5 * 3).reshape(8, 5, 3)
         poses = SkeletonPose.from_stack(stack)
         assert [p.count for p in poses] == [5] * 8
+        base = poses[0].joints.base
+        assert base is not None and base.shape == (8, 5, 3) and not base.flags.writeable
         for pose, row in zip(poses, stack):
-            assert pose.joints.dtype == np.float64 and pose.joints.flags.owndata
+            assert pose.joints.dtype == np.float64 and not pose.joints.flags.writeable
+            assert pose.joints.base is base
             assert pose.joints.tobytes() == SkeletonPose(joints=row).joints.tobytes()
         assert SkeletonPose.from_stack(np.zeros((0, 5, 3))) == []
+        assert not hasattr(poses[0], "__dict__")  # slots: a pose is its joints alone
+
+    def test_stack_copies_a_writeable_input_once(self):
+        stack = Rng(96).normals(8 * 5 * 3).reshape(8, 5, 3)
+        want = [row.tobytes() for row in stack]
+        poses = SkeletonPose.from_stack(stack)
+        base = poses[0].joints.base
+        assert all(p.joints.base is base for p in poses)  # one copy, not one per row
+        assert not np.shares_memory(base, stack)
+        stack[...] = -1.0
+        assert [p.joints.tobytes() for p in poses] == want
+
+    def test_stack_keeps_a_read_only_input(self):
+        stack = Rng(97).normals(8 * 5 * 3).reshape(8, 5, 3)
+        stack.flags.writeable = False
+        poses = SkeletonPose.from_stack(stack)
+        assert all(np.shares_memory(p.joints, stack) for p in poses)
 
     @pytest.mark.parametrize(
         "shape, bad, value",

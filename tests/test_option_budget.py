@@ -34,7 +34,7 @@ BUDGET = {
     pipeline.PipelineModel.crop_clip: {"self", "clips", "boxes"},
     synthetic.augment: {"clip", "seed"},
     synthetic.DatasetConfig: {"repetitions"},
-    synthetic.SyntheticAction: {"clip", "poses", "subject_id", "view_id", "label"},
+    synthetic.SyntheticAction: {"clip", "joints", "subject_id", "view_id", "label"},
     pipeline.PipelineConfig: {"detection", "spatiotemporal", "temporal"},
     detection.Detector: {"seed"},
     i3d.I3DStack: {"seed"},

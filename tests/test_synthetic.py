@@ -8,11 +8,15 @@ from eitnet import ACTION_LABELS
 from eitnet.metrics import SUBJECT_IDS, VIEW_IDS, SkeletonPose
 from eitnet.rng import Rng, derive_seed
 from eitnet.synthetic import (
+    _BALL_BLOB,
     _BASE_JOINTS_MM,
+    _JOINT_BLOB,
     FRAME_HW,
     FRAMES,
     NOISE,
     DatasetConfig,
+    _pixels,
+    _render_clip,
     _view_rotation,
     augment,
     generate_synthetic_dataset,
@@ -129,6 +133,25 @@ def per_frame_sample(subject_id, view_id, label, rng):
     return frames, poses
 
 
+def whole_stack_render(points, blobs, height, width):
+    """The render that built all P points' Gaussians as one [P, G, T, H, W] stack, kept as the
+    reference of the point-by-point ``_render_clip``."""
+    gain = np.array([g for g, _ in blobs])[:, None, None, None, None]
+    spread = np.array([2.0 * sigma**2 for _, sigma in blobs])[:, None, None, None, None]
+    x, y = points[..., :2].transpose(3, 2, 0, 1)  # [P, G, T] each
+    px, py = (p[..., None, None] for p in _pixels(x, y, height, width))  # [P, G, T, 1, 1]
+    frames = np.zeros((*points.shape[:2], height, width))
+    rows = np.arange(height)[:, None]
+    cols = np.arange(width)[None, :]
+    gaussians = (rows - py) ** 2 + (cols - px) ** 2
+    np.divide(gaussians, -spread, out=gaussians)
+    np.exp(gaussians, out=gaussians)
+    np.multiply(gain, gaussians, out=gaussians)
+    for gaussian in gaussians:
+        frames += gaussian
+    return np.clip(frames, 0.0, 1.0, out=frames)[:, None]
+
+
 def per_pose_bounding_box(pose, height, width, margin_px=1.5):
     """The one-pose box that ``pose_bounding_box`` replaced, kept as its reference."""
     mm_per_px = 1600.0 / min(height, width)
@@ -155,8 +178,10 @@ def assert_equal_per_frame_reference(config, seed):
     for sample, key in zip(samples, keys):
         clip, poses = per_frame_sample(*key[:3], Rng(derive_seed(seed, "sample", *key)))
         assert sample.clip.tobytes() == clip.tobytes(), key
-        got = b"".join(p.joints.tobytes() for p in sample.poses)
-        assert got == b"".join(p.joints.tobytes() for p in poses), key
+        assert sample.joints.shape == (FRAMES, 5, 3) and not sample.joints.flags.writeable, key
+        want = b"".join(p.joints.tobytes() for p in poses)
+        assert sample.joints.tobytes() == want, key
+        assert b"".join(p.joints.tobytes() for p in sample.poses) == want, key
 
 
 def flatten_trajectory(sample):
@@ -203,6 +228,22 @@ class TestGenerator:
         got = pose_bounding_box(np.stack([p.joints for p in poses]), *hw)
         want = np.array([per_pose_bounding_box(p, *hw) for p in poses])
         assert got.shape == (len(poses), 4) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("hw", [(16, 16), (12, 20)])
+    @pytest.mark.parametrize("ball", [False, True], ids=["no-ball", "ball"])
+    @pytest.mark.parametrize("group", [1, 10])
+    def test_render_equals_whole_stack_reference_bitwise(self, group, ball, hw):
+        n_points = 6 if ball else 5
+        blobs = [_JOINT_BLOB] * 5 + [_BALL_BLOB] * (n_points - 5)
+        rng = Rng(98 + group + ball)
+        # points around the figure's rest pose, some off the frame, some blobs overlapping
+        points = _BASE_JOINTS_MM[[0, 1, 2, 3, 4, 1][:n_points]] + 400.0 * rng.normals(
+            group * FRAMES * n_points * 3
+        ).reshape(group, FRAMES, n_points, 3)
+        got = _render_clip(points, blobs, *hw)
+        want = whole_stack_render(points, blobs, *hw)
+        assert got.shape == (group, 1, FRAMES, *hw) and got.max() == 1.0
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_clips_and_poses_equal_per_frame_reference_bitwise(self, seed):

@@ -14,6 +14,7 @@ from eitnet.training import (
     Hyperparams,
     TrainingDiverged,
     gradient_check,
+    _pose_target,
     heads_loss_and_grads,
     train_toy,
 )
@@ -141,6 +142,12 @@ def tiny_run():
     hp = Hyperparams(seed=11, epochs=6)
     result = train_toy(model, train, hp)
     return model, hp, result, test
+
+
+def test_pose_target_is_the_concatenated_pose_rows_bitwise():
+    for sample in generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7):
+        want = np.concatenate([p.joints.ravel() for p in sample.poses]) / 1000.0
+        assert _pose_target(sample).tobytes() == want.tobytes()
 
 
 class TestTrainToy:

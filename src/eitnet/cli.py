@@ -52,6 +52,9 @@ from .training import LEARNING_CURVE_HEADER, Hyperparams, train_toy
 METRICS_CSV_HEADER = "split_axis,seed,accuracy,mpjpe,pa_mpjpe"
 GRADCHECK_CSV_HEADER = "layer,max_rel_error,h"
 COMPLEXITY_CSV_HEADER = "config,parameters,macs"
+# simulate's camera flags and defaults; parsed as None when absent, so a config can refuse them
+_CAMERA_FLAGS = {"--cameras": 5, "--period-us": 33333, "--offset-us": 200,
+                 "--jitter-us": 0.0, "--drop-prob": 0.0}
 
 
 class ConfigError(Exception):
@@ -106,15 +109,9 @@ def _hyperparams(args) -> Hyperparams:
 def _require_dataset(path_text: str | None):
     if not path_text:
         raise ConfigError("--dataset is required")
-    path = Path(path_text)
-    if not (path / "manifest.csv").exists():
-        raise ConfigError(f"dataset not found at {path}")
-    try:
-        samples = load_dataset(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    samples = _config(load_dataset, path_text)
     if not samples:
-        raise ConfigError(f"dataset at {path} has no samples")
+        raise ConfigError(f"dataset at {path_text} has no samples")
     return samples
 
 
@@ -300,7 +297,11 @@ def cmd_ablate(args) -> int:
 
 
 def _default_camera_specs(args) -> list[CameraSpec]:
+    given = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _CAMERA_FLAGS}
+    given = {flag: value for flag, value in given.items() if value is not None}
     if args.camera_config:
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot be given with --camera-config")
         path = Path(args.camera_config)
         if not path.exists():
             raise ConfigError(f"camera config not found at {path}")
@@ -309,15 +310,9 @@ def _default_camera_specs(args) -> list[CameraSpec]:
         except OSError as exc:
             raise ConfigError(f"cannot read camera config {path}: {exc.strerror}") from exc
         return parse_camera_config(text)
+    cameras, period_us, offset_us, jitter_us, drop_prob = {**_CAMERA_FLAGS, **given}.values()
     return [
-        CameraSpec(
-            camera_id=i,
-            frame_period_us=args.period_us,
-            clock_offset_us=args.offset_us * i,
-            jitter_std_us=args.jitter_us,
-            drop_probability=args.drop_prob,
-        )
-        for i in range(1, args.cameras + 1)
+        CameraSpec(i, period_us, offset_us * i, jitter_us, drop_prob) for i in range(1, cameras + 1)
     ]
 
 
@@ -457,38 +452,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_run_pipeline)
 
+    def add_training(p, epochs, toggles=True):
+        p.add_argument("--axis", choices=("subject", "view"), default="subject")
+        if toggles:
+            p.add_argument("--toggles", default="det,i3d,tsf")
+        p.add_argument("--lr", type=float, default=1e-3)
+        p.add_argument("--epochs", type=int, default=epochs)
+
     p = sub.add_parser("train", help="train the heads under the fixed regimen")
     add_common(p, dataset=True)
-    p.add_argument("--axis", choices=("subject", "view"), default="subject")
-    p.add_argument("--toggles", default="det,i3d,tsf")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=50)
+    add_training(p, epochs=50)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="train then report accuracy/MPJPE/PA-MPJPE on a split")
     add_common(p, dataset=True)
-    p.add_argument("--axis", choices=("subject", "view"), default="subject")
-    p.add_argument("--toggles", default="det,i3d,tsf")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=50)
+    add_training(p, epochs=50)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="stage-ablation table over a split")
     add_common(p, dataset=True)
-    p.add_argument("--axis", choices=("subject", "view"), default="subject")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=8)
+    add_training(p, epochs=8, toggles=False)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("simulate", help="run the multi-camera streaming simulation")
     add_common(p)
-    p.add_argument("--cameras", type=int, default=5)
     p.add_argument("--camera-config", help="key=value camera config file")
+    for flag, default in _CAMERA_FLAGS.items():
+        p.add_argument(flag, type=type(default), help=f"default {default}; not with a config")
     p.add_argument("--duration", default="1s", help="e.g. 2s, 250ms, 33333us")
-    p.add_argument("--period-us", type=int, default=33333)
-    p.add_argument("--offset-us", type=int, default=200)
-    p.add_argument("--jitter-us", type=float, default=0.0)
-    p.add_argument("--drop-prob", type=float, default=0.0)
     p.add_argument("--window-period-us", type=int, default=None)
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_simulate)

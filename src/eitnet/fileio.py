@@ -4,7 +4,10 @@ Every CSV starts with ``#``-prefixed comment lines (the root seed first),
 then a header row, then data rows, and ends with a trailing newline.  Camera
 configs are plain text, one camera per line of space-separated key=value
 pairs (id, period_us, offset_us, jitter_us, drop_prob).  A dataset directory
-holds clips and pose sequences as tensor binaries plus a manifest CSV.
+holds ``clips.bin`` ``[N, 1, T, H, W]`` and ``joints.bin`` ``[N, T, 5, 3]``,
+whose row i is sample i, and ``manifest.csv`` with one row per sample; loaded
+samples are read-only rows of the two arrays.  The older layout of one file
+per sample is not read: regenerate such a dataset with ``gen-data``.
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
+
 from . import ACTION_LABELS, FRAME_HW, FRAMES, JOINT_NAMES
-from .metrics import SUBJECT_IDS, VIEW_IDS, SkeletonPose
+from .metrics import SUBJECT_IDS, VIEW_IDS
 from .stream import CameraSpec
 from .synthetic import SyntheticAction
 from .tensorops import load_tensor, save_tensor
 
-MANIFEST_HEADER = "sample_id,subject_id,view_id,label,clip_path,pose_path"
+MANIFEST_HEADER = "sample_id,subject_id,view_id,label"
 _CAMERA_KEYS = ("id", "period_us", "offset_us", "jitter_us", "drop_prob")
 
 
@@ -78,62 +83,66 @@ def parse_camera_config(text: str) -> list[CameraSpec]:
 
 def save_dataset(directory, samples: list[SyntheticAction], seed: int) -> None:
     root = Path(directory)
-    (root / "clips").mkdir(parents=True, exist_ok=True)
-    (root / "poses").mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i, sample in enumerate(samples):
-        clip_rel = f"clips/sample_{i:04d}.bin"
-        pose_rel = f"poses/sample_{i:04d}.bin"
-        save_tensor(root / clip_rel, sample.clip)
-        save_tensor(root / pose_rel, sample.joints)
-        rows.append(
-            f"{i},{sample.subject_id},{sample.view_id},{sample.label},{clip_rel},{pose_rel}"
-        )
+    save_tensor(root / "clips.bin", np.stack([s.clip for s in samples]))
+    save_tensor(root / "joints.bin", np.stack([s.joints for s in samples]))
+    rows = [f"{i},{s.subject_id},{s.view_id},{s.label}" for i, s in enumerate(samples)]
     write_csv(root / "manifest.csv", MANIFEST_HEADER, rows, seed=seed)
 
 
-def _load_sample(root: Path, row: list[str]) -> SyntheticAction:
-    """One manifest row's sample, checked here, where samples enter the program.
+def _read(path: Path, read):
+    """``read(path)``, a failure raised as a ValueError naming the file."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
-    Beyond ``load_tensor``'s checks of each file, the clip's shape, the label,
-    the ids and the pose count must be what the generator makes.
-    """
-    if len(row) != 6:
-        raise ValueError(f"expected 6 fields, got {len(row)}")
-    _, subject_id, view_id, label, clip_rel, pose_rel = row
-    clip, joints = load_tensor(root / clip_rel), load_tensor(root / pose_rel)
-    joints.flags.writeable = False
-    SkeletonPose.from_stack(joints)  # checks every pose at once; a read-only stack is not copied
-    subject_id, view_id = int(subject_id), int(view_id)
-    expected = (1, FRAMES, *FRAME_HW)
-    if clip.shape != expected:
-        raise ValueError(f"clip must be [1, T, H, W], got shape {clip.shape}, expected {expected}")
+
+def _load_rows(path: Path, row_shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only ``[N, *row_shape]`` tensor file, checked once as a whole."""
+    rows = _read(path, load_tensor)
+    if rows.shape[1:] != row_shape:
+        raise ValueError(f"{path}: rows must have shape {row_shape}, got shape {rows.shape}")
+    rows.flags.writeable = False
+    return rows
+
+
+def _sample(clips: np.ndarray, joints: np.ndarray, row: list[str]) -> SyntheticAction:
+    """One manifest row's sample, its row of both arrays, with its ids and label checked."""
+    if len(row) != 4:
+        raise ValueError(f"expected 4 fields, got {len(row)}")
+    sample_id, subject_id, view_id, label = row
+    if not (sample_id.isdecimal() and int(sample_id) < len(clips)):
+        raise ValueError(f"sample_id must be 0..{len(clips) - 1}, got {sample_id!r}")
     if label not in ACTION_LABELS:
         raise ValueError(f"label must be one of {ACTION_LABELS}, got {label!r}")
+    subject_id, view_id = int(subject_id), int(view_id)
     if subject_id not in SUBJECT_IDS or view_id not in VIEW_IDS:
         raise ValueError("subject_id must be 1..10 and view_id 1..5")
-    if joints.shape[:2] != (FRAMES, len(JOINT_NAMES)):
-        raise ValueError(f"need {FRAMES} poses of {len(JOINT_NAMES)} joints, one per frame")
-    return SyntheticAction(clip, joints, subject_id, view_id, label)
+    row_id = int(sample_id)
+    return SyntheticAction(clips[row_id], joints[row_id], subject_id, view_id, label)
 
 
 def load_dataset(directory) -> list[SyntheticAction]:
-    """The samples a manifest lists; a bad row raises ValueError naming the manifest and line."""
+    """The samples a manifest lists; a ValueError names the bad file, or manifest line."""
     root = Path(directory)
     manifest = root / "manifest.csv"
-    if not manifest.exists():
-        raise FileNotFoundError(f"no manifest.csv under {root}")
+    lines = _read(manifest, Path.read_text).splitlines()
+    clips = _load_rows(root / "clips.bin", (1, FRAMES, *FRAME_HW))
+    joints = _load_rows(root / "joints.bin", (FRAMES, len(JOINT_NAMES), 3))
+    if len(clips) != len(joints):
+        raise ValueError(
+            f"{root / 'clips.bin'} has {len(clips)} rows but joints.bin has {len(joints)}"
+        )
     samples = []
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("#") or line == MANIFEST_HEADER:
             continue
-        where = f"{manifest} line {lineno}"
         try:
-            samples.append(_load_sample(root, line.split(",")))
-        except OSError as exc:
-            raise ValueError(f"{where}: cannot read {exc.filename}: {exc.strerror}") from exc
+            samples.append(_sample(clips, joints, line.split(",")))
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
+            raise ValueError(f"{manifest} line {lineno}: {exc}") from exc
     return samples
 
 

@@ -77,6 +77,21 @@ class TestParsing:
         assert pipeline_row("b", "--toggles", "i3d") != full
         assert pipeline_row("c") == full  # no option leaks from one dispatch into the next
 
+    @pytest.mark.parametrize(
+        "command, epochs, toggles", [("train", 50, True), ("eval", 50, True), ("ablate", 8, False)]
+    )
+    def test_training_options_and_defaults(self, command, epochs, toggles):
+        args = vars(build_parser().parse_args([command, "--seed", "1"]))
+        del args["func"]
+        want = {"command": command, "seed": 1, "out": None, "dataset": None,
+                "axis": "subject", "lr": 1e-3, "epochs": epochs}
+        assert args == (want | {"toggles": "det,i3d,tsf"} if toggles else want)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--seed", "1", "--axis", "camera"])
+
+
+CLIP_ROWS = "{root}/clips.bin: rows must have shape (1, 8, 16, 16), got shape "
+
 
 class TestExitCodes:
     @staticmethod
@@ -126,7 +141,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["run-pipeline", "train", "eval", "ablate"])
     def test_empty_dataset_is_config_error(self, command, dataset_dir, tmp_path, capsys):
         empty = tmp_path / "empty"
-        empty.mkdir()
+        shutil.copytree(dataset_dir, empty)
         manifest = (dataset_dir / "manifest.csv").read_text().splitlines()
         (empty / "manifest.csv").write_text("\n".join(manifest[:2]) + "\n")  # seed and header
         out = tmp_path / "out"
@@ -137,50 +152,25 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("1,1,1", "expected 6 fields, got 3"),
-            ("1,1,1,pass,clips/missing.bin,poses/sample_0000.bin",
-             "cannot read .*clips/missing.bin: No such file or directory"),
-            ("1,1,1,dunk,clips/sample_0000.bin,poses/sample_0000.bin", "label must be one of"),
-            ("1,11,1,pass,clips/sample_0000.bin,poses/sample_0000.bin",
-             "subject_id must be 1..10"),
-            ("1,1,6,pass,clips/sample_0000.bin,poses/sample_0000.bin",
-             "subject_id must be 1..10 and view_id 1..5"),
-            ("1,1,1,pass,clips/flat.bin,poses/sample_0000.bin",
-             r"clip must be \[1, T, H, W\], got shape \(8,\)"),
-            ("1,1,1,pass,clips/magic-only.bin,poses/sample_0000.bin",
-             "tensor file of 4 bytes ends inside its header"),
-            ("1,1,1,pass,clips/short-header.bin,poses/sample_0000.bin",
-             "tensor file of 7 bytes ends inside its header"),
-            ("1,1,1,pass,clips/four-frames.bin,poses/sample_0000.bin",
-             r"clip must be \[1, T, H, W\], got shape \(1, 4, 16, 16\), "
-             r"expected \(1, 8, 16, 16\)"),
-            ("1,1,1,pass,clips/sample_0000.bin,poses/four-joints.bin",
-             "need 8 poses of 5 joints, one per frame"),
-            ("1,1,1,pass,clips/small.bin,poses/sample_0000.bin",
-             r"clip must be \[1, T, H, W\], got shape \(1, 8, 8, 8\)"),
-            ("1,1,1,pass,clips/nan.bin,poses/sample_0000.bin", "tensor values must be finite"),
+            ("1,1,1", "expected 4 fields, got 3"),
+            ("1,1,1,pass,clips/sample_0001.bin,poses/sample_0001.bin", "expected 4 fields, got 6"),
+            ("1,1,1,dunk", "label must be one of"),
+            ("1,11,1,pass", "subject_id must be 1..10"),
+            ("1,1,6,pass", "subject_id must be 1..10 and view_id 1..5"),
+            ("200,1,1,pass", "sample_id must be 0..199, got '200'"),
+            ("-1,1,1,pass", "sample_id must be 0..199, got '-1'"),
+            ("1.0,1,1,pass", r"sample_id must be 0..199, got '1\.0'"),
+            (",1,1,pass", "sample_id must be 0..199, got ''"),
         ],
-        ids=["short-row", "missing-clip", "unknown-label", "subject-11", "view-6",
-             "rank-1-clip", "magic-only-clip", "short-header-clip", "four-frame-clip",
-             "four-joint-poses", "8x8-clip", "nan-clip"],
+        ids=["short-row", "path-columns", "unknown-label", "subject-11", "view-6",
+             "sample-id-past-the-end", "negative-sample-id", "fractional-sample-id",
+             "empty-sample-id"],
     )
     def test_bad_manifest_row_is_config_error_naming_the_line(
         self, row, message, dataset_dir, tmp_path, capsys
     ):
         broken = tmp_path / "broken"
-        for sub in ("clips", "poses"):
-            (broken / sub).mkdir(parents=True)
-            shutil.copy(dataset_dir / sub / "sample_0000.bin", broken / sub)
-        save_tensor(broken / "clips" / "flat.bin", [0.0] * 8)
-        (broken / "clips" / "magic-only.bin").write_bytes(b"EITT")
-        (broken / "clips" / "short-header.bin").write_bytes(b"EITT\x04\x01\x00")
-        clip = load_tensor(dataset_dir / "clips" / "sample_0000.bin")
-        save_tensor(broken / "clips" / "four-frames.bin", clip[:, :4])
-        save_tensor(broken / "clips" / "small.bin", clip[:, :, ::2, ::2])
-        blob = (dataset_dir / "clips" / "sample_0000.bin").read_bytes()
-        (broken / "clips" / "nan.bin").write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
-        poses = load_tensor(dataset_dir / "poses" / "sample_0000.bin")
-        save_tensor(broken / "poses" / "four-joints.bin", poses[:, :4])
+        shutil.copytree(dataset_dir, broken)
         manifest = (dataset_dir / "manifest.csv").read_text().splitlines()
         (broken / "manifest.csv").write_text("\n".join(manifest[:3] + [row]) + "\n")
         out = tmp_path / "out"
@@ -190,6 +180,58 @@ class TestExitCodes:
         assert re.fullmatch(
             re.escape(f"error: {broken / 'manifest.csv'} line 4: ") + message + ".*\n", err
         ), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, contents, message",
+        [
+            ("manifest.csv", None, "cannot read {root}/manifest.csv: No such file or directory"),
+            ("clips.bin", None, "cannot read {root}/clips.bin: No such file or directory"),
+            ("joints.bin", None, "cannot read {root}/joints.bin: No such file or directory"),
+            ("clips.bin", lambda clips, joints, blob: b"EITT",
+             "{root}/clips.bin: tensor file of 4 bytes ends inside its header"),
+            ("clips.bin", lambda clips, joints, blob: b"EITT\x05\x01\x00",
+             "{root}/clips.bin: tensor file of 7 bytes ends inside its header"),
+            ("clips.bin", lambda clips, joints, blob: blob[:-8] + struct.pack("<d", float("nan")),
+             "{root}/clips.bin: tensor values must be finite"),
+            ("clips.bin", lambda clips, joints, blob: np.zeros(8),
+             CLIP_ROWS + "(8,)"),
+            ("clips.bin", lambda clips, joints, blob: clips[0],
+             CLIP_ROWS + "(1, 8, 16, 16)"),
+            ("clips.bin", lambda clips, joints, blob: clips[:, :, :4],
+             CLIP_ROWS + "(200, 1, 4, 16, 16)"),
+            ("clips.bin", lambda clips, joints, blob: clips[..., ::2, ::2],
+             CLIP_ROWS + "(200, 1, 8, 8, 8)"),
+            ("joints.bin", lambda clips, joints, blob: joints[:, :, :4],
+             "{root}/joints.bin: rows must have shape (8, 5, 3), got shape (200, 8, 4, 3)"),
+            ("joints.bin", lambda clips, joints, blob: joints[:-1],
+             "{root}/clips.bin has 200 rows but joints.bin has 199"),
+            ("clips.bin", lambda clips, joints, blob: clips[:-1],
+             "{root}/clips.bin has 199 rows but joints.bin has 200"),
+        ],
+        ids=["missing-manifest", "missing-clips", "missing-joints", "magic-only-clips",
+             "short-header-clips", "nan-clips", "rank-1-clips", "one-clip-without-rows",
+             "four-frame-clips", "8x8-clips", "four-joint-joints", "fewer-joint-rows",
+             "fewer-clip-rows"],
+    )
+    def test_bad_dataset_file_is_config_error_naming_the_file(
+        self, name, contents, message, dataset_dir, tmp_path, capsys
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset_dir, broken)
+        if contents is None:
+            (broken / name).unlink()
+        else:
+            arrays = (load_tensor(dataset_dir / f) for f in ("clips.bin", "joints.bin"))
+            new = contents(*arrays, (dataset_dir / name).read_bytes())
+            if isinstance(new, bytes):
+                (broken / name).write_bytes(new)
+            else:
+                save_tensor(broken / name, new)
+        out = tmp_path / "out"
+        argv = ["run-pipeline", "--seed", "7", "--dataset", str(broken), "--out", str(out)]
+        assert dispatch(argv) == 3
+        assert capsys.readouterr().err == f"error: {message.format(root=broken)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -213,8 +255,9 @@ class TestExitCodes:
         rows = rows[:1] if kept == "one-train" else rows
         part = tmp_path / "part"
         part.mkdir()
-        lines = [",".join(r[:4] + [str(dataset_dir / r[4]), str(dataset_dir / r[5])]) for r in rows]
-        (part / "manifest.csv").write_text("\n".join([header, *lines]) + "\n")
+        for name in ("clips.bin", "joints.bin"):
+            shutil.copy(dataset_dir / name, part)
+        (part / "manifest.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
         out = tmp_path / "out"
         assert dispatch([command, "--seed", "7", "--dataset", str(part), "--out", str(out)]) == 3
         got = len(rows) if side in kept else 0  # "train" is in "one-train"
@@ -340,10 +383,15 @@ class TestGenData:
     def test_dataset_roundtrip(self, dataset_dir):
         samples = load_dataset(dataset_dir)
         assert len(samples) == 200
+        assert sorted(p.name for p in dataset_dir.iterdir()) == [
+            "clips.bin", "joints.bin", "manifest.csv"
+        ]
+        assert load_tensor(dataset_dir / "clips.bin").shape == (200, 1, 8, 16, 16)
+        assert load_tensor(dataset_dir / "joints.bin").shape == (200, 8, 5, 3)
         comments, rows = read_csv_rows(dataset_dir / "manifest.csv")
         assert comments[0] == "seed=7"
-        assert rows[0] == "sample_id,subject_id,view_id,label,clip_path,pose_path".split(",")
-        assert len(rows) == 201
+        assert rows[0] == "sample_id,subject_id,view_id,label".split(",")
+        assert [row[0] for row in rows[1:]] == [str(i) for i in range(200)]
 
     def test_loaded_samples_equal_the_generated_ones(self, dataset_dir):
         def record(s):
@@ -355,7 +403,24 @@ class TestGenData:
         assert [record(s) for s in loaded] == [record(s) for s in generated]
         for s in loaded:
             assert s.joints.shape == (8, 5, 3) and not s.joints.flags.writeable
+            assert not s.clip.flags.writeable
             assert all(np.shares_memory(p.joints, s.joints) for p in s.poses)  # no copy
+        # every clip is a row of one array, and every joint stack a row of another
+        assert all(s.clip.base is loaded[0].clip.base for s in loaded)
+        assert all(s.joints.base is loaded[0].joints.base for s in loaded)
+        assert not np.shares_memory(loaded[0].clip, loaded[0].joints)
+
+    def test_load_scans_each_array_once(self, dataset_dir, monkeypatch):
+        shapes = []
+        isfinite = np.isfinite
+
+        def counted(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        load_dataset(dataset_dir)
+        assert shapes == [(200, 1, 8, 16, 16), (200, 8, 5, 3)]
 
     def test_deterministic(self, tmp_path):
         run_twice(
@@ -450,6 +515,41 @@ class TestSimulate:
              "--out", str(out)]
         ) == 0
         assert (out / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--cameras", "7", "--jitter-us", "5000", "--drop-prob", "0.3"],
+             "--cameras, --jitter-us, --drop-prob"),
+            (["--drop-prob", "0.3", "--cameras", "7"], "--cameras, --drop-prob"),
+            (["--period-us", "33333"], "--period-us"),  # a default value counts too
+            (["--offset-us", "200", "--jitter-us", "0"], "--offset-us, --jitter-us"),
+        ],
+        ids=["three-flags", "two-flags", "default-period", "default-offset-and-jitter"],
+    )
+    def test_camera_flags_next_to_a_camera_config_exit_3(self, flags, named, tmp_path, capsys):
+        config = tmp_path / "cams.txt"
+        config.write_text("id=1 period_us=33333\nid=2 period_us=33333\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--seed", "1", "--camera-config", str(config), *flags]
+        assert dispatch(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {named} cannot be given with --camera-config\n"
+        )
+        assert not out.exists()
+
+    def test_camera_flags_default_without_a_camera_config(self, tmp_path):
+        explicit = ["--cameras", "5", "--period-us", "33333", "--offset-us", "200",
+                    "--jitter-us", "0", "--drop-prob", "0"]
+        reports = []
+        for name, flags in (("default", []), ("explicit", explicit)):
+            out = tmp_path / name
+            argv = ["simulate", "--seed", "1", "--duration", "100ms", *flags, "--out", str(out)]
+            assert dispatch(argv) == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
+        # 5 cameras, 4 frames each in 100 ms at 33333 us, none dropped
+        assert "\n".join(f"{i},4,4,0,," for i in range(1, 6)) + "\nall," in reports[0].decode()
 
     def test_threaded_option_is_gone(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .metrics import SplitPlan
 from .pipeline import PipelineConfig, PipelineModel, evaluate_pipeline, shared_frozen_stages
+from .synthetic import SampleSet
 from .training import Hyperparams, train_toy
 
 TABLE_ROWS = (
@@ -46,11 +47,10 @@ class AblationRow:
         )
 
 
-def split_samples(samples, plan: SplitPlan):
-    key = (lambda s: s.subject_id) if plan.axis == "subject" else (lambda s: s.view_id)
-    train = [s for s in samples if key(s) in plan.train_ids]
-    test = [s for s in samples if key(s) in plan.test_ids]
-    return train, test
+def split_samples(samples, plan: SplitPlan) -> tuple[SampleSet, SampleSet]:
+    samples = SampleSet.of(samples)
+    ids = getattr(samples, f"{plan.axis}_ids").tolist()
+    return samples[[i in plan.train_ids for i in ids]], samples[[i in plan.test_ids for i in ids]]
 
 
 def run_ablation(

@@ -128,8 +128,7 @@ def _split(args, samples, need_test: bool):
         ("test", plan.test_ids, test, int(need_test)),
     ):
         if len(got) < need:
-            present = {getattr(sample, f"{plan.axis}_id") for sample in got}
-            missing = [i for i in ids if i not in present]
+            missing = [i for i in ids if i not in getattr(got, f"{plan.axis}_ids")]
             raise ConfigError(
                 f"the {plan.axis} split has {len(got)} {side} samples, need at least {need}; "
                 f"the dataset has none for {side} {plan.axis} ids {missing}"
@@ -150,6 +149,9 @@ def _outdir(args, *subdirs: str) -> Path:
 
 def cmd_gen_data(args) -> int:
     config = _config(DatasetConfig, repetitions=args.repetitions)
+    old = [p for p in (default_out_dir(args.out) / n for n in ("clips", "poses")) if p.is_dir()]
+    if old:
+        raise ConfigError(f"older dataset layout at {', '.join(map(str, old))}; remove it first")
     out = _outdir(args)
     samples = generate_synthetic_dataset(config, args.seed)
     save_dataset(out, samples, args.seed)
@@ -164,14 +166,12 @@ def cmd_run_pipeline(args) -> int:
     samples = _require_dataset(args.dataset)
     out = _outdir(args, "features")
     model = PipelineModel(config, seed=args.seed)
-    clips = np.stack([sample.clip for sample in samples])  # the dataset load validated them
-    boxes = model.frame_boxes(clips)  # [N, T, 5]
-    cls_feats, pose_feats = model.extract_batch(clips, boxes=boxes)
+    boxes = model.frame_boxes(samples.clips)  # [N, T, 5]; the dataset load validated the clips
+    cls_feats, pose_feats = model.extract_batch(samples.clips, boxes=boxes)
     probs = model.head_probs(cls_feats)
     n, t = boxes.shape[:2]
     boxes = boxes.reshape(n * t, 5)
-    joints = np.stack([sample.joints for sample in samples])
-    true_boxes = pose_bounding_box(joints, *clips.shape[-2:]).reshape(n * t, 4)
+    true_boxes = pose_bounding_box(samples.joints, *FRAME_HW).reshape(n * t, 4)
     scores = boxes[:, 4:]
     parts = detection_loss(
         np.clip(np.hstack([scores, 1.0 - scores]), 1e-12, 1.0),
@@ -180,7 +180,7 @@ def cmd_run_pipeline(args) -> int:
         true_boxes,
         lam=args.lam,
     )
-    cameras = np.repeat([sample.view_id for sample in samples], t).tolist()
+    cameras = np.repeat(samples.view_ids, t).tolist()
     detection_rows = [
         detection_csv_row(k, camera, box)
         for k, (camera, box) in enumerate(zip(cameras, boxes.tolist()))

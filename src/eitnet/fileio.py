@@ -5,9 +5,9 @@ then a header row, then data rows, and ends with a trailing newline.  Camera
 configs are plain text, one camera per line of space-separated key=value
 pairs (id, period_us, offset_us, jitter_us, drop_prob).  A dataset directory
 holds ``clips.bin`` ``[N, 1, T, H, W]`` and ``joints.bin`` ``[N, T, 5, 3]``,
-whose row i is sample i, and ``manifest.csv`` with one row per sample; loaded
-samples are read-only rows of the two arrays.  The older layout of one file
-per sample is not read: regenerate such a dataset with ``gen-data``.
+whose row i is sample i, and ``manifest.csv`` with one row per sample.  A
+load copies rows only when the manifest is not rows 0..N-1 in order.  The
+older layout of one file per sample is not read: regenerate it with gen-data.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import ACTION_LABELS, FRAME_HW, FRAMES, JOINT_NAMES
 from .metrics import SUBJECT_IDS, VIEW_IDS
 from .stream import CameraSpec
-from .synthetic import SyntheticAction
+from .synthetic import SampleSet
 from .tensorops import load_tensor, save_tensor
 
 MANIFEST_HEADER = "sample_id,subject_id,view_id,label"
@@ -81,10 +81,10 @@ def parse_camera_config(text: str) -> list[CameraSpec]:
     return specs
 
 
-def save_dataset(directory, samples: list[SyntheticAction], seed: int) -> None:
+def save_dataset(directory, samples: SampleSet, seed: int) -> None:
     root = Path(directory)
-    save_tensor(root / "clips.bin", np.stack([s.clip for s in samples]))
-    save_tensor(root / "joints.bin", np.stack([s.joints for s in samples]))
+    save_tensor(root / "clips.bin", samples.clips)
+    save_tensor(root / "joints.bin", samples.joints)
     rows = [f"{i},{s.subject_id},{s.view_id},{s.label}" for i, s in enumerate(samples)]
     write_csv(root / "manifest.csv", MANIFEST_HEADER, rows, seed=seed)
 
@@ -100,31 +100,29 @@ def _read(path: Path, read):
 
 
 def _load_rows(path: Path, row_shape: tuple[int, ...]) -> np.ndarray:
-    """A read-only ``[N, *row_shape]`` tensor file, checked once as a whole."""
+    """An ``[N, *row_shape]`` tensor file, checked once as a whole."""
     rows = _read(path, load_tensor)
     if rows.shape[1:] != row_shape:
         raise ValueError(f"{path}: rows must have shape {row_shape}, got shape {rows.shape}")
-    rows.flags.writeable = False
     return rows
 
 
-def _sample(clips: np.ndarray, joints: np.ndarray, row: list[str]) -> SyntheticAction:
-    """One manifest row's sample, its row of both arrays, with its ids and label checked."""
+def _row(n: int, row: list[str]) -> tuple[int, int, int, int]:
+    """One manifest row's (sample_id, label index, subject_id, view_id), checked against n rows."""
     if len(row) != 4:
         raise ValueError(f"expected 4 fields, got {len(row)}")
     sample_id, subject_id, view_id, label = row
-    if not (sample_id.isdecimal() and int(sample_id) < len(clips)):
-        raise ValueError(f"sample_id must be 0..{len(clips) - 1}, got {sample_id!r}")
+    if not (sample_id.isdecimal() and int(sample_id) < n):
+        raise ValueError(f"sample_id must be 0..{n - 1}, got {sample_id!r}")
     if label not in ACTION_LABELS:
         raise ValueError(f"label must be one of {ACTION_LABELS}, got {label!r}")
     subject_id, view_id = int(subject_id), int(view_id)
     if subject_id not in SUBJECT_IDS or view_id not in VIEW_IDS:
         raise ValueError("subject_id must be 1..10 and view_id 1..5")
-    row_id = int(sample_id)
-    return SyntheticAction(clips[row_id], joints[row_id], subject_id, view_id, label)
+    return int(sample_id), ACTION_LABELS.index(label), subject_id, view_id
 
 
-def load_dataset(directory) -> list[SyntheticAction]:
+def load_dataset(directory) -> SampleSet:
     """The samples a manifest lists; a ValueError names the bad file, or manifest line."""
     root = Path(directory)
     manifest = root / "manifest.csv"
@@ -135,15 +133,18 @@ def load_dataset(directory) -> list[SyntheticAction]:
         raise ValueError(
             f"{root / 'clips.bin'} has {len(clips)} rows but joints.bin has {len(joints)}"
         )
-    samples = []
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("#") or line == MANIFEST_HEADER:
             continue
         try:
-            samples.append(_sample(clips, joints, line.split(",")))
+            rows.append(_row(len(clips), line.split(",")))
         except ValueError as exc:
             raise ValueError(f"{manifest} line {lineno}: {exc}") from exc
-    return samples
+    sample_ids, *ids = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    if not np.array_equal(sample_ids, np.arange(len(clips))):
+        clips, joints = clips[sample_ids], joints[sample_ids]
+    return SampleSet(clips, joints, *ids)
 
 
 def default_out_dir(explicit: str | None) -> Path:

@@ -58,6 +58,7 @@ from .i3d import WIDTHS as I3D_WIDTHS
 from .i3d import I3DStack
 from .metrics import SkeletonPose, accuracy, mpjpe, pa_mpjpe
 from .rng import Rng, derive_seed
+from .synthetic import SampleSet
 from .tensorops import ConvSpec, as_tensor, count_macs, linear, softmax
 
 # Clips per stack of the frozen stages.  A stack saves per-call overhead but
@@ -346,7 +347,7 @@ class PipelineModel:
             "pose_mean": np.zeros_like(self.norm_stats["pose_mean"]),
             "pose_scale": np.ones_like(self.norm_stats["pose_scale"]),
         }
-        cls, pose = self.extract_batch([sample.clip for sample in samples])
+        cls, pose = self.extract_batch(samples.clips)
         self.norm_stats = {
             "cls_mean": cls.mean(axis=0),
             "cls_scale": FEATURE_STD / np.maximum(cls.std(axis=0), 1e-8),
@@ -409,11 +410,12 @@ def evaluate_pipeline(model: PipelineModel, samples) -> dict[str, float]:
     """Accuracy plus pooled MPJPE / PA-MPJPE over the given samples."""
     if not samples:
         raise ValueError("no samples to evaluate")
-    cls_feats, pose_feats = model.extract_batch([sample.clip for sample in samples])
+    samples = SampleSet.of(samples)
+    cls_feats, pose_feats = model.extract_batch(samples.clips)
     predicted = model.head_probs(cls_feats).argmax(axis=1).tolist()
     poses = model.head_pose(pose_feats)
     return {
-        "accuracy": accuracy(predicted, [sample.label_index for sample in samples]),
+        "accuracy": accuracy(predicted, samples.labels.tolist()),
         "mpjpe": float(np.mean([mpjpe(p, s.poses) for p, s in zip(poses, samples)])),
         "pa_mpjpe": float(np.mean([pa_mpjpe(p, s.poses) for p, s in zip(poses, samples)])),
     }

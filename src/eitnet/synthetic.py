@@ -12,26 +12,27 @@ are the camera-frame joint coordinates in millimeters.
 The samples of one (subject, view, class) form a group: they share the
 build, the view rotation and the point count (a ball or none), and they are
 consecutive in the output.  Each draws its amplitude, then its phase, from
-its own seeded stream.  The group's poses are one ``[G, T, 5, 3]`` array and
-its ball rows one ``[G, T, 1, 3]`` array; only the motion scalars that need
-``math.sin`` or ``**`` are Python floats, every other step is elementwise in
-the per-frame template's order, and one ``@`` each runs the per-pose and
-per-row camera products.  The points are rendered one at a time, in joint
-order, ball last: each Gaussian over the ``[G, T, H, W]`` frames is computed
-in place in one reused buffer and added in; the sum is then clipped.
+its own seeded stream.  Each group computes its rows of the dataset's clip
+and pose arrays, allocated once, in place; its ball rows are one
+``[G, T, 1, 3]`` array.  Only the motion scalars that need ``math.sin`` or
+``**`` are Python floats, every other step is elementwise in the per-frame
+template's order, and one ``@`` each runs the per-pose and per-row camera
+products.  The points are rendered one at a time, in joint order, ball last:
+each Gaussian over the ``[G, T, H, W]`` frames is computed in place in one
+reused buffer and added in; the sum is then clipped.
 The pixel noise is one ``[G, T*H*W]`` draw: SplitMix64 is counter-based, so
 row g is stream g's own ``normals(T*H*W)``, which equals T ``normals(H*W)``
 draws because Box-Muller takes outputs in pairs and H*W is even.  So clips
 and poses are byte-identical to building and rendering each sample frame by
-frame.  Each sample's ``joints`` are a read-only ``[T, 5, 3]`` view of the
-group's pose array; its ``poses`` are their rows as ``SkeletonPose``s.
+frame.  The dataset is one ``SampleSet`` of read-only arrays; sample i is
+its row i, and its ``poses`` are that row's frames as ``SkeletonPose``s.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -121,6 +122,58 @@ class SyntheticAction:
         return ACTION_LABELS.index(self.label)
 
 
+@dataclass(frozen=True)
+class SampleSet:
+    """N samples as five read-only arrays whose row i is sample i.
+
+    An integer index gives one sample, a ``SyntheticAction`` of row views; a
+    slice, an index array or a boolean mask gives a ``SampleSet``.
+    """
+
+    clips: np.ndarray  # [N, 1, T, H, W] float64 grayscale in [0, 1]
+    joints: np.ndarray  # [N, T, 5, 3] camera-frame joints, mm
+    labels: np.ndarray  # [N] indices into ACTION_LABELS
+    subject_ids: np.ndarray  # [N]
+    view_ids: np.ndarray  # [N]
+
+    def __post_init__(self):
+        for field in fields(self):
+            view = np.asarray(getattr(self, field.name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, field.name, view)
+
+    @classmethod
+    def of(cls, samples) -> SampleSet:
+        """``samples`` if it is a set, else its sequence of records stacked into one."""
+        if isinstance(samples, SampleSet):
+            return samples
+        records = list(samples)
+        return cls(
+            np.stack([s.clip for s in records]),
+            np.stack([s.joints for s in records]),
+            np.array([s.label_index for s in records]),
+            np.array([s.subject_id for s in records]),
+            np.array([s.view_id for s in records]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return SyntheticAction(
+                self.clips[index],
+                self.joints[index],
+                int(self.subject_ids[index]),
+                int(self.view_ids[index]),
+                ACTION_LABELS[self.labels[index]],
+            )
+        return SampleSet(*(getattr(self, field.name)[index] for field in fields(self)))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 def _view_rotation(view_id: int) -> np.ndarray:
     theta = math.radians(_VIEW_ANGLES_DEG[view_id])
     c, s = math.cos(theta), math.sin(theta)
@@ -133,14 +186,12 @@ def _pixels(x, y, height: int, width: int):
     return (width - 1) / 2.0 + x / mm_per_px, (height - 1) * 0.92 - y / mm_per_px
 
 
-def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np.ndarray:
-    """Orthographic render of [G, T, P, 3] points to [G, 1, T, H, W], a (gain, sigma) blob each."""
+def _render_clip(points: np.ndarray, blobs: list, frames: np.ndarray) -> None:
+    """Orthographic render of [G, T, P, 3] points into [G, T, H, W] frames, a blob each."""
+    height, width = frames.shape[2:]
     x, y = points[..., :2].transpose(3, 2, 0, 1)  # [P, G, T] each
     px, py = (p[..., None, None] for p in _pixels(x, y, height, width))  # [P, G, T, 1, 1]
-    # The frames outlive the call as the group's clips.  Allocating them before
-    # the buffer, and computing in place, keeps the heap from fragmenting
-    # across datasets (peak RSS of repeated generation).
-    frames = np.zeros((*points.shape[:2], height, width))
+    frames.fill(0.0)
     gaussian = np.empty_like(frames)  # one point's blob in every frame, reused point by point
     rows = np.arange(height)[:, None]
     cols = np.arange(width)[None, :]
@@ -151,13 +202,15 @@ def _render_clip(points: np.ndarray, blobs: list, height: int, width: int) -> np
         np.exp(gaussian, out=gaussian)
         np.multiply(gain, gaussian, out=gaussian)
         frames += gaussian
-    return np.clip(frames, 0.0, 1.0, out=frames)[:, None]
+    np.clip(frames, 0.0, 1.0, out=frames)
 
 
 def _make_group(
-    subject_id: int, view_id: int, label: str, rngs: list[Rng]
-) -> list[SyntheticAction]:
-    """One sample per stream of one (subject, view, class), built, rendered and noised at once."""
+    subject_id: int, view_id: int, label: str, rngs: list[Rng],
+    clips: np.ndarray, joints: np.ndarray,
+) -> None:
+    """One sample per stream of one (subject, view, class), built, rendered and noised in its
+    [G, 1, T, H, W] clip rows and [G, T, 5, 3] joint rows."""
     build = 0.85 + 0.03 * (subject_id - 1)
     rot_t = _view_rotation(view_id).T
     taus = [t / (FRAMES - 1) for t in range(FRAMES)]
@@ -168,39 +221,37 @@ def _make_group(
     world = np.full((len(rngs), FRAMES, *_BASE_JOINTS_MM.shape), _BASE_JOINTS_MM)
     for (joint, axis), mm in moves.items():  # rest + offset, the per-frame template's sum
         world[:, :, joint, axis] += (mm * amp) * motion
-    cameras = build * world @ rot_t  # [G, T, 5, 3]: one product per [5, 3] pose
-    cameras.flags.writeable = False  # each sample's joints are a view of it
-    points = cameras
+    points = np.matmul(build * world, rot_t, out=joints)  # one product per [5, 3] pose
     if label in _BALL_MOTIONS:
         scalar, rest, moves = _BALL_MOTIONS[label]
         motion = np.array([scalar(tau) for tau in taus])  # [T]
         balls = np.full((len(rngs), FRAMES, 1, 3), rest)  # [G, T, 1, 3]: one product per row
         for axis, mm, scaled in moves:
             balls[:, :, 0, axis] += (mm * amp if scaled else mm) * motion
-        points = np.concatenate([cameras, build * balls @ rot_t], axis=2)
+        points = np.concatenate([joints, build * balls @ rot_t], axis=2)
     blobs = [_JOINT_BLOB] * len(JOINT_NAMES) + [_BALL_BLOB] * (points.shape[2] - len(JOINT_NAMES))
-    frames = _render_clip(points, blobs, *FRAME_HW)
+    frames = clips[:, 0]
+    _render_clip(points, blobs, frames)
     noise = normals_rows(rngs, frames[0].size)
     frames += np.multiply(noise, NOISE, out=noise).reshape(frames.shape)
-    clips = np.clip(frames, 0.0, 1.0, out=frames)
-    return [
-        SyntheticAction(clip, joints, subject_id, view_id, label)
-        for clip, joints in zip(clips, cameras)
-    ]
+    np.clip(frames, 0.0, 1.0, out=frames)
 
 
-def generate_synthetic_dataset(config: DatasetConfig, seed: int) -> list[SyntheticAction]:
+def generate_synthetic_dataset(config: DatasetConfig, seed: int) -> SampleSet:
     """Balanced subjects x views x classes x repetitions samples, fully seeded."""
-    samples = []
-    for subject_id in SUBJECT_IDS:
-        for view_id in VIEW_IDS:
-            for label in ACTION_LABELS:
-                rngs = [
-                    Rng(derive_seed(seed, "sample", subject_id, view_id, label, rep))
-                    for rep in range(config.repetitions)
-                ]
-                samples += _make_group(subject_id, view_id, label, rngs)
-    return samples
+    reps = config.repetitions
+    groups = [(s, v, label) for s in SUBJECT_IDS for v in VIEW_IDS for label in ACTION_LABELS]
+    clips = np.empty((len(groups) * reps, 1, FRAMES, *FRAME_HW))
+    joints = np.empty((len(groups) * reps, FRAMES, len(JOINT_NAMES), 3))
+    for g, (subject_id, view_id, label) in enumerate(groups):
+        rngs = [
+            Rng(derive_seed(seed, "sample", subject_id, view_id, label, rep))
+            for rep in range(reps)
+        ]
+        rows = slice(g * reps, (g + 1) * reps)
+        _make_group(subject_id, view_id, label, rngs, clips[rows], joints[rows])
+    ids = [(ACTION_LABELS.index(label), s, v) for s, v, label in groups]
+    return SampleSet(clips, joints, *np.repeat(ids, reps, axis=0).T)
 
 
 def pose_bounding_box(joints: np.ndarray, height: int, width: int, margin_px=1.5) -> np.ndarray:

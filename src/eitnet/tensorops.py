@@ -274,9 +274,9 @@ def save_tensor(path, x: np.ndarray) -> None:
     x = as_tensor(x)
     header = TENSOR_MAGIC + struct.pack("<B", x.ndim)
     header += struct.pack(f"<{x.ndim}I", *x.shape)
-    payload = x.astype("<f8").tobytes(order="C")
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(header)
+        fh.write(np.ascontiguousarray(x, dtype="<f8").data)  # the array's own buffer, no copy
 
 
 def load_tensor(path) -> np.ndarray:

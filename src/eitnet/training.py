@@ -22,7 +22,7 @@ import numpy as np
 
 from .pipeline import PipelineModel
 from .rng import Rng, derive_seed
-from .synthetic import augment
+from .synthetic import SampleSet, augment
 from .tensorops import softmax
 
 
@@ -124,7 +124,7 @@ class FeatureBatch:
     cls_feats: np.ndarray  # [B, d_model]
     labels: np.ndarray  # [B] int
     pose_feats: np.ndarray  # [B, pose_dim]
-    pose_targets: np.ndarray  # [B, out_dim] meters
+    pose_targets: np.ndarray  # [B, out_dim] joint trajectories flattened, in meters
 
 
 def heads_loss_and_grads(
@@ -186,11 +186,6 @@ def _label_accuracy(params, cls_feats, labels) -> float:
     return 100.0 * float(np.mean(logits.argmax(axis=1) == labels))
 
 
-def _pose_target(sample) -> np.ndarray:
-    """The sample's joint trajectories flattened to meters, the pose head's target."""
-    return sample.joints.ravel() / 1000.0
-
-
 def _extract_batch(model: PipelineModel, samples, indices, epoch, hp, train_mode) -> FeatureBatch:
     """Features of the indexed samples, extracted as one ``extract_batch`` call.
 
@@ -198,21 +193,21 @@ def _extract_batch(model: PipelineModel, samples, indices, epoch, hp, train_mode
     then the stack runs with dropout, each clip masked from its own seed;
     otherwise no seeds are passed and dropout stays off.
     """
-    chosen = [samples[idx] for idx in indices]
+    chosen = samples[indices]
     if train_mode:
         clips = [
-            augment(s.clip, derive_seed(hp.seed, "aug", epoch, idx))
-            for idx, s in zip(indices, chosen)
+            augment(clip, derive_seed(hp.seed, "aug", epoch, idx))
+            for idx, clip in zip(indices, chosen.clips)
         ]
         seeds = [derive_seed(hp.seed, "drop", epoch, idx) for idx in indices]
         cls_feats, pose_feats = model.extract_batch(clips, seeds)
     else:
-        cls_feats, pose_feats = model.extract_batch([s.clip for s in chosen])
+        cls_feats, pose_feats = model.extract_batch(chosen.clips)
     return FeatureBatch(
         cls_feats=cls_feats,
-        labels=np.array([s.label_index for s in chosen]),
+        labels=chosen.labels,
         pose_feats=pose_feats,
-        pose_targets=np.stack([_pose_target(s) for s in chosen]),
+        pose_targets=chosen.joints.reshape(len(chosen), -1) / 1000.0,
     )
 
 
@@ -225,16 +220,17 @@ def train_toy(model: PipelineModel, samples, hp: Hyperparams) -> TrainResult:
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples to carve out validation data")
+    samples = SampleSet.of(samples)
     order = list(range(len(samples)))
     Rng(derive_seed(hp.seed, "val-split")).shuffle(order)
     n_val = max(1, int(len(order) * VAL_FRACTION))
     val_idx, train_idx = order[:n_val], order[n_val:]
 
-    model.fit_feature_norm([samples[i] for i in train_idx])
+    model.fit_feature_norm(samples[train_idx])
     params = model.head_parameters()
     # Start the pose head at the mean training trajectory so it learns
     # per-sample deviations instead of spending steps on the global offset.
-    params["pose_bias"][:] = np.mean([_pose_target(samples[i]) for i in train_idx], axis=0)
+    params["pose_bias"][:] = np.mean(samples.joints[train_idx] / 1000.0, axis=0).ravel()
     optimizer = Adam(params)
     stopper = EarlyStopper(PATIENCE)
     val_batch = _extract_batch(model, samples, val_idx, 0, hp, train_mode=False)

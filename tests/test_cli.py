@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import eitnet
+from eitnet import fileio
 from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset
@@ -409,6 +410,54 @@ class TestGenData:
         assert all(s.clip.base is loaded[0].clip.base for s in loaded)
         assert all(s.joints.base is loaded[0].joints.base for s in loaded)
         assert not np.shares_memory(loaded[0].clip, loaded[0].joints)
+
+    def test_out_of_order_subset_manifest_loads_those_rows(self, dataset_dir, tmp_path):
+        subset = tmp_path / "subset"
+        shutil.copytree(dataset_dir, subset)
+        lines = (dataset_dir / "manifest.csv").read_text().splitlines()
+        (subset / "manifest.csv").write_text(
+            "\n".join(lines[:2] + [lines[2 + i] for i in (5, 2, 9)]) + "\n"
+        )
+        generated = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
+        loaded = load_dataset(subset)
+        assert len(loaded) == 3
+        for got, row in zip(loaded, (5, 2, 9)):
+            want = generated[row]
+            assert (got.subject_id, got.view_id, got.label) == (
+                want.subject_id, want.view_id, want.label
+            )
+            assert got.clip.tobytes() == want.clip.tobytes()
+            assert got.joints.tobytes() == want.joints.tobytes()
+        assert len({s.label for s in loaded}) > 1  # each row keeps its own label
+        assert not loaded.clips.flags.writeable and not loaded.labels.flags.writeable
+
+    def test_in_order_manifest_loads_without_a_copy(self, dataset_dir, monkeypatch):
+        read = []
+
+        def spy(path):
+            read.append(load_tensor(path))
+            return read[-1]
+
+        monkeypatch.setattr(fileio, "load_tensor", spy)
+        loaded = load_dataset(dataset_dir)
+        clips, joints = read
+        assert np.shares_memory(loaded.clips, clips) and loaded.clips.shape == clips.shape
+        assert np.shares_memory(loaded.joints, joints) and loaded.joints.shape == joints.shape
+
+    @pytest.mark.parametrize("old", [["clips"], ["poses"], ["clips", "poses"]], ids="+".join)
+    def test_gen_data_over_the_older_layout_exits_3(self, old, tmp_path, capsys):
+        out = tmp_path / "out"
+        for name in old:
+            (out / name).mkdir(parents=True)
+            (out / name / "sample_0000.bin").write_bytes(b"EITT")
+        argv = ["gen-data", "--seed", "7", "--repetitions", "1", "--out", str(out)]
+        assert dispatch(argv) == 3
+        named = ", ".join(str(out / name) for name in old)
+        assert capsys.readouterr().err == (
+            f"error: older dataset layout at {named}; remove it first\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == old
+        assert all(os.listdir(out / name) == ["sample_0000.bin"] for name in old)
 
     def test_load_scans_each_array_once(self, dataset_dir, monkeypatch):
         shapes = []

@@ -35,6 +35,7 @@ BUDGET = {
     synthetic.augment: {"clip", "seed"},
     synthetic.DatasetConfig: {"repetitions"},
     synthetic.SyntheticAction: {"clip", "joints", "subject_id", "view_id", "label"},
+    synthetic.SampleSet: {"clips", "joints", "labels", "subject_ids", "view_ids"},
     pipeline.PipelineConfig: {"detection", "spatiotemporal", "temporal"},
     detection.Detector: {"seed"},
     i3d.I3DStack: {"seed"},

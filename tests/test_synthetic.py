@@ -15,6 +15,8 @@ from eitnet.synthetic import (
     FRAMES,
     NOISE,
     DatasetConfig,
+    SampleSet,
+    SyntheticAction,
     _pixels,
     _render_clip,
     _view_rotation,
@@ -240,9 +242,10 @@ class TestGenerator:
         points = _BASE_JOINTS_MM[[0, 1, 2, 3, 4, 1][:n_points]] + 400.0 * rng.normals(
             group * FRAMES * n_points * 3
         ).reshape(group, FRAMES, n_points, 3)
-        got = _render_clip(points, blobs, *hw)
+        got = np.full((group, 1, FRAMES, *hw), np.nan)  # the render overwrites its rows
+        assert _render_clip(points, blobs, got[:, 0]) is None
         want = whole_stack_render(points, blobs, *hw)
-        assert got.shape == (group, 1, FRAMES, *hw) and got.max() == 1.0
+        assert got.max() == 1.0
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [3, 7])
@@ -274,6 +277,67 @@ class TestGenerator:
         predicted = dists.argmin(axis=1)
         acc = 100.0 * np.mean(predicted == labels)
         assert acc > 90.0
+
+
+class TestSampleSet:
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return generate_synthetic_dataset(DatasetConfig(repetitions=2), seed=7)
+
+    def test_arrays_are_read_only_rows(self, samples):
+        assert samples.clips.shape == (400, 1, FRAMES, *FRAME_HW)
+        assert samples.joints.shape == (400, FRAMES, 5, 3)
+        for array in (samples.clips, samples.joints, samples.labels, samples.subject_ids,
+                      samples.view_ids):
+            assert len(array) == len(samples) == 400 and not array.flags.writeable
+
+    @pytest.mark.parametrize("index", [0, 37, 399, -1, np.int64(250)])
+    def test_integer_index_is_the_reference_sample_bitwise(self, samples, index):
+        record = samples[index]
+        assert isinstance(record, SyntheticAction)
+        row = int(index) % len(samples)
+        keys = [(s, v, label, rep) for s in SUBJECT_IDS for v in VIEW_IDS
+                for label in ACTION_LABELS for rep in range(2)]
+        key = keys[row]
+        assert (record.subject_id, record.view_id, record.label) == key[:3]
+        assert type(record.subject_id) is int and type(record.view_id) is int
+        clip, poses = per_frame_sample(*key[:3], Rng(derive_seed(7, "sample", *key)))
+        assert record.clip.tobytes() == clip.tobytes()
+        assert record.joints.tobytes() == b"".join(p.joints.tobytes() for p in poses)
+        assert np.shares_memory(record.clip, samples.clips)
+        assert np.shares_memory(record.joints, samples.joints)
+        assert not record.clip.flags.writeable and not record.joints.flags.writeable
+
+    def test_slice_shares_memory_with_the_set(self, samples):
+        part = samples[10:30:2]
+        assert isinstance(part, SampleSet) and len(part) == 10
+        assert np.shares_memory(part.clips, samples.clips)
+        assert np.shares_memory(part.joints, samples.joints)
+        assert part[3].clip.tobytes() == samples[16].clip.tobytes()
+        assert part.labels.tolist() == samples.labels[10:30:2].tolist()
+
+    def test_index_arrays_and_masks_give_read_only_sets(self, samples):
+        rows = [5, 2, 399, 5]
+        mask = samples.view_ids == 3
+        for index, want in ((np.array(rows), rows), (rows, rows), (mask, np.flatnonzero(mask))):
+            part = samples[index]
+            assert isinstance(part, SampleSet) and len(part) == len(want)
+            for name in ("clips", "joints", "labels", "subject_ids", "view_ids"):
+                got = getattr(part, name)
+                assert not got.flags.writeable, name
+                assert got.tobytes() == getattr(samples, name)[want].tobytes(), name
+        assert set(samples[mask].view_ids.tolist()) == {3}
+
+    def test_of_a_set_is_itself_and_of_its_records_round_trips(self, samples):
+        assert SampleSet.of(samples) is samples
+        records = list(samples)
+        assert len(records) == 400 and all(isinstance(r, SyntheticAction) for r in records)
+        again = SampleSet.of(records)
+        for name in ("clips", "joints", "labels", "subject_ids", "view_ids"):
+            got, want = getattr(again, name), getattr(samples, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+        assert [s.label_index for s in records] == samples.labels.tolist()
 
 
 class TestAugment:

@@ -1,6 +1,7 @@
 """Kernel math against brute-force oracles, plus the fixed hand cases."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ class TestTensorValidation:
         assert blob[4] == 2
         assert blob[5:13] == (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
         assert len(blob) == 13 + 16
+
+    def test_save_writes_the_payload_without_copying_it(self, tmp_path):
+        x = Rng(12).normals(512 * 1024).reshape(512, 1024)  # a 4 MiB payload
+        path = tmp_path / "big.bin"
+        tracemalloc.start()
+        try:
+            save_tensor(path, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 4, peak
+        header = b"EITT\x02" + (512).to_bytes(4, "little") + (1024).to_bytes(4, "little")
+        assert path.read_bytes() == header + x.astype("<f8").tobytes()
 
     def test_element_count_past_2_63_fails_the_length_check(self, tmp_path):
         """65536**4 elements wrap to 0 in int64; the exact count names the real length."""

@@ -13,8 +13,8 @@ from eitnet.training import (
     FeatureBatch,
     Hyperparams,
     TrainingDiverged,
+    _extract_batch,
     gradient_check,
-    _pose_target,
     heads_loss_and_grads,
     train_toy,
 )
@@ -144,10 +144,17 @@ def tiny_run():
     return model, hp, result, test
 
 
-def test_pose_target_is_the_concatenated_pose_rows_bitwise():
-    for sample in generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7):
-        want = np.concatenate([p.joints.ravel() for p in sample.poses]) / 1000.0
-        assert _pose_target(sample).tobytes() == want.tobytes()
+@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train"])
+def test_batch_targets_are_the_indexed_samples_pose_rows_bitwise(train_mode):
+    samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
+    indices = [5, 0, 199, 17, 5]
+    model = PipelineModel(PipelineConfig(), seed=7)
+    batch = _extract_batch(model, samples, indices, 1, Hyperparams(seed=7), train_mode)
+    want = [np.concatenate([p.joints.ravel() for p in samples[i].poses]) / 1000.0 for i in indices]
+    assert batch.pose_targets.shape == (5, 8 * 5 * 3)
+    assert batch.pose_targets.tobytes() == np.stack(want).tobytes()
+    assert batch.labels.tolist() == [samples[i].label_index for i in indices]
+    assert len(batch.cls_feats) == len(batch.pose_feats) == 5
 
 
 class TestTrainToy:

@@ -217,8 +217,7 @@ def _split_comments(plan) -> tuple[str, ...]:
 def cmd_train(args) -> int:
     hp = _hyperparams(args)
     config = parse_toggles(args.toggles)
-    samples = _require_dataset(args.dataset)
-    plan, train_samples, _ = _split(args, samples, need_test=False)
+    plan, train_samples = _split(args, _require_dataset(args.dataset), need_test=False)[:2]
     out = _outdir(args)
     if not (out / "weights").is_dir():
         _outdir(args, "weights")  # exits 3 now, before training, if it cannot be made,
@@ -245,8 +244,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     hp = _hyperparams(args)
     config = parse_toggles(args.toggles)
-    samples = _require_dataset(args.dataset)
-    plan, train_samples, test_samples = _split(args, samples, need_test=True)
+    plan, train_samples, test_samples = _split(args, _require_dataset(args.dataset), need_test=True)
     out = _outdir(args)
     model = PipelineModel(config, seed=args.seed)
     train_toy(model, train_samples, hp)
@@ -272,7 +270,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     hp = _hyperparams(args)
     samples = _require_dataset(args.dataset)
-    plan, _, _ = _split(args, samples, need_test=True)
+    plan = _split(args, samples, need_test=True)[0]
     out = _outdir(args)
     rows = run_ablation(samples, plan, PipelineConfig(), hp)
     full = rows[0]

@@ -85,7 +85,8 @@ def save_dataset(directory, samples: SampleSet, seed: int) -> None:
     root = Path(directory)
     save_tensor(root / "clips.bin", samples.clips)
     save_tensor(root / "joints.bin", samples.joints)
-    rows = [f"{i},{s.subject_id},{s.view_id},{s.label}" for i, s in enumerate(samples)]
+    columns = (samples.subject_ids.tolist(), samples.view_ids.tolist(), samples.labels.tolist())
+    rows = [f"{i},{s},{v},{ACTION_LABELS[k]}" for i, (s, v, k) in enumerate(zip(*columns))]
     write_csv(root / "manifest.csv", MANIFEST_HEADER, rows, seed=seed)
 
 

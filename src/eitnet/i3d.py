@@ -8,9 +8,9 @@ branch topology, whose per-branch widths are not part of this build.
 
 Every stage runs on a [B, C, T, H, W] stack of B clips and gives each clip
 the bits it gets on its own: the convolution is one matrix product per clip,
-and dropout draws each clip's mask from that clip's seed.  Dropout, at the
-fixed probability ``DROPOUT``, runs exactly when the caller passes one seed
-per clip, as the trainer does; without seeds the blocks are deterministic.
+and one draw gives the stack's dropout masks, row i from clip i's seed.
+Dropout, at the fixed ``DROPOUT``, runs exactly when the caller passes one
+seed per clip, as the trainer does; without seeds the blocks are deterministic.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, uniforms_rows
 from .tensorops import (
     ConvSpec,
     as_tensor,  # noqa: F401  (unused here; perfbench counts as_tensor calls through this name)
     batch_norm,
     conv3d,
-    dropout,
     global_avg_pool,
     pool3d_max,
     relu,
@@ -54,7 +53,8 @@ def i3d_block(x: np.ndarray, params: I3DBlockParams, seeds=None) -> np.ndarray:
     out = batch_norm(out, BN_MEAN, BN_VAR, params.bn_gamma, params.bn_beta, axis=1)
     if seeds is None:
         return out
-    return np.stack([dropout(clip, DROPOUT, seed) for clip, seed in zip(out, seeds)])
+    draws = uniforms_rows([Rng(seed) for seed in seeds], out[0].size).reshape(out.shape)
+    return np.where(draws >= DROPOUT, out / (1.0 - DROPOUT), 0.0)
 
 
 def i3d_forward(clips: np.ndarray, blocks: list[I3DBlockParams], seeds=None) -> np.ndarray:

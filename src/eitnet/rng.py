@@ -103,7 +103,7 @@ class Rng:
         return (self.next_u64() >> 11) / float(1 << 53)
 
     def uniforms(self, n: int) -> np.ndarray:
-        return unit_floats(self.raw(n))
+        return uniforms_rows([self], n)[0]
 
     def normals(self, n: int) -> np.ndarray:
         return normals_rows([self], n)[0]
@@ -131,6 +131,11 @@ def _raw_rows(rngs: list[Rng], n: int) -> np.ndarray:
     for rng in rngs:
         rng._state = (rng._state + n * _INCREMENT) & _MASK64
     return out
+
+
+def uniforms_rows(rngs: list[Rng], n: int) -> np.ndarray:
+    """[len(rngs), n]: row i equals ``rngs[i].uniforms(n)``, all drawn in one array pass."""
+    return unit_floats(_raw_rows(rngs, n))
 
 
 def normals_rows(rngs: list[Rng], n: int) -> np.ndarray:

@@ -26,6 +26,10 @@ draws because Box-Muller takes outputs in pairs and H*W is even.  So clips
 and poses are byte-identical to building and rendering each sample frame by
 frame.  The dataset is one ``SampleSet`` of read-only arrays; sample i is
 its row i, and its ``poses`` are that row's frames as ``SkeletonPose``s.
+
+``augment`` mirrors and rotates a whole [B, C, T, H, W] stack with one gather:
+each clip keeps its own scalar draws, ``math.cos`` and ``math.sin``, and the
+per-frame index steps in order, so it gets the bits it gets on its own.
 """
 
 from __future__ import annotations
@@ -262,40 +266,42 @@ def pose_bounding_box(joints: np.ndarray, height: int, width: int, margin_px=1.5
     return np.concatenate([(lo + hi) / 2.0, np.maximum(hi - lo, 1.0)], axis=-1)
 
 
-def horizontal_flip(clip: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(clip[..., ::-1])
-
-
-def rotate_frames(clip: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Rotate every frame about its center, nearest-neighbor, zeros outside."""
-    if angle_deg == 0.0:
-        return clip.copy()
-    h, w = clip.shape[2:]
-    theta = math.radians(angle_deg)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+def _source_pixels(h: int, w: int, flips, angles_deg) -> tuple[np.ndarray, np.ndarray]:
+    """[B, 1, H*W] flat source pixels, and whether each is inside its frame, of B frames
+    mirrored (``w - 1 - col``) where ``flips``, then rotated nearest-neighbor about the center."""
+    thetas = [math.radians(angle) for angle in angles_deg]
+    cos_t = np.array([math.cos(theta) for theta in thetas])[:, None, None]  # [B, 1, 1]
+    sin_t = np.array([math.sin(theta) for theta in thetas])[:, None, None]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rows = np.arange(h)[:, None] - cy
     cols = np.arange(w)[None, :] - cx
-    src_r = np.rint(cos_t * rows + sin_t * cols + cy).astype(int)
+    src_r = np.rint(cos_t * rows + sin_t * cols + cy).astype(int)  # [B, H, W]
     src_c = np.rint(-sin_t * rows + cos_t * cols + cx).astype(int)
     valid = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
-    src_r_safe = np.clip(src_r, 0, h - 1)
-    src_c_safe = np.clip(src_c, 0, w - 1)
-    return np.ascontiguousarray(np.where(valid, clip[..., src_r_safe, src_c_safe], 0.0))
+    src_r = np.clip(src_r, 0, h - 1)
+    src_c = np.clip(src_c, 0, w - 1)
+    src_c = np.where(np.array(flips, dtype=bool)[:, None, None], w - 1 - src_c, src_c)
+    shape = (len(thetas), 1, h * w)
+    return (src_r * w + src_c).reshape(shape), valid.reshape(shape)
 
 
-def augment(clip: np.ndarray, seed: int) -> np.ndarray:
-    """Seeded coin-flip horizontal mirror, then rotation within the limit.
+def augment(clips: np.ndarray, seeds) -> np.ndarray:
+    """A [B,C,T,H,W] stack, each clip mirrored on a coin flip, then rotated within the limit.
 
-    The clip is validated here once; the two steps trust their input.
-    """
-    rng = Rng(seed)
-    # Two draws stand where a full-frame crop drew its offsets, so every
-    # augmentation stream, and so every training run, keeps its bits.
-    rng.below(1)
-    rng.below(1)
-    out = as_tensor(clip)
-    if rng.uniform() < FLIP_PROB:
-        out = horizontal_flip(out)
-    angle = (2.0 * rng.uniform() - 1.0) * MAX_ROTATION_DEG
-    return rotate_frames(out, angle)
+    Clip b draws from ``Rng(seeds[b])``; the stack is validated once."""
+    clips = as_tensor(clips)
+    if len(seeds) != len(clips):
+        raise ValueError(f"{len(seeds)} augmentation seeds for {len(clips)} clips")
+    flips, angles = [], []
+    for seed in seeds:
+        rng = Rng(seed)
+        # Two draws stand where a full-frame crop drew its offsets, so every
+        # augmentation stream, and so every training run, keeps its bits.
+        rng.below(1)
+        rng.below(1)
+        flips.append(rng.uniform() < FLIP_PROB)
+        angles.append((2.0 * rng.uniform() - 1.0) * MAX_ROTATION_DEG)
+    b, c, t, h, w = clips.shape
+    index, valid = _source_pixels(h, w, flips, angles)
+    frames = np.take_along_axis(clips.reshape(b, c * t, h * w), index, axis=2)
+    return np.where(valid, frames, 0.0).reshape(clips.shape)

@@ -4,7 +4,8 @@ All math runs in float64.  A tensor is a C-contiguous ``numpy.ndarray`` of
 dtype float64 with one to five axes (batch, channel, time, height, width at
 most); ``as_tensor`` validates shape and finiteness.  Every kernel is a pure
 function: inputs are never mutated and outputs are freshly allocated, so
-values can be shared freely across threads.
+values can be shared freely across threads.  None draws random numbers; I3D's
+dropout draws a whole stack's masks itself (``i3d.i3d_block``).
 
 Validation happens at the program's edges, not in every kernel:
 ``as_tensor`` runs where clips enter the pipeline
@@ -52,8 +53,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import Rng
 
 TENSOR_MAGIC = b"EITT"
 MAX_RANK = 5
@@ -220,17 +219,6 @@ def batch_norm(
     """Inference-mode normalization of the channels on ``axis`` with supplied statistics."""
     expand = (slice(None),) + (None,) * (x.ndim - 1 - axis % x.ndim)
     return gamma[expand] * (x - mean[expand]) / np.sqrt(var[expand] + eps) + beta[expand]
-
-
-def dropout(x: np.ndarray, p: float, seed: int) -> np.ndarray:
-    """Zero each element with probability p in [0, 1] (seeded), scaling survivors by 1/(1-p)."""
-    if p == 0.0:
-        return x.copy()
-    if p == 1.0:
-        return np.zeros_like(x)
-    draws = Rng(seed).uniforms(x.size).reshape(x.shape)
-    keep = draws >= p
-    return np.where(keep, x / (1.0 - p), 0.0)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -4,12 +4,13 @@ The optimizer is Adam (beta1 0.9, beta2 0.999, eps 1e-8) at an initial
 learning rate of 0.001, decayed by 0.1 every 10 epochs, for at most 50
 epochs; training stops early once the validation loss has failed to improve
 on its best value for 5 consecutive epochs.  Every clip is re-augmented each
-epoch before the frozen stages run: a batch's clips are all augmented first,
-then run through the frozen stages in stacks (``PipelineModel.extract_batch``),
-each clip with its own dropout seed, which switches I3D's dropout
-(``i3d.DROPOUT``) on.  Only the classification and pose heads
-receive gradients, which are analytic for the linear+softmax and
-linear+squared-error forms; everything upstream stays frozen.
+epoch before the frozen stages run: a batch's clips are augmented as one
+stack (``synthetic.augment``), each from its own seed, then run through the
+frozen stages in stacks (``PipelineModel.extract_batch``), each clip with its
+own dropout seed, which switches I3D's dropout (``i3d.DROPOUT``) on.  Only the
+classification and pose heads receive gradients, which are analytic for the
+linear+softmax and linear+squared-error forms; everything upstream stays
+frozen.
 """
 
 from __future__ import annotations
@@ -189,16 +190,13 @@ def _label_accuracy(params, cls_feats, labels) -> float:
 def _extract_batch(model: PipelineModel, samples, indices, epoch, hp, train_mode) -> FeatureBatch:
     """Features of the indexed samples, extracted as one ``extract_batch`` call.
 
-    In train mode every clip is augmented first, each with its own seed, and
-    then the stack runs with dropout, each clip masked from its own seed;
-    otherwise no seeds are passed and dropout stays off.
+    In train mode the stack is augmented first, each clip from its own seed,
+    and then runs with dropout, each clip masked from its own seed; otherwise
+    no seeds are passed and dropout stays off.
     """
     chosen = samples[indices]
     if train_mode:
-        clips = [
-            augment(clip, derive_seed(hp.seed, "aug", epoch, idx))
-            for idx, clip in zip(indices, chosen.clips)
-        ]
+        clips = augment(chosen.clips, [derive_seed(hp.seed, "aug", epoch, idx) for idx in indices])
         seeds = [derive_seed(hp.seed, "drop", epoch, idx) for idx in indices]
         cls_feats, pose_feats = model.extract_batch(clips, seeds)
     else:

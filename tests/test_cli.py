@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +505,30 @@ class TestRunPipeline:
         argv = ["run-pipeline", "--seed", "7", "--dataset", str(dataset_dir)]
         assert dispatch(argv + ["--out", str(tmp_path)]) == 0
         assert calls == [(4, 1, 8, 16, 16)] * 50  # one call per stack of 4 clips
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_loaded_dataset_is_freed_before_training(command, dataset_dir, tmp_path, monkeypatch):
+    """Only the split's two sides, not the whole loaded set, stay alive while the heads train."""
+    from eitnet import cli
+
+    loaded, alive = [], []
+    load = cli.load_dataset
+
+    def spy(path):
+        samples = load(path)
+        loaded.append(weakref.ref(samples))
+        return samples
+
+    def train_toy(model, samples, hp):
+        alive.append(loaded[0]() is not None)
+        raise RuntimeError("stopped before training")
+
+    monkeypatch.setattr(cli, "load_dataset", spy)
+    monkeypatch.setattr(cli, "train_toy", train_toy)
+    argv = [command, "--seed", "7", "--dataset", str(dataset_dir), "--out", str(tmp_path)]
+    assert dispatch(argv) == 1
+    assert alive == [False]
 
 
 class TestEval:

@@ -17,11 +17,17 @@ from eitnet.tensorops import (
     ConvSpec,
     batch_norm,
     conv3d,
-    dropout,
     global_avg_pool,
     pool3d_max,
     relu,
 )
+
+
+def dropout(x, p, seed):
+    """The per-clip kernel that ``i3d_block``'s one draw for the stack replaced, kept as its
+    reference: zero each cell whose seeded uniform is below p, scale the rest by 1/(1-p)."""
+    draws = Rng(seed).uniforms(x.size).reshape(x.shape)
+    return np.where(draws >= p, x / (1.0 - p), 0.0)
 
 
 def identity_block(c=2):
@@ -74,6 +80,26 @@ class TestBlock:
         assert not np.array_equal(out, ref)  # the seed switched dropout on
         np.testing.assert_array_equal(out, dropout(ref, DROPOUT, 9))
         np.testing.assert_array_equal(i3d_block(x[None], params)[0], ref)
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_stack_masks_equal_per_clip_dropout_bitwise(self, b):
+        rng = Rng(42)
+        params = random_block(rng, 2, 3)
+        x = rng.normals(b * 2 * 4 * 6 * 6).reshape(b, 2, 4, 6, 6)
+        seeds = [2**64 - 1, 0, 9, derive_seed(3, "drop", 1, 5)][:b]  # one wraps past 2**64
+        got = i3d_block(x, params, seeds)
+        want = np.stack([dropout(composed_block(c, params), DROPOUT, s) for c, s in zip(x, seeds)])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_dropout_zeroes_its_fraction_and_scales_survivors(self):
+        params = identity_block(c=2)
+        x = np.ones((3, 2, 8, 20, 20))
+        out = i3d_block(x, params, seeds=[77, 78, 79])
+        ref = composed_block(x[0], params)  # every cell the same value before dropout
+        assert abs(np.mean(out == 0.0) - DROPOUT) <= 0.01
+        np.testing.assert_array_equal(out[out != 0.0], ref[0, 0, 0, 0] / (1.0 - DROPOUT))
+        assert out.tobytes() == i3d_block(x, params, seeds=[77, 78, 79]).tobytes()
+        assert not np.array_equal(out[0], out[1])  # each clip masked from its own seed
 
 
 class TestForward:

@@ -32,7 +32,7 @@ BUDGET = {
     pipeline.PipelineModel.forward: {"self", "clip"},
     pipeline.PipelineModel.stage_features: {"self", "cropped", "seeds"},
     pipeline.PipelineModel.crop_clip: {"self", "clips", "boxes"},
-    synthetic.augment: {"clip", "seed"},
+    synthetic.augment: {"clips", "seeds"},
     synthetic.DatasetConfig: {"repetitions"},
     synthetic.SyntheticAction: {"clip", "joints", "subject_id", "view_id", "label"},
     synthetic.SampleSet: {"clips", "joints", "labels", "subject_ids", "view_ids"},

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from eitnet.rng import Rng, box_muller, derive_seed, normals_rows
+from eitnet.rng import Rng, box_muller, derive_seed, normals_rows, uniforms_rows
 
 
 def test_sequential_and_vectorised_draws_agree():
@@ -63,6 +63,19 @@ def test_normals_rows_equal_each_streams_own_draw_bitwise():
                 a.uniform(), b.uniform()
         got = normals_rows(rows, n)
         want = np.stack([one_stream_normals(rng, n) for rng in alone])
+        assert got.shape == (len(seeds), n) and got.tobytes() == want.tobytes(), n
+        assert [a.next_u64() for a in rows] == [b.next_u64() for b in alone], n
+
+
+def test_uniforms_rows_equal_each_streams_scalar_draws_bitwise():
+    seeds = [3, 2**64 - 5, derive_seed(7, "sample"), 0]  # one state wraps past 2**64
+    for n in (0, 1, 7, 2048):
+        rows, alone = [Rng(seed) for seed in seeds], [Rng(seed) for seed in seeds]
+        for k, (a, b) in enumerate(zip(rows, alone)):  # streams at different positions
+            for _ in range(k):
+                a.uniform(), b.uniform()
+        got = uniforms_rows(rows, n)
+        want = np.array([[rng.uniform() for _ in range(n)] for rng in alone])
         assert got.shape == (len(seeds), n) and got.tobytes() == want.tobytes(), n
         assert [a.next_u64() for a in rows] == [b.next_u64() for b in alone], n
 

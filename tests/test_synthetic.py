@@ -19,12 +19,11 @@ from eitnet.synthetic import (
     SyntheticAction,
     _pixels,
     _render_clip,
+    _source_pixels,
     _view_rotation,
     augment,
     generate_synthetic_dataset,
-    horizontal_flip,
     pose_bounding_box,
-    rotate_frames,
 )
 
 
@@ -33,7 +32,7 @@ def small_config():
 
 
 def per_frame_rotate(clip, angle_deg):
-    """The per-(channel, frame) loop that ``rotate_frames`` replaced, kept as its reference."""
+    """The per-(channel, frame) rotation loop, kept as the reference for ``augment``'s."""
     c, t, h, w = clip.shape
     theta = math.radians(angle_deg)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -51,6 +50,29 @@ def per_frame_rotate(clip, angle_deg):
             plane = clip[ci, ti][src_r_safe, src_c_safe]
             out[ci, ti] = np.where(valid, plane, 0.0)
     return out
+
+
+def augment_draws(seed):
+    """(mirror, angle) of one clip's stream, drawn after the two a full-frame crop once took."""
+    rng = Rng(seed)
+    rng.next_u64()
+    rng.next_u64()
+    return rng.uniform() < 0.5, (2.0 * rng.uniform() - 1.0) * 15.0
+
+
+def per_clip_augment(clip, seed):
+    """One clip mirrored and rotated as the per-clip kernels that ``augment``'s one gather
+    replaced did it, kept as its reference."""
+    flip, angle = augment_draws(seed)
+    return per_frame_rotate(clip[..., ::-1] if flip else clip, angle)
+
+
+def gather(clips, flips, angles_deg):
+    """A [B, C, T, H, W] stack through ``_source_pixels``' index for the given draws."""
+    b, c, t, h, w = clips.shape
+    index, valid = _source_pixels(h, w, flips, angles_deg)
+    frames = np.take_along_axis(clips.reshape(b, c * t, h * w), index, axis=2)
+    return np.where(valid, frames, 0.0).reshape(clips.shape)
 
 
 def per_frame_render_pose(pose, height, width, ball_mm=None):
@@ -345,30 +367,49 @@ class TestAugment:
         return np.abs(Rng(seed).normals(1 * 4 * 16 * 16)).reshape(1, 4, 16, 16).clip(0, 1)
 
     def test_double_flip_is_identity(self):
-        clip = self.clip()
-        np.testing.assert_array_equal(horizontal_flip(horizontal_flip(clip)), clip)
+        clip = self.clip()[None]
+        index, valid = _source_pixels(16, 16, [True], [0.0])
+        assert index.reshape(16, 16).tolist() == np.arange(256).reshape(16, 16)[:, ::-1].tolist()
+        assert valid.all()
+        assert gather(gather(clip, [True], [0.0]), [True], [0.0]).tobytes() == clip.tobytes()
 
     def test_zero_rotation_is_identity(self):
-        clip = self.clip()
-        np.testing.assert_array_equal(rotate_frames(clip, 0.0), clip)
+        for h, w in [(16, 16), (7, 12), (5, 3)]:
+            index, valid = _source_pixels(h, w, [False], [0.0])
+            assert index.shape == valid.shape == (1, 1, h * w)
+            assert index.ravel().tolist() == list(range(h * w)) and valid.all()
 
     def test_fixed_seed_reproducible(self):
-        clip = self.clip()
-        a = augment(clip, seed=42)
-        b = augment(clip, seed=42)
+        clips = np.stack([self.clip(90), self.clip(91), self.clip(92)])
+        a = augment(clips, [42, 43, 44])
+        b = augment(clips, [42, 43, 44])
         np.testing.assert_array_equal(a, b)
-        assert a.shape == (1, 4, 16, 16)
+        assert a.shape == (3, 1, 4, 16, 16) and a.flags.c_contiguous
 
     @pytest.mark.parametrize("seed", range(6))
     def test_flip_and_angle_follow_two_leading_draws(self, seed):
         """The stream opens with the two draws a full-frame crop once took."""
         clip = self.clip()
-        rng = Rng(seed)
-        rng.next_u64()
-        rng.next_u64()
-        ref = horizontal_flip(clip) if rng.uniform() < 0.5 else clip
-        ref = rotate_frames(ref, (2.0 * rng.uniform() - 1.0) * 15.0)
-        np.testing.assert_array_equal(augment(clip, seed), ref)
+        got = augment(clip[None], [seed])
+        assert got.shape == (1, *clip.shape)
+        assert got[0].tobytes() == per_clip_augment(clip, seed).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 8, 16, 16), (8, 1, 8, 16, 16), (3, 2, 3, 7, 12), (4, 1, 5, 3, 3)]
+    )
+    def test_stack_equals_per_clip_reference_bitwise(self, shape):
+        rng = Rng(93)
+        clips = rng.normals(math.prod(shape)).reshape(shape)
+        seeds = [derive_seed(7, "aug", 1, i) for i in range(shape[0])]
+        got = augment(clips, seeds)
+        want = np.stack([per_clip_augment(clip, seed) for clip, seed in zip(clips, seeds)])
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        if shape[0] == 8:  # the stack mixes mirrored and unmirrored clips
+            assert {augment_draws(seed)[0] for seed in seeds} == {True, False}
+
+    def test_seed_count_must_match_the_stack(self):
+        with pytest.raises(ValueError, match="2 augmentation seeds for 3 clips"):
+            augment(np.zeros((3, 1, 2, 4, 4)), [1, 2])
 
     def test_clip_validated_once_per_call(self, monkeypatch):
         from eitnet import synthetic
@@ -379,23 +420,25 @@ class TestAugment:
             synthetic, "as_tensor", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
         monkeypatch.setattr(synthetic, "FLIP_PROB", 1.0)  # take every step
-        augment(self.clip(), seed=42)
+        augment(np.stack([self.clip(90), self.clip(91), self.clip(92)]), [42, 43, 44])
         assert len(calls) == 1
 
     def test_rotation_stays_in_range(self):
-        clip = self.clip()
-        out = rotate_frames(clip, 15.0)
+        clip = self.clip()[None]
+        out = gather(clip, [False], [15.0])
         assert out.shape == clip.shape
         assert out.min() >= 0.0 and out.max() <= clip.max() + 1e-12
 
     def test_rotation_matches_per_frame_loop_bitwise(self):
         rng = Rng(91)
+        angles = [15.0, -7.5, 33.0, 90.0, 1e-9, 0.0]
+        flips = [False, True, True, False, False, True]
         for shape in [(1, 4, 16, 16), (2, 3, 7, 12), (1, 1, 5, 3)]:
             clip = rng.normals(math.prod(shape)).reshape(shape)
-            for angle in (15.0, -7.5, 33.0, 90.0, 1e-9):
-                out = rotate_frames(clip, angle)
-                assert out.flags.c_contiguous
-                assert out.tobytes() == per_frame_rotate(clip, angle).tobytes(), (shape, angle)
+            out = gather(np.stack([clip] * len(angles)), flips, angles)
+            for row, flip, angle in zip(out, flips, angles):
+                ref = per_frame_rotate(clip[..., ::-1] if flip else clip, angle)
+                assert row.tobytes() == ref.tobytes(), (shape, flip, angle)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from eitnet.tensorops import (
     batch_norm,
     conv3d,
     count_macs,
-    dropout,
     global_avg_pool,
     layer_norm,
     linear,
@@ -397,21 +396,6 @@ class TestElementwise:
         out = batch_norm(x, mean, var, gamma, beta, eps=1e-5)
         ref = oracles.batch_norm_oracle(x, mean, var, gamma, beta, 1e-5)
         np.testing.assert_allclose(out, ref, atol=1e-12)
-
-    def test_dropout_endpoints(self):
-        rng = Rng(10)
-        x = rng.normals(50).reshape(5, 10)
-        np.testing.assert_array_equal(dropout(x, 0.0, seed=1), x)
-        np.testing.assert_array_equal(dropout(x, 1.0, seed=1), np.zeros_like(x))
-
-    def test_dropout_zero_fraction_and_reproducibility(self):
-        x = np.ones(10_000)
-        out = dropout(x, 0.5, seed=77)
-        frac = np.mean(out == 0.0)
-        assert abs(frac - 0.5) <= 0.02
-        np.testing.assert_array_equal(out, dropout(x, 0.5, seed=77))
-        survivors = out[out != 0.0]
-        np.testing.assert_allclose(survivors, 2.0)
 
     def test_global_avg_pool(self):
         x = np.full((2, 2, 3, 3), 4.25)

@@ -67,13 +67,5 @@ def run_ablation(
         for config in TABLE_ROWS:
             model = PipelineModel(config, seed=hp.seed)
             train_toy(model, train, hp)
-            metrics = evaluate_pipeline(model, test)
-            out.append(
-                AblationRow(
-                    toggles=config,
-                    accuracy=metrics["accuracy"],
-                    mpjpe=metrics["mpjpe"],
-                    pa_mpjpe=metrics["pa_mpjpe"],
-                )
-            )
+            out.append(AblationRow(toggles=config, **evaluate_pipeline(model, test)))
     return out

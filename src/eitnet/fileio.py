@@ -5,8 +5,8 @@ then a header row, then data rows, and ends with a trailing newline.  Camera
 configs are plain text, one camera per line of space-separated key=value
 pairs (id, period_us, offset_us, jitter_us, drop_prob).  A dataset directory
 holds ``clips.bin`` ``[N, 1, T, H, W]`` and ``joints.bin`` ``[N, T, 5, 3]``,
-whose row i is sample i, and ``manifest.csv`` with one row per sample.  A
-load copies rows only when the manifest is not rows 0..N-1 in order.  The
+whose row i is sample i, and ``manifest.csv`` naming each row at most once.
+A load copies rows only when the manifest is not rows 0..N-1 in order.  The
 older layout of one file per sample is not read: regenerate it with gen-data.
 """
 
@@ -135,11 +135,15 @@ def load_dataset(directory) -> SampleSet:
             f"{root / 'clips.bin'} has {len(clips)} rows but joints.bin has {len(joints)}"
         )
     rows = []
+    id_lines = {}  # sample_id -> the line that listed it
     for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("#") or line == MANIFEST_HEADER:
             continue
         try:
             rows.append(_row(len(clips), line.split(",")))
+            first = id_lines.setdefault(rows[-1][0], lineno)
+            if first != lineno:
+                raise ValueError(f"sample_id {rows[-1][0]} repeats line {first}")
         except ValueError as exc:
             raise ValueError(f"{manifest} line {lineno}: {exc}") from exc
     sample_ids, *ids = np.array(rows, dtype=np.intp).reshape(-1, 4).T

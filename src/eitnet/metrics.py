@@ -5,11 +5,11 @@ PA-MPJPE removes the best-fit similarity transform first: the transform
 minimizing sum_i ||p_i - s R phat_i - t||^2 comes from centering both sets,
 taking the orthogonal factor of the cross-covariance (with the smallest
 singular direction flipped when the determinant would be negative), the
-trace-ratio scale, and the centroid-difference translation.  Sequences are
-aligned frame by frame, all frames in one batched fit over the [T, J, 3]
-joint stacks (Umeyama, TPAMI 1991): one SVD and one determinant call on the
-[T, 3, 3] cross-covariances, and the degeneracy and rotation checks run on
-every frame at once.
+trace-ratio scale, and the centroid-difference translation.  Both take a
+pose, a list of poses, or a [J, 3], [T, J, 3] or [N, T, J, 3] array; a set
+scores the mean of its N sequences' frame-order means.  All N*T frames are
+aligned in one batched fit (Umeyama, TPAMI 1991): one SVD and one
+determinant call on the [N*T, 3, 3] cross-covariances, every check at once.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ class SkeletonPose:
             pose.joints = row
             poses.append(pose)
         return poses
+
+    def __array__(self, dtype=None, copy=None):  # a pose converts as its joints
+        return np.array(self.joints, dtype=dtype, copy=copy)
 
     @property
     def count(self) -> int:
@@ -96,43 +99,41 @@ def _check_similarities(s: np.ndarray, R: np.ndarray) -> None:
         raise ValueError("rotation determinant must be +1")
 
 
-PoseLike = SkeletonPose | Sequence[SkeletonPose]
-
-
-def _joint_stacks(pred: PoseLike, truth: PoseLike) -> tuple[np.ndarray, np.ndarray]:
-    """[T, J, 3] joints of two equal-length pose sequences (a single pose is T = 1)."""
+def _sequences(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' joints as equal-shape [N, T, J, 3] arrays; a pose is T = 1, a sequence N = 1."""
     sides = []
     for poses in (pred, truth):
-        seq = [poses] if isinstance(poses, SkeletonPose) else list(poses)
-        if not seq:
+        joints = np.asarray(poses, dtype=np.float64)
+        if joints.shape == (0,) or 0 in joints.shape[:-2]:
             raise ValueError("pose sequence is empty")
-        sides.append(seq)
-    p, t = sides
-    if len(p) != len(t):
-        raise ValueError(f"sequence lengths differ: {len(p)} vs {len(t)}")
-    for a, b in zip(p, t):
-        if a.count != b.count:
-            raise ValueError(f"joint counts differ: {a.count} vs {b.count}")
-    return np.stack([a.joints for a in p]), np.stack([b.joints for b in t])
+        if not 2 <= joints.ndim <= 4:
+            raise ValueError(f"poses must be [J, 3], [T, J, 3] or [N, T, J, 3], got {joints.shape}")
+        _check_joints(joints, joints.shape[-2:])
+        sides.append(joints.reshape((1,) * (4 - joints.ndim) + joints.shape))
+    x, y = sides
+    for axis, what in enumerate(("sequence counts", "sequence lengths", "joint counts")):
+        if x.shape[axis] != y.shape[axis]:
+            raise ValueError(f"{what} differ: {x.shape[axis]} vs {y.shape[axis]}")
+    return x, y
 
 
 def _mean_joint_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Mean over frames and joints of ||x - y||.
+    """Mean over [N, T, J, 3] sequences of each one's mean over frames and joints of ||x - y||.
 
-    The frame sums are added one after another in frame order (a cumulative
-    sum, not a pairwise one), so the value is bitwise that of a per-frame loop.
+    Frame sums are added in frame order (a cumulative sum, not a pairwise
+    one), so each sequence, and so the set's mean, is bitwise a per-frame loop's.
     """
-    frame_sums = np.linalg.norm(x - y, axis=2).sum(axis=1)
-    return float(np.cumsum(frame_sums)[-1] / (x.shape[0] * x.shape[1]))
+    frame_sums = np.linalg.norm(x - y, axis=3).sum(axis=2)
+    return float(np.mean(np.cumsum(frame_sums, axis=1)[:, -1] / (x.shape[1] * x.shape[2])))
 
 
-def mpjpe(pred: PoseLike, truth: PoseLike) -> float:
+def mpjpe(pred, truth) -> float:
     """Mean Euclidean distance between corresponding joints, in millimeters."""
-    return _mean_joint_distance(*_joint_stacks(pred, truth))
+    return _mean_joint_distance(*_sequences(pred, truth))
 
 
 def _similarity_fit(x: np.ndarray, y: np.ndarray):
-    """Per-frame (s [T], R [T, 3, 3], t [T, 3]) minimizing ||y - (s R x + t)|| over [T, J, 3]."""
+    """Per-frame (s [F], R [F, 3, 3], t [F, 3]) minimizing ||y - (s R x + t)|| over [F, J, 3]."""
     n = x.shape[1]
     if n < 3:
         raise ValueError("alignment needs at least 3 joints")
@@ -140,7 +141,7 @@ def _similarity_fit(x: np.ndarray, y: np.ndarray):
     mu_y = y.mean(axis=1, keepdims=True)
     xc = x - mu_x
     yc = y - mu_y
-    sv = np.linalg.svd(np.stack([xc, yc], axis=1), compute_uv=False)  # [T, 2, 3]
+    sv = np.linalg.svd(np.stack([xc, yc], axis=1), compute_uv=False)  # [F, 2, 3]
     degenerate = (sv[..., 0] < 1e-12) | (sv[..., 1] < 1e-9 * sv[..., 0])
     if degenerate.any():
         side = np.argwhere(degenerate)[0][1]
@@ -157,19 +158,21 @@ def _similarity_fit(x: np.ndarray, y: np.ndarray):
     return scale, rot, trans
 
 
-def procrustes_align(pred: SkeletonPose, truth: SkeletonPose) -> SimilarityTransform:
-    """Similarity transform minimizing the summed squared residual to the truth."""
-    s, R, t = _similarity_fit(*_joint_stacks(pred, truth))
+def procrustes_align(pred, truth) -> SimilarityTransform:
+    """Similarity transform minimizing the summed squared residual to the truth (first frame)."""
+    x, y = (a.reshape(-1, *a.shape[2:]) for a in _sequences(pred, truth))
+    s, R, t = _similarity_fit(x, y)
     return SimilarityTransform(s=float(s[0]), R=R[0], t=t[0])
 
 
-def pa_mpjpe(pred: PoseLike, truth: PoseLike) -> float:
+def pa_mpjpe(pred, truth) -> float:
     """Mean joint error after per-frame Procrustes alignment of pred onto truth."""
-    x, y = _joint_stacks(pred, truth)
-    s, R, t = _similarity_fit(x, y)
+    x, y = _sequences(pred, truth)
+    frames = x.reshape(-1, *x.shape[2:])  # (sequence, frame) order
+    s, R, t = _similarity_fit(frames, y.reshape(frames.shape))
     _check_similarities(s, R)
-    aligned = s[:, None, None] * x @ R.swapaxes(1, 2) + t[:, None, :]
-    return _mean_joint_distance(aligned, y)
+    aligned = s[:, None, None] * frames @ R.swapaxes(1, 2) + t[:, None, :]
+    return _mean_joint_distance(aligned.reshape(x.shape), y)
 
 
 def accuracy(predictions: Sequence, truths: Sequence) -> float:

@@ -21,8 +21,9 @@ one-clip case, and every other caller passes it all its clips.  It, and
 detector and the crop join a stack's clips on the frame axis, I3D runs one
 matrix product per clip, the tokens are [B, S, d], and the summary projection
 and heads multiply [B, 1, feat] rows, so each clip's outputs are bitwise
-those of a one-clip call.  I3D's dropout runs exactly when ``extract_batch``
-is given one seed per clip, which only the trainer does.
+those of a one-clip call.  The pose head's [B, T, J, 3] array reaches the
+metrics whole; only ``forward`` makes poses of it.  I3D's dropout runs
+exactly when ``extract_batch`` gets dropout seeds, as only the trainer does.
 
 Inside a ``shared_frozen_stages()`` block, models share the frozen stages'
 outputs: a stack the detector or I3D has already run on, under the same
@@ -363,18 +364,17 @@ class PipelineModel:
         """[B, classes] class probabilities."""
         return softmax(linear(cls_feats[:, None, :], self.cls_weight, self.cls_bias)[:, 0])
 
-    def head_pose(self, pose_feats: np.ndarray) -> list[list[SkeletonPose]]:
-        """Each clip's T predicted poses, in millimeters."""
+    def head_pose(self, pose_feats: np.ndarray) -> np.ndarray:
+        """[B, T, J, 3] predicted joints, in millimeters."""
         c = self.config
         meters = linear(pose_feats[:, None, :], self.pose_weight, self.pose_bias)[:, 0]
-        mm = 1000.0 * meters.reshape(-1, c.frames, c.joints, 3)
-        return [SkeletonPose.from_stack(clip) for clip in mm]
+        return 1000.0 * meters.reshape(-1, c.frames, c.joints, 3)
 
     def forward(self, clip: np.ndarray) -> PipelineOutput:
         cls_feat, pose_feat = self.extract(clip)
         return PipelineOutput(
             probs=self.head_probs(cls_feat[None])[0],
-            pose=self.head_pose(pose_feat[None])[0],
+            pose=SkeletonPose.from_stack(self.head_pose(pose_feat[None])[0]),
             cls_feat=cls_feat,
             pose_feat=pose_feat,
         )
@@ -407,7 +407,7 @@ class PipelineModel:
 
 
 def evaluate_pipeline(model: PipelineModel, samples) -> dict[str, float]:
-    """Accuracy plus pooled MPJPE / PA-MPJPE over the given samples."""
+    """Accuracy plus pooled MPJPE / PA-MPJPE over the given samples, one call each."""
     if not samples:
         raise ValueError("no samples to evaluate")
     samples = SampleSet.of(samples)
@@ -416,8 +416,8 @@ def evaluate_pipeline(model: PipelineModel, samples) -> dict[str, float]:
     poses = model.head_pose(pose_feats)
     return {
         "accuracy": accuracy(predicted, samples.labels.tolist()),
-        "mpjpe": float(np.mean([mpjpe(p, s.poses) for p, s in zip(poses, samples)])),
-        "pa_mpjpe": float(np.mean([pa_mpjpe(p, s.poses) for p, s in zip(poses, samples)])),
+        "mpjpe": mpjpe(poses, samples.joints),
+        "pa_mpjpe": pa_mpjpe(poses, samples.joints),
     }
 
 

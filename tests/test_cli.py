@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import eitnet
-from eitnet import fileio
+from eitnet import fileio, training
 from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset
@@ -163,10 +163,11 @@ class TestExitCodes:
             ("-1,1,1,pass", "sample_id must be 0..199, got '-1'"),
             ("1.0,1,1,pass", r"sample_id must be 0..199, got '1\.0'"),
             (",1,1,pass", "sample_id must be 0..199, got ''"),
+            ("0,1,1,pass", "sample_id 0 repeats line 3"),
         ],
         ids=["short-row", "path-columns", "unknown-label", "subject-11", "view-6",
              "sample-id-past-the-end", "negative-sample-id", "fractional-sample-id",
-             "empty-sample-id"],
+             "empty-sample-id", "repeated-sample-id"],
     )
     def test_bad_manifest_row_is_config_error_naming_the_line(
         self, row, message, dataset_dir, tmp_path, capsys
@@ -692,6 +693,19 @@ class TestGradcheckAndComplexity:
         assert rows[0] == ["layer", "max_rel_error", "h"]
         for layer, err, h in rows[1:]:
             assert float(err) <= 1e-4
+
+    @pytest.mark.parametrize("error, shown", [(1.0, "1.000e+00"), (float("nan"), "nan")])
+    def test_gradcheck_failure_writes_its_csv_and_one_error_line(
+        self, error, shown, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(training, "gradient_check", lambda *args, **kwargs: error)
+        out = tmp_path / "out"
+        assert dispatch(["gradcheck", "--seed", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: gradient check failed: max relative error {shown} > 1e-4\n"
+        )
+        _, rows = read_csv_rows(out / "gradcheck.csv")
+        assert [row[1] for row in rows[1:]] == [repr(error)] * 4
 
     def test_complexity_values(self, tmp_path):
         out = tmp_path / "out"

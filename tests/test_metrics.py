@@ -296,6 +296,16 @@ class TestPaMpjpe:
              "joint counts differ: 3 vs 4"),
             (SkeletonPose(joints=np.eye(3)[:2]), SkeletonPose(joints=np.eye(3)[:2]),
              "alignment needs at least 3 joints"),
+            (np.zeros((2, 8, 5, 3)), np.zeros((3, 8, 5, 3)), "sequence counts differ: 2 vs 3"),
+            (np.zeros((2, 8, 5, 3)), np.zeros((2, 7, 5, 3)), "sequence lengths differ: 8 vs 7"),
+            (np.zeros((8, 5, 3)), np.zeros((8, 4, 3)), "joint counts differ: 5 vs 4"),
+            (np.zeros((0, 8, 5, 3)), np.zeros((0, 8, 5, 3)), "pose sequence is empty"),
+            (np.zeros(3), np.zeros(3), r"poses must be \[J, 3\], \[T, J, 3\] or \[N, T, J, 3\], "
+             r"got \(3,\)"),
+            (np.zeros((1, 1, 8, 5, 3)), np.zeros((1, 1, 8, 5, 3)), "poses must be .*, got "
+             r"\(1, 1, 8, 5, 3\)"),
+            (np.zeros((8, 5, 2)), np.zeros((8, 5, 2)), r"joints must be \[N, 3\], got \(5, 2\)"),
+            (np.zeros((8, 0, 3)), np.zeros((8, 0, 3)), "pose needs at least one joint"),
         ],
     )
     def test_bad_sequences_keep_their_messages(self, pred, truth, message):
@@ -330,6 +340,57 @@ class TestPaMpjpe:
         base = pa_mpjpe(pred, truth)
         moved = random_similarity(rng).apply(pred)
         assert abs(pa_mpjpe(moved, truth) - base) <= 1e-6
+
+
+class TestPoseArrays:
+    """A pose, a list of poses and a [J, 3], [T, J, 3] or [N, T, J, 3] array score alike."""
+
+    def test_poses_lists_and_arrays_are_bitwise_equal(self):
+        rng = Rng(85)
+        for n in (17, 3, 5):
+            pred, truth = random_sequence(rng, n=n)
+            x, y = np.stack([p.joints for p in pred]), np.stack([t.joints for t in truth])
+            for metric in (mpjpe, pa_mpjpe):
+                one = metric(pred[0], truth[0])
+                assert metric(x[0], y[0]) == one and metric([pred[0]], y[:1]) == one
+                seq = metric(pred, truth)
+                assert metric(x, y) == seq and metric(x[None], y[None]) == seq
+                assert metric(pred, y) == seq and metric(x[None], truth) == seq
+            tf = procrustes_align(pred[0], truth[0])
+            for got in (procrustes_align(x[0], y[0]), procrustes_align(x[:1][None], y[:1][None])):
+                assert (got.s, got.R.tobytes(), got.t.tobytes()) == (
+                    tf.s, tf.R.tobytes(), tf.t.tobytes()
+                )
+
+    def test_a_set_is_the_mean_of_per_sequence_calls_bitwise(self):
+        rng = Rng(86)
+        for n in (17, 5):
+            seqs = [random_sequence(rng, n=n) for _ in range(7)]
+            x = np.stack([[p.joints for p in pred] for pred, _ in seqs])
+            y = np.stack([[t.joints for t in truth] for _, truth in seqs])
+            assert x.shape == (7, 8, n, 3)
+            for metric in (mpjpe, pa_mpjpe):
+                want = float(np.mean([metric(pred, truth) for pred, truth in seqs]))
+                assert metric(x, y) == want
+
+    def test_first_degenerate_frame_of_a_set_is_reported(self):
+        rng = Rng(87)
+        seqs = [random_sequence(rng, frames=4, n=5) for _ in range(3)]
+        x = np.stack([[p.joints for p in pred] for pred, _ in seqs])
+        y = np.stack([[t.joints for t in truth] for _, truth in seqs])
+        line = np.outer(np.arange(5.0), [1.0, 2.0, 3.0])
+        x[2, 0], y[1, 3] = line, line  # the truth's frame comes first in (sequence, frame) order
+        with pytest.raises(ValueError, match="^ground-truth joints are coincident or collinear$"):
+            pa_mpjpe(x, y)
+        x[1, 3] = line  # the same frame: predicted before truth
+        with pytest.raises(ValueError, match="^predicted joints are coincident or collinear$"):
+            pa_mpjpe(x, y)
+
+    def test_a_pose_converts_to_its_joints(self):
+        pose = random_pose(Rng(88))
+        assert np.asarray(pose) is pose.joints
+        assert np.asarray([pose, pose]).tobytes() == np.stack([pose.joints] * 2).tobytes()
+        assert np.asarray(pose, dtype=np.float32).dtype == np.float32
 
 
 class TestAccuracy:

@@ -6,6 +6,7 @@ import pytest
 from eitnet import detection, encoder, i3d, pipeline
 from eitnet.ablation import TABLE_ROWS
 from eitnet.encoder import self_attention
+from eitnet.metrics import SkeletonPose, accuracy, mpjpe, pa_mpjpe
 from eitnet.pipeline import (
     PipelineConfig,
     PipelineModel,
@@ -16,10 +17,11 @@ from eitnet.pipeline import (
     evaluate_pipeline,
 )
 from eitnet.rng import Rng, derive_seed
-from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
+from eitnet.synthetic import DatasetConfig, SampleSet, SyntheticAction, generate_synthetic_dataset
 from eitnet.tensorops import as_tensor, conv3d, count_macs, linear
 from eitnet.training import Hyperparams, train_toy
 
+from test_metrics import per_frame_pa_mpjpe
 from test_tensorops import np_pad_conv3d, np_pad_pool3d_max
 
 ALL_TOGGLES = [
@@ -183,6 +185,64 @@ class TestForward:
         assert metrics["pa_mpjpe"] <= metrics["mpjpe"] + 1e-9
 
 
+def per_sample_evaluation(model, samples) -> dict[str, float]:
+    """The reference: each sample's T predicted poses against its ``poses``, frame by frame."""
+    cls_feats, pose_feats = model.extract_batch(samples.clips)
+    predicted = model.head_probs(cls_feats).argmax(axis=1).tolist()
+    poses = [SkeletonPose.from_stack(clip) for clip in model.head_pose(pose_feats)]
+
+    def per_frame_mpjpe(pred, truth):
+        total = 0.0
+        for p, t in zip(pred, truth):
+            total += np.linalg.norm(p.joints - t.joints, axis=1).sum()
+        return total / (len(pred) * pred[0].count)
+
+    return {
+        "accuracy": accuracy(predicted, samples.labels.tolist()),
+        "mpjpe": float(np.mean([per_frame_mpjpe(p, s.poses) for p, s in zip(poses, samples)])),
+        "pa_mpjpe": float(
+            np.mean([per_frame_pa_mpjpe(p, s.poses) for p, s in zip(poses, samples)])
+        ),
+    }
+
+
+class TestEvaluatePipeline:
+    """A set is scored as one [N, T, J, 3] array per metric call."""
+
+    @pytest.fixture(scope="class")
+    def seed7(self):
+        return generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)[::8]
+
+    @pytest.mark.parametrize("config", TABLE_ROWS, ids=PipelineConfig.tag)
+    def test_equals_the_per_sample_formula_bitwise(self, seed7, config):
+        model = PipelineModel(config, seed=7)
+        model.fit_feature_norm(seed7)
+        got = evaluate_pipeline(model, seed7)
+        want = per_sample_evaluation(model, seed7)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+    def test_calls_each_metric_once_and_builds_no_records(self, seed7, monkeypatch):
+        model = PipelineModel(PipelineConfig(), seed=7)
+        calls = []
+        for name in ("mpjpe", "pa_mpjpe"):
+
+            def counted(pred, truth, _name=name, _metric=getattr(pipeline, name)):
+                calls.append((_name, np.shape(pred), np.shape(truth)))
+                return _metric(pred, truth)
+
+            monkeypatch.setattr(pipeline, name, counted)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a record")
+
+        monkeypatch.setattr(SkeletonPose, "__post_init__", refuse)
+        monkeypatch.setattr(SkeletonPose, "from_stack", refuse)
+        monkeypatch.setattr(SyntheticAction, "__init__", refuse)
+        evaluate_pipeline(model, seed7)
+        shape = (len(seed7), 8, 5, 3)
+        assert calls == [("mpjpe", shape, shape), ("pa_mpjpe", shape, shape)]
+
+
 class TestStacking:
     """Stacks of clips: each clip gets the bytes of a one-clip call, one crop per stack."""
 
@@ -212,19 +272,30 @@ class TestStacking:
         model.fit_feature_norm(samples)
         cls_feats, pose_feats = model.extract_batch([s.clip for s in samples])
         probs, poses = model.head_probs(cls_feats), model.head_pose(pose_feats)
+        assert poses.shape == (len(samples), 8, 5, 3) and poses.dtype == np.float64
         for sample, row, pose in zip(samples, probs, poses):
             out = model.forward(sample.clip)
             assert row.tobytes() == out.probs.tobytes()
-            assert [p.joints.tobytes() for p in pose] == [p.joints.tobytes() for p in out.pose]
+            assert [p.tobytes() for p in pose] == [p.joints.tobytes() for p in out.pose]
 
-    def test_head_pose_rejects_a_non_finite_head(self, samples):
+    def test_a_non_finite_pose_head_is_rejected_by_forward_and_the_metrics(self, samples):
         model = PipelineModel(PipelineConfig(), seed=7)
-        _, pose_feats = model.extract_batch([s.clip for s in samples[:3]])
-        assert [len(poses) for poses in model.head_pose(pose_feats)] == [8, 8, 8]
+        subset = SampleSet.of(samples[:3])
+        _, pose_feats = model.extract_batch(subset.clips)
+        assert np.isfinite(model.head_pose(pose_feats)).all()
         model.pose_bias = model.pose_bias.copy()
         model.pose_bias[-1] = np.inf  # the last coordinate of the last frame
-        with pytest.raises(ValueError, match="joint coordinates must be finite"):
-            model.head_pose(pose_feats)
+        poses = model.head_pose(pose_feats)
+        assert np.isinf(poses[:, -1, -1, -1]).all() and np.isfinite(poses[:, :-1]).all()
+        checks = [
+            lambda: model.forward(subset.clips[0]),
+            lambda: evaluate_pipeline(model, subset),
+            lambda: mpjpe(subset.joints, poses),  # the truth side is checked too
+            lambda: pa_mpjpe(subset.joints, poses),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="^joint coordinates must be finite$"):
+                check()
 
     def test_frame_boxes_runs_the_detector_per_stack(self, samples, monkeypatch):
         model = PipelineModel(PipelineConfig(), seed=7)

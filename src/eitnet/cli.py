@@ -5,6 +5,7 @@ gradcheck, complexity.  Every stochastic subcommand requires --seed and all
 randomness derives from it, so reruns produce byte-identical outputs.  CSVs
 carry the seed in a leading ``#`` comment.  Exit codes: 0 success, 1 runtime
 failure (single ``error:`` line on stderr), 2 usage, 3 invalid config.
+run-pipeline writes its [N, F] pose features as one features.bin, in manifest order.
 """
 
 from __future__ import annotations
@@ -147,11 +148,16 @@ def _outdir(args, *subdirs: str) -> Path:
     return out
 
 
+def _refuse_older_layout(args, layout: str, *subdirs: str) -> None:
+    """Refuse an ``--out`` that holds any named subdirectory of an older layout."""
+    old = [p for p in (default_out_dir(args.out) / name for name in subdirs) if p.is_dir()]
+    if old:
+        raise ConfigError(f"older {layout} layout at {', '.join(map(str, old))}; remove it first")
+
+
 def cmd_gen_data(args) -> int:
     config = _config(DatasetConfig, repetitions=args.repetitions)
-    old = [p for p in (default_out_dir(args.out) / n for n in ("clips", "poses")) if p.is_dir()]
-    if old:
-        raise ConfigError(f"older dataset layout at {', '.join(map(str, old))}; remove it first")
+    _refuse_older_layout(args, "dataset", "clips", "poses")
     out = _outdir(args)
     samples = generate_synthetic_dataset(config, args.seed)
     save_dataset(out, samples, args.seed)
@@ -163,8 +169,9 @@ def cmd_run_pipeline(args) -> int:
     if not 0.0 <= args.lam < float("inf"):
         raise ConfigError(f"--lambda must be nonnegative and finite, got {args.lam}")
     config = parse_toggles(args.toggles)
+    _refuse_older_layout(args, "run-pipeline", "features")
     samples = _require_dataset(args.dataset)
-    out = _outdir(args, "features")
+    out = _outdir(args)
     model = PipelineModel(config, seed=args.seed)
     boxes = model.frame_boxes(samples.clips)  # [N, T, 5]; the dataset load validated the clips
     cls_feats, pose_feats = model.extract_batch(samples.clips, boxes=boxes)
@@ -172,14 +179,7 @@ def cmd_run_pipeline(args) -> int:
     n, t = boxes.shape[:2]
     boxes = boxes.reshape(n * t, 5)
     true_boxes = pose_bounding_box(samples.joints, *FRAME_HW).reshape(n * t, 4)
-    scores = boxes[:, 4:]
-    parts = detection_loss(
-        np.clip(np.hstack([scores, 1.0 - scores]), 1e-12, 1.0),
-        np.zeros(n * t, dtype=int),
-        boxes[:, :4],
-        true_boxes,
-        lam=args.lam,
-    )
+    parts = detection_loss(boxes[:, 4], boxes[:, :4], true_boxes, lam=args.lam)
     cameras = np.repeat(samples.view_ids, t).tolist()
     detection_rows = [
         detection_csv_row(k, camera, box)
@@ -200,8 +200,7 @@ def cmd_run_pipeline(args) -> int:
         for k, p in enumerate(clip_probs)
     ]
     write_csv(out / "classifications.csv", CLASSIFICATION_CSV_HEADER, class_rows, seed=args.seed)
-    for i, feat in enumerate(pose_feats):
-        save_tensor(out / "features" / f"sample_{i:04d}.bin", feat)
+    save_tensor(out / "features.bin", pose_feats)
     print(f"processed {len(samples)} clips into {out} (detection loss {parts.total:.3f})")
     return 0
 

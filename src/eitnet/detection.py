@@ -70,25 +70,22 @@ def _center_index(n, out: int) -> np.ndarray:
 
 
 def detection_loss(
-    pred_scores: np.ndarray,
-    true_labels: np.ndarray,
-    pred_boxes: np.ndarray,
-    true_boxes: np.ndarray,
-    lam: float = 1.0,
+    scores: np.ndarray, pred_boxes: np.ndarray, true_boxes: np.ndarray, lam: float = 1.0
 ) -> DetectionLossParts:
-    """Mean cross-entropy over matched anchors plus lambda times mean smooth-L1.
+    """Mean cross-entropy over matched boxes plus lambda times mean smooth-L1.
 
-    Scores are [N, K], labels [N] and boxes [N, 4] rows of (cx, cy, w, h).
+    The detector has one class: ``scores`` are its [N] scores of the matched
+    boxes, clipped to [1e-12, 1], and boxes are [N, 4] rows of (cx, cy, w, h).
     Both means divide running sums taken in match order.
     """
-    if np.size(true_labels) == 0 or np.size(pred_scores) == 0:
+    if np.size(scores) == 0:
         raise ValueError("empty match set")
-    pred_scores = np.atleast_2d(as_tensor(pred_scores))
-    n = pred_scores.shape[0]
-    if np.shape(true_labels) != (n,) or not np.shape(pred_boxes) == np.shape(true_boxes) == (n, 4):
-        raise ValueError(f"matched inputs must be {n} labels and two [{n}, 4] box arrays")
+    scores = as_tensor(scores)
+    n = len(scores)
+    if scores.shape != (n,) or not np.shape(pred_boxes) == np.shape(true_boxes) == (n, 4):
+        raise ValueError(f"matched inputs must be {n} scores and two [{n}, 4] box arrays")
     cls = 0.0
-    for p in np.maximum(pred_scores[np.arange(n), true_labels], 1e-300).tolist():
+    for p in np.clip(scores, 1e-12, 1.0).tolist():
         cls -= math.log(p)  # np.log may differ from math.log in the last bit
     d = (np.asarray(pred_boxes, dtype=np.float64) - true_boxes).ravel()
     a = np.abs(d)

@@ -424,9 +424,9 @@ def evaluate_pipeline(model: PipelineModel, samples) -> dict[str, float]:
 # -- complexity accounting ---------------------------------------------------
 
 
-def count_linear(d_in: int, d_out: int, bias: bool = True, rows: int = 1) -> tuple[int, int]:
-    """Parameters and per-forward MACs of a dense layer applied to `rows` rows."""
-    return d_in * d_out + (d_out if bias else 0), rows * d_in * d_out
+def count_linear(d_in: int, d_out: int) -> tuple[int, int]:
+    """Parameters and per-row MACs of a dense layer with a bias."""
+    return d_in * d_out + d_out, d_in * d_out
 
 
 def count_conv3d(
@@ -435,12 +435,11 @@ def count_conv3d(
     kernel: tuple[int, int, int],
     in_extents: tuple[int, int, int],
     stride: tuple[int, int, int] = (1, 1, 1),
-    padding: tuple[int, int, int] = (0, 0, 0),
-    bias: bool = True,
 ) -> tuple[int, int]:
+    """Parameters and MACs of an unpadded 3D convolution with a bias."""
     weights = c_out * c_in * math.prod(kernel)
-    out = ConvSpec(kernel, stride, padding).output_extents(in_extents)
-    return weights + (c_out if bias else 0), weights * math.prod(out)
+    out = ConvSpec(kernel, stride).output_extents(in_extents)
+    return weights + c_out, weights * math.prod(out)
 
 
 def count_attention_projections(d_model: int) -> int:

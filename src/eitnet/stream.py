@@ -50,6 +50,8 @@ _CRC_RESIDUE = 0x2144DF1C
 _FILTER_BLOCK = 256
 _HANDSHAKES = 5  # clock samples per camera (calibrate_clocks takes an odd count)
 _MEDIAN_WINDOW = 3  # median_filter's neighborhood side
+# str.splitlines' line breaks and their escapes (\n, \x1c, ...): a hook failure is one line
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 class StreamError(Exception):
@@ -512,7 +514,7 @@ def run_simulation(
 
 
 def report_csv_text(report: SimulationReport, seed: int) -> str:
-    """Sectioned CSV: per-camera counts, latency percentiles, per-window labels."""
+    """Sectioned CSV: per-camera counts, latency percentiles, per-window labels, hook failures."""
     lines = [f"# seed={seed}"]
     lines.append("# section=counts")
     lines.append("camera_id,produced,delivered,dropped_link,dropped_late,duplicates")
@@ -530,5 +532,5 @@ def report_csv_text(report: SimulationReport, seed: int) -> str:
     for index, completeness, label, confidence in report.window_rows:
         lines.append(f"{index},{completeness!r},{label},{confidence!r}")
     for index, message in report.hook_failures:
-        lines.append(f"# hook_failure window={index}: {message}")
+        lines.append(f"# hook_failure window={index}: {message.translate(_LINE_BREAKS)}")
     return "\n".join(lines) + "\n"

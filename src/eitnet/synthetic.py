@@ -84,6 +84,7 @@ _BALL_BLOB = (1.4, 1.6)  # the ball is brighter and wider
 
 
 NOISE = 0.02  # standard deviation of the Gaussian pixel noise
+BOX_MARGIN_PX = 1.5  # how far a pose's box reaches past its outermost joint pixels
 FLIP_PROB = 0.5  # augmentation: chance of a horizontal mirror
 MAX_ROTATION_DEG = 15.0  # augmentation: largest rotation either way
 
@@ -258,11 +259,11 @@ def generate_synthetic_dataset(config: DatasetConfig, seed: int) -> SampleSet:
     return SampleSet(clips, joints, *np.repeat(ids, reps, axis=0).T)
 
 
-def pose_bounding_box(joints: np.ndarray, height: int, width: int, margin_px=1.5) -> np.ndarray:
-    """[..., 4] (cx, cy, w, h) of the tight pixel box around each [J, 3] pose's rendered joints."""
+def pose_bounding_box(joints: np.ndarray, height: int, width: int) -> np.ndarray:
+    """[..., 4] (cx, cy, w, h) of the pixel box just past each [J, 3] pose's rendered joints."""
     px, py = _pixels(joints[..., 0], joints[..., 1], height, width)
-    lo = np.maximum(np.stack([px.min(-1), py.min(-1)], axis=-1) - margin_px, 0.0)
-    hi = np.minimum(np.stack([px.max(-1), py.max(-1)], axis=-1) + margin_px, (width, height))
+    lo = np.maximum(np.stack([px.min(-1), py.min(-1)], axis=-1) - BOX_MARGIN_PX, 0.0)
+    hi = np.minimum(np.stack([px.max(-1), py.max(-1)], axis=-1) + BOX_MARGIN_PX, (width, height))
     return np.concatenate([(lo + hi) / 2.0, np.maximum(hi - lo, 1.0)], axis=-1)
 
 

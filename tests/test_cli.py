@@ -17,7 +17,7 @@ from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, p
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset
 from eitnet.metrics import make_split
-from eitnet.pipeline import PipelineConfig
+from eitnet.pipeline import PipelineConfig, PipelineModel
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
 from eitnet.tensorops import load_tensor, save_tensor
 
@@ -294,9 +294,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: cannot create output directory {out}: {reason}\n"
         assert blocker.read_text() == "kept"
 
-    @pytest.mark.parametrize(
-        "command, subdir", [("run-pipeline", "features"), ("train", "weights")]
-    )
+    @pytest.mark.parametrize("command, subdir", [("train", "weights")])
     def test_out_subdirectory_that_is_a_file_is_config_error(
         self, command, subdir, dataset_dir, tmp_path, capsys
     ):
@@ -304,7 +302,7 @@ class TestExitCodes:
         out.mkdir()
         (out / subdir).write_text("kept")
         argv = [command, "--seed", "7", "--dataset", str(dataset_dir), "--out", str(out)]
-        assert dispatch(argv + (["--epochs", "1"] if command == "train" else [])) == 3
+        assert dispatch(argv + ["--epochs", "1"]) == 3
         assert capsys.readouterr().err == (
             f"error: cannot create output directory {out / subdir}: File exists\n"
         )
@@ -492,7 +490,35 @@ class TestRunPipeline:
         _, det_rows = read_csv_rows(out / "detections.csv")
         assert det_rows[0] == "frame_id,camera_id,class_id,score,cx,cy,w,h".split(",")
         assert len(det_rows) == 1 + 200 * 8
-        assert (out / "features" / "sample_0000.bin").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "classifications.csv", "detections.csv", "features.bin"
+        ]
+
+    @pytest.mark.parametrize("toggles", ["det,i3d,tsf", "tsf"])
+    def test_features_bin_is_the_pose_features_in_manifest_order(
+        self, toggles, dataset_dir, tmp_path
+    ):
+        argv = ["run-pipeline", "--seed", "7", "--dataset", str(dataset_dir), "--toggles", toggles]
+        assert dispatch(argv + ["--out", str(tmp_path)]) == 0
+        samples = load_dataset(dataset_dir)
+        model = PipelineModel(parse_toggles(toggles), seed=7)
+        want = model.extract_batch(samples.clips)[1]
+        got = load_tensor(tmp_path / "features.bin")
+        assert got.shape == (200, 32 if "i3d" in toggles else 144)
+        assert got.tobytes() == want.tobytes()
+        assert not (tmp_path / "features").exists()
+
+    def test_run_pipeline_over_the_older_layout_exits_3(self, dataset_dir, tmp_path, capsys):
+        old = tmp_path / "features"
+        old.mkdir()
+        (old / "sample_0000.bin").write_bytes(b"EITT")
+        argv = ["run-pipeline", "--seed", "7", "--dataset", str(dataset_dir), "--out", str(tmp_path)]
+        assert dispatch(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: older run-pipeline layout at {old}; remove it first\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["features"]  # no CSV was written
+        assert os.listdir(old) == ["sample_0000.bin"]
 
     def test_detector_runs_once_per_clip(self, dataset_dir, tmp_path, monkeypatch):
         calls = []

@@ -219,7 +219,8 @@ class TestBoxGating:
 
 
 def reference_detection_loss(pred_scores, true_labels, pred_boxes, true_boxes, lam=1.0):
-    """The loop over ``BoundingBox`` pairs that the array loss replaced, kept as its reference."""
+    """The loop over ``BoundingBox`` pairs with [N, K] scores and [N] labels that the one-class
+    array loss replaced, kept as its reference."""
     pred_scores = np.atleast_2d(np.asarray(pred_scores, dtype=np.float64))
     n = pred_scores.shape[0]
     cls = 0.0
@@ -237,61 +238,78 @@ def reference_detection_loss(pred_scores, true_labels, pred_boxes, true_boxes, l
 
 
 def seed7_loss_inputs(detection: bool):
-    """run-pipeline's loss inputs on the seed-7 dataset: scores, labels, predicted, true boxes."""
+    """run-pipeline's loss inputs on the seed-7 dataset: [N] scores, predicted and true boxes."""
     samples = generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=7)
     model = PipelineModel(PipelineConfig(detection=detection), seed=7)
-    clips = np.stack([s.clip for s in samples])
-    boxes = model.frame_boxes(clips).reshape(-1, 5)
-    joints = np.stack([[p.joints for p in s.poses] for s in samples])
-    true_boxes = pose_bounding_box(joints, *clips.shape[-2:]).reshape(-1, 4)
-    scores = np.clip(np.hstack([boxes[:, 4:], 1.0 - boxes[:, 4:]]), 1e-12, 1.0)
-    return scores, np.zeros(len(boxes), dtype=int), boxes[:, :4], true_boxes
+    boxes = model.frame_boxes(samples.clips).reshape(-1, 5)
+    true_boxes = pose_bounding_box(samples.joints, *samples.clips.shape[-2:]).reshape(-1, 4)
+    return boxes[:, 4], boxes[:, :4], true_boxes
 
 
 class TestDetectionLoss:
     def test_perfect_predictions(self):
         box = np.array([[5.0, 5.0, 2.0, 2.0]])
-        parts = detection_loss(np.array([[1.0, 0.0]]), np.array([0]), box, box, lam=1.0)
+        parts = detection_loss(np.array([1.0]), box, box, lam=1.0)
         assert parts.total <= 1e-9
 
     def test_lambda_zero_is_cls_only(self):
         a = np.array([[5.0, 5.0, 2.0, 2.0]])
         b = np.array([[9.0, 9.0, 3.0, 1.0]])
-        parts = detection_loss(np.array([[0.7, 0.3]]), np.array([0]), a, b, lam=0.0)
+        parts = detection_loss(np.array([0.7]), a, b, lam=0.0)
         assert parts.total == parts.cls
 
     def test_hand_cross_entropy(self):
         box = np.array([[5.0, 5.0, 2.0, 2.0]])
-        parts = detection_loss(np.array([[0.5, 0.5]]), np.array([0]), box, box, lam=1.0)
+        parts = detection_loss(np.array([0.5]), box, box, lam=1.0)
         assert parts.total == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_zero_score_is_clipped(self):
+        box = np.zeros((2, 4))
+        parts = detection_loss(np.array([0.0, 1.0]), box, box)
+        assert parts.cls == -math.log(1e-12) / 2
 
     def test_monotone_in_lambda(self):
         a = np.array([[5.0, 5.0, 2.0, 2.0]])
         b = np.array([[7.0, 6.0, 2.5, 2.0]])
-        low = detection_loss(np.array([[0.6, 0.4]]), np.array([0]), a, b, lam=0.5)
-        high = detection_loss(np.array([[0.6, 0.4]]), np.array([0]), a, b, lam=2.0)
+        low = detection_loss(np.array([0.6]), a, b, lam=0.5)
+        high = detection_loss(np.array([0.6]), a, b, lam=2.0)
         assert high.total >= low.total >= 0.0
 
     def test_empty_match_set_raises(self):
         empty = np.zeros((0, 4))
         with pytest.raises(ValueError, match="empty"):
-            detection_loss(np.zeros((0, 2)), np.zeros(0, dtype=int), empty, empty)
+            detection_loss(np.zeros(0), empty, empty)
 
-    @pytest.mark.parametrize("labels, pred_shape", [([0], (2, 4)), ([0, 0], (2, 5)), ([0, 0], [4])])
-    def test_mismatched_inputs_raise(self, labels, pred_shape):
-        scores, true = np.full((2, 2), 0.5), np.ones((2, 4))
-        message = r"^matched inputs must be 2 labels and two \[2, 4\] box arrays$"
+    @pytest.mark.parametrize(
+        "scores, pred_shape, true_shape",
+        [
+            ([0.5, 0.5], (2, 5), (2, 4)),
+            ([0.5, 0.5], [4], (2, 4)),
+            ([0.5, 0.5], (1, 4), (1, 4)),
+            ([[0.5], [0.5]], (2, 4), (2, 4)),
+        ],
+    )
+    def test_mismatched_inputs_raise(self, scores, pred_shape, true_shape):
+        message = r"^matched inputs must be 2 scores and two \[2, 4\] box arrays$"
         with pytest.raises(ValueError, match=message):
-            detection_loss(scores, np.array(labels), np.ones(pred_shape), true)
+            detection_loss(np.array(scores), np.ones(pred_shape), np.ones(true_shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_scores_raise(self, bad):
+        box = np.ones((2, 4))
+        with pytest.raises(ValueError, match="finite"):
+            detection_loss(np.array([0.5, bad]), box, box)
 
     @pytest.mark.parametrize("detection", [True, False])
     @pytest.mark.parametrize("lam", [1.0, 0.5])
     def test_equals_box_loop_bytes_on_seed7_boxes(self, detection, lam):
-        scores, labels, pred, true = seed7_loss_inputs(detection)
-        got = detection_loss(scores, labels, pred, true, lam=lam)
+        scores, pred, true = seed7_loss_inputs(detection)
+        got = detection_loss(scores, pred, true, lam=lam)
+        # run-pipeline's former [score, 1 - score] table, clipped, with every label 0
+        table = np.clip(np.stack([scores, 1.0 - scores], axis=1), 1e-12, 1.0)
         want = reference_detection_loss(
-            scores,
-            labels.tolist(),
+            table,
+            [0] * len(scores),
             [BoundingBox(*row) for row in pred.tolist()],
             [BoundingBox(*row) for row in true.tolist()],
             lam=lam,

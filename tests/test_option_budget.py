@@ -33,11 +33,15 @@ BUDGET = {
     pipeline.PipelineModel.stage_features: {"self", "cropped", "seeds"},
     pipeline.PipelineModel.crop_clip: {"self", "clips", "boxes"},
     synthetic.augment: {"clips", "seeds"},
+    synthetic.pose_bounding_box: {"joints", "height", "width"},
     synthetic.DatasetConfig: {"repetitions"},
     synthetic.SyntheticAction: {"clip", "joints", "subject_id", "view_id", "label"},
     synthetic.SampleSet: {"clips", "joints", "labels", "subject_ids", "view_ids"},
     pipeline.PipelineConfig: {"detection", "spatiotemporal", "temporal"},
+    pipeline.count_linear: {"d_in", "d_out"},
+    pipeline.count_conv3d: {"c_in", "c_out", "kernel", "in_extents", "stride"},
     detection.Detector: {"seed"},
+    detection.detection_loss: {"scores", "pred_boxes", "true_boxes", "lam"},
     i3d.I3DStack: {"seed"},
     i3d.I3DStack.forward: {"self", "clips", "seeds"},
     i3d.i3d_forward: {"clips", "blocks", "seeds"},

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import threading
@@ -735,6 +736,32 @@ class TestSimulation:
         prefix = r"# hook_failure window=\d+: hook must return 4 finite probabilities, "
         assert all(re.fullmatch(prefix + error, f) for f in failures)
         assert "nan" not in "".join(lines)
+
+    @pytest.mark.parametrize(
+        "message, written",
+        [
+            ("bad\nrow,1.0,x,0.5", r"bad\nrow,1.0,x,0.5"),
+            ("a\r\nb\rc\vd\fe", r"a\r\nb\rc\x0bd\x0ce"),
+            ("a\x1cb\x1dc\x1ed\x85e\u2028f\u2029", r"a\x1cb\x1dc\x1ed\x85e\u2028f\u2029"),
+            ("trailing\n", r"trailing\n"),
+            ("one line, a \\ and \u00fc\t kept", "one line, a \\ and \u00fc\t kept"),
+        ],
+        ids=["newline", "crlf-cr-vt-ff", "separators", "trailing", "one-line"],
+    )
+    def test_hook_failure_is_one_report_line(self, message, written):
+        def hook(window):
+            raise ValueError(message)
+
+        report = run_simulation([spec(1), spec(2)], duration_us=3_000, seed=2, pipeline_hook=hook)
+        assert report.hook_failures == [(i, message) for i in range(3)]  # the raw text
+        text = report_csv_text(report, 2)
+        clean = report_csv_text(dataclasses.replace(report, hook_failures=[]), 2)
+        lines = text.splitlines()
+        assert lines[: len(clean.splitlines())] == clean.splitlines()
+        assert lines[len(clean.splitlines()) :] == [
+            f"# hook_failure window={i}: {written}" for i in range(3)
+        ]
+        assert text.split("\n") == lines + [""]
 
     def test_hook_runs_as_each_window_is_emitted(self, monkeypatch):
         decoded = 0

@@ -21,7 +21,6 @@ transport.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -114,6 +113,27 @@ class StreamPacket:
             )
 
 
+def _trusted_packet(
+    camera_id: int, sequence_no: int, timestamp_us: int, height: int, width: int, payload: bytes
+) -> StreamPacket:
+    """A ``StreamPacket`` built without ``__init__`` and ``__post_init__``.
+
+    Only for fields already bounded by their source (the wire layout, or a
+    checked ``CameraSpec`` and simulation); the packet is otherwise the same
+    frozen object, equal to and hashing like the validated one.
+    """
+    packet = object.__new__(StreamPacket)
+    vars(packet).update(
+        camera_id=camera_id,
+        sequence_no=sequence_no,
+        timestamp_us=timestamp_us,
+        height=height,
+        width=width,
+        payload=payload,
+    )
+    return packet
+
+
 def encode_packet(packet: StreamPacket) -> bytes:
     body = (
         _HEADER.pack(
@@ -131,6 +151,12 @@ def encode_packet(packet: StreamPacket) -> bytes:
 
 
 def decode_packet(blob: bytes) -> StreamPacket:
+    """Parse one wire packet, checking magic, length, version, trailing bytes and CRC.
+
+    Every error is a ``StreamError``.  The packet is built without
+    ``StreamPacket``'s range checks: its integers come from fixed-width
+    header fields, and the payload length was checked against ``total``.
+    """
     size = len(blob)
     if blob[:4] != PACKET_MAGIC:
         if PACKET_MAGIC.startswith(blob):
@@ -148,42 +174,51 @@ def decode_packet(blob: bytes) -> StreamPacket:
         raise ProtocolError(f"{size - total} trailing bytes")
     if zlib.crc32(blob) != _CRC_RESIDUE:
         raise IntegrityError("checksum mismatch")
-    return StreamPacket(
-        camera_id=camera_id,
-        sequence_no=sequence_no,
-        timestamp_us=timestamp_us,
-        height=height,
-        width=width,
-        payload=blob[_HEADER_LEN : total - _CRC_LEN],
-    )
+    payload = blob[_HEADER_LEN : total - _CRC_LEN]
+    return _trusted_packet(camera_id, sequence_no, timestamp_us, height, width, payload)
 
 
 def median_filter(frames: np.ndarray) -> np.ndarray:
     """3 x 3 neighborhood median with replicated borders over [..., H, W].
 
     Runs in the frames' own dtype (``run_simulation`` passes its uint8
-    ``[n, H, W]`` blocks); both extents must be at least 3.  The median of
-    each neighborhood is selected by min/max exchanges over the 9 shifted
-    views of one edge-padded copy, so a whole stack of frames costs a fixed
-    number of array operations.
+    ``[n, H, W]`` blocks) and returns a C-contiguous array of the input's
+    shape; both extents must be at least 3.  The frames are edge-padded once
+    into an ``[H+2, W+2, n]`` buffer with the frame index innermost, so every
+    step below is one min/max over long contiguous rows.  Each vertical
+    triple of pixels is sorted once into lo, mid and hi (3 compare-exchanges),
+    and a pixel's median is the median of: the largest of its 3 neighbouring
+    lo values, the median of its 3 mid values and the smallest of its 3 hi
+    values (Paeth, "Median Finding on a 3x3 Grid", Graphics Gems, 1990).
     """
-    k = _MEDIAN_WINDOW
     h, w = frames.shape[-2:]
-    if k > min(h, w):
-        raise ValueError(f"window {k} exceeds frame extents {h}x{w}")
-    padded = np.pad(frames, [(0, 0)] * (frames.ndim - 2) + [(k // 2, k // 2)] * 2, mode="edge")
-    values = [padded[..., i : i + h, j : j + w] for i in range(k) for j in range(k)]
-    # Each bubble pass carries the largest remaining value to the end and
-    # drops it; once the values above the median are gone, the median is the
-    # largest of what is left.
-    for _ in range(len(values) // 2):
-        for j in range(len(values) - 1):
-            values[j], values[j + 1] = (
-                np.minimum(values[j], values[j + 1]),
-                np.maximum(values[j], values[j + 1]),
-            )
-        values.pop()
-    return functools.reduce(np.maximum, values)
+    if _MEDIAN_WINDOW > min(h, w):
+        raise ValueError(f"window {_MEDIAN_WINDOW} exceeds frame extents {h}x{w}")
+    n = math.prod(frames.shape[:-2])
+    padded = np.empty((h + 2, w + 2, n), dtype=frames.dtype)
+    padded[1:-1, 1:-1] = frames.reshape(n, h, w).transpose(1, 2, 0)
+    padded[0], padded[-1] = padded[1], padded[-2]
+    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+    top, centre, bottom = padded[:-2], padded[1:-1], padded[2:]
+    lo, hi = np.minimum(top, centre), np.maximum(top, centre)
+    mid = np.minimum(hi, bottom)
+    np.maximum(hi, bottom, out=hi)
+    lo, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+    # across each row of 3 columns: max of the lows, median of the mids, min of the highs
+    lows = np.maximum(lo[:, :-2], lo[:, 1:-1])
+    np.maximum(lows, lo[:, 2:], out=lows)
+    highs = np.minimum(hi[:, :-2], hi[:, 1:-1])
+    np.minimum(highs, hi[:, 2:], out=highs)
+    mids = _median3(mid[:, :-2], mid[:, 1:-1], mid[:, 2:])
+    return _median3(lows, mids, highs).transpose(2, 0, 1).copy().reshape(frames.shape)
+
+
+def _median3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Elementwise median of three arrays in 4 min/max operations, into a new array."""
+    low = np.minimum(a, b)
+    high = np.maximum(a, b)
+    np.minimum(high, c, out=high)
+    return np.maximum(low, high, out=low)
 
 
 def calibrate_clocks(samples: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
@@ -390,6 +425,10 @@ def _packets(
     each from three consecutive generator outputs (a normal pair whose first
     value is the jitter, then the link-drop uniform); each block adds to
     ``counts`` as it is made.  Only the encoding runs per packet, when read.
+    Packets skip ``StreamPacket``'s checks: the camera id comes from a checked
+    ``CameraSpec``, ``check_simulation`` bounds the sequence number,
+    ``run_simulation`` the frame extents, the stamp is clamped to u64 and the
+    payload is h x w bytes.
     """
     h, w = frame_hw
     # uint8 addition wraps, which is the % 256 of the payload pattern
@@ -406,7 +445,7 @@ def _packets(
             true_t = (start + i) * spec.frame_period_us
             stamp = int(true_t + spec.clock_offset_us + round(jitters[i]))
             stamp = min(max(stamp, 0), 2**64 - 1)  # jitter may push a stamp past either end
-            packet = StreamPacket(spec.camera_id, start + i, stamp, h, w, payloads[i].tobytes())
+            packet = _trusted_packet(spec.camera_id, start + i, stamp, h, w, payloads[i].tobytes())
             yield true_t, spec.camera_id, encode_packet(packet)
 
 
@@ -422,10 +461,13 @@ def run_simulation(
 ) -> SimulationReport:
     """Camera sources -> decode -> calibrate -> median filter -> windows -> hook.
 
-    ``check_simulation`` runs first.  Each camera is one lazy ``_packets``
-    source, so packets are encoded only as they are consumed.  One consumer
-    merges the sources in (send time, camera id) order, decodes each packet
-    as it pulls it and filters them in blocks of at most ``_FILTER_BLOCK``.
+    ``check_simulation`` runs first, then ``frame_hw`` must be from 3 x 3 (the
+    median window) to 65535 x 65535 (the u16 header fields); both raise
+    ``ValueError`` before any packet is made.  Each camera is one lazy
+    ``_packets`` source, so packets are encoded only as they are consumed.
+    One consumer merges the sources in (send time, camera id) order, decodes
+    each packet as it pulls it and filters them in blocks of at most
+    ``_FILTER_BLOCK``.
     Every decoded frame must have the extents ``frame_hw``.  The hook runs on
     each window as the assembler emits it, so a closed window's frames are
     released once it is labelled.  The hook must return one finite
@@ -436,8 +478,13 @@ def run_simulation(
     or consuming a packet raises, the error reaches the caller as it is.
     """
     check_simulation(specs, duration_us, window_period_us, feedback_threshold)
-    period = specs[0].frame_period_us if window_period_us is None else window_period_us
     h, w = frame_hw
+    if not (_MEDIAN_WINDOW <= h <= 0xFFFF and _MEDIAN_WINDOW <= w <= 0xFFFF):
+        raise ValueError(
+            f"frame extents must be from {_MEDIAN_WINDOW}x{_MEDIAN_WINDOW} to 65535x65535, "
+            f"got {h}x{w}"
+        )
+    period = specs[0].frame_period_us if window_period_us is None else window_period_us
     counts = {s.camera_id: CameraCounts() for s in specs}
     samples, sources = {}, []
     for s in specs:
@@ -453,8 +500,9 @@ def run_simulation(
     def label_window(window: SyncWindow):
         """Label one closed window; only its row and latency outlive the call."""
         latencies.append(window.close_latency_us)
-        probs = np.full(len(ACTION_LABELS), 1.0 / len(ACTION_LABELS))
-        if pipeline_hook is not None:
+        if pipeline_hook is None:
+            probs = np.full(len(ACTION_LABELS), 1.0 / len(ACTION_LABELS))
+        else:
             try:
                 probs = np.asarray(pipeline_hook(window), dtype=np.float64)
                 if probs.shape != (len(ACTION_LABELS),) or not np.isfinite(probs).all():

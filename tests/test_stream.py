@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import threading
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import eitnet.stream
 from eitnet import ACTION_LABELS
@@ -133,6 +135,41 @@ class TestCodec:
         with pytest.raises(ProtocolError):
             decode_packet(blob + b"\x00")
 
+    def test_decoded_packet_is_the_validated_packet(self):
+        """decode_packet skips StreamPacket's checks but builds the same frozen object."""
+        rng = Rng(316)
+        for h, w in ((1, 1), (3, 5), (16, 16)):
+            packet = make_packet(rng, camera_id=0xFFFF, seq=0xFFFFFFFF, ts=2**64 - 1, h=h, w=w)
+            decoded = decode_packet(encode_packet(packet))
+            assert type(decoded) is StreamPacket
+            assert decoded == packet and hash(decoded) == hash(packet)
+            assert repr(decoded) == repr(packet)
+            assert dataclasses.astuple(decoded) == dataclasses.astuple(packet)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                decoded.timestamp_us = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del decoded.payload
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("camera_id", 0x10000, "camera_id must fit u16"),
+            ("camera_id", -1, "camera_id must fit u16"),
+            ("sequence_no", 2**32, "sequence_no must fit u32"),
+            ("timestamp_us", 2**64, "timestamp must fit u64"),
+            ("timestamp_us", -1, "timestamp must fit u64"),
+            ("height", 0x10000, "frame extents must fit u16"),
+            ("width", -1, "frame extents must fit u16"),
+            ("payload", bytes(15), "payload is 15 bytes for a 4x4 frame"),
+        ],
+    )
+    def test_public_constructor_still_validates(self, field, value, message):
+        fields = dict(camera_id=1, sequence_no=0, timestamp_us=0, height=4, width=4)
+        fields["payload"] = bytes(16)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StreamPacket(**fields)
+
     def test_fuzz_never_crashes(self):
         rng = Rng(305)
         outcomes = {"packet": 0, "error": 0}
@@ -147,6 +184,31 @@ class TestCodec:
             except StreamError:
                 outcomes["error"] += 1
         assert outcomes["packet"] + outcomes["error"] == 10_000
+
+
+def bubble_median_filter(frames):
+    """Reference 3x3 filter: min/max bubble passes over the 9 shifted views of one padded copy."""
+    h, w = frames.shape[-2:]
+    padded = np.pad(frames, [(0, 0)] * (frames.ndim - 2) + [(1, 1)] * 2, mode="edge")
+    values = [padded[..., i : i + h, j : j + w] for i in range(3) for j in range(3)]
+    # Each bubble pass carries the largest remaining value to the end and
+    # drops it; once the values above the median are gone, the median is the
+    # largest of what is left.
+    for _ in range(len(values) // 2):
+        for j in range(len(values) - 1):
+            values[j], values[j + 1] = (
+                np.minimum(values[j], values[j + 1]),
+                np.maximum(values[j], values[j + 1]),
+            )
+        values.pop()
+    return functools.reduce(np.maximum, values)
+
+
+# (leading axes, frame extents) for the kernel's property tests
+FILTER_SHAPES = st.tuples(
+    st.sampled_from([(1,), (256,), (2, 3), ()]),
+    st.sampled_from([(3, 3), (5, 7), (16, 16)]),
+)
 
 
 class TestMedianFilter:
@@ -189,6 +251,39 @@ class TestMedianFilter:
         for frame, got in zip(frames, out):
             ref = oracles.median_filter_oracle(frame.astype(np.float64), 3)
             np.testing.assert_array_equal(got, ref)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(FILTER_SHAPES, st.integers(0, 2**32), st.sampled_from([64, 1]))
+    def test_uint8_bitwise_equal_to_bubble_filter(self, shape, seed, divisor):
+        """Heavy ties (values // 64) and the full range, against the bubble-exchange reference."""
+        lead, hw = shape
+        size = math.prod(lead) * hw[0] * hw[1]
+        frames = ((Rng(seed).uniforms(size) * 256).astype(np.uint8) // divisor).reshape(*lead, *hw)
+        out = median_filter(frames)
+        assert out.dtype == np.uint8 and out.shape == frames.shape and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, bubble_median_filter(frames))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.tuples(st.integers(1, 3), st.integers(3, 7), st.integers(3, 7)).flatmap(
+            lambda shape: hnp.arrays(
+                np.float64, shape, elements=st.floats(-1e6, 1e6, allow_subnormal=False)
+            )
+        )
+    )
+    def test_float64_matches_sort_oracle(self, frames):
+        out = median_filter(frames)
+        assert out.dtype == np.float64 and out.shape == frames.shape and out.flags.c_contiguous
+        for frame, got in zip(frames, out):
+            np.testing.assert_array_equal(got, oracles.median_filter_oracle(frame, 3))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_strided_input_gives_contiguous_output(self, dtype):
+        stack = (Rng(317).uniforms(6 * 7 * 9) * 256).astype(dtype).reshape(6, 7, 9)
+        view = stack[::2, :, ::-1].transpose(0, 2, 1)  # [3, 9, 7], no axis contiguous
+        out = median_filter(view)
+        assert out.dtype == dtype and out.shape == (3, 9, 7) and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, bubble_median_filter(view))
 
     def test_leading_axes_are_independent_frames(self):
         frames = (Rng(313).uniforms(2 * 3 * 5 * 4) * 256).astype(np.uint8).reshape(2, 3, 5, 4)
@@ -602,6 +697,21 @@ class TestSimulation:
         report = run_simulation([spec(1), spec(2, offset=-19_000)], duration_us=20_000, seed=1)
         assert report.conservation_holds()
 
+    @pytest.mark.parametrize("hw", [(2, 16), (16, 2), (0, 0), (70_000, 4), (4, 65_536)])
+    def test_frame_extents_outside_3x3_to_u16_rejected_before_any_packet(self, monkeypatch, hw):
+        def no_packets(*args):
+            raise AssertionError("a packet source was made")
+
+        monkeypatch.setattr(eitnet.stream, "_packets", no_packets)
+        message = rf"^frame extents must be from 3x3 to 65535x65535, got {hw[0]}x{hw[1]}$"
+        with pytest.raises(ValueError, match=message):
+            run_simulation([spec(1)], duration_us=5_000, seed=1, frame_hw=hw)
+
+    @pytest.mark.parametrize("hw", [(3, 3), (3, 65_535)])
+    def test_frame_extents_at_the_limits_run(self, hw):
+        report = run_simulation([spec(1), spec(2)], duration_us=3_000, seed=1, frame_hw=hw)
+        assert sum(c.delivered for c in report.counts.values()) == 6
+
     def test_window_period_zero_is_rejected_not_defaulted(self):
         with pytest.raises(ValueError, match="window period must be positive"):
             run_simulation([spec(1)], duration_us=5_000, seed=1, window_period_us=0)
@@ -787,19 +897,26 @@ class TestSimulation:
         assert len(set(seen)) >= 3
 
     def test_two_packet_objects_per_delivered_packet(self, monkeypatch):
-        built = 0
-        original = StreamPacket.__post_init__
+        """Producer and decode build one packet each, both without re-validation."""
+        built = Counter()
+        original_check = StreamPacket.__post_init__
+        original_trusted = eitnet.stream._trusted_packet
 
-        def counting(self):
-            nonlocal built
-            built += 1
-            original(self)
+        def counting_check(self):
+            built["validated"] += 1
+            original_check(self)
 
-        monkeypatch.setattr(StreamPacket, "__post_init__", counting)
+        def counting_trusted(*fields):
+            built["trusted"] += 1
+            return original_trusted(*fields)
+
+        monkeypatch.setattr(StreamPacket, "__post_init__", counting_check)
+        monkeypatch.setattr(eitnet.stream, "_trusted_packet", counting_trusted)
         specs = [spec(cid, offset=100 * cid, jitter=300.0, drop=0.1) for cid in (1, 2, 3)]
         report = run_simulation(specs, duration_us=50_000, seed=11)
         delivered = sum(c.delivered for c in report.counts.values())
-        assert delivered > 0 and built == 2 * delivered
+        assert delivered > 0 and built["trusted"] == 2 * delivered
+        assert built["validated"] == 0
 
     def test_frame_of_wrong_extents_rejected(self, monkeypatch):
         original = eitnet.stream._packets

@@ -316,17 +316,13 @@ def _default_camera_specs(args) -> list[CameraSpec]:
 def _window_hook(seed: int, frame_hw: tuple[int, int]):
     """Tiny fixed classifier over the mean window frame, for report rows."""
     h, w = frame_hw
-    weight = Rng(derive_seed(seed, "window-hook")).normals(h * w * len(ACTION_LABELS)).reshape(
-        h * w, len(ACTION_LABELS)
-    ) / np.sqrt(h * w)
+    rng = Rng(derive_seed(seed, "window-hook"))
+    weight = rng.normals(h * w * len(ACTION_LABELS)).reshape(h * w, -1) / np.sqrt(h * w)
 
     def hook(window):
-        if not window.frames:
-            return np.full(len(ACTION_LABELS), 1.0 / len(ACTION_LABELS))
-        # A running sum in frame order, as np.mean over axis 0 adds them.
-        frames = window.frames.values()
-        mean_frame = functools.reduce(np.add, frames) / len(frames) / 255.0
-        return softmax(mean_frame.ravel() @ weight)
+        # Integer pixels below 256 sum exactly in float64, in any order of addition.
+        total = np.add.reduce(list(window.frames.values()), axis=0, dtype=np.float64)
+        return softmax((total / len(window.frames) / 255.0).ravel() @ weight)
 
     return hook
 

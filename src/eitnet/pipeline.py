@@ -63,9 +63,9 @@ from .synthetic import SampleSet
 from .tensorops import ConvSpec, as_tensor, count_macs, linear, softmax
 
 # Clips per stack of the frozen stages.  A stack saves per-call overhead but
-# holds its intermediate arrays at once: against one-clip calls, stacks of 4
-# raised the ablation benchmark's peak RSS by about 2 MB (4%), stacks of 8 by
-# about 5 MB (10%, its regression bound) for about 10% more speed.
+# holds its intermediate arrays at once.  A clip costs 1.245, 0.904 and
+# 0.748 ms in stacks of 1, 4 and 64; on the ablation benchmark, stacks of 8
+# raised peak RSS from 51.8 to 55.0 MB (+6.3%) against stacks of 4.
 STACK_CLIPS = 4
 
 FEATURE_STD = 16.0  # of each head input over the feature-norm fitting set

@@ -241,6 +241,7 @@ def calibrate_clocks(samples: dict[int, list[tuple[int, int]]]) -> dict[int, int
 
 @dataclass
 class SyncWindow:
+    """Frames by camera id: uint8 [H, W] rows of the filtered block, which the hook converts."""
     window_index: int
     frames: dict[int, np.ndarray]
     completeness: float
@@ -258,7 +259,9 @@ class WindowAssembler:
 
     ``push(camera_id, corrected_ts, frame)`` takes one frame row whose
     timestamp already has the camera's clock offset subtracted, and returns
-    the windows it closes.  The watermark is the lowest of the cameras'
+    the windows it closes.  It keeps the frame as given: ``run_simulation``
+    passes uint8 [H, W] rows of its filtered block, which the hook converts.
+    The watermark is the lowest of the cameras'
     highest delivered window indices, taken over the cameras heard from that
     have not been silent for more than two of their frame periods (cameras
     never heard from count as silent).  Every pending window below it closes.
@@ -464,18 +467,18 @@ def run_simulation(
     ``check_simulation`` runs first, then ``frame_hw`` must be from 3 x 3 (the
     median window) to 65535 x 65535 (the u16 header fields); both raise
     ``ValueError`` before any packet is made.  Each camera is one lazy
-    ``_packets`` source, so packets are encoded only as they are consumed.
-    One consumer merges the sources in (send time, camera id) order, decodes
-    each packet as it pulls it and filters them in blocks of at most
-    ``_FILTER_BLOCK``.
-    Every decoded frame must have the extents ``frame_hw``.  The hook runs on
-    each window as the assembler emits it, so a closed window's frames are
-    released once it is labelled.  The hook must return one finite
-    probability per ``ACTION_LABELS`` entry; a hook that raises or returns
-    anything else fails that window alone (a ``hook-error`` row and a
-    ``hook_failures`` entry).  A window whose top probability reaches
-    ``feedback_threshold`` also gives a ``FeedbackMessage``.  If producing
-    or consuming a packet raises, the error reaches the caller as it is.
+    ``_packets`` source, so packets are encoded only as they are consumed.  One
+    consumer merges the sources in (send time, camera id) order, decodes each
+    packet as it pulls it and filters them in blocks of at most
+    ``_FILTER_BLOCK``.  Every decoded frame must have the extents ``frame_hw``.
+    The hook runs on each window as the assembler emits it.  The window's
+    frames are uint8 [H, W] rows of the filtered block, not copies, which the
+    hook converts, and are released once it is labelled.  The hook must return
+    one probability in [0, 1] per ``ACTION_LABELS`` entry; a hook that raises
+    or returns anything else fails that window alone (a ``hook-error`` row and
+    a ``hook_failures`` entry).  A window whose top probability reaches
+    ``feedback_threshold`` also gives a ``FeedbackMessage``.  If producing or
+    consuming a packet raises, the error reaches the caller as it is.
     """
     check_simulation(specs, duration_us, window_period_us, feedback_threshold)
     h, w = frame_hw
@@ -505,9 +508,9 @@ def run_simulation(
         else:
             try:
                 probs = np.asarray(pipeline_hook(window), dtype=np.float64)
-                if probs.shape != (len(ACTION_LABELS),) or not np.isfinite(probs).all():
+                if probs.shape != (len(ACTION_LABELS),) or not all(0 <= p <= 1 for p in probs):
                     raise ValueError(
-                        f"hook must return {len(ACTION_LABELS)} finite probabilities, "
+                        f"hook must return {len(ACTION_LABELS)} probabilities in [0, 1], "
                         f"got shape {probs.shape}"
                     )
             except Exception as exc:  # failures are recorded per window, never fatal
@@ -535,7 +538,7 @@ def run_simulation(
     def consume(packets: list[StreamPacket]):
         frames = np.frombuffer(b"".join(p.payload for p in packets), dtype=np.uint8)
         filtered = median_filter(frames.reshape(len(packets), h, w))
-        for packet, frame in zip(packets, filtered.astype(np.float64)):
+        for packet, frame in zip(packets, filtered):
             corrected = float(packet.timestamp_us - offsets[packet.camera_id])
             for window in assembler.push(packet.camera_id, corrected, frame):
                 label_window(window)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import eitnet.stream
-from eitnet import ACTION_LABELS
+from eitnet import ACTION_LABELS, FRAME_HW
 from eitnet.cli import _window_hook
 from eitnet.fileio import parse_camera_config
 from eitnet.rng import Rng, derive_seed
@@ -582,6 +582,14 @@ EQUIVALENCE_CASES = {
     ),
 }
 
+# perfbench's stream cameras: distinct offsets, 20 ms jitter on a 33 ms period, 5% link drops
+BENCH_CAMERAS = parse_camera_config(
+    "".join(
+        f"id={cid} period_us=33333 offset_us={offset} jitter_us=20000 drop_prob=0.05\n"
+        for cid, offset in ((1, 1500), (2, -2500), (3, 4000), (4, 750), (5, -1200))
+    )
+)
+
 
 class TestSynchronize:
     def test_identical_corrected_timestamps_one_window(self):
@@ -828,8 +836,11 @@ class TestSimulation:
             ([[0.9, 0.1], [0.0, 0.0]], r"got shape \(2, 2\)"),
             ([np.nan, 0.5, 0.25, 0.25], r"got shape \(4,\)"),
             ([np.nan] * 4, r"got shape \(4,\)"),
+            ([5.0, 0.0, 0.0, 0.0], r"got shape \(4,\)"),
+            ([-0.1, 0.5, 0.3, 0.3], r"got shape \(4,\)"),
         ],
-        ids=["five-top-last", "five-top-first", "three", "2x2", "one-nan", "all-nan"],
+        ids=["five-top-last", "five-top-first", "three", "2x2", "one-nan", "all-nan", "above-one",
+             "negative"],
     )
     def test_bad_hook_output_is_a_hook_failure(self, probs, error):
         specs = [spec(1), spec(2)]
@@ -843,7 +854,7 @@ class TestSimulation:
         lines = report_csv_text(report, 2).splitlines()
         failures = [line for line in lines if line.startswith("# hook_failure")]
         assert len(failures) == 6
-        prefix = r"# hook_failure window=\d+: hook must return 4 finite probabilities, "
+        prefix = r"# hook_failure window=\d+: hook must return 4 probabilities in \[0, 1\], "
         assert all(re.fullmatch(prefix + error, f) for f in failures)
         assert "nan" not in "".join(lines)
 
@@ -956,15 +967,75 @@ class TestSimulation:
         assert report.conservation_holds()
 
     def test_window_hook_mean_equals_np_mean(self):
-        """The hook's running sum gives the probabilities of np.mean's mean frame, bitwise."""
+        """On uint8 frames, and on the integer-valued float64 frames the per-packet reference
+        passes, the hook's sum gives the probabilities of np.mean's mean frame, bitwise."""
         rng = Rng(314)
         hook = _window_hook(5, (4, 4))
-        for trial in range(200):
-            frames = {cid: rng.uniforms(16).reshape(4, 4) * 255 for cid in range(1 + trial % 5)}
-            mean_frame = np.mean(list(frames.values()), axis=0)
-            got = hook(SyncWindow(trial, frames, 1.0))
-            ref = hook(SyncWindow(trial, {0: mean_frame}, 1.0))
-            np.testing.assert_array_equal(got, ref)
+        for dtype in (np.uint8, np.float64):
+            for trial in range(200):
+                frames = {
+                    cid: np.floor(rng.uniforms(16).reshape(4, 4) * 256).astype(dtype)
+                    for cid in range(1 + trial % 5)
+                }
+                mean_frame = np.mean(list(frames.values()), axis=0)
+                got = hook(SyncWindow(trial, frames, 1.0))
+                ref = hook(SyncWindow(trial, {0: mean_frame}, 1.0))
+                np.testing.assert_array_equal(got, ref)
+
+    def test_hook_gets_filtered_uint8_rows(self):
+        """Each window frame is a uint8 [H, W] view of a filtered block, not a float64 copy."""
+        specs = [spec(cid, offset=100 * cid) for cid in (1, 2, 3)]
+        duration, seed, frame_hw = 200_000, 9, (5, 7)  # 600 packets, filtered in 3 blocks
+        filtered = {}
+        for cam in specs:
+            for _, cid, blob in lazy_producer(cam, duration, seed, frame_hw)[1]:
+                packet = decode_packet(blob)
+                filtered[cid, packet.sequence_no] = per_frame_median_filter(packet_frame(packet), 3)
+        seen = {}
+
+        def hook(window):
+            seen[window.window_index] = window.frames
+            return np.full(len(ACTION_LABELS), 1.0 / len(ACTION_LABELS))
+
+        run_simulation(specs, duration, seed, hook, frame_hw=frame_hw)
+        # no jitter, so window k holds every camera's frame k
+        assert sorted(seen) == list(range(200))
+        for index, frames in seen.items():
+            assert sorted(frames) == [1, 2, 3]
+            for cid, frame in frames.items():
+                assert frame.dtype == np.uint8 and frame.shape == frame_hw
+                assert not frame.flags.owndata
+                np.testing.assert_array_equal(frame, filtered[cid, index])
+
+    def test_pending_windows_stay_bounded(self, monkeypatch):
+        """Under the benchmark's lossy cameras, the pending windows and the filtered blocks
+        their frames keep alive peak as high in a 2 s run as in a 20 s one (3 and 2 here)."""
+        push = WindowAssembler.push
+
+        def block_of(frame):
+            while frame.base is not None:
+                frame = frame.base
+            return id(frame)
+
+        peaks = []
+        for duration in (2_000_000, 20_000_000):
+            pending = blocks = 0
+
+            def recording(self, *args):
+                nonlocal pending, blocks
+                closed = push(self, *args)
+                held = [f for bucket in self._pending.values() for f in bucket.values()]
+                held += [f for window in closed for f in window.frames.values()]
+                pending = max(pending, len(self._pending))
+                blocks = max(blocks, len({block_of(f) for f in held}))
+                return closed
+
+            monkeypatch.setattr(WindowAssembler, "push", recording)
+            hook = _window_hook(7, FRAME_HW)
+            report = run_simulation(BENCH_CAMERAS, duration, 7, hook, feedback_threshold=0.35)
+            assert report.conservation_holds() and report.dropped_late > 0
+            peaks.append((pending, blocks))
+        assert peaks[0] == peaks[1]
 
 
 class TestBlockEquivalence:

@@ -27,6 +27,7 @@ from .fileio import (
     parse_camera_config,
     save_dataset,
     write_csv,
+    write_fresh,
 )
 from .metrics import make_split
 from .pipeline import (
@@ -342,7 +343,7 @@ def cmd_simulate(args) -> int:
     )
     if not report.conservation_holds():
         raise RuntimeError("packet conservation violated")
-    (out / "report.csv").write_text(report_csv_text(report, args.seed))
+    write_fresh(out / "report.csv", report_csv_text(report, args.seed))
     write_csv(
         out / "feedback.csv",
         FEEDBACK_CSV_HEADER,

@@ -8,6 +8,14 @@ holds ``clips.bin`` ``[N, 1, T, H, W]`` and ``joints.bin`` ``[N, T, 5, 3]``,
 whose row i is sample i, and ``manifest.csv`` naming each row at most once.
 A load copies rows only when the manifest is not rows 0..N-1 in order.  The
 older layout of one file per sample is not read: regenerate it with gen-data.
+
+Every output file is written fresh: the old file at the path is removed, then
+a new one is created (``write_fresh``; ``save_tensor`` does the same).  A rerun
+into the same directory writes the same bytes, but it never writes through the
+old file: a hard link to it keeps the old bytes, a symlink at the path is
+replaced by a regular file, and the file gets a new file's mode.  On ext4,
+truncating a file that holds data is journaled and arms a flush at close
+(``auto_da_alloc``); on a 1.2 KB report that cost more than the write itself.
 """
 
 from __future__ import annotations
@@ -37,8 +45,24 @@ def csv_text(header: str, rows, seed: int | None = None, comments: tuple[str, ..
     return "\n".join(lines) + "\n"
 
 
+def write_fresh(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a new file at ``path``, removing the old file first.
+
+    It calls ``os.open``, ``os.write`` and ``os.close`` directly: ``Path.write_text``
+    took twice as long on a 1.2 KB report (ext4, on a 2-vCPU virtual machine).
+    """
+    data = memoryview(text.encode())
+    Path(path).unlink(missing_ok=True)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def write_csv(path, header: str, rows, seed: int | None = None, comments=()) -> None:
-    Path(path).write_text(csv_text(header, rows, seed=seed, comments=comments))
+    write_fresh(path, csv_text(header, rows, seed=seed, comments=comments))
 
 
 def parse_camera_config(text: str) -> list[CameraSpec]:

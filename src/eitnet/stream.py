@@ -49,6 +49,7 @@ _CRC_RESIDUE = 0x2144DF1C
 _FILTER_BLOCK = 256
 _HANDSHAKES = 5  # clock samples per camera (calibrate_clocks takes an odd count)
 _MEDIAN_WINDOW = 3  # median_filter's neighborhood side
+_HOOK_CONTRACT = f"hook must return {len(ACTION_LABELS)} probabilities in [0, 1]"
 # str.splitlines' line breaks and their escapes (\n, \x1c, ...): a hook failure is one line
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
@@ -508,11 +509,11 @@ def run_simulation(
         else:
             try:
                 probs = np.asarray(pipeline_hook(window), dtype=np.float64)
-                if probs.shape != (len(ACTION_LABELS),) or not all(0 <= p <= 1 for p in probs):
-                    raise ValueError(
-                        f"hook must return {len(ACTION_LABELS)} probabilities in [0, 1], "
-                        f"got shape {probs.shape}"
-                    )
+                if probs.shape != (len(ACTION_LABELS),):
+                    raise ValueError(f"{_HOOK_CONTRACT}, got shape {probs.shape}")
+                for i, p in enumerate(probs.tolist()):
+                    if not 0 <= p <= 1:  # NaN fails too; its value never reaches the report
+                        raise ValueError(f"{_HOOK_CONTRACT}, entry {i} is outside [0, 1]")
             except Exception as exc:  # failures are recorded per window, never fatal
                 hook_failures.append((window.window_index, str(exc)))
                 window_rows.append((window.window_index, window.completeness, "hook-error", 0.0))

@@ -29,9 +29,10 @@ is the matrix product, in the same operand order and layouts, that
 ``np.einsum(optimize=True)`` ran for the pipeline's convolutions, so their
 outputs keep their bits, and a stacked input gives the bits of its inputs run
 one at a time.  The index depends only on the input extents and the
-``ConvSpec``; it is built once per pair in a bounded ``functools.lru_cache``
-and returned read-only, so a cached value is never mutated and the kernels
-stay pure.
+``ConvSpec``; it is built once per pair in a bounded ``functools.lru_cache``.
+The cached index stays writeable, because ``np.take`` copies a read-only
+index on every call; only the two kernels read it, and neither writes it, so
+the kernels stay pure.
 
 Inside a ``count_macs()`` block, ``conv3d`` (weights x output positions x
 stacked inputs) and ``linear`` (rows x d_in x d_out) add their matrix
@@ -39,7 +40,9 @@ products' multiply-accumulates to the block's total, the EfficientDet
 convention; outside one, a kernel pays one ``ContextVar`` lookup.
 
 Serialization uses a little-endian binary layout: magic ``EITT``, u8 rank,
-rank x u32 extents, then the row-major float64 payload.
+rank x u32 extents, then the row-major float64 payload.  ``save_tensor``
+removes the old file at its path and creates a new one, as every output of the
+CLI is written: a hard link to the old file keeps the old bytes.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import operator
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -137,11 +141,12 @@ class ConvSpec:
 
 @functools.lru_cache(maxsize=64)
 def _window_index(extents: Triple, spec: ConvSpec) -> np.ndarray:
-    """Read-only [kt*kh*kw, T'*H'*W'] index of each window cell in a flat [T*H*W + 1] row.
+    """[kt*kh*kw, T'*H'*W'] index of each window cell in a flat [T*H*W + 1] row.
 
     Rows run over the kernel offsets, columns over the output positions, both
     row-major.  A cell that falls in the padding indexes the extra last slot,
-    where the caller puts its fill value.
+    where the caller puts its fill value.  The cached array is shared: callers
+    read it and never write it.
     """
     out = spec.output_extents(extents)  # not cached: an empty output raises on every call
     cells = math.prod(extents)
@@ -152,9 +157,7 @@ def _window_index(extents: Triple, spec: ConvSpec) -> np.ndarray:
         np.arange(k)[:, None] + s * np.arange(m) for k, s, m in zip(spec.kernel, spec.stride, out)
     )  # [k, m] padded coordinates per axis
     index = ids[t[:, None, None, :, None, None], h[:, None, None, :, None], w[:, None, None, :]]
-    index = index.reshape(math.prod(spec.kernel), -1)
-    index.setflags(write=False)
-    return index
+    return index.reshape(math.prod(spec.kernel), -1)
 
 
 def _gather_windows(x: np.ndarray, index: np.ndarray, fill: float) -> np.ndarray:
@@ -259,9 +262,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def save_tensor(path, x: np.ndarray) -> None:
+    """Write ``x`` to a new file at ``path``; the old file there is removed, not written through."""
     x = as_tensor(x)
     header = TENSOR_MAGIC + struct.pack("<B", x.ndim)
     header += struct.pack(f"<{x.ndim}I", *x.shape)
+    Path(path).unlink(missing_ok=True)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(x, dtype="<f8").data)  # the array's own buffer, no copy

@@ -31,19 +31,23 @@ def dataset_dir(tmp_path_factory):
     return path
 
 
-def run_twice(tmp_path, argv_builder):
-    """Run a subcommand into two fresh dirs and compare every output file."""
-    dirs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        assert dispatch(argv_builder(str(out))) == 0
-        dirs.append(out)
-    files_a = sorted(p.relative_to(dirs[0]) for p in dirs[0].rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(dirs[1]) for p in dirs[1].rglob("*") if p.is_file())
+def assert_same_files(dir_a: Path, dir_b: Path) -> None:
+    files_a = sorted(p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file())
     assert files_a == files_b and files_a
     for rel in files_a:
-        assert filecmp.cmp(dirs[0] / rel, dirs[1] / rel, shallow=False), rel
-    return dirs[0]
+        assert filecmp.cmp(dir_a / rel, dir_b / rel, shallow=False), rel
+
+
+def run_deterministic(tmp_path, argv_builder):
+    """Run a subcommand into two fresh dirs, then rerun it into the first; all outputs match."""
+    first, second = tmp_path / "a", tmp_path / "b"
+    for out in (first, second):
+        assert dispatch(argv_builder(str(out))) == 0
+    assert_same_files(first, second)
+    assert dispatch(argv_builder(str(first))) == 0  # a rerun into the same --out
+    assert_same_files(first, second)
+    return first
 
 
 class TestParsing:
@@ -472,7 +476,7 @@ class TestGenData:
         assert shapes == [(200, 1, 8, 16, 16), (200, 8, 5, 3)]
 
     def test_deterministic(self, tmp_path):
-        run_twice(
+        run_deterministic(
             tmp_path,
             lambda out: ["gen-data", "--seed", "3", "--out", out, "--repetitions", "1"],
         )
@@ -480,7 +484,7 @@ class TestGenData:
 
 class TestRunPipeline:
     def test_outputs_and_determinism(self, dataset_dir, tmp_path):
-        out = run_twice(
+        out = run_deterministic(
             tmp_path,
             lambda o: ["run-pipeline", "--seed", "7", "--dataset", str(dataset_dir), "--out", o],
         )
@@ -586,7 +590,7 @@ class TestEval:
 
 class TestSimulate:
     def test_report_files_and_determinism(self, tmp_path):
-        out = run_twice(
+        out = run_deterministic(
             tmp_path,
             lambda o: ["simulate", "--cameras", "5", "--duration", "100ms", "--seed", "1",
                        "--out", o],
@@ -709,6 +713,54 @@ class TestSimulate:
             report = (out / "report.csv").read_text()
             tails.append(report[report.index("# section=latency"):])
         assert tails[0] == tails[1]
+
+
+class TestFreshOutputFiles:
+    """A rerun replaces each output file; it never writes through the old one."""
+
+    def test_simulate_rerun_leaves_hard_links_with_the_old_bytes(self, tmp_path):
+        def simulate(seed, out):
+            argv = ["simulate", "--seed", seed, "--cameras", "3", "--duration", "200ms",
+                    "--threshold", "0.3", "--out", str(out)]
+            assert dispatch(argv) == 0
+
+        out, kept, fresh = tmp_path / "out", tmp_path / "kept", tmp_path / "fresh"
+        simulate("1", out)
+        old = {name: (out / name).read_bytes() for name in ("report.csv", "feedback.csv")}
+        kept.mkdir()
+        for name in old:
+            os.link(out / name, kept / name)
+        simulate("2", out)
+        simulate("2", fresh)
+        for name, data in old.items():
+            assert (kept / name).read_bytes() == data, name
+            assert (out / name).read_bytes() == (fresh / name).read_bytes() != data, name
+
+    def test_write_csv_and_save_tensor_leave_hard_links_with_the_old_bytes(self, tmp_path):
+        def write(seed):
+            fileio.write_csv(tmp_path / "t.csv", "a,b", [f"{seed},{seed + 1}"], seed=seed)
+            save_tensor(tmp_path / "t.bin", np.full((2, 3), float(seed)))
+
+        write(1)
+        old = {name: (tmp_path / name).read_bytes() for name in ("t.csv", "t.bin")}
+        for name in old:
+            os.link(tmp_path / name, tmp_path / f"kept-{name}")
+        write(2)
+        for name, data in old.items():
+            assert (tmp_path / f"kept-{name}").read_bytes() == data, name
+        assert (tmp_path / "t.csv").read_text() == "# seed=2\na,b\n2,3\n"
+        np.testing.assert_array_equal(load_tensor(tmp_path / "t.bin"), np.full((2, 3), 2.0))
+
+    def test_a_symlink_at_an_output_path_is_replaced(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("untouched\n")
+        for name in ("t.csv", "t.bin"):
+            (tmp_path / name).symlink_to(target)
+        fileio.write_csv(tmp_path / "t.csv", "a", ["1"])
+        save_tensor(tmp_path / "t.bin", np.zeros(2))
+        assert target.read_text() == "untouched\n"
+        assert not (tmp_path / "t.csv").is_symlink() and not (tmp_path / "t.bin").is_symlink()
+        assert (tmp_path / "t.csv").read_text() == "a\n1\n"
 
 
 class TestGradcheckAndComplexity:

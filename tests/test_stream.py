@@ -834,13 +834,14 @@ class TestSimulation:
             ([0.6, 0.1, 0.1, 0.1, 0.1], r"got shape \(5,\)"),
             ([0.2, 0.5, 0.3], r"got shape \(3,\)"),
             ([[0.9, 0.1], [0.0, 0.0]], r"got shape \(2, 2\)"),
-            ([np.nan, 0.5, 0.25, 0.25], r"got shape \(4,\)"),
-            ([np.nan] * 4, r"got shape \(4,\)"),
-            ([5.0, 0.0, 0.0, 0.0], r"got shape \(4,\)"),
-            ([-0.1, 0.5, 0.3, 0.3], r"got shape \(4,\)"),
+            ([np.nan, 0.5, 0.25, 0.25], r"entry 0 is outside \[0, 1\]"),
+            ([np.nan] * 4, r"entry 0 is outside \[0, 1\]"),
+            ([5.0, 0.0, 0.0, 0.0], r"entry 0 is outside \[0, 1\]"),
+            ([-0.1, 0.5, 0.3, 0.3], r"entry 0 is outside \[0, 1\]"),
+            ([0.25, 0.25, np.nan, 1.5], r"entry 2 is outside \[0, 1\]"),
         ],
         ids=["five-top-last", "five-top-first", "three", "2x2", "one-nan", "all-nan", "above-one",
-             "negative"],
+             "negative", "first-bad-named"],
     )
     def test_bad_hook_output_is_a_hook_failure(self, probs, error):
         specs = [spec(1), spec(2)]

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eitnet import tensorops
+from eitnet import FRAMES, tensorops
+from eitnet.pipeline import PipelineConfig, PipelineModel
 from eitnet.rng import Rng
 from eitnet.tensorops import (
     ConvSpec,
@@ -284,12 +285,39 @@ class TestConvSpec:
 
 
 class TestWindowIndexCache:
-    def test_index_is_read_only(self):
-        index = tensorops._window_index((4, 5, 6), I3D_CONV)
-        assert index.shape == (27, 4 * 5 * 6)
-        assert not index.flags.writeable
-        with pytest.raises(ValueError):
-            index[0, 0] = 0
+    def test_pipeline_shapes_leave_the_cached_index_as_built(self, monkeypatch):
+        """The cached index is shared writeable; a forward pass writes none of them."""
+        cached = tensorops._window_index
+        keys = set()
+
+        def recording(extents, spec):
+            keys.add((extents, spec))
+            return cached(extents, spec)
+
+        monkeypatch.setattr(tensorops, "_window_index", recording)
+        model = PipelineModel(PipelineConfig(), seed=7)
+        model.forward(Rng(106).normals(FRAMES * 16 * 16).reshape(1, FRAMES, 16, 16))
+        specs = {spec for _, spec in keys}
+        assert {DETECTOR_SAME, DETECTOR_DOWN, I3D_CONV} < specs  # and the I3D pools
+        assert {key for key in keys if key[1] == I3D_CONV} == {
+            (shape[1:], I3D_CONV) for shape, _, spec in PIPELINE_CONVS if spec == I3D_CONV
+        }
+        for key in keys:
+            np.testing.assert_array_equal(cached(*key), cached.__wrapped__(*key))
+
+    def test_gather_allocates_no_index_copy(self):
+        """``np.take`` copies a read-only index on every call; the cached one is used as is."""
+        index = tensorops._window_index((8, 12, 12), I3D_CONV)  # I3D block 0
+        assert index.shape == (27, 8 * 12 * 12)
+        x = Rng(107).normals(8 * 12 * 12).reshape(1, 8, 12, 12)
+        tracemalloc.start()
+        try:
+            cells = tensorops._gather_windows(x, index, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cells.shape == (1, 27, 8 * 12 * 12)
+        assert peak < cells.nbytes + index.nbytes / 2, peak
 
     def test_cache_is_bounded(self):
         assert tensorops._window_index.cache_info().maxsize is not None

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,8 @@ COMPLEXITY_CSV_HEADER = "config,parameters,macs"
 # simulate's camera flags and defaults; parsed as None when absent, so a config can refuse them
 _CAMERA_FLAGS = {"--cameras": 5, "--period-us": 33333, "--offset-us": 200,
                  "--jitter-us": 0.0, "--drop-prob": 0.0}
+# the most decimal digits int() reads or writes by default; a duration's bound too
+_MAX_DURATION_DIGITS = 4300
 
 
 class ConfigError(Exception):
@@ -72,17 +76,35 @@ def _config(build, *args, **kwargs):
 
 
 def parse_duration_us(text: str) -> int:
+    """A duration in whole microseconds: a decimal number, then us (the default), ms or s.
+
+    The number is read exactly, so 9007199254740993us stays odd; a value that
+    is not a whole number of microseconds, such as 1.5us, is a ``ConfigError``.
+    """
     raw = text.strip().lower()
+    number, scale = raw, 1
+    for suffix, factor in (("us", 1), ("ms", 1_000), ("s", 1_000_000)):
+        if raw.endswith(suffix):
+            number, scale = raw[: -len(suffix)], factor
+            break
     try:
-        for suffix, scale in (("us", 1), ("ms", 1_000), ("s", 1_000_000)):
-            if raw.endswith(suffix):
-                duration = int(float(raw[: -len(suffix)]) * scale)
-                break
-        else:
-            duration = int(raw)
-    except (ValueError, OverflowError):
-        raise ConfigError(f"invalid duration {text!r}; use e.g. 2s, 250ms, 33333us") from None
-    return duration
+        float(number)  # float's grammar: Decimal alone would also take 1__0
+        value = Decimal(number)
+        # Within int()'s digit limit as a count of microseconds, so every message can
+        # print it; and no 1e-999999999 builds a billion-digit denominator.
+        valid = (
+            value.is_finite()
+            and value.as_tuple().exponent >= -_MAX_DURATION_DIGITS
+            and value.adjusted() + len(str(scale)) <= _MAX_DURATION_DIGITS
+        )
+    except (ValueError, InvalidOperation):
+        valid = False
+    if not valid:
+        raise ConfigError(f"invalid duration {text!r}; use e.g. 2s, 250ms, 33333us")
+    duration = Fraction(value) * scale
+    if duration.denominator != 1:
+        raise ConfigError(f"duration {text!r} is not a whole number of microseconds")
+    return duration.numerator
 
 
 def parse_toggles(text: str) -> PipelineConfig:

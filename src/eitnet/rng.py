@@ -11,7 +11,8 @@ The generator is SplitMix64.  State advances by the golden-ratio increment
 with all arithmetic modulo 2**64.  The k-th output after seeding with ``s``
 is ``mix(s + (k+1)*INCREMENT)``, so bulk draws can be vectorised without
 changing the stream: ``_raw_rows`` builds one counter array for every stream
-it draws from and runs the finalizer over it in place.  Derived conventions,
+it draws from and runs the finalizer over it in place, and each stream may
+keep a different number of that pass's outputs.  Derived conventions,
 fixed so that any implementation of this generator reproduces identical
 dropout masks, weight tables, datasets, splits and simulations from the
 same root seed:
@@ -120,16 +121,23 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
 
-def _raw_rows(rngs: list[Rng], n: int) -> np.ndarray:
-    """[len(rngs), n]: row i is the next n outputs of ``rngs[i]``; advances each by n."""
+def _raw_rows(rngs: list[Rng], n: int, taken: list[int] | None = None) -> np.ndarray:
+    """[len(rngs), n]: row i is the next n outputs of ``rngs[i]``.
+
+    Each stream advances by n, or by ``taken[i]`` (from 0 to n) when given:
+    row i's outputs past ``taken[i]`` are then the ones its next draw returns
+    again, so streams that need different counts share one pass.
+    """
     if n < 0:
         raise ValueError("draw count must be nonnegative")
+    if taken is None:
+        taken = [n] * len(rngs)
     states = np.array([rng._state for rng in rngs], dtype=np.uint64)
     with np.errstate(over="ignore"):
         counters = states[:, None] + np.uint64(_INCREMENT) * np.arange(1, n + 1, dtype=np.uint64)
         out = _mix_array(counters)  # in place: the counters are this call's own
-    for rng in rngs:
-        rng._state = (rng._state + n * _INCREMENT) & _MASK64
+    for rng, t in zip(rngs, taken, strict=True):
+        rng._state = (rng._state + t * _INCREMENT) & _MASK64
     return out
 
 

@@ -9,6 +9,10 @@ the magic through the payload.
 The transport is an in-process channel with injectable loss and jitter; the
 byte format is exact so a socket transport could be slotted in unchanged.
 Each camera is a lazy source that encodes a packet only when it is read.
+A simulation's setup is one array pass over every camera's generator: it
+draws each camera's handshake jitters and its first block of frames, so
+an added camera adds no draw pass.  A camera's later blocks are drawn
+when the merge reaches them.
 One consumer merges the sources in (send time, camera id) order.  The
 simulation runs in event time (clock offsets, jitter, drops, a watermark),
 so its reports depend on that order alone, never on a processing schedule.
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ACTION_LABELS, FRAME_HW
-from .rng import Rng, box_muller, derive_seed, unit_floats
+from .rng import Rng, _raw_rows, box_muller, derive_seed, unit_floats
 
 PACKET_MAGIC = b"EITP"
 PACKET_VERSION = 1
@@ -411,46 +415,109 @@ def check_simulation(
             raise ValueError(f"camera {s.camera_id}: last timestamp {last} does not fit u64")
 
 
-def _handshakes(spec: CameraSpec, rng: Rng) -> list[tuple[int, int]]:
-    """(send, receive) clock samples 100 us apart, each jittered by one normal pair's first value."""
-    jitters = rng.normals(2 * _HANDSHAKES)[0::2] * spec.jitter_std_us
+def _handshakes(spec: CameraSpec, jitters: list[float]) -> list[tuple[int, int]]:
+    """(send, receive) clock samples 100 us apart, each shifted by its rounded jitter."""
     return [
         (int(j * 100 + spec.clock_offset_us + round(jitter)), j * 100)
-        for j, jitter in enumerate(jitters.tolist())
+        for j, jitter in enumerate(jitters)
+    ]
+
+
+def _blocks(
+    specs: list[CameraSpec],
+    rngs: list[Rng],
+    grid: np.ndarray,
+    handshakes: int,
+    start: int,
+    sizes: list[int],
+) -> list[tuple[list[float], list[float], list[int], np.ndarray]]:
+    """Several cameras' blocks of frames from ``start`` on, drawn in one ``_raw_rows`` pass.
+
+    Camera i's stream holds ``handshakes`` normal pairs, whose first values
+    are its handshake jitters, then ``sizes[i]`` frame triples (a normal pair
+    whose first value is the stamp jitter, then the link-drop uniform).  Per
+    camera, returns its handshake jitters and frame jitters (each scaled by
+    its ``jitter_std_us``), the offsets in the block of the frames the link
+    keeps, and the block's [size, H, W] payloads: frame k's is ``grid`` plus
+    (7k + 13 * camera id) % 251, wrapping in uint8.  Each rng ends after its
+    own outputs, as sequential draws leave it.
+    """
+    lead, width = 2 * handshakes, max(sizes)
+    bits = _raw_rows(rngs, lead + 3 * width, [lead + 3 * size for size in sizes])
+    firsts = np.concatenate((bits[:, 0:lead:2], bits[:, lead::3]), axis=1)
+    seconds = np.concatenate((bits[:, 1:lead:2], bits[:, lead + 1 :: 3]), axis=1)
+    jitters = box_muller(firsts, seconds)[0]
+    jitters *= np.array([s.jitter_std_us for s in specs])[:, None]
+    drops = np.array([s.drop_probability for s in specs])[:, None]
+    keep = (unit_floats(bits[:, lead + 2 :: 3]) >= drops).tolist()
+    ids = np.array([s.camera_id for s in specs])[:, None]
+    bases = ((np.arange(start, start + width) * 7 + ids * 13) % 251).astype(np.uint8)
+    payloads = grid + bases[:, :, None, None]
+    return [
+        (row[:handshakes], row[handshakes:], [k for k in range(size) if flags[k]], frames)
+        for row, flags, frames, size in zip(jitters.tolist(), keep, payloads, sizes)
     ]
 
 
 def _packets(
-    spec: CameraSpec, rng: Rng, n: int, frame_hw: tuple[int, int], counts: CameraCounts
+    spec: CameraSpec,
+    rng: Rng,
+    n: int,
+    grid: np.ndarray,
+    counts: CameraCounts,
+    first: tuple[list[float], list[int], np.ndarray],
 ):
     """Yield one camera's surviving packets as (send time, camera id, encoded bytes).
 
-    The n frames, sent at 0, period, ..., are made ``_FILTER_BLOCK`` at a time,
-    each from three consecutive generator outputs (a normal pair whose first
-    value is the jitter, then the link-drop uniform); each block adds to
-    ``counts`` as it is made.  Only the encoding runs per packet, when read.
-    Packets skip ``StreamPacket``'s checks: the camera id comes from a checked
-    ``CameraSpec``, ``check_simulation`` bounds the sequence number,
-    ``run_simulation`` the frame extents, the stamp is clamped to u64 and the
-    payload is h x w bytes.
+    The n frames, sent at 0, period, ..., are made ``_FILTER_BLOCK`` at a
+    time; each block adds to ``counts`` as it is made.  ``first`` is the
+    first block's jitters, kept offsets and payloads from ``_blocks``, made
+    in ``_camera_sources``' one pass over every camera; a later block draws
+    its own from ``rng`` when the merge reaches it.  Only the encoding runs
+    per packet, when read.  Packets skip ``StreamPacket``'s checks: the
+    camera id comes from a checked ``CameraSpec``, ``check_simulation``
+    bounds the sequence number, ``run_simulation`` the frame extents, the
+    stamp is clamped to u64 and the payload is the grid's h x w bytes.
     """
-    h, w = frame_hw
-    # uint8 addition wraps, which is the % 256 of the payload pattern
-    grid = ((np.arange(h)[:, None] * 3 + np.arange(w)[None, :] * 5) % 256).astype(np.uint8)
+    h, w = grid.shape
+    jitters, kept, payloads = first
     for start in range(0, n, _FILTER_BLOCK):
-        ks = np.arange(start, min(start + _FILTER_BLOCK, n))
-        bits = rng.raw(3 * ks.size).reshape(ks.size, 3)
-        jitters = (box_muller(bits[:, 0], bits[:, 1])[0] * spec.jitter_std_us).tolist()
-        kept = np.flatnonzero(unit_floats(bits[:, 2]) >= spec.drop_probability).tolist()
-        payloads = grid + ((ks * 7 + spec.camera_id * 13) % 251).astype(np.uint8)[:, None, None]
-        counts.produced += ks.size
-        counts.dropped_link += ks.size - len(kept)
+        size = min(_FILTER_BLOCK, n - start)
+        if start:
+            ((_, jitters, kept, payloads),) = _blocks([spec], [rng], grid, 0, start, [size])
+        counts.produced += size
+        counts.dropped_link += size - len(kept)
         for i in kept:
             true_t = (start + i) * spec.frame_period_us
             stamp = int(true_t + spec.clock_offset_us + round(jitters[i]))
             stamp = min(max(stamp, 0), 2**64 - 1)  # jitter may push a stamp past either end
             packet = _trusted_packet(spec.camera_id, start + i, stamp, h, w, payloads[i].tobytes())
             yield true_t, spec.camera_id, encode_packet(packet)
+
+
+def _camera_sources(
+    specs: list[CameraSpec],
+    duration_us: int,
+    seed: int,
+    frame_hw: tuple[int, int],
+    counts: dict[int, CameraCounts],
+):
+    """Every camera's handshake samples by id, and its lazy ``_packets`` source.
+
+    One ``_blocks`` pass over all the cameras' streams makes each camera's
+    handshakes and first block, from one payload grid.
+    """
+    rngs = [Rng(derive_seed(seed, "camera", s.camera_id)) for s in specs]
+    frames = [-(-duration_us // s.frame_period_us) for s in specs]  # sent before duration_us
+    h, w = frame_hw
+    # uint8 addition wraps, which is the % 256 of the payload pattern
+    grid = ((np.arange(h)[:, None] * 3 + np.arange(w)[None, :] * 5) % 256).astype(np.uint8)
+    firsts = _blocks(specs, rngs, grid, _HANDSHAKES, 0, [min(n, _FILTER_BLOCK) for n in frames])
+    samples, sources = {}, []
+    for s, rng, n, (jitters, *first) in zip(specs, rngs, frames, firsts):
+        samples[s.camera_id] = _handshakes(s, jitters)
+        sources.append(_packets(s, rng, n, grid, counts[s.camera_id], first))
+    return samples, sources
 
 
 def run_simulation(
@@ -467,11 +534,13 @@ def run_simulation(
 
     ``check_simulation`` runs first, then ``frame_hw`` must be from 3 x 3 (the
     median window) to 65535 x 65535 (the u16 header fields); both raise
-    ``ValueError`` before any packet is made.  Each camera is one lazy
-    ``_packets`` source, so packets are encoded only as they are consumed.  One
-    consumer merges the sources in (send time, camera id) order, decodes each
-    packet as it pulls it and filters them in blocks of at most
-    ``_FILTER_BLOCK``.  Every decoded frame must have the extents ``frame_hw``.
+    ``ValueError`` before any packet is made.  One ``_blocks`` pass over all
+    the cameras makes their handshake samples and their first blocks of
+    ``_FILTER_BLOCK`` frames.  Each camera is one lazy ``_packets`` source, so
+    packets are encoded only as they are consumed.  One consumer merges the
+    sources in (send time, camera id) order, decodes each packet as it pulls
+    it and filters them in blocks of at most ``_FILTER_BLOCK``.  Every decoded
+    frame must have the extents ``frame_hw``.
     The hook runs on each window as the assembler emits it.  The window's
     frames are uint8 [H, W] rows of the filtered block, not copies, which the
     hook converts, and are released once it is labelled.  The hook must return
@@ -490,12 +559,7 @@ def run_simulation(
         )
     period = specs[0].frame_period_us if window_period_us is None else window_period_us
     counts = {s.camera_id: CameraCounts() for s in specs}
-    samples, sources = {}, []
-    for s in specs:
-        rng = Rng(derive_seed(seed, "camera", s.camera_id))
-        samples[s.camera_id] = _handshakes(s, rng)
-        n = -(-duration_us // s.frame_period_us)  # frames sent before duration_us
-        sources.append(_packets(s, rng, n, frame_hw, counts[s.camera_id]))
+    samples, sources = _camera_sources(specs, duration_us, seed, frame_hw, counts)
     offsets = calibrate_clocks(samples)
     assembler = WindowAssembler(specs, period)
 

@@ -56,6 +56,18 @@ class TestParsing:
         assert parse_duration_us("250ms") == 250_000
         assert parse_duration_us("33333us") == 33333
         assert parse_duration_us("1000") == 1000
+        # read exactly, never rounded through a float
+        assert parse_duration_us("9007199254740993us") == 2**53 + 1
+        assert parse_duration_us("9007199254740993") == 2**53 + 1
+        assert parse_duration_us("1e3us") == parse_duration_us("1_000us") == 1000
+        assert parse_duration_us("1.5ms") == 1500
+        assert parse_duration_us("1e-6s") == 1
+
+    @pytest.mark.parametrize("text", ["1.5us", "1.5", "1e-7s", "0.0001ms"])
+    def test_fraction_of_a_microsecond_is_config_error(self, text):
+        message = f"^duration '{re.escape(text)}' is not a whole number of microseconds$"
+        with pytest.raises(ConfigError, match=message):
+            parse_duration_us(text)
 
     def test_toggles(self):
         t = parse_toggles("det,i3d,tsf")
@@ -679,6 +691,26 @@ class TestSimulate:
         assert [row.split(",")[0] for row in counts.splitlines()[2:-1]] == [
             str(cid) for cid in range(1, 66)
         ]
+
+    def test_duration_past_2_53_us_counts_every_frame(self, tmp_path):
+        """2^53 + 1 us over a 2^40 us period is 8192 periods and 1 us: 8193 frames."""
+        config = tmp_path / "cams.txt"
+        config.write_text("id=1 period_us=1099511627776\n")
+        out = tmp_path / "out"
+        assert dispatch(
+            ["simulate", "--seed", "1", "--camera-config", str(config),
+             "--duration", "9007199254740993us", "--out", str(out)]
+        ) == 0
+        report = (out / "report.csv").read_text()
+        assert "\n1,8193,8193,0,,\n" in report
+
+    def test_fractional_duration_exits_3_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["simulate", "--seed", "1", "--duration", "1.5us", "--out", str(out)]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: duration '1.5us' is not a whole number of microseconds\n"
+        assert not out.exists()
 
     def test_jitter_past_the_u64_end_is_clamped(self, tmp_path):
         """The last frame is sent 2 us before the u64 end; 5 ms of jitter pushes stamps past it."""

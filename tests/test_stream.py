@@ -30,8 +30,7 @@ from eitnet.stream import (
     SyncWindow,
     TruncationError,
     WindowAssembler,
-    _handshakes,
-    _packets,
+    _camera_sources,
     _percentile,
     calibrate_clocks,
     decode_packet,
@@ -484,14 +483,22 @@ def per_packet_producer(spec, duration_us, seed, frame_hw, handshakes):
     return hs, out_packets, produced, dropped
 
 
+def lazy_producers(specs, duration_us, seed, frame_hw):
+    """{camera id: per_packet_producer's tuple}, from the lazy sources set up together.
+
+    Each source is read to its end in turn.
+    """
+    counts = {s.camera_id: CameraCounts() for s in specs}
+    samples, sources = _camera_sources(specs, duration_us, seed, frame_hw, counts)
+    packets = {s.camera_id: list(source) for s, source in zip(specs, sources)}
+    return {
+        cid: (samples[cid], packets[cid], c.produced, c.dropped_link) for cid, c in counts.items()
+    }
+
+
 def lazy_producer(cam, duration_us, seed, frame_hw):
-    """per_packet_producer's tuple from the lazy source, read to its end."""
-    rng = Rng(derive_seed(seed, "camera", cam.camera_id))
-    hs = _handshakes(cam, rng)
-    counts = CameraCounts()
-    n = -(-duration_us // cam.frame_period_us)
-    packets = list(_packets(cam, rng, n, frame_hw, counts))
-    return hs, packets, counts.produced, counts.dropped_link
+    """per_packet_producer's tuple from one camera's lazy source, read to its end."""
+    return lazy_producers([cam], duration_us, seed, frame_hw)[cam.camera_id]
 
 
 def per_frame_median_filter(frame, window):
@@ -579,6 +586,17 @@ EQUIVALENCE_CASES = {
     "several-source-blocks": (
         [spec(1, period=100, offset=300, jitter=30.0, drop=0.2), spec(2, jitter=250.0)],
         60_000, 28, (4, 4), None,
+    ),
+    # first blocks of 255, 256, 256 and 256 frames in one setup pass; the last two
+    # cameras (257 and 600 frames) draw their later blocks on their own
+    "ragged-first-blocks": (
+        [
+            spec(1, period=236, offset=50, jitter=60.0, drop=0.1),
+            spec(2, period=235, jitter=80.0, drop=0.2),
+            spec(3, period=234, offset=-40, jitter=40.0, drop=0.05),
+            spec(4, period=100, offset=120, jitter=30.0, drop=0.15),
+        ],
+        60_000, 30, (4, 4), 1000,
     ),
 }
 
@@ -933,10 +951,10 @@ class TestSimulation:
     def test_frame_of_wrong_extents_rejected(self, monkeypatch):
         original = eitnet.stream._packets
 
-        def one_wide_camera(spec, rng, n, frame_hw, counts):
+        def one_wide_camera(spec, rng, n, grid, *rest):
             if spec.camera_id == 2:
-                frame_hw = (8, 32)  # as many bytes as 16x16
-            return original(spec, rng, n, frame_hw, counts)
+                grid = grid.reshape(8, 32)  # as many bytes as 16x16
+            return original(spec, rng, n, grid, *rest)
 
         monkeypatch.setattr(eitnet.stream, "_packets", one_wide_camera)
         specs = [spec(1), spec(2), spec(3)]
@@ -966,6 +984,29 @@ class TestSimulation:
         assert sorted(report.counts) == list(range(1, 66))
         assert all(c.delivered == 3 for c in report.counts.values())
         assert report.conservation_holds()
+
+    def test_setup_draws_every_camera_in_one_pass(self, monkeypatch):
+        """1, 5 or 65 cameras of different periods and at most 256 frames make one _raw_rows
+        pass.  At 60 ms, the 5 cameras' 600, 438, 345, 285 and 242 frames add one pass per
+        later block, 5 in all."""
+        raw_rows = eitnet.stream._raw_rows
+        passes = []
+
+        def counting(*args):
+            passes[-1] += 1
+            return raw_rows(*args)
+
+        monkeypatch.setattr(eitnet.stream, "_raw_rows", counting)
+        for cameras, duration in ((1, 25_600), (5, 25_600), (65, 25_600), (5, 60_000)):
+            specs = [
+                spec(cid, period=100 + 37 * ((cid - 1) % 7), jitter=50.0, drop=0.1)
+                for cid in range(1, cameras + 1)
+            ]
+            passes.append(0)
+            report = run_simulation(specs, duration, seed=31, frame_hw=(4, 4))
+            assert report.counts[1].produced == -(-duration // 100)
+            assert report.conservation_holds()
+        assert passes == [1, 1, 1, 6]
 
     def test_window_hook_mean_equals_np_mean(self):
         """On uint8 frames, and on the integer-valued float64 frames the per-packet reference
@@ -1045,10 +1086,9 @@ class TestBlockEquivalence:
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
     def test_producer_matches_per_packet_loop(self, case):
         specs, duration, seed, frame_hw, _ = EQUIVALENCE_CASES[case]
+        got = lazy_producers(specs, duration, seed, frame_hw)
         for cam in specs:
-            got = lazy_producer(cam, duration, seed, frame_hw)
-            ref = per_packet_producer(cam, duration, seed, frame_hw, 5)
-            assert got == ref
+            assert got[cam.camera_id] == per_packet_producer(cam, duration, seed, frame_hw, 5)
 
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
     def test_report_and_feedback_bytes_match_per_packet_loop(self, case):
@@ -1080,6 +1120,10 @@ class TestBlockEquivalence:
         report = run_simulation(specs, duration, seed, frame_hw=frame_hw)
         assert report.counts[1].produced > 2 * eitnet.stream._FILTER_BLOCK
         assert report.counts[1].dropped_link > 0
+        specs, duration, seed, frame_hw, window = EQUIVALENCE_CASES["ragged-first-blocks"]
+        report = run_simulation(specs, duration, seed, frame_hw=frame_hw, window_period_us=window)
+        assert [report.counts[s.camera_id].produced for s in specs] == [255, 256, 257, 600]
+        assert all(c.dropped_link > 0 for c in report.counts.values())
 
     def test_filter_calls_stay_within_the_block_cap(self, monkeypatch):
         shapes = []

@@ -28,6 +28,7 @@ from .fileio import (
     load_dataset,
     parse_camera_config,
     save_dataset,
+    save_tensor,
     write_csv,
     write_fresh,
 )
@@ -50,8 +51,15 @@ from .stream import (
     run_simulation,
 )
 from .synthetic import DatasetConfig, generate_synthetic_dataset, pose_bounding_box
-from .tensorops import save_tensor, softmax
-from .training import LEARNING_CURVE_HEADER, Hyperparams, train_toy
+from .tensorops import softmax
+from .training import (
+    LEARNING_CURVE_HEADER,
+    FeatureBatch,
+    Hyperparams,
+    gradient_check,
+    heads_loss_and_grads,
+    train_toy,
+)
 
 METRICS_CSV_HEADER = "split_axis,seed,accuracy,mpjpe,pa_mpjpe"
 GRADCHECK_CSV_HEADER = "layer,max_rel_error,h"
@@ -365,7 +373,7 @@ def cmd_simulate(args) -> int:
     )
     if not report.conservation_holds():
         raise RuntimeError("packet conservation violated")
-    write_fresh(out / "report.csv", report_csv_text(report, args.seed))
+    write_fresh(out / "report.csv", report_csv_text(report, args.seed).encode())
     write_csv(
         out / "feedback.csv",
         FEEDBACK_CSV_HEADER,
@@ -381,8 +389,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .training import FeatureBatch, gradient_check, heads_loss_and_grads
-
     out = _outdir(args)
     rng = Rng(derive_seed(args.seed, "gradcheck"))
     b, d_cls, d_pose, out_dim = 6, 8, 10, 12

@@ -1,26 +1,30 @@
-"""File formats: seeded CSV reports, camera config text, dataset directories.
+"""File formats: seeded CSV reports, camera config text, tensor files, dataset directories.
 
 Every CSV starts with ``#``-prefixed comment lines (the root seed first),
 then a header row, then data rows, and ends with a trailing newline.  Camera
 configs are plain text, one camera per line of space-separated key=value
-pairs (id, period_us, offset_us, jitter_us, drop_prob).  A dataset directory
+pairs (id, period_us, offset_us, jitter_us, drop_prob).  A tensor file is
+little-endian: magic ``EITT``, u8 rank, rank x u32 extents, then the row-major
+float64 payload (``save_tensor``, ``load_tensor``).  A dataset directory
 holds ``clips.bin`` ``[N, 1, T, H, W]`` and ``joints.bin`` ``[N, T, 5, 3]``,
 whose row i is sample i, and ``manifest.csv`` naming each row at most once.
 A load copies rows only when the manifest is not rows 0..N-1 in order.  The
 older layout of one file per sample is not read: regenerate it with gen-data.
 
 Every output file is written fresh: the old file at the path is removed, then
-a new one is created (``write_fresh``; ``save_tensor`` does the same).  A rerun
-into the same directory writes the same bytes, but it never writes through the
-old file: a hard link to it keeps the old bytes, a symlink at the path is
-replaced by a regular file, and the file gets a new file's mode.  On ext4,
-truncating a file that holds data is journaled and arms a flush at close
-(``auto_da_alloc``); on a 1.2 KB report that cost more than the write itself.
+a new one is created (``write_fresh``).  A rerun into the same directory
+writes the same bytes, but it never writes through the old file: a hard link
+to it keeps the old bytes, a symlink at the path is replaced by a regular
+file, and the file gets a new file's mode.  On ext4, truncating a file that
+holds data is journaled and arms a flush at close (``auto_da_alloc``); on a
+1.2 KB report that cost more than the write itself.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +33,9 @@ from . import ACTION_LABELS, FRAME_HW, FRAMES, JOINT_NAMES
 from .metrics import SUBJECT_IDS, VIEW_IDS
 from .stream import CameraSpec
 from .synthetic import SampleSet
-from .tensorops import load_tensor, save_tensor
+from .tensorops import MAX_RANK, as_tensor
 
+TENSOR_MAGIC = b"EITT"
 MANIFEST_HEADER = "sample_id,subject_id,view_id,label"
 _CAMERA_KEYS = ("id", "period_us", "offset_us", "jitter_us", "drop_prob")
 
@@ -45,24 +50,52 @@ def csv_text(header: str, rows, seed: int | None = None, comments: tuple[str, ..
     return "\n".join(lines) + "\n"
 
 
-def write_fresh(path, text: str) -> None:
-    """Write ``text`` as UTF-8 to a new file at ``path``, removing the old file first.
+def write_fresh(path, *buffers) -> None:
+    """Write the byte ``buffers`` in order to a new file at ``path``, removing the old file first.
 
     It calls ``os.open``, ``os.write`` and ``os.close`` directly: ``Path.write_text``
     took twice as long on a 1.2 KB report (ext4, on a 2-vCPU virtual machine).
+    A buffer is written from its own memory, never copied.
     """
-    data = memoryview(text.encode())
     Path(path).unlink(missing_ok=True)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        while data:
-            data = data[os.write(fd, data):]
+        for buffer in buffers:
+            data = memoryview(buffer).cast("B")
+            while data:
+                data = data[os.write(fd, data):]
     finally:
         os.close(fd)
 
 
 def write_csv(path, header: str, rows, seed: int | None = None, comments=()) -> None:
-    write_fresh(path, csv_text(header, rows, seed=seed, comments=comments))
+    write_fresh(path, csv_text(header, rows, seed=seed, comments=comments).encode())
+
+
+def save_tensor(path, x: np.ndarray) -> None:
+    """Write ``x`` to a new file at ``path`` in the tensor layout above."""
+    x = as_tensor(x)
+    header = TENSOR_MAGIC + struct.pack(f"<B{x.ndim}I", x.ndim, *x.shape)
+    write_fresh(path, header, np.ascontiguousarray(x, dtype="<f8").data)  # the array's own buffer
+
+
+def load_tensor(path) -> np.ndarray:
+    blob = Path(path).read_bytes()
+    if blob[:4] != TENSOR_MAGIC:
+        raise ValueError("not a tensor file (bad magic)")
+    if len(blob) < 5 or len(blob) < 5 + 4 * blob[4]:
+        raise ValueError(f"tensor file of {len(blob)} bytes ends inside its header")
+    rank = blob[4]
+    if rank < 1 or rank > MAX_RANK:
+        raise ValueError(f"unsupported tensor rank {rank}")
+    header_len = 5 + 4 * rank
+    shape = struct.unpack(f"<{rank}I", blob[5:header_len])
+    count = math.prod(shape)  # unbounded, so a huge header fails the length check below
+    expected = header_len + 8 * count
+    if len(blob) != expected:
+        raise ValueError(f"tensor file length {len(blob)} != expected {expected}")
+    data = np.frombuffer(blob, dtype="<f8", offset=header_len, count=count)
+    return as_tensor(data.reshape(shape))
 
 
 def parse_camera_config(text: str) -> list[CameraSpec]:

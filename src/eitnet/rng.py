@@ -96,10 +96,6 @@ class Rng:
         self._state = (self._state + _INCREMENT) & _MASK64
         return _mix(self._state)
 
-    def raw(self, n: int) -> np.ndarray:
-        """n consecutive outputs, vectorised; advances the state by n."""
-        return _raw_rows([self], n)[0]
-
     def uniform(self) -> float:
         return (self.next_u64() >> 11) / float(1 << 53)
 

@@ -9,13 +9,13 @@ dropout draws a whole stack's masks itself (``i3d.i3d_block``).
 
 Validation happens at the program's edges, not in every kernel:
 ``as_tensor`` runs where clips enter the pipeline
-(``PipelineModel.extract_batch``), on file loads (``load_tensor``) and on
-each synthetic sample, and ``PipelineModel.extract_batch`` rejects features
-that are not finite.  Behind those edges every array is one the program built
-itself, so the kernels trust their callers: they neither check nor convert
-their arguments, which must be float64 arrays of the documented shapes.  The
-one check left inside is ``ConvSpec.output_extents``, which raises for a
-window that leaves an empty output.
+(``PipelineModel.extract_batch``), on file loads and on each synthetic
+sample, and ``PipelineModel.extract_batch`` rejects features that are not
+finite.  Behind those edges every array is one the program built itself, so
+the kernels trust their callers: they neither check nor convert their
+arguments, which must be float64 arrays of the documented shapes.  The one
+check left inside is ``ConvSpec.output_extents``, which raises for a window
+that leaves an empty output.
 
 ``conv3d`` and ``pool3d_max`` take one ``[C, T, H, W]`` input or a
 ``[B, C, T, H, W]`` stack of B, and are lowered to one gather and one
@@ -38,11 +38,6 @@ Inside a ``count_macs()`` block, ``conv3d`` (weights x output positions x
 stacked inputs) and ``linear`` (rows x d_in x d_out) add their matrix
 products' multiply-accumulates to the block's total, the EfficientDet
 convention; outside one, a kernel pays one ``ContextVar`` lookup.
-
-Serialization uses a little-endian binary layout: magic ``EITT``, u8 rank,
-rank x u32 extents, then the row-major float64 payload.  ``save_tensor``
-removes the old file at its path and creates a new one, as every output of the
-CLI is written: a hard link to the old file keeps the old bytes.
 """
 
 from __future__ import annotations
@@ -51,14 +46,11 @@ import contextvars
 import functools
 import math
 import operator
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-TENSOR_MAGIC = b"EITT"
 MAX_RANK = 5
 
 Triple = tuple[int, int, int]
@@ -260,33 +252,3 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
 def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(x / 2.0))
 
-
-def save_tensor(path, x: np.ndarray) -> None:
-    """Write ``x`` to a new file at ``path``; the old file there is removed, not written through."""
-    x = as_tensor(x)
-    header = TENSOR_MAGIC + struct.pack("<B", x.ndim)
-    header += struct.pack(f"<{x.ndim}I", *x.shape)
-    Path(path).unlink(missing_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(x, dtype="<f8").data)  # the array's own buffer, no copy
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != TENSOR_MAGIC:
-        raise ValueError("not a tensor file (bad magic)")
-    if len(blob) < 5 or len(blob) < 5 + 4 * blob[4]:
-        raise ValueError(f"tensor file of {len(blob)} bytes ends inside its header")
-    rank = blob[4]
-    if rank < 1 or rank > MAX_RANK:
-        raise ValueError(f"unsupported tensor rank {rank}")
-    header_len = 5 + 4 * rank
-    shape = struct.unpack(f"<{rank}I", blob[5:header_len])
-    count = math.prod(shape)  # unbounded, so a huge header fails the length check below
-    expected = header_len + 8 * count
-    if len(blob) != expected:
-        raise ValueError(f"tensor file length {len(blob)} != expected {expected}")
-    data = np.frombuffer(blob, dtype="<f8", offset=header_len, count=count)
-    return as_tensor(data.reshape(shape))

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 import eitnet
-from eitnet import fileio, training
+from eitnet import fileio
 from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
-from eitnet.fileio import load_dataset
+from eitnet.fileio import load_dataset, load_tensor, save_tensor
 from eitnet.metrics import make_split
 from eitnet.pipeline import PipelineConfig, PipelineModel
 from eitnet.synthetic import DatasetConfig, generate_synthetic_dataset
-from eitnet.tensorops import load_tensor, save_tensor
 
 from textio import read_csv_rows
 
@@ -794,6 +793,33 @@ class TestFreshOutputFiles:
         assert not (tmp_path / "t.csv").is_symlink() and not (tmp_path / "t.bin").is_symlink()
         assert (tmp_path / "t.csv").read_text() == "a\n1\n"
 
+    def test_train_and_run_pipeline_write_every_file_through_write_fresh(
+        self, dataset_dir, tmp_path, monkeypatch
+    ):
+        written = []
+        write_fresh = fileio.write_fresh
+
+        def recorded(path, *buffers):
+            written.append(Path(path))
+            write_fresh(path, *buffers)
+
+        monkeypatch.setattr(fileio, "write_fresh", recorded)
+        for command, extra in (("train", ["--epochs", "1"]), ("run-pipeline", [])):
+            argv = [command, "--seed", "7", "--dataset", str(dataset_dir)]
+            assert dispatch(argv + extra + ["--out", str(tmp_path / command)]) == 0
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        assert sorted(written) == files  # each file once, none bypassing the writer
+        assert [p.relative_to(tmp_path).as_posix() for p in files] == [
+            "run-pipeline/classifications.csv",
+            "run-pipeline/detections.csv",
+            "run-pipeline/features.bin",
+            "train/learning_curves.csv",
+            "train/weights/cls_bias.bin",
+            "train/weights/cls_weight.bin",
+            "train/weights/pose_bias.bin",
+            "train/weights/pose_weight.bin",
+        ]
+
 
 class TestGradcheckAndComplexity:
     def test_gradcheck_reports_small_errors(self, tmp_path):
@@ -808,7 +834,9 @@ class TestGradcheckAndComplexity:
     def test_gradcheck_failure_writes_its_csv_and_one_error_line(
         self, error, shown, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(training, "gradient_check", lambda *args, **kwargs: error)
+        from eitnet import cli
+
+        monkeypatch.setattr(cli, "gradient_check", lambda *args, **kwargs: error)
         out = tmp_path / "out"
         assert dispatch(["gradcheck", "--seed", "5", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eitnet import FRAMES, tensorops
+from eitnet.fileio import load_tensor, save_tensor
 from eitnet.pipeline import PipelineConfig, PipelineModel
 from eitnet.rng import Rng
 from eitnet.tensorops import (
@@ -18,10 +19,8 @@ from eitnet.tensorops import (
     global_avg_pool,
     layer_norm,
     linear,
-    load_tensor,
     pool3d_max,
     relu,
-    save_tensor,
     softmax,
 )
 

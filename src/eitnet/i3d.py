@@ -1,10 +1,10 @@
 """Inflated-3D feature extractor: stacked conv/pool/norm/dropout blocks.
 
 Each block applies, in order: 3D convolution, ReLU, 3D max pooling,
-inference-mode batch normalization, dropout.  A forward pass chains the
-blocks and finishes with per-channel global average pooling.  Plain blocks
-with channel widths chosen at desk scale stand in for the Inception-style
-branch topology, whose per-branch widths are not part of this build.
+inference-mode batch normalization, dropout.  ``I3DStack`` runs its blocks,
+then per-channel global average pooling, and lists their weights.  Plain
+blocks at desk-scale channel widths stand in for the Inception-style branch
+topology, whose per-branch widths are not part of this build.
 
 Every stage runs on a [B, C, T, H, W] stack of B clips and gives each clip
 the bits it gets on its own: the convolution is one matrix product per clip,
@@ -57,23 +57,6 @@ def i3d_block(x: np.ndarray, params: I3DBlockParams, seeds=None) -> np.ndarray:
     return np.where(draws >= DROPOUT, out / (1.0 - DROPOUT), 0.0)
 
 
-def i3d_forward(clips: np.ndarray, blocks: list[I3DBlockParams], seeds=None) -> np.ndarray:
-    """Run the block stack on [B,C,T,H,W] and globally average to [B, C_final].
-
-    ``seeds``, when given, holds one dropout seed per clip; block i of a clip
-    draws its dropout mask from ``derive_seed(seed, "i3d-block", i)``.
-    Preconditions the caller keeps: ``clips`` is a float64 [B,C,T,H,W] array,
-    ``blocks`` is not empty, and each block's weights take the channels the
-    one before it gives.  A block whose window leaves an empty output raises
-    ``ValueError`` from ``ConvSpec.output_extents``.
-    """
-    out = clips
-    for i, params in enumerate(blocks):
-        block_seeds = None if seeds is None else [derive_seed(s, "i3d-block", i) for s in seeds]
-        out = i3d_block(out, params, block_seeds)
-    return global_avg_pool(out)
-
-
 DROPOUT = 0.05  # each block's dropout probability, applied when seeds are given
 WIDTHS = (8, 16, 32)  # each block's output channels
 POOLS = ((2, 2, 2), (2, 2, 2), (2, 3, 3))  # each block's max-pool kernel and stride
@@ -93,7 +76,7 @@ class I3DStack:
     The seed alone identifies the weights.  The convolution spec ``CONV`` and
     the identity statistics ``BN_MEAN`` and ``BN_VAR`` are module constants
     shared by every block; dropout runs only under the trainer, which passes
-    per-epoch seeds.
+    per-epoch seeds.  The stack runs its blocks and lists their weights.
     """
 
     seed: int = 0
@@ -119,5 +102,21 @@ class I3DStack:
             c_prev = width
 
     def forward(self, clips: np.ndarray, seeds=None) -> np.ndarray:
-        """[B, C_final] features of a [B,C,T,H,W] stack; ``seeds`` one per clip, for dropout."""
-        return i3d_forward(clips, self.blocks, seeds)
+        """Run the blocks on [B,C,T,H,W] and globally average to [B, C_final].
+
+        ``seeds``, when given, holds one dropout seed per clip; block i of a clip
+        draws its dropout mask from ``derive_seed(seed, "i3d-block", i)``.
+        Preconditions the caller keeps: ``clips`` is a float64 [B,C,T,H,W] array,
+        ``blocks`` is not empty, and each block's weights take the channels the
+        one before it gives.  A block whose window leaves an empty output raises
+        ``ValueError`` from ``ConvSpec.output_extents``.
+        """
+        out = clips
+        for i, params in enumerate(self.blocks):
+            block_seeds = None if seeds is None else [derive_seed(s, "i3d-block", i) for s in seeds]
+            out = i3d_block(out, params, block_seeds)
+        return global_avg_pool(out)
+
+    def parameters(self) -> list[np.ndarray]:
+        """Each block's convolution and normalization weights, block by block."""
+        return [a for b in self.blocks for a in (b.conv_weight, b.conv_bias, b.bn_gamma, b.bn_beta)]

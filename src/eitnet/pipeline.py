@@ -33,12 +33,13 @@ seed, which alone identifies its weights, and a digest of the stack.
 ``run_ablation`` opens one block around its rows, whose models share a seed
 and see the same clips.  Outside a block nothing is hashed or kept.
 
-Complexity accounting reads a live model: parameters are the arrays the
-enabled stages use, and multiply-accumulates are those the kernels count
-during one forward inside a ``tensorops.count_macs()`` block.  Only matrix
-products contribute (convolutions, linear layers, attention score and value
-products); pooling, activations, residuals, normalizations and resampling
-count zero.  The forward is thus the one description of the architecture.
+Complexity accounting reads a live model: parameters are the arrays each
+enabled stage lists (the detector and I3D list their own weights), and
+multiply-accumulates are those the kernels count during one forward inside a
+``tensorops.count_macs()`` block.  Only matrix products contribute
+(convolutions, linear layers, attention score and value products); pooling,
+activations, residuals, normalizations and resampling count zero.  The
+forward is thus the one description of the architecture.
 """
 
 from __future__ import annotations
@@ -386,8 +387,7 @@ class PipelineModel:
         if c.detection:
             arrays += self.detector.parameters().values()
         if c.spatiotemporal:
-            for b in self.i3d.blocks:
-                arrays += [b.conv_weight, b.conv_bias, b.bn_gamma, b.bn_beta]
+            arrays += self.i3d.parameters()
         arrays += [self.patch_weight, self.patch_bias, self.pos_enc]
         if c.spatiotemporal:
             arrays += [self.summary_weight, self.summary_bias]

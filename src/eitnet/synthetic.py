@@ -27,9 +27,10 @@ and poses are byte-identical to building and rendering each sample frame by
 frame.  The dataset is one ``SampleSet`` of read-only arrays; sample i is
 its row i, and its ``poses`` are that row's frames as ``SkeletonPose``s.
 
-``augment`` mirrors and rotates a whole [B, C, T, H, W] stack with one gather:
-each clip keeps its own scalar draws, ``math.cos`` and ``math.sin``, and the
-per-frame index steps in order, so it gets the bits it gets on its own.
+``augment`` draws each clip's flip and angle from its own stream in one array
+pass, then mirrors and rotates the [B, C, T, H, W] stack with one gather; with
+``math.cos``, ``math.sin`` and the per-frame index steps in order, each clip
+gets the bits it gets on its own.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import ACTION_LABELS, FRAME_HW, FRAMES, JOINT_NAMES
 from .metrics import SUBJECT_IDS, VIEW_IDS, SkeletonPose
-from .rng import Rng, derive_seed, normals_rows
+from .rng import Rng, _raw_rows, derive_seed, normals_rows, unit_floats
 from .tensorops import as_tensor
 
 _BASE_JOINTS_MM = np.array(
@@ -289,19 +290,15 @@ def _source_pixels(h: int, w: int, flips, angles_deg) -> tuple[np.ndarray, np.nd
 def augment(clips: np.ndarray, seeds) -> np.ndarray:
     """A [B,C,T,H,W] stack, each clip mirrored on a coin flip, then rotated within the limit.
 
-    Clip b draws from ``Rng(seeds[b])``; the stack is validated once."""
+    Clip b draws from ``Rng(seeds[b])``, all clips in one pass; the stack is validated once."""
     clips = as_tensor(clips)
     if len(seeds) != len(clips):
         raise ValueError(f"{len(seeds)} augmentation seeds for {len(clips)} clips")
-    flips, angles = [], []
-    for seed in seeds:
-        rng = Rng(seed)
-        # Two draws stand where a full-frame crop drew its offsets, so every
-        # augmentation stream, and so every training run, keeps its bits.
-        rng.below(1)
-        rng.below(1)
-        flips.append(rng.uniform() < FLIP_PROB)
-        angles.append((2.0 * rng.uniform() - 1.0) * MAX_ROTATION_DEG)
+    # Columns 0-1 stand where a full-frame crop drew its offsets, so every
+    # augmentation stream, and so every training run, keeps its bits.
+    draws = unit_floats(_raw_rows([Rng(seed) for seed in seeds], 4))
+    flips = draws[:, 2] < FLIP_PROB
+    angles = (2.0 * draws[:, 3] - 1.0) * MAX_ROTATION_DEG
     b, c, t, h, w = clips.shape
     index, valid = _source_pixels(h, w, flips, angles)
     frames = np.take_along_axis(clips.reshape(b, c * t, h * w), index, axis=2)

@@ -10,7 +10,6 @@ from eitnet.i3d import (
     I3DBlockParams,
     I3DStack,
     i3d_block,
-    i3d_forward,
 )
 from eitnet.rng import Rng, derive_seed
 from eitnet.tensorops import (
@@ -51,6 +50,13 @@ def random_block(rng, c_in, c_out, pool=(2, 2, 2)):
         bn_gamma=rng.normals(c_out),
         bn_beta=rng.normals(c_out),
     )
+
+
+def stack_of(blocks):
+    """An ``I3DStack`` whose seeded blocks are replaced by the given ones."""
+    stack = I3DStack()
+    stack.blocks = blocks
+    return stack
 
 
 def composed_block(x, b, axis=0):
@@ -105,14 +111,14 @@ class TestBlock:
 class TestForward:
     def test_identity_config_preserves_constant(self):
         clip = np.full((2, 3, 3, 3), 1.75)
-        feats = i3d_forward(clip[None], [identity_block(c=2)])[0]
+        feats = stack_of([identity_block(c=2)]).forward(clip[None])[0]
         np.testing.assert_allclose(feats, [1.75 / np.sqrt(1 + 1e-5)] * 2, atol=1e-12)
 
     def test_two_block_composition_oracle(self):
         rng = Rng(43)
         blocks = [random_block(rng, 1, 2), random_block(rng, 2, 3, pool=(1, 2, 2))]
         clip = rng.normals(1 * 4 * 8 * 8).reshape(1, 4, 8, 8)
-        feats = i3d_forward(clip[None], blocks, seeds=[5])[0]
+        feats = stack_of(blocks).forward(clip[None], seeds=[5])[0]
         step = i3d_block(clip[None], blocks[0], seeds=[derive_seed(5, "i3d-block", 0)])
         step = i3d_block(step, blocks[1], seeds=[derive_seed(5, "i3d-block", 1)])[0]
         ref = step.mean(axis=(1, 2, 3))
@@ -122,12 +128,13 @@ class TestForward:
         rng = Rng(45)
         blocks = [random_block(rng, 1, 2)]
         clip = rng.normals(1 * 4 * 4 * 4).reshape(1, 4, 4, 4)
-        plain = i3d_forward(clip[None], blocks)
-        assert plain.tobytes() == i3d_forward(clip[None], blocks).tobytes()
+        stack = stack_of(blocks)
+        plain = stack.forward(clip[None])
+        assert plain.tobytes() == stack.forward(clip[None]).tobytes()
         out = composed_block(clip, blocks[0])
         assert plain[0].tobytes() == global_avg_pool(out).tobytes()
         out = dropout(out, DROPOUT, derive_seed(1, "i3d-block", 0))
-        got = i3d_forward(clip[None], blocks, seeds=[1])
+        got = stack.forward(clip[None], seeds=[1])
         assert got[0].tobytes() == global_avg_pool(out).tobytes()
         assert not np.array_equal(got, plain)
 
@@ -138,9 +145,10 @@ class TestForward:
         block.bn_beta = np.zeros(2)
         block.bn_gamma = np.ones(2)
         clip = np.abs(rng.normals(1 * 4 * 4 * 4)).reshape(1, 4, 4, 4)
+        stack = stack_of([block])
         a = 2.5
         np.testing.assert_allclose(
-            i3d_forward(a * clip[None], [block]), a * i3d_forward(clip[None], [block]), atol=1e-9
+            stack.forward(a * clip[None]), a * stack.forward(clip[None]), atol=1e-9
         )
 
 
@@ -153,7 +161,7 @@ class TestStack:
         assert np.all(np.isfinite(feats))
 
     def test_blocks_keep_the_kernels_preconditions(self):
-        """i3d_forward, conv3d, pool3d_max, batch_norm and dropout check none of these."""
+        """I3DStack.forward, conv3d, pool3d_max, batch_norm and dropout check none of these."""
         stack = I3DStack(seed=3)
         assert len(stack.blocks) == len(WIDTHS) > 0
         assert 0.0 <= DROPOUT <= 1.0

@@ -44,7 +44,6 @@ BUDGET = {
     detection.detection_loss: {"scores", "pred_boxes", "true_boxes", "lam"},
     i3d.I3DStack: {"seed"},
     i3d.I3DStack.forward: {"self", "clips", "seeds"},
-    i3d.i3d_forward: {"clips", "blocks", "seeds"},
     i3d.i3d_block: {"x", "params", "seeds"},
     i3d.I3DBlockParams: {"conv_weight", "conv_bias", "pool_spec", "bn_gamma", "bn_beta"},
     encoder.EncoderParams: {

@@ -531,6 +531,25 @@ class TestComplexity:
         live = sum(a.size for a in model.parameters())
         assert live == count_params_flops(toggles)[0]
 
+    @pytest.mark.parametrize("config", ALL_TOGGLES, ids=PipelineConfig.tag)
+    def test_parameters_are_the_explicit_walk_in_order(self, config):
+        """The stages' own lists give the arrays, in order, of the walk over their fields."""
+        model = PipelineModel(config, 0)
+        walk = []
+        if config.detection:
+            walk += model.detector.parameters().values()
+        if config.spatiotemporal:
+            for b in model.i3d.blocks:
+                walk += [b.conv_weight, b.conv_bias, b.bn_gamma, b.bn_beta]
+        walk += [model.patch_weight, model.patch_bias, model.pos_enc]
+        if config.spatiotemporal:
+            walk += [model.summary_weight, model.summary_bias]
+        if config.temporal:
+            for blk in model.blocks:
+                walk += vars(blk).values()
+        walk += model.head_parameters().values()
+        assert [id(a) for a in model.parameters()] == [id(a) for a in walk]
+
     @pytest.mark.parametrize("config, counts", PINNED_COUNTS.values(), ids=PINNED_COUNTS)
     def test_counts_pinned(self, config, counts):
         assert count_params_flops(config) == counts

@@ -5,8 +5,10 @@ adapter, retrains the heads on the split's training side (head input sizes
 change with the toggles), and evaluates accuracy and MPJPE on the held-out
 side.  The full configuration is always the first row.
 
-Every row's model has the same seed, so the same frozen weights, and sees
-the same clips, augmentation and dropout seeds.  The rows therefore run in
+The first row's model is built from the seed, and every other row's is its
+``with_toggles``: the rows share one set of frozen arrays and each draws
+its own heads, as a model built from the seed would.  Every row sees the same
+clips, augmentation and dropout seeds.  The rows therefore run in
 one ``shared_frozen_stages()`` block: the detector runs once per stack for
 the three rows that keep it, and I3D once per crop stack for the full and
 no-timesformer rows, whose crops are the same.  Each row's numbers are
@@ -62,10 +64,11 @@ def run_ablation(
     ``base_config`` has nothing the rows keep.
     """
     train, test = split_samples(samples, plan)
+    first = PipelineModel(TABLE_ROWS[0], seed=hp.seed)
     out = []
     with shared_frozen_stages():
         for config in TABLE_ROWS:
-            model = PipelineModel(config, seed=hp.seed)
+            model = first if config is TABLE_ROWS[0] else first.with_toggles(config)
             train_toy(model, train, hp)
             out.append(AblationRow(toggles=config, **evaluate_pipeline(model, test)))
     return out

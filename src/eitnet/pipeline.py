@@ -33,6 +33,11 @@ seed, which alone identifies its weights, and a digest of the stack.
 ``run_ablation`` opens one block around its rows, whose models share a seed
 and see the same clips.  Outside a block nothing is hashed or kept.
 
+``with_toggles(config)`` gives the model of other toggles on the same frozen
+arrays: only its heads are drawn, from the seed's ``"heads"`` stream, and its
+feature norm starts at identity, so it is ``PipelineModel(config, seed)``
+byte for byte without drawing the frozen weights again.
+
 Complexity accounting reads a live model: parameters are the arrays each
 enabled stage lists (the detector and I3D list their own weights), and
 multiply-accumulates are those the kernels count during one forward inside a
@@ -45,6 +50,7 @@ forward is thus the one description of the architecture.
 from __future__ import annotations
 
 import contextvars
+import copy
 import hashlib
 import math
 from contextlib import contextmanager
@@ -63,11 +69,14 @@ from .rng import Rng, derive_seed
 from .synthetic import SampleSet
 from .tensorops import ConvSpec, as_tensor, count_macs, linear, softmax
 
-# Clips per stack of the frozen stages.  A stack saves per-call overhead but
-# holds its intermediate arrays at once.  A clip costs 1.245, 0.904 and
-# 0.748 ms in stacks of 1, 4 and 64; on the ablation benchmark, stacks of 8
-# raised peak RSS from 51.8 to 55.0 MB (+6.3%) against stacks of 4.
-STACK_CLIPS = 4
+# Clips per stack of the frozen stages, and training.BATCH_SIZE, so a training
+# batch is one stack.  A stack saves per-call overhead but holds its
+# intermediate arrays at once.  On a 2-vCPU host a clip cost 1.03, 0.60, 0.57
+# and 0.58 ms in stacks of 1, 4, 8 and 16 (192-clip extract_batch calls).
+# On the ablation benchmark, stacks of 8 against 4 raised peak RSS from 52.0
+# to 54.5 MB (+4.9%, with conv3d's bias added in place); with the rows' shared
+# frozen weights, rows/s rose 12%.
+STACK_CLIPS = 8
 
 FEATURE_STD = 16.0  # of each head input over the feature-norm fitting set
 
@@ -210,7 +219,25 @@ class PipelineModel:
         self.blocks = [
             _encoder_params(rng, c.d_model, c.d_ff) for _ in range(c.encoder_blocks)
         ]
-        head_rng = Rng(derive_seed(seed, "heads"))
+        self._draw_heads()
+
+    def with_toggles(self, config: PipelineConfig) -> PipelineModel:
+        """``PipelineModel(config, self.seed)``, sharing this model's frozen arrays.
+
+        The detector, I3D, patch, positional, summary and encoder-block arrays
+        are this model's own objects; the heads are drawn afresh for
+        ``config`` and the feature norm starts at identity, so training the
+        new model's heads leaves this one's untouched.
+        """
+        model = copy.copy(self)
+        model.config = config
+        model._draw_heads()
+        return model
+
+    def _draw_heads(self) -> None:
+        """The heads from the seed's ``"heads"`` stream, and an identity feature norm."""
+        c = self.config
+        head_rng = Rng(derive_seed(self.seed, "heads"))
         self.cls_weight = head_rng.normals(c.d_model * c.num_classes).reshape(
             c.d_model, c.num_classes
         ) * 0.01

@@ -180,7 +180,7 @@ def conv3d(
     if (count := MACS.get()) is not None:
         count.total += c_out * cols.size
     if bias is not None:
-        out = out + bias[:, None, None, None]
+        out += bias[:, None, None, None]  # out is the product's own fresh array
     return out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import eitnet
-from eitnet import fileio
+from eitnet import fileio, pipeline
 from eitnet.cli import ConfigError, build_parser, dispatch, parse_duration_us, parse_toggles
 from eitnet.detection import Detector
 from eitnet.fileio import load_dataset, load_tensor, save_tensor
@@ -546,7 +546,8 @@ class TestRunPipeline:
         monkeypatch.setattr(Detector, "best_box", counted)
         argv = ["run-pipeline", "--seed", "7", "--dataset", str(dataset_dir)]
         assert dispatch(argv + ["--out", str(tmp_path)]) == 0
-        assert calls == [(4, 1, 8, 16, 16)] * 50  # one call per stack of 4 clips
+        n, size = 200, pipeline.STACK_CLIPS  # gen-data --repetitions 1 writes 200 clips
+        assert calls == [(min(size, n - s), 1, 8, 16, 16) for s in range(0, n, size)]
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

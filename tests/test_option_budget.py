@@ -32,6 +32,7 @@ BUDGET = {
     pipeline.PipelineModel.forward: {"self", "clip"},
     pipeline.PipelineModel.stage_features: {"self", "cropped", "seeds"},
     pipeline.PipelineModel.crop_clip: {"self", "clips", "boxes"},
+    pipeline.PipelineModel.with_toggles: {"self", "config"},
     synthetic.augment: {"clips", "seeds"},
     synthetic.pose_bounding_box: {"joints", "height", "width"},
     synthetic.DatasetConfig: {"repetitions"},

@@ -19,7 +19,7 @@ from eitnet.pipeline import (
 from eitnet.rng import Rng, derive_seed
 from eitnet.synthetic import DatasetConfig, SampleSet, SyntheticAction, generate_synthetic_dataset
 from eitnet.tensorops import as_tensor, conv3d, count_macs, linear
-from eitnet.training import Hyperparams, train_toy
+from eitnet.training import BATCH_SIZE, VAL_FRACTION, Hyperparams, train_toy
 
 from test_metrics import per_frame_pa_mpjpe
 from test_tensorops import np_pad_conv3d, np_pad_pool3d_max
@@ -48,8 +48,13 @@ PINNED_COUNTS = {
 
 
 @pytest.fixture(scope="module")
-def samples():
-    return generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=21)[:12]
+def dataset():
+    return generate_synthetic_dataset(DatasetConfig(repetitions=1), seed=21)
+
+
+@pytest.fixture(scope="module")
+def samples(dataset):
+    return dataset[:12]
 
 
 class TestToggles:
@@ -299,7 +304,8 @@ class TestStacking:
 
     def test_frame_boxes_runs_the_detector_per_stack(self, samples, monkeypatch):
         model = PipelineModel(PipelineConfig(), seed=7)
-        clips = np.stack([s.clip for s in samples[:9]])
+        size = pipeline.STACK_CLIPS
+        clips = np.stack([s.clip for s in samples[: size + 1]])
         want = np.stack([model.detector.best_box(clip[None])[0] for clip in clips])
         calls = []
         best_box = detection.Detector.best_box
@@ -310,7 +316,7 @@ class TestStacking:
 
         monkeypatch.setattr(detection.Detector, "best_box", counted)
         assert model.frame_boxes(clips).tobytes() == want.tobytes()
-        assert calls == [4, 4, 1]
+        assert calls == [size, 1]
 
     def test_extract_batch_checks_seeds_and_rank(self, samples):
         model = PipelineModel(PipelineConfig(), seed=7)
@@ -388,26 +394,34 @@ class TestStacking:
         monkeypatch.setattr(pipeline, "crop_region", counted)
         return calls
 
-    def test_fit_and_evaluate_crop_once_per_stack(self, samples, crop_calls):
+    def test_fit_and_evaluate_crop_once_per_stack(self, dataset, crop_calls):
         model = PipelineModel(PipelineConfig(), seed=3)
-        for n in (1, 4, 5, 12):
+        size = pipeline.STACK_CLIPS
+        counts = (1, size, size + 1, 2 * size + 1)
+        for n in counts:
             crop_calls.clear()
-            model.fit_feature_norm(samples[:n])
-            assert len(crop_calls) == math.ceil(n / 4)
-        for n in (1, 4, 5, 12, 9):
+            model.fit_feature_norm(dataset[:n])
+            assert len(crop_calls) == math.ceil(n / size)
+        for n in counts:
             crop_calls.clear()
-            evaluate_pipeline(model, samples[:n])
-            assert len(crop_calls) == math.ceil(n / 4)
-        # 9 clips: two stacks of 4 joined on the frame axis, then one clip
-        assert crop_calls == [((1, 32, 16, 16), (32, 5))] * 2 + [((1, 8, 16, 16), (8, 5))]
-        assert pipeline.STACK_CLIPS == 4
+            evaluate_pipeline(model, dataset[:n])
+            assert len(crop_calls) == math.ceil(n / size)
+        # 2 * size + 1 clips: two full stacks joined on the frame axis, then one clip
+        frames = size * 8
+        assert crop_calls == [((1, frames, 16, 16), (frames, 5))] * 2 + [((1, 8, 16, 16), (8, 5))]
 
-    def test_train_toy_epoch_crops_once_per_stack(self, samples, crop_calls):
+    def test_train_toy_epoch_crops_once_per_stack(self, dataset, crop_calls):
         model = PipelineModel(PipelineConfig(), seed=3)
-        train_toy(model, samples, Hyperparams(epochs=1, seed=4))
-        # 12 samples: 2 held out for validation, 10 trained in batches of 8 and 2.
-        # Feature norm fit, validation features, then the two batches of the epoch:
-        assert len(crop_calls) == math.ceil(10 / 4) + math.ceil(2 / 4) + 2 + 1
+        size = pipeline.STACK_CLIPS
+        n = 2 * size + 1
+        train_toy(model, dataset[:n], Hyperparams(epochs=1, seed=4))
+        n_val = max(1, int(n * VAL_FRACTION))
+        n_train = n - n_val
+        assert n_train > size  # the feature norm fit crosses a stack boundary
+        batches = [min(BATCH_SIZE, n_train - s) for s in range(0, n_train, BATCH_SIZE)]
+        # Feature norm fit, validation features, then the batches of the epoch:
+        stacks = [math.ceil(k / size) for k in [n_train, n_val, *batches]]
+        assert len(crop_calls) == sum(stacks)
 
 
 class TestSharedFrozenStages:
@@ -424,13 +438,14 @@ class TestSharedFrozenStages:
         assert pipeline._SHARED.get() is None
 
     def test_models_with_other_weights_get_their_own_results(self, samples):
-        clips = [s.clip for s in samples[:5]]
-        seeds = [derive_seed(3, "drop", i) for i in range(5)]
+        n = pipeline.STACK_CLIPS + 1
+        clips = [s.clip for s in samples[:n]]
+        seeds = [derive_seed(3, "drop", i) for i in range(n)]
         models = [
             PipelineModel(PipelineConfig(), seed=7),
             PipelineModel(PipelineConfig(), seed=8),
         ]
-        calls = [(m, s) for m in models for s in (None, seeds, [1] * 5)]
+        calls = [(m, s) for m in models for s in (None, seeds, [1] * n)]
         want = [m.extract_batch(clips, s) for m, s in calls]
         with pipeline.shared_frozen_stages():
             for _ in range(2):  # the second pass reads every result from the memo
@@ -448,6 +463,76 @@ class TestSharedFrozenStages:
             with pipeline.shared_frozen_stages():
                 assert pipeline._SHARED.get() == {} and pipeline._SHARED.get() is not outer
             assert pipeline._SHARED.get() is outer
+
+
+def frozen_arrays(model: PipelineModel) -> list[np.ndarray]:
+    """Every frozen-stage array, whether or not the model's toggles list it."""
+    arrays = [*model.detector.parameters().values(), *model.i3d.parameters()]
+    arrays += [model.patch_weight, model.patch_bias, model.pos_enc]
+    arrays += [model.summary_weight, model.summary_bias]
+    for blk in model.blocks:
+        arrays += vars(blk).values()
+    return arrays
+
+
+def head_state(model: PipelineModel) -> list[bytes]:
+    arrays = [*model.head_parameters().values(), *model.norm_stats.values()]
+    return [a.tobytes() for a in arrays]
+
+
+class TestWithToggles:
+    """``with_toggles(config)`` is ``PipelineModel(config, seed)``, on the base model's frozen arrays."""
+
+    @pytest.fixture(scope="class")
+    def base(self, samples):
+        """A trained full model: its heads and feature norm are no longer the seed's."""
+        model = PipelineModel(PipelineConfig(), seed=7)
+        train_toy(model, samples, Hyperparams(epochs=1, seed=4))
+        return model
+
+    @pytest.mark.parametrize("config", ALL_TOGGLES, ids=PipelineConfig.tag)
+    def test_parameters_equal_a_fresh_model_bytewise_in_order(self, base, config):
+        got = base.with_toggles(config)
+        want = PipelineModel(config, seed=7)
+        assert (got.config, got.seed) == (config, 7)
+        assert [(a.shape, a.tobytes()) for a in got.parameters()] == [
+            (a.shape, a.tobytes()) for a in want.parameters()
+        ]
+        assert head_state(got) == head_state(want)  # identity norm_stats included
+
+    @pytest.mark.parametrize("config", ALL_TOGGLES, ids=PipelineConfig.tag)
+    def test_outputs_equal_a_fresh_model_bytewise(self, base, samples, config):
+        got = base.with_toggles(config)
+        want = PipelineModel(config, seed=7)
+        n = pipeline.STACK_CLIPS + 1
+        clips = np.stack([s.clip for s in samples[:n]])
+        for seeds in (None, [derive_seed(5, "drop", i) for i in range(n)]):
+            got_cls, got_pose = got.extract_batch(clips, seeds)
+            want_cls, want_pose = want.extract_batch(clips, seeds)
+            assert got_cls.tobytes() == want_cls.tobytes()
+            assert got_pose.tobytes() == want_pose.tobytes()
+            assert got.head_probs(got_cls).tobytes() == want.head_probs(want_cls).tobytes()
+
+    @pytest.mark.parametrize("config", ALL_TOGGLES, ids=PipelineConfig.tag)
+    def test_shares_the_frozen_arrays_and_owns_its_heads(self, base, config):
+        model = base.with_toggles(config)
+        assert model.detector is base.detector and model.i3d is base.i3d
+        shared = zip(frozen_arrays(model), frozen_arrays(base), strict=True)
+        assert all(a is b for a, b in shared)
+        base_arrays = {id(a) for a in [*base.parameters(), *base.norm_stats.values()]}
+        own = [*model.head_parameters().values(), *model.norm_stats.values()]
+        assert not any(id(a) in base_arrays for a in own)
+        assert model.norm_stats is not base.norm_stats
+
+    @pytest.mark.parametrize("config", ALL_TOGGLES, ids=PipelineConfig.tag)
+    def test_training_its_heads_leaves_the_base_model_alone(self, base, samples, config):
+        kept = head_state(base)
+        frozen = [a.tobytes() for a in frozen_arrays(base)]
+        model = base.with_toggles(config)
+        train_toy(model, samples, Hyperparams(epochs=1, seed=9))
+        assert head_state(model) != head_state(PipelineModel(config, seed=7))  # it trained
+        assert head_state(base) == kept
+        assert [a.tobytes() for a in frozen_arrays(base)] == frozen
 
 
 class TestKernelPreconditions:

@@ -233,6 +233,24 @@ class TestStackedInput:
             assert got.tobytes() == conv3d(sample, w, spec, bias=bias).tobytes()
             assert got_pool.tobytes() == pool3d_max(sample, pool_spec).tobytes()
 
+    @pytest.mark.parametrize("lead", [(), (1,), (8,)], ids=["clip", "B=1", "B=8"])
+    @pytest.mark.parametrize("shape,c_out,spec", PIPELINE_CONVS)
+    def test_biased_conv_leaves_its_arguments_alone(self, lead, shape, c_out, spec):
+        """The bias is added in place, into the product's fresh array only."""
+        rng = Rng(sum(shape) + c_out + len(lead))
+        x = rng.normals(math.prod(lead + shape)).reshape(lead + shape)
+        w = rng.normals(c_out * shape[0] * math.prod(spec.kernel)).reshape(
+            (c_out, shape[0]) + spec.kernel
+        )
+        bias = rng.normals(c_out)
+        before = [a.copy() for a in (x, w, bias)]
+        out = conv3d(x, w, spec, bias=bias)
+        for arg, kept in zip((x, w, bias), before):
+            assert arg.tobytes() == kept.tobytes()
+            assert not np.shares_memory(out, arg)
+        want = conv3d(x, w, spec) + bias[:, None, None, None]
+        assert out.tobytes() == want.tobytes()
+
     def test_stack_sweep_meets_oracles(self):
         rng = Rng(106)
         for _ in range(30):
